@@ -1,4 +1,11 @@
-"""Reverse-mode automatic differentiation over dense vectors and matrices.
+"""Reverse-mode automatic differentiation over dense arrays.
+
+Node values are vectors and matrices, and a value may carry a leading
+batch axis: ``(B, d)`` rows flow through :func:`linear` and
+:func:`bias_add`, and :func:`dot`, :func:`sq_norm` and :func:`norm_eps`
+reduce over the last axis, so a ``(d,)`` input gives a scalar and a
+``(B, d)`` input gives a ``(B,)`` vector.  One tape therefore carries a
+whole latent batch.
 
 The engine is a classic Wengert list.  Every primitive appends one
 ``TapeNode`` holding the operation kind, the indices of its parents and
@@ -27,6 +34,27 @@ VjpFn = Callable[[Array], tuple[Array, ...]]
 
 def _as_array(value) -> Array:
     return np.array(value, dtype=np.float64)
+
+
+#: Largest rows x inner x columns product handed to one BLAS call.  OpenBLAS
+#: runs a GEMM this small on the calling thread; above it, it may wake its
+#: worker threads, which for these small matrices is slower and, on a busy
+#: box, erratic from one call to the next.
+SERIAL_GEMM_SIZE = 1 << 16
+
+
+def matmul_rows(x: Array, m: Array) -> Array:
+    """``x @ m`` for a ``(d,)`` vector or ``(n, d)`` rows, in row blocks.
+
+    Each block's product stays at or below :data:`SERIAL_GEMM_SIZE`, so
+    every BLAS call runs on one thread.
+    """
+    if x.ndim != 2:
+        return x @ m
+    block = max(1, SERIAL_GEMM_SIZE // max(1, m.shape[0] * m.shape[1]))
+    if x.shape[0] <= block:
+        return x @ m
+    return np.concatenate([x[i:i + block] @ m for i in range(0, x.shape[0], block)])
 
 
 @dataclass
@@ -91,15 +119,6 @@ class Var:
         if isinstance(other, Var):
             return div(self, other)
         return smul(1.0 / float(other), self)
-
-    def __matmul__(self, other: "Var") -> "Var":
-        if self.value.ndim == 2 and other.value.ndim == 1:
-            return matvec(self, other)
-        if self.value.ndim == 2 and other.value.ndim == 2:
-            return matmul(self, other)
-        raise DimensionError(
-            f"matmul supports (2d, 1d) or (2d, 2d), got {self.shape} @ {other.shape}"
-        )
 
     def __repr__(self) -> str:
         return f"Var(op={self.node.op!r}, shape={self.shape})"
@@ -229,34 +248,40 @@ def div(a: Var, b: Var) -> Var:
     return tape._append("div", va / vb, (a.index, b.index), vjp, req)
 
 
-def matvec(m: Var, v: Var) -> Var:
-    tape = _same_tape(m, v)
-    if m.value.ndim != 2 or v.value.ndim != 1:
-        raise DimensionError(f"matvec needs a matrix and a vector, got {m.shape}, {v.shape}")
-    if m.shape[1] != v.shape[0]:
-        raise DimensionError(f"matvec: inner dimensions {m.shape} @ {v.shape} differ")
-    vm, vv = m.value, v.value
-    req = m.node.requires_grad or v.node.requires_grad
+def linear(x: Var, w: Var) -> Var:
+    """``x @ w.T`` for a ``(n,)`` or ``(B, n)`` input and an ``(m, n)`` weight."""
+    tape = _same_tape(x, w)
+    if x.value.ndim not in (1, 2) or w.value.ndim != 2:
+        raise DimensionError(f"linear needs rows and a matrix, got {x.shape}, {w.shape}")
+    if x.shape[-1] != w.shape[1]:
+        raise DimensionError(f"linear: {x.shape} does not fit weight {w.shape}")
+    vx, vw = x.value, w.value
+    m, n = vw.shape
+    need_x, need_w = x.node.requires_grad, w.node.requires_grad
 
     def vjp(g: Array):
-        return np.outer(g, vv), vm.T @ g
+        # frozen weights and inputs get no gradient, so skip their products
+        gx = g @ vw if need_x else None
+        gw = g.reshape(-1, m).T @ vx.reshape(-1, n) if need_w else None
+        return gx, gw
 
-    return tape._append("matvec", vm @ vv, (m.index, v.index), vjp, req)
+    return tape._append(
+        "linear", matmul_rows(vx, vw.T), (x.index, w.index), vjp, need_x or need_w
+    )
 
 
-def matmul(a: Var, b: Var) -> Var:
-    tape = _same_tape(a, b)
-    if a.value.ndim != 2 or b.value.ndim != 2:
-        raise DimensionError(f"matmul needs two matrices, got {a.shape}, {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul: inner dimensions {a.shape} @ {b.shape} differ")
-    va, vb = a.value, b.value
-    req = a.node.requires_grad or b.node.requires_grad
+def bias_add(x: Var, b: Var) -> Var:
+    """``x + b`` with a ``(d,)`` bias broadcast over the rows of ``x``."""
+    tape = _same_tape(x, b)
+    if b.value.ndim != 1 or x.shape[-1:] != b.shape:
+        raise DimensionError(f"bias_add: bias {b.shape} does not fit rows {x.shape}")
+    d = b.shape[0]
+    req = x.node.requires_grad or b.node.requires_grad
 
     def vjp(g: Array):
-        return g @ vb.T, va.T @ g
+        return g, g.reshape(-1, d).sum(axis=0)
 
-    return tape._append("matmul", va @ vb, (a.index, b.index), vjp, req)
+    return tape._append("bias_add", x.value + b.value, (x.index, b.index), vjp, req)
 
 
 def tanh(a: Var) -> Var:
@@ -289,41 +314,44 @@ def vsum(a: Var) -> Var:
 
 
 def sq_norm(a: Var) -> Var:
-    """Sum of squared entries (any shape)."""
+    """Sum of squared entries over the last axis."""
     va = a.value
 
     def vjp(g: Array):
-        return ((2.0 * g) * va,)
+        return ((2.0 * g)[..., None] * va,)
 
     return tape_of(a)._append(
-        "sqnorm", np.asarray((va * va).sum()), (a.index,), vjp, a.node.requires_grad
+        "sqnorm", np.asarray((va * va).sum(axis=-1)), (a.index,), vjp, a.node.requires_grad
     )
 
 
 def dot(a: Var, b: Var) -> Var:
+    """Inner product over the last axis."""
     tape = _same_tape(a, b)
-    if a.value.ndim != 1 or b.value.ndim != 1:
-        raise DimensionError(f"dot needs two vectors, got {a.shape}, {b.shape}")
+    if a.value.ndim not in (1, 2):
+        raise DimensionError(f"dot needs vectors or rows, got {a.shape}, {b.shape}")
     _require_same_shape("dot", a, b)
     va, vb = a.value, b.value
     req = a.node.requires_grad or b.node.requires_grad
 
     def vjp(g: Array):
+        g = g[..., None]
         return g * vb, g * va
 
-    return tape._append("dot", np.asarray(va @ vb), (a.index, b.index), vjp, req)
+    out = np.asarray((va * vb).sum(axis=-1))
+    return tape._append("dot", out, (a.index, b.index), vjp, req)
 
 
 def norm_eps(a: Var, eps: float) -> Var:
-    """``sqrt(|a|^2 + eps^2)``: a strictly positive, smooth norm."""
+    """``sqrt(|a|^2 + eps^2)`` over the last axis: a strictly positive, smooth norm."""
     eps = float(eps)
     if eps <= 0.0:
         raise ValueError("norm_eps requires eps > 0")
     va = a.value
-    n = np.asarray(np.sqrt((va * va).sum() + eps * eps))
+    n = np.asarray(np.sqrt((va * va).sum(axis=-1) + eps * eps))
 
     def vjp(g: Array):
-        return ((g / n) * va,)
+        return ((g / n)[..., None] * va,)
 
     return tape_of(a)._append("norm_eps", n, (a.index,), vjp, a.node.requires_grad)
 

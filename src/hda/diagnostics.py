@@ -55,6 +55,25 @@ def _away_from_zero(values: Array, margin: float = 0.25) -> Array:
     return values + margin * signs
 
 
+#: Batch size and row width of the batched (``*_rows``) cases.
+_B, _D = 3, 5
+_ROWS = (_B, _D)
+
+
+def _draw(rng, shape, batched: bool) -> Array:
+    """Probe values: signed normals, or entries in [0.5, 1.5] for batched cases.
+
+    A batched case sums B times as many signed terms into its loss, and
+    some gradient coordinates then cancel to far below the loss scale,
+    where central differences drown in rounding noise.  Positive entries
+    keep every coordinate at the loss scale; the single-row cases keep
+    signed draws and cover the signs.
+    """
+    if batched:
+        return rng.uniform(0.5, 1.5, shape)
+    return rng.standard_normal(shape)
+
+
 def _scalarized(tape: Tape, out, weight: Array):
     return ad.vsum(ad.mul(out, tape.constant(weight)))
 
@@ -125,55 +144,32 @@ def _build_smul(rng):
     return f, a0
 
 
-def _build_matvec(rng):
-    rows, cols = 4, 3
-    m0 = rng.standard_normal((rows, cols))
-    v0 = rng.standard_normal(cols)
-    w = rng.standard_normal(rows)
+def _shaped_builder(op, in_shapes, out_shape, batched: bool = False):
+    """Operands of the given shapes, all differentiated, weighted to a scalar."""
+    sizes = [int(np.prod(shape)) for shape in in_shapes]
+    offsets = np.cumsum([0] + sizes)
 
-    def f(p):
-        tape = Tape()
-        m = tape.variable(p[: rows * cols].reshape(rows, cols))
-        v = tape.variable(p[rows * cols :])
-        loss = _scalarized(tape, ad.matvec(m, v), w)
-        tape.backward(loss)
-        return loss.item(), np.concatenate([m.grad.ravel(), v.grad])
+    def build(rng):
+        p0 = np.concatenate([_draw(rng, n, batched) for n in sizes])
+        w = _draw(rng, out_shape, batched)
 
-    return f, np.concatenate([m0.ravel(), v0])
+        def f(p):
+            tape = Tape()
+            args = [
+                tape.variable(p[lo:hi].reshape(shape))
+                for lo, hi, shape in zip(offsets[:-1], offsets[1:], in_shapes)
+            ]
+            loss = _scalarized(tape, op(*args), w)
+            tape.backward(loss)
+            return loss.item(), np.concatenate([a.grad.ravel() for a in args])
 
+        return f, p0
 
-def _build_matmul(rng):
-    i, j, k = 3, 4, 2
-    a0 = rng.standard_normal((i, j))
-    b0 = rng.standard_normal((j, k))
-    w = rng.standard_normal((i, k))
-
-    def f(p):
-        tape = Tape()
-        a = tape.variable(p[: i * j].reshape(i, j))
-        b = tape.variable(p[i * j :].reshape(j, k))
-        loss = _scalarized(tape, ad.matmul(a, b), w)
-        tape.backward(loss)
-        return loss.item(), np.concatenate([a.grad.ravel(), b.grad.ravel()])
-
-    return f, np.concatenate([a0.ravel(), b0.ravel()])
+    return build
 
 
-def _build_dot(rng):
-    n = 5
-    a0 = rng.standard_normal(n)
-    b0 = rng.standard_normal(n)
-    w = rng.standard_normal(())
-
-    def f(p):
-        tape = Tape()
-        a = tape.variable(p[:n])
-        b = tape.variable(p[n:])
-        loss = _scalarized(tape, ad.dot(a, b), w)
-        tape.backward(loss)
-        return loss.item(), np.concatenate([a.grad, b.grad])
-
-    return f, np.concatenate([a0, b0])
+def _norm_eps(a):
+    return ad.norm_eps(a, 1e-8)
 
 
 _PRIMITIVE_BUILDERS = {
@@ -182,18 +178,19 @@ _PRIMITIVE_BUILDERS = {
     "smul": _build_smul,
     "mul": _binary_builder("mul"),
     "div": _binary_builder("div"),
-    "matvec": _build_matvec,
-    "matmul": _build_matmul,
+    "linear": _shaped_builder(ad.linear, [(4,), (3, 4)], (3,)),
+    "linear_rows": _shaped_builder(ad.linear, [_ROWS, (3, _D)], (_B, 3), batched=True),
+    "bias_add_rows": _shaped_builder(ad.bias_add, [_ROWS, (_D,)], _ROWS, batched=True),
     "tanh": _unary_builder("tanh"),
     "relu": _unary_builder("relu"),
     "sum": _unary_builder("vsum"),
     "sq_norm": _unary_builder("sq_norm"),
-    "dot": _build_dot,
+    "sq_norm_rows": _shaped_builder(ad.sq_norm, [_ROWS], (_B,), batched=True),
+    "dot": _shaped_builder(ad.dot, [(5,), (5,)], ()),
+    "dot_rows": _shaped_builder(ad.dot, [_ROWS, _ROWS], (_B,), batched=True),
     "norm_eps": _unary_builder("norm_eps"),
+    "norm_eps_rows": _shaped_builder(_norm_eps, [_ROWS], (_B,), batched=True),
 }
-
-# _unary_builder keys by the autodiff function name; expose plain names
-_PRIMITIVE_BUILDERS["sum"] = _unary_builder("vsum")
 
 
 def primitive_suite(
@@ -324,7 +321,7 @@ def _check_hybrid_direct(rng, cancelling: bool) -> GradCheckReport:
     )
 
 
-def _toy_objective_setup(seed: int):
+def _toy_objective_setup(seed: int, batch: int):
     from .subspace import FeatureSet, build_subspace
 
     rng = stream_rng(seed, "gradcheck", "objective")
@@ -347,12 +344,12 @@ def _toy_objective_setup(seed: int):
         flatten_generator(source) + 0.05 * rng.standard_normal(flatten_generator(source).size),
         like=source,
     )
-    z_batch = rng.standard_normal((2, 3))
+    z_batch = rng.standard_normal((batch, 3))
     return source, target0, encoders, subspaces, weights, z_batch
 
 
-def _check_objective(seed: int) -> GradCheckReport:
-    source, target0, encoders, subspaces, weights, z_batch = _toy_objective_setup(seed)
+def _check_objective(seed: int, batch: int) -> GradCheckReport:
+    source, target0, encoders, subspaces, weights, z_batch = _toy_objective_setup(seed, batch)
 
     def f(p):
         target = unflatten_generator(p, like=source)
@@ -368,7 +365,7 @@ def _check_objective(seed: int) -> GradCheckReport:
         flatten_generator(target0),
         h=STEP,
         tol=COMPOSITE_TOL,
-        name="hda_objective (2 encoders, 2 domains)",
+        name=f"hda_objective (2 encoders, 2 domains, batch {batch})",
     )
 
 
@@ -414,7 +411,8 @@ def composite_suite(seed: int = 0) -> list[GradCheckReport]:
         _check_hybrid_direct(rng, cancelling=False),
         _check_hybrid_direct(rng, cancelling=True),
         _check_dist_through_encoder(seed),
-        _check_objective(seed),
+        _check_objective(seed, batch=2),
+        _check_objective(seed, batch=5),
     ]
 
 

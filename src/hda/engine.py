@@ -20,7 +20,7 @@ from .losses import DomainWeight, LossBreakdown, hda_objective
 from .metrics import MetricsReport, evaluate
 from .seeding import derive_seed, stream_rng
 from .subspace import DomainSubspace, separation_ratio
-from .worlds import GeneratorParams, World, make_target_generator
+from .worlds import GeneratorParams, World, json_bool, make_target_generator
 
 Array = np.ndarray
 
@@ -139,9 +139,9 @@ class AdaptationConfig:
                     else float(data.get("grad_clip_norm", 10.0))
                 ),
                 seed=int(data.get("seed", 0)),
-                dist_only=bool(data.get("dist_only", False)),
-                direct_only=bool(data.get("direct_only", False)),
-                detach_projection=bool(data.get("detach_projection", False)),
+                dist_only=json_bool(data, "dist_only"),
+                direct_only=json_bool(data, "direct_only"),
+                detach_projection=json_bool(data, "detach_projection"),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed adaptation config: {exc}") from exc

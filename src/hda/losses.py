@@ -106,31 +106,55 @@ class LossBreakdown:
 
 def _projection_var(f_t: Var, subspace: DomainSubspace, detach: bool) -> Var:
     tape = f_t.tape
-    if f_t.shape != subspace.mean.shape:
+    if f_t.shape[-1:] != subspace.mean.shape:
         raise DimensionError(
             f"embedding has shape {f_t.shape}, subspace lives in {subspace.mean.shape}"
         )
     if detach:
         return tape.constant(project(subspace, f_t.value))
-    mean = tape.constant(subspace.mean)
-    centered = ad.sub(f_t, mean)
-    coords = ad.matvec(tape.constant(subspace.basis.T), centered)
-    lifted = ad.matvec(tape.constant(subspace.basis), coords)
-    return ad.add(lifted, mean)
+    centered = ad.bias_add(f_t, tape.constant(-subspace.mean))
+    coords = ad.linear(centered, tape.constant(subspace.basis.T))
+    lifted = ad.linear(coords, tape.constant(subspace.basis))
+    return ad.bias_add(lifted, tape.constant(subspace.mean))
 
 
-def dist_loss(
-    f_t: Var, subspace: DomainSubspace, *, detach_projection: bool = False
-) -> Var:
-    """Squared distance from ``f_t`` to its projection onto the subspace."""
-    f_star = _projection_var(f_t, subspace, detach_projection)
-    return ad.sq_norm(ad.sub(f_star, f_t))
+def _perpendiculars(f_t: Var, subspaces, detach: bool) -> list[Var]:
+    """``f* - f_t`` for each subspace: one projection per subspace."""
+    return [ad.sub(_projection_var(f_t, sub_i, detach), f_t) for sub_i in subspaces]
+
+
+def _weighted_sum(terms: list[Var], weights) -> Var:
+    total = None
+    for term, w in zip(terms, weights):
+        term = ad.smul(w.alpha, term)
+        total = term if total is None else ad.add(total, term)
+    return total
 
 
 def _one_minus_cosine(u: Var, v: Var, eps: float) -> Var:
     tape = u.tape
     cos = ad.div(ad.dot(u, v), ad.mul(ad.norm_eps(u, eps), ad.norm_eps(v, eps)))
-    return ad.sub(tape.constant(1.0), cos)
+    return ad.sub(tape.constant(np.ones(cos.shape)), cos)
+
+
+def _hybrid_dist(perps: list[Var], weights) -> Var:
+    return _weighted_sum([ad.sq_norm(p) for p in perps], weights)
+
+
+def _hybrid_direct(f_s: Var, f_t: Var, perps: list[Var], weights, eps: float) -> Var:
+    return _one_minus_cosine(ad.sub(f_t, f_s), _weighted_sum(perps, weights), eps)
+
+
+def dist_loss(
+    f_t: Var, subspace: DomainSubspace, *, detach_projection: bool = False
+) -> Var:
+    """Squared distance from ``f_t`` to its projection onto the subspace.
+
+    ``f_t`` is one embedding ``(d,)`` (scalar loss) or a batch ``(B, d)``
+    (one loss per row); the same holds for every loss below.
+    """
+    (perp,) = _perpendiculars(f_t, [subspace], detach_projection)
+    return ad.sq_norm(perp)
 
 
 def direct_loss(
@@ -142,10 +166,8 @@ def direct_loss(
     detach_projection: bool = False,
 ) -> Var:
     """One minus the cosine between ``f_t - f_s`` and ``f* - f_t``."""
-    delta_st = ad.sub(f_t, f_s)
-    f_star = _projection_var(f_t, subspace, detach_projection)
-    delta_tp = ad.sub(f_star, f_t)
-    return _one_minus_cosine(delta_st, delta_tp, eps)
+    (perp,) = _perpendiculars(f_t, [subspace], detach_projection)
+    return _one_minus_cosine(ad.sub(f_t, f_s), perp, eps)
 
 
 def _check_hybrid_args(subspaces, weights) -> None:
@@ -166,11 +188,7 @@ def hybrid_dist_loss(
 ) -> Var:
     """Weighted sum of per-domain distance losses."""
     _check_hybrid_args(subspaces, weights)
-    total = None
-    for sub_i, w in zip(subspaces, weights):
-        term = ad.smul(w.alpha, dist_loss(f_t, sub_i, detach_projection=detach_projection))
-        total = term if total is None else ad.add(total, term)
-    return total
+    return _hybrid_dist(_perpendiculars(f_t, subspaces, detach_projection), weights)
 
 
 def hybrid_direct_loss(
@@ -184,13 +202,8 @@ def hybrid_direct_loss(
 ) -> Var:
     """Direction loss against the weighted sum of per-domain perpendiculars."""
     _check_hybrid_args(subspaces, weights)
-    delta_st = ad.sub(f_t, f_s)
-    aggregate = None
-    for sub_i, w in zip(subspaces, weights):
-        f_star = _projection_var(f_t, sub_i, detach_projection)
-        term = ad.smul(w.alpha, ad.sub(f_star, f_t))
-        aggregate = term if aggregate is None else ad.add(aggregate, term)
-    return _one_minus_cosine(delta_st, aggregate, eps)
+    perps = _perpendiculars(f_t, subspaces, detach_projection)
+    return _hybrid_direct(f_s, f_t, perps, weights, eps)
 
 
 def hda_objective(
@@ -245,48 +258,34 @@ def hda_objective(
                     f"dimension {sub_i.dim}, encoder outputs {enc.d_e}"
                 )
 
-    batch = z_batch.shape[0]
-    inv_batch = 1.0 / batch
-    dist_sums = {enc.encoder_id: 0.0 for enc in encoders}
-    direct_sums = {enc.encoder_id: 0.0 for enc in encoders}
-    grads = {name: np.zeros_like(arr) for name, arr in target_gen.to_dict().items()}
+    inv_batch = 1.0 / z_batch.shape[0]
+    tape = Tape()
+    param_vars = generator_param_vars(tape, target_gen)
+    x_target = generator_forward_var(tape, param_vars, z_batch)
+    x_source = None if dist_only else source_gen.forward(z_batch)
+    per_encoder = []
+    rows = None  # (B,) per-latent objective, summed over encoders
+    for enc in encoders:
+        f_t = encode_var(tape, enc, x_target)
+        subs = [subspaces_per_encoder[enc.encoder_id][w.domain_id] for w in weights]
+        perps = _perpendiculars(f_t, subs, detach_projection)
+        enc_rows = None
+        dist_term = direct_term = 0.0
+        if not direct_only:
+            enc_rows = _hybrid_dist(perps, weights)
+            dist_term = float(enc_rows.value.sum()) * inv_batch
+        if not dist_only:
+            f_s = tape.constant(encode(enc, x_source))
+            direct = _hybrid_direct(f_s, f_t, perps, weights, NORM_EPS)
+            direct_term = float(direct.value.sum()) * inv_batch
+            weighted = ad.smul(lam, direct)
+            enc_rows = weighted if enc_rows is None else ad.add(enc_rows, weighted)
+        rows = enc_rows if rows is None else ad.add(rows, enc_rows)
+        per_encoder.append(EncoderTerms(enc.encoder_id, dist_term, direct_term))
 
-    for z in z_batch:
-        x_source = source_gen.forward(z)
-        tape = Tape()
-        param_vars = generator_param_vars(tape, target_gen)
-        x_target = generator_forward_var(tape, param_vars, z)
-        sample_total = None
-        for enc in encoders:
-            f_t = encode_var(tape, enc, x_target)
-            subs = [subspaces_per_encoder[enc.encoder_id][w.domain_id] for w in weights]
-            enc_term = None
-            if not direct_only:
-                d = hybrid_dist_loss(f_t, subs, weights, detach_projection=detach_projection)
-                dist_sums[enc.encoder_id] += d.item()
-                enc_term = d
-            if not dist_only:
-                f_s = tape.constant(encode(enc, x_source))
-                dr = hybrid_direct_loss(
-                    f_s, f_t, subs, weights, detach_projection=detach_projection
-                )
-                direct_sums[enc.encoder_id] += dr.item()
-                weighted = ad.smul(lam, dr)
-                enc_term = weighted if enc_term is None else ad.add(enc_term, weighted)
-            sample_total = enc_term if sample_total is None else ad.add(sample_total, enc_term)
-        tape.backward(sample_total, seed=inv_batch)
-        for name, var in param_vars.items():
-            grads[name] += var.grad
-
-    per_encoder = tuple(
-        EncoderTerms(
-            enc.encoder_id,
-            dist_sums[enc.encoder_id] * inv_batch,
-            direct_sums[enc.encoder_id] * inv_batch,
-        )
-        for enc in encoders
-    )
+    tape.backward(ad.vsum(rows), seed=inv_batch)
+    grads = {name: np.array(var.grad) for name, var in param_vars.items()}
     total = 0.0
     for terms in per_encoder:
         total += terms.dist_term + lam * terms.direct_term
-    return LossBreakdown(total=total, per_encoder=per_encoder, lam=lam), grads
+    return LossBreakdown(total=total, per_encoder=tuple(per_encoder), lam=lam), grads

@@ -94,10 +94,8 @@ def _pairwise_cosine(a: Array, b: Array) -> Array:
 
 
 def _mean_subspace_distance(subspace: DomainSubspace, embeddings: Array) -> float:
-    distances = [
-        float(np.linalg.norm(project(subspace, f) - f)) for f in embeddings
-    ]
-    return float(np.mean(distances))
+    residuals = project(subspace, embeddings) - embeddings
+    return float(np.mean(np.linalg.norm(residuals, axis=1)))
 
 
 def _diversity(embeddings: Array, reference_embeddings: Array) -> float:

@@ -9,7 +9,8 @@ of the centred features, lifted back to feature space and cleaned up
 with modified Gram-Schmidt (two passes per column).
 
 Distances to a subspace are always measured to the orthogonal
-projection ``f* = basis @ basis.T @ (p - mean) + mean``.
+projection ``f* = basis @ basis.T @ (p - mean) + mean``, computed for a
+batch of row vectors as ``(P - mean) @ basis @ basis.T + mean``.
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import matmul_rows
 from .errors import ConfigError, DegenerateDomain, DimensionError
 
 Array = np.ndarray
@@ -255,14 +257,14 @@ def build_subspace(
 
 
 def project(subspace: DomainSubspace, point) -> Array:
-    """Orthogonal projection of ``point`` onto the affine subspace."""
+    """Orthogonal projection of a ``(d,)`` point or ``(n, d)`` rows onto the subspace."""
     p = np.asarray(point, dtype=np.float64)
-    if p.shape != subspace.mean.shape:
+    if p.ndim not in (1, 2) or p.shape[-1:] != subspace.mean.shape:
         raise DimensionError(
             f"point has shape {p.shape}, subspace lives in {subspace.mean.shape}"
         )
-    centered = p - subspace.mean
-    return subspace.basis @ (subspace.basis.T @ centered) + subspace.mean
+    coords = matmul_rows(p - subspace.mean, subspace.basis)
+    return matmul_rows(coords, subspace.basis.T) + subspace.mean
 
 
 def subspace_distance_sq(subspace: DomainSubspace, point) -> float:

@@ -6,9 +6,13 @@ feature extractors.  Domains are defined directly in generator output
 space by an attribute shift (plus optional linear transform and noise),
 so reference sets can be sampled without any real data.
 
-Batch helpers loop row by row on purpose: a vector pushed through the
-single-sample path and the same vector inside a batch must agree bit for
-bit.
+The generator and encoders evaluate a ``(n, d)`` batch as one matrix
+expression, ``act(x @ w1.T + b1) @ w2.T + b2``, whose products run in
+row blocks (:func:`autodiff.matmul_rows`); a single vector goes through
+the same expression as a one-row batch.  The tape versions
+(:func:`generator_forward_var`, :func:`encode_var`) build the identical
+expression, so on the same batch they agree with the numpy functions
+bit for bit.
 """
 from __future__ import annotations
 
@@ -20,6 +24,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import autodiff as ad
 from .errors import ConfigError, DimensionError
 from .seeding import derive_seed, stream_rng
 from .subspace import (
@@ -74,6 +79,27 @@ def _relu(x: Array) -> Array:
     return np.where(x > 0.0, x, 0.0)
 
 
+def _rows(x, width: int, kind: str) -> Array:
+    """``x`` as a float vector or ``(n, width)`` batch, checked."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim not in (1, 2):
+        raise DimensionError(f"{kind}s must be 1- or 2-dimensional, got shape {x.shape}")
+    if x.shape[-1] != width:
+        raise DimensionError(f"{kind} has length {x.shape[-1]}, expected {width}")
+    return x
+
+
+def json_bool(data: dict, key: str) -> bool:
+    """An optional JSON ``true``/``false`` field (absent means false).
+
+    Anything else, the string ``"false"`` included, is a :class:`ConfigError`.
+    """
+    value = data.get(key, False)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class GeneratorParams:
     """Two-layer MLP ``x = w2 @ tanh(w1 @ z + b1) + b2``."""
@@ -112,14 +138,10 @@ class GeneratorParams:
         return self.w2.shape[0]
 
     def forward(self, z) -> Array:
-        z = np.asarray(z, dtype=np.float64)
-        if z.ndim == 1:
-            if z.shape[0] != self.d_z:
-                raise DimensionError(f"latent has length {z.shape[0]}, expected {self.d_z}")
-            return self.w2 @ np.tanh(self.w1 @ z + self.b1) + self.b2
-        if z.ndim == 2:
-            return np.stack([self.forward(row) for row in z])
-        raise DimensionError(f"latents must be 1- or 2-dimensional, got shape {z.shape}")
+        z = _rows(z, self.d_z, "latent")
+        hidden = np.tanh(ad.matmul_rows(np.atleast_2d(z), self.w1.T) + self.b1)
+        x = ad.matmul_rows(hidden, self.w2.T) + self.b2
+        return x[0] if z.ndim == 1 else x
 
     def to_dict(self) -> dict[str, Array]:
         return {name: np.array(getattr(self, name)) for name in PARAM_FIELDS}
@@ -144,7 +166,7 @@ class GeneratorParams:
                 b1=np.array(data["b1"], dtype=np.float64),
                 w2=np.array(data["w2"], dtype=np.float64),
                 b2=np.array(data["b2"], dtype=np.float64),
-                trainable=bool(data.get("trainable", False)),
+                trainable=json_bool(data, "trainable"),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed generator document: {exc}") from exc
@@ -256,14 +278,10 @@ def make_encoder(
 
 
 def encode(spec: EncoderSpec, x) -> Array:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        if x.shape[0] != spec.d_x:
-            raise DimensionError(f"input has length {x.shape[0]}, expected {spec.d_x}")
-        return spec.w2 @ _relu(spec.w1 @ x + spec.b1) + spec.b2
-    if x.ndim == 2:
-        return np.stack([encode(spec, row) for row in x])
-    raise DimensionError(f"inputs must be 1- or 2-dimensional, got shape {x.shape}")
+    x = _rows(x, spec.d_x, "input")
+    hidden = _relu(ad.matmul_rows(np.atleast_2d(x), spec.w1.T) + spec.b1)
+    f = ad.matmul_rows(hidden, spec.w2.T) + spec.b2
+    return f[0] if x.ndim == 1 else f
 
 
 def generator_param_vars(tape, gen: GeneratorParams) -> dict:
@@ -272,23 +290,20 @@ def generator_param_vars(tape, gen: GeneratorParams) -> dict:
 
 
 def generator_forward_var(tape, param_vars: dict, z):
-    from . import autodiff as ad
-
+    """Tape version of :meth:`GeneratorParams.forward`; bit-identical on a batch."""
     zc = tape.constant(z)
-    hidden = ad.tanh(ad.add(ad.matvec(param_vars["w1"], zc), param_vars["b1"]))
-    return ad.add(ad.matvec(param_vars["w2"], hidden), param_vars["b2"])
+    hidden = ad.tanh(ad.bias_add(ad.linear(zc, param_vars["w1"]), param_vars["b1"]))
+    return ad.bias_add(ad.linear(hidden, param_vars["w2"]), param_vars["b2"])
 
 
 def encode_var(tape, spec: EncoderSpec, x):
-    """Tape version of :func:`encode`; agrees with it bit for bit."""
-    from . import autodiff as ad
-
+    """Tape version of :func:`encode`; bit-identical on a batch."""
     w1 = tape.constant(spec.w1)
     b1 = tape.constant(spec.b1)
     w2 = tape.constant(spec.w2)
     b2 = tape.constant(spec.b2)
-    hidden = ad.relu(ad.add(ad.matvec(w1, x), b1))
-    return ad.add(ad.matvec(w2, hidden), b2)
+    hidden = ad.relu(ad.bias_add(ad.linear(x, w1), b1))
+    return ad.bias_add(ad.linear(hidden, w2), b2)
 
 
 @dataclass(frozen=True)
@@ -363,7 +378,7 @@ def sample_domain_references(
     z = rng.standard_normal((domain.k, source_gen.d_z))
     x = source_gen.forward(z)
     if domain.attribute_transform is not None:
-        x = np.stack([domain.attribute_transform @ row for row in x])
+        x = ad.matmul_rows(x, domain.attribute_transform.T)
     x = x + domain.attribute_shift
     x = x + domain.noise_scale * rng.standard_normal((domain.k, domain.d_x))
     return x

@@ -27,11 +27,11 @@ def test_matrix_gradient_matches_fd():
     def f(p):
         tape = Tape()
         m = tape.variable(p.reshape(8, 8))
-        out = ad.sq_norm(ad.matvec(m, tape.constant(v)))
+        out = ad.sq_norm(ad.linear(tape.constant(v), m))
         tape.backward(out)
         return out.item(), m.grad.ravel()
 
-    report = grad_check(f, m0.ravel(), tol=1e-6, name="matvec sq_norm")
+    report = grad_check(f, m0.ravel(), tol=1e-6, name="linear sq_norm")
     assert report.passed, report.summary()
     assert report.n_checked == 64
 
@@ -153,3 +153,39 @@ def test_grad_check_reports_degenerate_coordinates():
     assert report.passed
     assert len(report.skipped) == 3
     assert report.n_checked == 0
+
+
+def test_row_wise_reductions_match_per_row_vectors():
+    rows = stream_rng(2, "autodiff-test").standard_normal((3, 4))
+    tape = Tape()
+    x = tape.variable(rows)
+    for op in (ad.sq_norm, lambda v: ad.norm_eps(v, 1e-8), lambda v: ad.dot(v, v)):
+        batched = op(x)
+        assert batched.shape == (3,)
+        singles = [op(tape.variable(r)) for r in rows]
+        assert all(s.shape == () for s in singles)
+        np.testing.assert_allclose(batched.value, [s.item() for s in singles], rtol=1e-15)
+
+
+def test_bias_add_gradient_sums_over_rows():
+    tape = Tape()
+    x = tape.variable(np.arange(6.0).reshape(3, 2))
+    b = tape.variable(np.array([1.0, -1.0]))
+    loss = ad.vsum(ad.bias_add(x, b))
+    tape.backward(loss)
+    np.testing.assert_array_equal(b.grad, [3.0, 3.0])
+    np.testing.assert_array_equal(x.grad, np.ones((3, 2)))
+    with pytest.raises(DimensionError):
+        ad.bias_add(x, tape.constant(np.zeros(3)))
+
+
+def test_matmul_rows_blocks_match_one_product():
+    rng = stream_rng(3, "autodiff-test")
+    m = rng.standard_normal((32, 16))
+    block = ad.SERIAL_GEMM_SIZE // m.size
+    for n in (1, block, block + 1, 3 * block + 5):
+        x = rng.standard_normal((n, 32))
+        out = ad.matmul_rows(x, m)
+        assert out.shape == (n, 16)
+        np.testing.assert_allclose(out, x @ m, rtol=1e-13, atol=1e-13)
+    np.testing.assert_array_equal(ad.matmul_rows(x[0], m), x[0] @ m)

@@ -181,6 +181,17 @@ def test_invalid_config_json_exits_2(tmp_path, runner, world_dir):
     assert result.exit_code == 2
 
 
+def test_string_boolean_in_config_exits_2(tmp_path, runner, world_dir):
+    config = tmp_path / "string_flag.json"
+    config.write_text(json.dumps({"steps": 2, "dist_only": "false"}), encoding="utf8")
+    result = runner.invoke(
+        main,
+        ["adapt", "--config", str(config), "--world", str(world_dir), "--out", str(tmp_path / "r")],
+    )
+    assert result.exit_code == 2
+    assert "dist_only" in result.output
+
+
 def test_inseparable_world_exits_3(tmp_path, runner, world_dir):
     # crank the domain noise until the separability precheck trips
     doc = json.loads((world_dir / "world.json").read_text(encoding="utf8"))

@@ -307,6 +307,18 @@ def test_config_json_round_trip_including_optional_clip(world):
     assert AdaptationConfig.from_json_dict(doc).grad_clip_norm == 10.0
 
 
+@pytest.mark.parametrize("field", ["dist_only", "direct_only", "detach_projection"])
+def test_config_flags_accept_only_json_booleans(world, field):
+    doc = default_adaptation_config(world).to_json_dict()
+    doc[field] = True
+    assert getattr(AdaptationConfig.from_json_dict(doc), field) is True
+    # the string "false" is truthy; it must not switch an ablation on
+    for bad in ("false", 0, None):
+        doc[field] = bad
+        with pytest.raises(ConfigError, match=field):
+            AdaptationConfig.from_json_dict(doc)
+
+
 @pytest.mark.parametrize(
     "overrides",
     [

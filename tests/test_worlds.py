@@ -8,6 +8,7 @@ from hda.autodiff import Tape, grad_check
 from hda.errors import ConfigError
 from hda.seeding import stream_rng
 from hda.worlds import (
+    GeneratorParams,
     SyntheticDomainSpec,
     WorldConfig,
     build_world,
@@ -136,10 +137,12 @@ def test_encode_deterministic_and_matches_var(world):
     enc = world.held_out_encoder
     x = stream_rng(0, "encode-probe").standard_normal((4, world.config.d_x))
     np.testing.assert_array_equal(encode(enc, x), encode(enc, x))
+    # the tape builds the same batch expression, so the batches agree bit for bit
     tape = Tape()
-    for row, want in zip(x, encode(enc, x)):
-        got = encode_var(tape, enc, tape.constant(row))
-        np.testing.assert_array_equal(got.value, want)
+    got = encode_var(tape, enc, tape.constant(x))
+    np.testing.assert_array_equal(got.value, encode(enc, x))
+    # a single vector is a one-row batch
+    np.testing.assert_array_equal(encode(enc, x[1]), encode(enc, x[1:2])[0])
 
 
 def test_encoder_gradient_matches_fd(world):
@@ -161,11 +164,22 @@ def test_encoder_gradient_matches_fd(world):
 
 def test_generator_forward_var_matches_forward(world):
     gen = world.source_generator
-    z = stream_rng(2, "gen-probe").standard_normal(gen.d_z)
+    z = stream_rng(2, "gen-probe").standard_normal((4, gen.d_z))
     tape = Tape()
     params = generator_param_vars(tape, make_target_generator(gen))
     out = generator_forward_var(tape, params, z)
-    np.testing.assert_allclose(out.value, gen.forward(z[None, :])[0], rtol=1e-12)
+    np.testing.assert_array_equal(out.value, gen.forward(z))
+    np.testing.assert_array_equal(gen.forward(z[2]), gen.forward(z[2:3])[0])
+
+
+def test_generator_trainable_accepts_only_json_booleans(world):
+    doc = world.source_generator.to_json_dict()
+    doc["trainable"] = True
+    assert GeneratorParams.from_json_dict(doc).trainable is True
+    for bad in ("false", 1):
+        doc["trainable"] = bad
+        with pytest.raises(ConfigError, match="trainable"):
+            GeneratorParams.from_json_dict(doc)
 
 
 def test_encoders_are_genuinely_different(world):
