@@ -1,11 +1,18 @@
 """Reverse-mode automatic differentiation over dense arrays.
 
-Node values are vectors and matrices, and a value may carry a leading
-batch axis: ``(B, d)`` rows flow through :func:`linear` and
-:func:`bias_add`, and :func:`dot`, :func:`sq_norm` and :func:`norm_eps`
-reduce over the last axis, so a ``(d,)`` input gives a scalar and a
-``(B, d)`` input gives a ``(B,)`` vector.  One tape therefore carries a
-whole latent batch.
+Node values are arrays of any rank.  The elementwise primitives
+(:func:`add`, :func:`sub`, :func:`mul`, :func:`div`) and :func:`dot`
+broadcast their operands the way numpy does, and their vjps sum each
+gradient back over the axes its operand was broadcast along, so a
+``(d,)`` bias adds to ``(B, d)`` rows and a ``(D, 1, 1)`` weight
+scales ``(D, E, B)`` terms.  :func:`linear` multiplies over the last
+two axes and broadcasts the leading ones, so one node applies a stack
+of ``E`` weight matrices to a batch.  :func:`dot`, :func:`sq_norm`
+and :func:`norm_eps` reduce the last axis, and :func:`vsum` sums
+everything or one axis.  The hybrid objective uses this to keep a
+whole step in one fixed-size expression: a latent batch ``B``, the
+encoder ensemble ``E`` and the target domains ``D`` are axes of
+``(D, E, B, d)`` values, not Python loops that add nodes.
 
 The engine is a classic Wengert list.  Every primitive appends one
 ``TapeNode`` holding the operation kind, the indices of its parents and
@@ -44,17 +51,22 @@ SERIAL_GEMM_SIZE = 1 << 16
 
 
 def matmul_rows(x: Array, m: Array) -> Array:
-    """``x @ m`` for a ``(d,)`` vector or ``(n, d)`` rows, in row blocks.
+    """``x @ m`` in row blocks.
 
-    Each block's product stays at or below :data:`SERIAL_GEMM_SIZE`, so
-    every BLAS call runs on one thread.
+    ``x`` is a ``(d,)`` vector or ``(..., n, d)`` rows and ``m`` a
+    ``(d, k)`` matrix or a ``(..., d, k)`` stack; leading axes broadcast
+    as in ``np.matmul``, which runs a stacked product as one BLAS call
+    per matrix slice.  Each call's product stays at or below
+    :data:`SERIAL_GEMM_SIZE`, so every BLAS call runs on one thread, and
+    each slice of a stacked product equals the 2-D product of that slice
+    bit for bit.
     """
-    if x.ndim != 2:
+    block = max(1, SERIAL_GEMM_SIZE // max(1, m.shape[-2] * m.shape[-1]))
+    if x.ndim < 2 or x.shape[-2] <= block:
         return x @ m
-    block = max(1, SERIAL_GEMM_SIZE // max(1, m.shape[0] * m.shape[1]))
-    if x.shape[0] <= block:
-        return x @ m
-    return np.concatenate([x[i:i + block] @ m for i in range(0, x.shape[0], block)])
+    return np.concatenate(
+        [x[..., i:i + block, :] @ m for i in range(0, x.shape[-2], block)], axis=-2
+    )
 
 
 @dataclass
@@ -188,31 +200,45 @@ def _same_tape(a: Var, b: Var) -> Tape:
     return a.tape
 
 
-def _require_same_shape(op: str, a: Var, b: Var) -> None:
-    if a.shape != b.shape:
-        raise DimensionError(f"{op}: shapes {a.shape} and {b.shape} differ")
+def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
+    """Sum ``g`` over the axes along which an operand of ``shape`` was broadcast."""
+    if g.shape == shape:
+        return g
+    g = g.sum(axis=tuple(range(g.ndim - len(shape))))
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
+    return g.sum(axis=axes, keepdims=True) if axes else g
+
+
+def _binary(op: str, a: Var, b: Var, forward, grads) -> Var:
+    """Append a broadcasting two-operand node.
+
+    ``forward(va, vb)`` gives the value and ``grads(g, va, vb)`` the two
+    vjps at the broadcast shape; each is summed back to its operand's shape.
+    """
+    tape = _same_tape(a, b)
+    va, vb = a.value, b.value
+    try:
+        value = forward(va, vb)
+    except ValueError:
+        raise DimensionError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from None
+    need_a, need_b = a.node.requires_grad, b.node.requires_grad
+
+    def vjp(g: Array):
+        ga, gb = grads(g, va, vb)
+        return (
+            _unbroadcast(ga, va.shape) if need_a else None,
+            _unbroadcast(gb, vb.shape) if need_b else None,
+        )
+
+    return tape._append(op, value, (a.index, b.index), vjp, need_a or need_b)
 
 
 def add(a: Var, b: Var) -> Var:
-    tape = _same_tape(a, b)
-    _require_same_shape("add", a, b)
-    req = a.node.requires_grad or b.node.requires_grad
-
-    def vjp(g: Array):
-        return g, g
-
-    return tape._append("add", a.value + b.value, (a.index, b.index), vjp, req)
+    return _binary("add", a, b, np.add, lambda g, va, vb: (g, g))
 
 
 def sub(a: Var, b: Var) -> Var:
-    tape = _same_tape(a, b)
-    _require_same_shape("sub", a, b)
-    req = a.node.requires_grad or b.node.requires_grad
-
-    def vjp(g: Array):
-        return g, -g
-
-    return tape._append("sub", a.value - b.value, (a.index, b.index), vjp, req)
+    return _binary("sub", a, b, np.subtract, lambda g, va, vb: (g, -g))
 
 
 def smul(c: float, a: Var) -> Var:
@@ -225,63 +251,42 @@ def smul(c: float, a: Var) -> Var:
 
 
 def mul(a: Var, b: Var) -> Var:
-    tape = _same_tape(a, b)
-    _require_same_shape("mul", a, b)
-    va, vb = a.value, b.value
-    req = a.node.requires_grad or b.node.requires_grad
-
-    def vjp(g: Array):
-        return g * vb, g * va
-
-    return tape._append("mul", va * vb, (a.index, b.index), vjp, req)
+    return _binary("mul", a, b, np.multiply, lambda g, va, vb: (g * vb, g * va))
 
 
 def div(a: Var, b: Var) -> Var:
-    tape = _same_tape(a, b)
-    _require_same_shape("div", a, b)
-    va, vb = a.value, b.value
-    req = a.node.requires_grad or b.node.requires_grad
-
-    def vjp(g: Array):
-        return g / vb, -g * va / (vb * vb)
-
-    return tape._append("div", va / vb, (a.index, b.index), vjp, req)
+    return _binary(
+        "div", a, b, np.divide, lambda g, va, vb: (g / vb, -g * va / (vb * vb))
+    )
 
 
 def linear(x: Var, w: Var) -> Var:
-    """``x @ w.T`` for a ``(n,)`` or ``(B, n)`` input and an ``(m, n)`` weight."""
+    """``x @ wᵀ`` over the last two axes.
+
+    ``x`` is a ``(n,)`` vector or ``(..., B, n)`` rows and ``w`` an
+    ``(m, n)`` weight or an ``(..., m, n)`` stack of them; the leading
+    axes broadcast, so ``(B, n)`` rows against ``(E, m, n)`` weights
+    give ``(E, B, m)``.
+    """
     tape = _same_tape(x, w)
-    if x.value.ndim not in (1, 2) or w.value.ndim != 2:
-        raise DimensionError(f"linear needs rows and a matrix, got {x.shape}, {w.shape}")
-    if x.shape[-1] != w.shape[1]:
-        raise DimensionError(f"linear: {x.shape} does not fit weight {w.shape}")
     vx, vw = x.value, w.value
-    m, n = vw.shape
+    if vw.ndim < 2 or vx.ndim < (1 if vw.ndim == 2 else 2):
+        raise DimensionError(f"linear needs rows and a matrix, got {x.shape}, {w.shape}")
+    if x.shape[-1] != w.shape[-1]:
+        raise DimensionError(f"linear: {x.shape} does not fit weight {w.shape}")
     need_x, need_w = x.node.requires_grad, w.node.requires_grad
 
     def vjp(g: Array):
         # frozen weights and inputs get no gradient, so skip their products
-        gx = g @ vw if need_x else None
-        gw = g.reshape(-1, m).T @ vx.reshape(-1, n) if need_w else None
+        gx = _unbroadcast(matmul_rows(g, vw), vx.shape) if need_x else None
+        gw = None
+        if need_w:
+            g2, x2 = (g[None], vx[None]) if vx.ndim == 1 else (g, vx)
+            gw = _unbroadcast(matmul_rows(np.swapaxes(g2, -1, -2), x2), vw.shape)
         return gx, gw
 
-    return tape._append(
-        "linear", matmul_rows(vx, vw.T), (x.index, w.index), vjp, need_x or need_w
-    )
-
-
-def bias_add(x: Var, b: Var) -> Var:
-    """``x + b`` with a ``(d,)`` bias broadcast over the rows of ``x``."""
-    tape = _same_tape(x, b)
-    if b.value.ndim != 1 or x.shape[-1:] != b.shape:
-        raise DimensionError(f"bias_add: bias {b.shape} does not fit rows {x.shape}")
-    d = b.shape[0]
-    req = x.node.requires_grad or b.node.requires_grad
-
-    def vjp(g: Array):
-        return g, g.reshape(-1, d).sum(axis=0)
-
-    return tape._append("bias_add", x.value + b.value, (x.index, b.index), vjp, req)
+    out = matmul_rows(vx, np.swapaxes(vw, -1, -2))
+    return tape._append("linear", out, (x.index, w.index), vjp, need_x or need_w)
 
 
 def tanh(a: Var) -> Var:
@@ -304,13 +309,30 @@ def relu(a: Var) -> Var:
     return tape_of(a)._append("relu", out, (a.index,), vjp, a.node.requires_grad)
 
 
-def vsum(a: Var) -> Var:
+def vsum(a: Var, axis: Optional[int] = None) -> Var:
+    """Sum of all entries, or over one ``axis``, which the result drops."""
+    va = a.value
+    out = np.asarray(va.sum(axis=axis))
+    kept = out.shape  # the gradient's shape before it broadcasts back over ``va``
+    if axis is not None:
+        axis %= va.ndim
+        kept = va.shape[:axis] + (1,) + va.shape[axis + 1:]
+
+    def vjp(g: Array):
+        return (np.reshape(g, kept) * np.ones_like(va),)
+
+    return tape_of(a)._append("sum", out, (a.index,), vjp, a.node.requires_grad)
+
+
+def reshape(a: Var, shape: tuple[int, ...]) -> Var:
     va = a.value
 
     def vjp(g: Array):
-        return (g * np.ones_like(va),)
+        return (np.reshape(g, va.shape),)
 
-    return tape_of(a)._append("sum", np.asarray(va.sum()), (a.index,), vjp, a.node.requires_grad)
+    return tape_of(a)._append(
+        "reshape", va.reshape(shape), (a.index,), vjp, a.node.requires_grad
+    )
 
 
 def sq_norm(a: Var) -> Var:
@@ -326,20 +348,15 @@ def sq_norm(a: Var) -> Var:
 
 
 def dot(a: Var, b: Var) -> Var:
-    """Inner product over the last axis."""
-    tape = _same_tape(a, b)
-    if a.value.ndim not in (1, 2):
-        raise DimensionError(f"dot needs vectors or rows, got {a.shape}, {b.shape}")
-    _require_same_shape("dot", a, b)
-    va, vb = a.value, b.value
-    req = a.node.requires_grad or b.node.requires_grad
+    """Inner product over the last axis; the other axes broadcast."""
+    if a.value.ndim < 1 or b.value.ndim < 1 or a.shape[-1] != b.shape[-1]:
+        raise DimensionError(f"dot: shapes {a.shape} and {b.shape} differ in the last axis")
 
-    def vjp(g: Array):
+    def grads(g, va, vb):
         g = g[..., None]
         return g * vb, g * va
 
-    out = np.asarray((va * vb).sum(axis=-1))
-    return tape._append("dot", out, (a.index, b.index), vjp, req)
+    return _binary("dot", a, b, lambda va, vb: np.asarray((va * vb).sum(axis=-1)), grads)
 
 
 def norm_eps(a: Var, eps: float) -> Var:

@@ -49,29 +49,26 @@ def _merge(name: str, tol: float, reports: list[GradCheckReport]) -> GradCheckRe
     )
 
 
-def _away_from_zero(values: Array, margin: float = 0.25) -> Array:
-    """Keep finite-difference probes away from relu/division kinks."""
-    signs = np.where(values >= 0.0, 1.0, -1.0)
-    return values + margin * signs
-
-
 #: Batch size and row width of the batched (``*_rows``) cases.
 _B, _D = 3, 5
 _ROWS = (_B, _D)
 
 
-def _draw(rng, shape, batched: bool) -> Array:
-    """Probe values: signed normals, or entries in [0.5, 1.5] for batched cases.
+def _draw(rng, shape, batched: bool = False) -> Array:
+    """Probe values with magnitudes in [0.5, 1.5]: signed, or positive for batched cases.
 
-    A batched case sums B times as many signed terms into its loss, and
-    some gradient coordinates then cancel to far below the loss scale,
-    where central differences drown in rounding noise.  Positive entries
-    keep every coordinate at the loss scale; the single-row cases keep
-    signed draws and cover the signs.
+    Central differences carry rounding noise at the loss scale, so a
+    gradient coordinate far below it (a near-zero numerator, or a
+    divisor near zero) cannot be compared at a tight bar; bounding the
+    magnitudes keeps every coordinate at the loss scale, and keeps relu
+    probes off the kink.  A batched case sums B times as many terms into
+    its loss, and signed terms there can still cancel, so its entries
+    are positive; the single-row cases keep random signs and cover them.
     """
+    magnitude = rng.uniform(0.5, 1.5, shape)
     if batched:
-        return rng.uniform(0.5, 1.5, shape)
-    return rng.standard_normal(shape)
+        return magnitude
+    return magnitude * rng.choice((-1.0, 1.0), shape)
 
 
 def _scalarized(tape: Tape, out, weight: Array):
@@ -83,11 +80,7 @@ def _binary_builder(op_name: str):
 
     def build(rng):
         n = 5
-        a0 = rng.standard_normal(n)
-        b0 = rng.standard_normal(n)
-        if op_name == "div":
-            b0 = _away_from_zero(b0, 0.5)
-        w = rng.standard_normal(n)
+        a0, b0, w = (_draw(rng, n) for _ in range(3))
 
         def f(p):
             tape = Tape()
@@ -107,14 +100,12 @@ def _unary_builder(op_name: str):
 
     def build(rng):
         n = 6
-        a0 = rng.standard_normal(n)
-        if op_name == "relu":
-            a0 = _away_from_zero(a0)
+        a0 = _draw(rng, n)
         if op_name == "norm_eps":
             out_of = lambda tape, a: ad.norm_eps(a, 1e-8)  # noqa: E731
         else:
             out_of = lambda tape, a: op(a)  # noqa: E731
-        w = rng.standard_normal(() if op_name in ("vsum", "sq_norm", "norm_eps") else n)
+        w = _draw(rng, () if op_name in ("vsum", "sq_norm", "norm_eps") else n)
 
         def f(p):
             tape = Tape()
@@ -130,9 +121,9 @@ def _unary_builder(op_name: str):
 
 def _build_smul(rng):
     n = 6
-    a0 = rng.standard_normal(n)
-    c = float(rng.standard_normal())
-    w = rng.standard_normal(n)
+    a0 = _draw(rng, n)
+    c = float(_draw(rng, ()))
+    w = _draw(rng, n)
 
     def f(p):
         tape = Tape()
@@ -172,6 +163,18 @@ def _norm_eps(a):
     return ad.norm_eps(a, 1e-8)
 
 
+def _sum_axis0(a):
+    return ad.vsum(a, 0)
+
+
+def _flipped(a):
+    return ad.reshape(a, a.shape[::-1])
+
+
+#: Domain, ensemble and batch axes of the stacked (broadcast) cases.
+_STACK = (2, 3, _B)
+
+
 _PRIMITIVE_BUILDERS = {
     "add": _binary_builder("add"),
     "sub": _binary_builder("sub"),
@@ -180,14 +183,23 @@ _PRIMITIVE_BUILDERS = {
     "div": _binary_builder("div"),
     "linear": _shaped_builder(ad.linear, [(4,), (3, 4)], (3,)),
     "linear_rows": _shaped_builder(ad.linear, [_ROWS, (3, _D)], (_B, 3), batched=True),
-    "bias_add_rows": _shaped_builder(ad.bias_add, [_ROWS, (_D,)], _ROWS, batched=True),
+    "add_bias_rows": _shaped_builder(ad.add, [_ROWS, (_D,)], _ROWS, batched=True),
+    "sub_broadcast": _shaped_builder(ad.sub, [_STACK, (3, 1)], _STACK, batched=True),
+    "mul_broadcast": _shaped_builder(ad.mul, [_STACK, (2, 1, 1)], _STACK, batched=True),
+    "div_broadcast": _shaped_builder(ad.div, [(1, 3, _B), (2, 1, _B)], _STACK, batched=True),
+    "linear_stacked": _shaped_builder(
+        ad.linear, [_ROWS, (2, 3, _D)], (2, _B, 3), batched=True
+    ),
     "tanh": _unary_builder("tanh"),
     "relu": _unary_builder("relu"),
     "sum": _unary_builder("vsum"),
+    "sum_axis": _shaped_builder(_sum_axis0, [_STACK], _STACK[1:], batched=True),
+    "reshape": _shaped_builder(_flipped, [_STACK], _STACK[::-1]),
     "sq_norm": _unary_builder("sq_norm"),
     "sq_norm_rows": _shaped_builder(ad.sq_norm, [_ROWS], (_B,), batched=True),
     "dot": _shaped_builder(ad.dot, [(5,), (5,)], ()),
     "dot_rows": _shaped_builder(ad.dot, [_ROWS, _ROWS], (_B,), batched=True),
+    "dot_broadcast": _shaped_builder(ad.dot, [(2, 1, _D), _ROWS], (2, _B), batched=True),
     "norm_eps": _unary_builder("norm_eps"),
     "norm_eps_rows": _shaped_builder(_norm_eps, [_ROWS], (_B,), batched=True),
 }
@@ -321,21 +333,29 @@ def _check_hybrid_direct(rng, cancelling: bool) -> GradCheckReport:
     )
 
 
-def _toy_objective_setup(seed: int, batch: int):
+def _toy_objective_setup(seed: int, batch: int, n_encoders: int, unequal_ranks: bool):
+    """Toy generator, encoders, subspaces and latents for the objective checks.
+
+    Every subspace has rank 2, or with ``unequal_ranks`` encoder ``i``
+    and domain ``j`` get rank ``1 + (i + j) % 3``, so the stacked bases
+    need zero padding.
+    """
     from .subspace import FeatureSet, build_subspace
 
     rng = stream_rng(seed, "gradcheck", "objective")
     source = make_source_generator(seed, d_z=3, d_h=5, d_x=6, output_gain=0.5)
     encoders = [
-        make_encoder(f"enc{i}", seed + i + 1, d_x=6, d_hidden=5, d_e=4) for i in range(2)
+        make_encoder(f"enc{i}", seed + i + 1, d_x=6, d_hidden=5, d_e=4)
+        for i in range(n_encoders)
     ]
     weights = [DomainWeight("dom0", 0.7), DomainWeight("dom1", 0.4)]
     subspaces = {}
-    for enc in encoders:
+    for i, enc in enumerate(encoders):
         per_domain = {}
-        for w in weights:
+        for j, w in enumerate(weights):
+            rank = 1 + (i + j) % 3 if unequal_ranks else 2
             feats = FeatureSet.from_features(
-                rng.standard_normal((3, 4)), domain_id=w.domain_id
+                rng.standard_normal((rank + 1, 4)), domain_id=w.domain_id
             )
             per_domain[w.domain_id] = build_subspace(feats)
         subspaces[enc.encoder_id] = per_domain
@@ -348,8 +368,16 @@ def _toy_objective_setup(seed: int, batch: int):
     return source, target0, encoders, subspaces, weights, z_batch
 
 
-def _check_objective(seed: int, batch: int) -> GradCheckReport:
-    source, target0, encoders, subspaces, weights, z_batch = _toy_objective_setup(seed, batch)
+def _check_objective(
+    seed: int, batch: int, n_encoders: int = 2, unequal_ranks: bool = False
+) -> GradCheckReport:
+    source, target0, encoders, subspaces, weights, z_batch = _toy_objective_setup(
+        seed, batch, n_encoders, unequal_ranks
+    )
+    label = f"{n_encoders} encoders, 2 domains"
+    if unequal_ranks:
+        ranks = sorted({s.rank for per in subspaces.values() for s in per.values()})
+        label += ", ranks " + "/".join(map(str, ranks))
 
     def f(p):
         target = unflatten_generator(p, like=source)
@@ -365,19 +393,23 @@ def _check_objective(seed: int, batch: int) -> GradCheckReport:
         flatten_generator(target0),
         h=STEP,
         tol=COMPOSITE_TOL,
-        name=f"hda_objective (2 encoders, 2 domains, batch {batch})",
+        name=f"hda_objective ({label}, batch {batch})",
     )
 
 
 def _check_dist_through_encoder(seed: int) -> GradCheckReport:
     from .subspace import FeatureSet, build_subspace
-    from .worlds import encode_var, generator_forward_var, generator_param_vars
+    from .worlds import encode, encode_var, generator_forward_var, generator_param_vars
 
     rng = stream_rng(seed, "gradcheck", "dist-encoder")
     source = make_source_generator(seed + 17, d_z=3, d_h=5, d_x=6, output_gain=0.5)
     enc = make_encoder("enc", seed + 23, d_x=6, d_hidden=5, d_e=4)
-    sub = build_subspace(FeatureSet.from_features(rng.standard_normal((3, 4))))
+    offsets = rng.standard_normal((3, 4))
     z = rng.standard_normal(3)
+    # references around the probe's own embedding keep the loss O(1): with
+    # far references (loss ~30) the small w2 coordinates sat below the
+    # central differences' rounding noise at some seeds
+    sub = build_subspace(FeatureSet.from_features(encode(enc, source.forward(z)) + offsets))
 
     def f(p):
         target = unflatten_generator(p, like=source)
@@ -413,6 +445,7 @@ def composite_suite(seed: int = 0) -> list[GradCheckReport]:
         _check_dist_through_encoder(seed),
         _check_objective(seed, batch=2),
         _check_objective(seed, batch=5),
+        _check_objective(seed, batch=4, n_encoders=3, unequal_ranks=True),
     ]
 
 

@@ -20,7 +20,7 @@ from .losses import DomainWeight, LossBreakdown, hda_objective
 from .metrics import MetricsReport, evaluate
 from .seeding import derive_seed, stream_rng
 from .subspace import DomainSubspace, separation_ratio
-from .worlds import GeneratorParams, World, json_bool, make_target_generator
+from .worlds import GeneratorParams, World, json_bool, json_fields, make_target_generator
 
 Array = np.ndarray
 
@@ -119,31 +119,28 @@ class AdaptationConfig:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "AdaptationConfig":
-        if not isinstance(data, dict):
-            raise ConfigError("adaptation config must be a JSON object")
+        v = json_fields(cls, data, "adaptation config", {"lam": "lambda"})
         try:
             return cls(
-                encoder_ids=tuple(data["encoder_ids"]),
-                domain_ids=tuple(data["domain_ids"]),
-                weights=tuple(DomainWeight.from_json_dict(w) for w in data["weights"]),
-                lam=float(data.get("lambda", 1.0)),
-                steps=int(data.get("steps", 300)),
-                batch_size=int(data.get("batch_size", 4)),
-                learning_rate=float(data.get("learning_rate", 2e-3)),
-                adam_beta1=float(data.get("adam_beta1", 0.9)),
-                adam_beta2=float(data.get("adam_beta2", 0.999)),
-                adam_eps=float(data.get("adam_eps", 1e-8)),
+                encoder_ids=tuple(v["encoder_ids"]),
+                domain_ids=tuple(v["domain_ids"]),
+                weights=tuple(DomainWeight.from_json_dict(w) for w in v["weights"]),
+                lam=float(v["lam"]),
+                steps=int(v["steps"]),
+                batch_size=int(v["batch_size"]),
+                learning_rate=float(v["learning_rate"]),
+                adam_beta1=float(v["adam_beta1"]),
+                adam_beta2=float(v["adam_beta2"]),
+                adam_eps=float(v["adam_eps"]),
                 grad_clip_norm=(
-                    None
-                    if data.get("grad_clip_norm", 10.0) is None
-                    else float(data.get("grad_clip_norm", 10.0))
+                    None if v["grad_clip_norm"] is None else float(v["grad_clip_norm"])
                 ),
-                seed=int(data.get("seed", 0)),
-                dist_only=json_bool(data, "dist_only"),
-                direct_only=json_bool(data, "direct_only"),
-                detach_projection=json_bool(data, "detach_projection"),
+                seed=int(v["seed"]),
+                dist_only=json_bool(v, "dist_only"),
+                direct_only=json_bool(v, "direct_only"),
+                detach_projection=json_bool(v, "detach_projection"),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"malformed adaptation config: {exc}") from exc
 
 

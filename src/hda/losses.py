@@ -14,6 +14,12 @@ displacement against the weighted sum of per-domain perpendiculars.
 The full objective sums ``dist + lambda * direct`` over the encoder
 ensemble and averages over a latent batch.  Gradients flow through the
 projection unless ``detach_projection`` is set.
+
+Every loss here is one tape expression whatever the number of domains
+and encoders: the ``D`` domain subspaces (zero-padded to one rank) and
+the ``E`` encoders are leading axes of ``(D, E, B, d)`` perpendiculars,
+and the alpha-weighted sums reduce the domain axis.  The single-encoder
+losses are the same expression without the ensemble axis.
 """
 from __future__ import annotations
 
@@ -24,7 +30,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Var
 from .errors import ConfigError, DimensionError
-from .subspace import DomainSubspace, project
+from .subspace import DomainSubspace, project  # noqa: F401  (bench/probes.py times it here)
 from .worlds import (
     EncoderSpec,
     GeneratorParams,
@@ -104,31 +110,39 @@ class LossBreakdown:
             raise ConfigError(f"malformed loss record: {exc}") from exc
 
 
-def _projection_var(f_t: Var, subspace: DomainSubspace, detach: bool) -> Var:
+def _perpendiculars(f_t: Var, subspaces, lead: tuple[int, ...], detach: bool) -> Var:
+    """``f* - f_t`` for every subspace, as one expression.
+
+    ``subspaces`` lists a grid of shape ``lead`` in row-major order, and
+    ``lead`` leads the result: ``(D,)`` subspaces against ``(B, d)`` rows
+    give ``(D, B, d)``, and a ``(D, E)`` grid against ``(E, B, d)``
+    ensemble rows gives ``(D, E, B, d)``.  The projection keeps
+    :func:`subspace.project`'s order, ``((f - mu) U) Uᵀ + mu``.
+    """
     tape = f_t.tape
-    if f_t.shape[-1:] != subspace.mean.shape:
+    d = f_t.shape[-1]
+    if any(s.dim != d for s in subspaces):
         raise DimensionError(
-            f"embedding has shape {f_t.shape}, subspace lives in {subspace.mean.shape}"
+            f"embedding has shape {f_t.shape}, subspaces live in {[s.dim for s in subspaces]}"
         )
-    if detach:
-        return tape.constant(project(subspace, f_t.value))
-    centered = ad.bias_add(f_t, tape.constant(-subspace.mean))
-    coords = ad.linear(centered, tape.constant(subspace.basis.T))
-    lifted = ad.linear(coords, tape.constant(subspace.basis))
-    return ad.bias_add(lifted, tape.constant(subspace.mean))
+    means = np.array([s.mean for s in subspaces]).reshape(lead + (1, d))
+    # lower ranks are padded with zero columns, which changes no projection
+    bases = np.zeros((len(subspaces), d, max(s.rank for s in subspaces)))
+    for padded, s in zip(bases, subspaces):
+        padded[:, : s.rank] = s.basis
+    bases = bases.reshape(lead + bases.shape[1:])
+    # a detached projection is the same expression on a constant copy
+    source = tape.constant(f_t.value) if detach else f_t
+    mean = tape.constant(means)
+    centered = ad.sub(source, mean)
+    coords = ad.linear(centered, tape.constant(np.swapaxes(bases, -1, -2)))
+    lifted = ad.linear(coords, tape.constant(bases))
+    return ad.sub(ad.add(lifted, mean), f_t)
 
 
-def _perpendiculars(f_t: Var, subspaces, detach: bool) -> list[Var]:
-    """``f* - f_t`` for each subspace: one projection per subspace."""
-    return [ad.sub(_projection_var(f_t, sub_i, detach), f_t) for sub_i in subspaces]
-
-
-def _weighted_sum(terms: list[Var], weights) -> Var:
-    total = None
-    for term, w in zip(terms, weights):
-        term = ad.smul(w.alpha, term)
-        total = term if total is None else ad.add(total, term)
-    return total
+def _domain_weights(weights, ndim: int) -> Array:
+    """The alphas shaped to scale the leading domain axis of an ``ndim`` array."""
+    return np.array([w.alpha for w in weights]).reshape((-1,) + (1,) * (ndim - 1))
 
 
 def _one_minus_cosine(u: Var, v: Var, eps: float) -> Var:
@@ -137,12 +151,22 @@ def _one_minus_cosine(u: Var, v: Var, eps: float) -> Var:
     return ad.sub(tape.constant(np.ones(cos.shape)), cos)
 
 
-def _hybrid_dist(perps: list[Var], weights) -> Var:
-    return _weighted_sum([ad.sq_norm(p) for p in perps], weights)
+def _hybrid_dist(perps: Var, weights) -> Var:
+    """Alpha-weighted squared distances, summed over the domain axis."""
+    sq = ad.sq_norm(perps)
+    return ad.vsum(ad.mul(sq, perps.tape.constant(_domain_weights(weights, sq.value.ndim))), 0)
 
 
-def _hybrid_direct(f_s: Var, f_t: Var, perps: list[Var], weights, eps: float) -> Var:
-    return _one_minus_cosine(ad.sub(f_t, f_s), _weighted_sum(perps, weights), eps)
+def _hybrid_direct(f_s: Var, f_t: Var, perps: Var, weights, eps: float) -> Var:
+    """Direction loss against the alpha-weighted sum of the perpendiculars."""
+    alpha = perps.tape.constant(_domain_weights(weights, perps.value.ndim))
+    return _one_minus_cosine(ad.sub(f_t, f_s), ad.vsum(ad.mul(perps, alpha), 0), eps)
+
+
+def _per_row(loss: Var, f_t: Var) -> Var:
+    """``loss`` shaped like the rows of ``f_t``: a scalar for one vector."""
+    rows = f_t.shape[:-1]
+    return loss if loss.shape == rows else ad.reshape(loss, rows)
 
 
 def dist_loss(
@@ -153,8 +177,9 @@ def dist_loss(
     ``f_t`` is one embedding ``(d,)`` (scalar loss) or a batch ``(B, d)``
     (one loss per row); the same holds for every loss below.
     """
-    (perp,) = _perpendiculars(f_t, [subspace], detach_projection)
-    return ad.sq_norm(perp)
+    return hybrid_dist_loss(
+        f_t, [subspace], [DomainWeight("domain", 1.0)], detach_projection=detach_projection
+    )
 
 
 def direct_loss(
@@ -166,8 +191,10 @@ def direct_loss(
     detach_projection: bool = False,
 ) -> Var:
     """One minus the cosine between ``f_t - f_s`` and ``f* - f_t``."""
-    (perp,) = _perpendiculars(f_t, [subspace], detach_projection)
-    return _one_minus_cosine(ad.sub(f_t, f_s), perp, eps)
+    return hybrid_direct_loss(
+        f_s, f_t, [subspace], [DomainWeight("domain", 1.0)],
+        eps=eps, detach_projection=detach_projection,
+    )
 
 
 def _check_hybrid_args(subspaces, weights) -> None:
@@ -188,7 +215,8 @@ def hybrid_dist_loss(
 ) -> Var:
     """Weighted sum of per-domain distance losses."""
     _check_hybrid_args(subspaces, weights)
-    return _hybrid_dist(_perpendiculars(f_t, subspaces, detach_projection), weights)
+    perps = _perpendiculars(f_t, subspaces, (len(subspaces),), detach_projection)
+    return _per_row(_hybrid_dist(perps, weights), f_t)
 
 
 def hybrid_direct_loss(
@@ -202,8 +230,8 @@ def hybrid_direct_loss(
 ) -> Var:
     """Direction loss against the weighted sum of per-domain perpendiculars."""
     _check_hybrid_args(subspaces, weights)
-    perps = _perpendiculars(f_t, subspaces, detach_projection)
-    return _hybrid_direct(f_s, f_t, perps, weights, eps)
+    perps = _perpendiculars(f_t, subspaces, (len(subspaces),), detach_projection)
+    return _per_row(_hybrid_direct(f_s, f_t, perps, weights, eps), f_t)
 
 
 def hda_objective(
@@ -262,30 +290,26 @@ def hda_objective(
     tape = Tape()
     param_vars = generator_param_vars(tape, target_gen)
     x_target = generator_forward_var(tape, param_vars, z_batch)
-    x_source = None if dist_only else source_gen.forward(z_batch)
-    per_encoder = []
-    rows = None  # (B,) per-latent objective, summed over encoders
-    for enc in encoders:
-        f_t = encode_var(tape, enc, x_target)
-        subs = [subspaces_per_encoder[enc.encoder_id][w.domain_id] for w in weights]
-        perps = _perpendiculars(f_t, subs, detach_projection)
-        enc_rows = None
-        dist_term = direct_term = 0.0
-        if not direct_only:
-            enc_rows = _hybrid_dist(perps, weights)
-            dist_term = float(enc_rows.value.sum()) * inv_batch
-        if not dist_only:
-            f_s = tape.constant(encode(enc, x_source))
-            direct = _hybrid_direct(f_s, f_t, perps, weights, NORM_EPS)
-            direct_term = float(direct.value.sum()) * inv_batch
-            weighted = ad.smul(lam, direct)
-            enc_rows = weighted if enc_rows is None else ad.add(enc_rows, weighted)
-        rows = enc_rows if rows is None else ad.add(rows, enc_rows)
-        per_encoder.append(EncoderTerms(enc.encoder_id, dist_term, direct_term))
-
+    f_t = encode_var(tape, encoders, x_target)  # (E, B, d_e)
+    grid = [subspaces_per_encoder[e.encoder_id][w.domain_id] for w in weights for e in encoders]
+    perps = _perpendiculars(f_t, grid, (len(weights), len(encoders)), detach_projection)
+    dist = direct = rows = None  # (E, B): per encoder and latent
+    if not direct_only:
+        dist = rows = _hybrid_dist(perps, weights)
+    if not dist_only:
+        x_source = source_gen.forward(z_batch)
+        f_s = tape.constant(np.array([encode(enc, x_source) for enc in encoders]))
+        direct = _hybrid_direct(f_s, f_t, perps, weights, NORM_EPS)
+        weighted = ad.smul(lam, direct)
+        rows = weighted if rows is None else ad.add(rows, weighted)
     tape.backward(ad.vsum(rows), seed=inv_batch)
     grads = {name: np.array(var.grad) for name, var in param_vars.items()}
+
+    per_encoder = []
     total = 0.0
-    for terms in per_encoder:
-        total += terms.dist_term + lam * terms.direct_term
+    for e, enc in enumerate(encoders):
+        dist_term = 0.0 if dist is None else float(dist.value[e].sum()) * inv_batch
+        direct_term = 0.0 if direct is None else float(direct.value[e].sum()) * inv_batch
+        per_encoder.append(EncoderTerms(enc.encoder_id, dist_term, direct_term))
+        total += dist_term + lam * direct_term
     return LossBreakdown(total=total, per_encoder=tuple(per_encoder), lam=lam), grads

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import os
 import re
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -87,6 +87,37 @@ def _rows(x, width: int, kind: str) -> Array:
     if x.shape[-1] != width:
         raise DimensionError(f"{kind} has length {x.shape[-1]}, expected {width}")
     return x
+
+
+def json_fields(cls, data, kind: str, renames: Optional[dict] = None) -> dict:
+    """Values for the dataclass fields of ``cls`` read from a JSON object.
+
+    An absent key takes the field's own default, so each default is
+    written once, in the dataclass.  A key that names no field, or a
+    missing field without a default, is a :class:`ConfigError`; the
+    former says which field was probably meant.  ``renames`` maps a
+    field name to its JSON key where the two differ.
+    """
+    if not isinstance(data, dict):
+        raise ConfigError(f"{kind} must be a JSON object")
+    renames = renames or {}
+    by_key = {renames.get(f.name, f.name): f for f in fields(cls)}
+    for key in data:
+        if key not in by_key:
+            import difflib  # only to phrase the error
+
+            close = difflib.get_close_matches(str(key), by_key, n=1)
+            hint = f"; did you mean {close[0]!r}?" if close else ""
+            raise ConfigError(f"unknown {kind} key {key!r}{hint}")
+    values = {}
+    for key, f in by_key.items():
+        if key in data:
+            values[f.name] = data[key]
+        elif f.default is not MISSING:
+            values[f.name] = f.default
+        else:
+            raise ConfigError(f"{kind} is missing {key!r}")
+    return values
 
 
 def json_bool(data: dict, key: str) -> bool:
@@ -292,18 +323,29 @@ def generator_param_vars(tape, gen: GeneratorParams) -> dict:
 def generator_forward_var(tape, param_vars: dict, z):
     """Tape version of :meth:`GeneratorParams.forward`; bit-identical on a batch."""
     zc = tape.constant(z)
-    hidden = ad.tanh(ad.bias_add(ad.linear(zc, param_vars["w1"]), param_vars["b1"]))
-    return ad.bias_add(ad.linear(hidden, param_vars["w2"]), param_vars["b2"])
+    hidden = ad.tanh(ad.add(ad.linear(zc, param_vars["w1"]), param_vars["b1"]))
+    return ad.add(ad.linear(hidden, param_vars["w2"]), param_vars["b2"])
 
 
-def encode_var(tape, spec: EncoderSpec, x):
-    """Tape version of :func:`encode`; bit-identical on a batch."""
-    w1 = tape.constant(spec.w1)
-    b1 = tape.constant(spec.b1)
-    w2 = tape.constant(spec.w2)
-    b2 = tape.constant(spec.b2)
-    hidden = ad.relu(ad.bias_add(ad.linear(x, w1), b1))
-    return ad.bias_add(ad.linear(hidden, w2), b2)
+def encode_var(tape, encoders, x):
+    """Tape version of :func:`encode`; bit-identical on a batch.
+
+    ``encoders`` is one spec, giving rows as :func:`encode` does, or a
+    sequence of specs of one shape.  A sequence runs as one expression
+    over weights stacked along a leading ensemble axis, so ``(B, d_x)``
+    inputs give ``(E, B, d_e)`` and row ``e`` equals ``encode`` under
+    encoder ``e`` bit for bit.
+    """
+    if isinstance(encoders, EncoderSpec):
+        w1, b1, w2, b2 = (getattr(encoders, name) for name in PARAM_FIELDS)
+    else:
+        shapes = {tuple(getattr(e, n).shape for n in PARAM_FIELDS) for e in encoders}
+        if len(shapes) != 1:
+            raise DimensionError(f"an encoder ensemble needs one weight shape, got {shapes}")
+        w1, b1, w2, b2 = (np.array([getattr(e, n) for e in encoders]) for n in PARAM_FIELDS)
+        b1, b2 = b1[:, None], b2[:, None]
+    hidden = ad.relu(ad.add(ad.linear(x, tape.constant(w1)), tape.constant(b1)))
+    return ad.add(ad.linear(hidden, tape.constant(w2)), tape.constant(b2))
 
 
 @dataclass(frozen=True)
@@ -350,19 +392,20 @@ class SyntheticDomainSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SyntheticDomainSpec":
+        v = json_fields(cls, data, "domain document")
         try:
             return cls(
-                domain_id=data["domain_id"],
-                attribute_shift=np.array(data["attribute_shift"], dtype=np.float64),
+                domain_id=v["domain_id"],
+                attribute_shift=np.array(v["attribute_shift"], dtype=np.float64),
                 attribute_transform=(
                     None
-                    if data.get("attribute_transform") is None
-                    else np.array(data["attribute_transform"], dtype=np.float64)
+                    if v["attribute_transform"] is None
+                    else np.array(v["attribute_transform"], dtype=np.float64)
                 ),
-                noise_scale=float(data.get("noise_scale", 0.2)),
-                k=int(data.get("k", 10)),
+                noise_scale=float(v["noise_scale"]),
+                k=int(v["k"]),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"malformed domain document: {exc}") from exc
 
 
@@ -447,21 +490,18 @@ class WorldConfig:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "WorldConfig":
-        if not isinstance(data, dict):
-            raise ConfigError("world config must be a JSON object")
+        v = json_fields(cls, data, "world config")
         try:
             return cls(
-                seed=int(data.get("seed", 0)),
-                d_z=int(data.get("d_z", 8)),
-                d_h=int(data.get("d_h", 32)),
-                d_x=int(data.get("d_x", 32)),
-                d_e=int(data.get("d_e", 16)),
-                encoder_hidden=int(data.get("encoder_hidden", 32)),
-                n_train_encoders=int(data.get("n_train_encoders", 3)),
-                output_gain=float(data.get("output_gain", 0.3)),
-                domains=tuple(
-                    SyntheticDomainSpec.from_json_dict(d) for d in data.get("domains", [])
-                ),
+                seed=int(v["seed"]),
+                d_z=int(v["d_z"]),
+                d_h=int(v["d_h"]),
+                d_x=int(v["d_x"]),
+                d_e=int(v["d_e"]),
+                encoder_hidden=int(v["encoder_hidden"]),
+                n_train_encoders=int(v["n_train_encoders"]),
+                output_gain=float(v["output_gain"]),
+                domains=tuple(SyntheticDomainSpec.from_json_dict(d) for d in v["domains"]),
             )
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"malformed world config: {exc}") from exc

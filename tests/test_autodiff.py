@@ -167,16 +167,62 @@ def test_row_wise_reductions_match_per_row_vectors():
         np.testing.assert_allclose(batched.value, [s.item() for s in singles], rtol=1e-15)
 
 
-def test_bias_add_gradient_sums_over_rows():
+def test_add_broadcasts_bias_and_sums_gradient_over_rows():
     tape = Tape()
     x = tape.variable(np.arange(6.0).reshape(3, 2))
     b = tape.variable(np.array([1.0, -1.0]))
-    loss = ad.vsum(ad.bias_add(x, b))
+    loss = ad.vsum(ad.add(x, b))
     tape.backward(loss)
     np.testing.assert_array_equal(b.grad, [3.0, 3.0])
     np.testing.assert_array_equal(x.grad, np.ones((3, 2)))
     with pytest.raises(DimensionError):
-        ad.bias_add(x, tape.constant(np.zeros(3)))
+        ad.add(x, tape.constant(np.zeros(3)))
+
+
+def test_broadcast_gradients_sum_over_broadcast_axes():
+    # a (D, 1, 1) weight against (D, E, B) terms and (E, B) rows against them
+    rng = stream_rng(4, "autodiff-test")
+    terms0, alpha0, rows0 = (
+        rng.standard_normal(s) for s in ((2, 3, 4), (2, 1, 1), (3, 4))
+    )
+    tape = Tape()
+    terms, alpha, rows = (tape.variable(v) for v in (terms0, alpha0, rows0))
+    out = ad.vsum(ad.sub(ad.mul(terms, alpha), rows))
+    tape.backward(out)
+    assert out.item() == pytest.approx((terms0 * alpha0 - rows0).sum(), rel=1e-13)
+    np.testing.assert_allclose(terms.grad, np.broadcast_to(alpha0, (2, 3, 4)), rtol=0)
+    np.testing.assert_allclose(alpha.grad, terms0.sum(axis=(1, 2), keepdims=True), rtol=1e-13)
+    np.testing.assert_allclose(rows.grad, np.full((3, 4), -2.0), rtol=0)
+
+
+def test_axis_sum_and_reshape_route_gradients_back():
+    tape = Tape()
+    x = tape.variable(np.arange(6.0).reshape(2, 3))
+    per_column = ad.vsum(x, 0)
+    np.testing.assert_array_equal(per_column.value, [3.0, 5.0, 7.0])
+    flat = ad.reshape(per_column, (3, 1))
+    assert flat.shape == (3, 1)
+    tape.backward(ad.vsum(ad.mul(flat, tape.constant(np.array([[1.0], [2.0], [3.0]])))))
+    np.testing.assert_array_equal(x.grad, [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
+
+
+def test_stacked_linear_matches_each_slice():
+    rng = stream_rng(5, "autodiff-test")
+    x0 = rng.standard_normal((4, 6))
+    w0 = rng.standard_normal((3, 5, 6))
+    g0 = rng.standard_normal((3, 4, 5))
+    tape = Tape()
+    x, w = tape.variable(x0), tape.variable(w0)
+    out = ad.linear(x, w)
+    assert out.shape == (3, 4, 5)
+    for e in range(3):
+        np.testing.assert_array_equal(out.value[e], ad.matmul_rows(x0, w0[e].T))
+    tape.backward(ad.vsum(ad.mul(out, tape.constant(g0))))
+    np.testing.assert_allclose(x.grad, sum(g0[e] @ w0[e] for e in range(3)), rtol=1e-13)
+    for e in range(3):
+        np.testing.assert_allclose(w.grad[e], g0[e].T @ x0, rtol=1e-13)
+    with pytest.raises(DimensionError):
+        ad.linear(tape.constant(x0[0]), w)
 
 
 def test_matmul_rows_blocks_match_one_product():
@@ -189,3 +235,20 @@ def test_matmul_rows_blocks_match_one_product():
         assert out.shape == (n, 16)
         np.testing.assert_allclose(out, x @ m, rtol=1e-13, atol=1e-13)
     np.testing.assert_array_equal(ad.matmul_rows(x[0], m), x[0] @ m)
+
+
+def test_stacked_matmul_rows_is_each_slice_bit_for_bit():
+    # every slice is the 2-D product of that slice, row-blocked past the bound
+    rng = stream_rng(6, "autodiff-test")
+    stack = rng.standard_normal((2, 3, 32, 16))
+    block = ad.SERIAL_GEMM_SIZE // (32 * 16)
+    for x in (
+        rng.standard_normal((5, 32)),
+        rng.standard_normal((3, 5, 32)),
+        rng.standard_normal((2 * block + 3, 32)),
+    ):
+        out = ad.matmul_rows(x, stack)
+        assert out.shape == (2, 3, x.shape[-2], 16)
+        for i, j in np.ndindex(2, 3):
+            xs = x if x.ndim == 2 else x[j]
+            np.testing.assert_array_equal(out[i, j], ad.matmul_rows(xs, stack[i, j]))

@@ -129,16 +129,24 @@ def test_objective_builds_one_tape_per_call(world, subspaces, monkeypatch):
     z = stream_rng(0, "batched-objective", "nodes").standard_normal(
         (batch, world.config.d_z)
     )
-    weights = [DomainWeight(d.domain_id, 0.5) for d in world.domains]
-    hda_objective(
-        z,
-        world.source_generator,
-        world.source_generator,
-        list(world.train_encoders),
-        subspaces,
-        weights,
-        lam=1.0,
-    )
-    assert len(calls) == 1
-    # 3 encoders x 2 domains: the graph no longer grows with the batch
-    assert calls[0] / batch <= 40
+    encoders = list(world.train_encoders)
+    assert len(encoders) == 3 and len(world.domains) == 2
+    nodes = {}
+    for n_enc in (1, 3):
+        for n_dom in (1, 2):
+            weights = [DomainWeight(d.domain_id, 0.5) for d in world.domains[:n_dom]]
+            calls.clear()
+            hda_objective(
+                z,
+                world.source_generator,
+                world.source_generator,
+                encoders[:n_enc],
+                subspaces,
+                weights,
+                lam=1.0,
+            )
+            assert len(calls) == 1
+            nodes[n_enc, n_dom] = calls[0]
+    # encoders and domains are axes of one expression, not extra nodes
+    assert len(set(nodes.values())) == 1, nodes
+    assert nodes[3, 2] <= 50

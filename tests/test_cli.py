@@ -198,6 +198,46 @@ def test_string_boolean_in_config_exits_2(tmp_path, runner, world_dir):
     assert "dist_only" in result.output
 
 
+def test_misspelled_adaptation_key_exits_2_with_hint(tmp_path, runner, world_dir):
+    config = tmp_path / "typo.json"
+    config.write_text(json.dumps({"learing_rate": 0.5, "steps": 2}), encoding="utf8")
+    out = tmp_path / "r"
+    result = runner.invoke(
+        main, ["adapt", "--config", str(config), "--world", str(world_dir), "--out", str(out)]
+    )
+    assert result.exit_code == 2
+    assert "'learing_rate'" in result.output
+    assert "did you mean 'learning_rate'?" in result.output
+    assert not (out / "run_record.json").exists()
+
+
+def test_misspelled_world_key_exits_2_with_hint(tmp_path, runner):
+    config = tmp_path / "typo.json"
+    config.write_text(json.dumps({"sed": 5}), encoding="utf8")
+    result = runner.invoke(
+        main, ["gen-world", "--config", str(config), "--out", str(tmp_path / "w")]
+    )
+    assert result.exit_code == 2
+    assert "did you mean 'seed'?" in result.output
+
+
+def test_empty_world_config_is_the_default_world(tmp_path, runner, world_dir):
+    # absent keys take the dataclass defaults, the default seed included
+    config = tmp_path / "empty.json"
+    config.write_text("{}", encoding="utf8")
+    out = tmp_path / "w"
+    result = runner.invoke(main, ["gen-world", "--config", str(config), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert (out / "world.json").read_bytes() == (world_dir / "world.json").read_bytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_gradcheck_passes_at_seeds(runner, seed):
+    result = runner.invoke(main, ["gradcheck", "--seed", str(seed)])
+    assert result.exit_code == 0, result.output
+    assert "[FAIL]" not in result.output
+
+
 def test_inseparable_world_exits_3(tmp_path, runner, world_dir):
     # crank the domain noise until the separability precheck trips
     doc = json.loads((world_dir / "world.json").read_text(encoding="utf8"))

@@ -5,7 +5,7 @@ import pytest
 
 from hda import autodiff as ad
 from hda.autodiff import Tape, grad_check
-from hda.errors import ConfigError
+from hda.errors import ConfigError, DimensionError
 from hda.seeding import stream_rng
 from hda.worlds import (
     GeneratorParams,
@@ -143,6 +143,20 @@ def test_encode_deterministic_and_matches_var(world):
     np.testing.assert_array_equal(got.value, encode(enc, x))
     # a single vector is a one-row batch
     np.testing.assert_array_equal(encode(enc, x[1]), encode(enc, x[1:2])[0])
+
+
+def test_stacked_encode_var_matches_each_encoder(world):
+    # the ensemble is one expression; row e is encoder e bit for bit
+    encoders = list(world.train_encoders)
+    x = stream_rng(2, "encode-probe").standard_normal((5, world.config.d_x))
+    tape = Tape()
+    got = encode_var(tape, encoders, tape.constant(x))
+    assert got.shape == (len(encoders), 5, world.config.d_e)
+    for e, enc in enumerate(encoders):
+        np.testing.assert_array_equal(got.value[e], encode(enc, x))
+    odd = make_encoder("odd", seed=1, d_x=world.config.d_x, d_e=world.config.d_e + 1)
+    with pytest.raises(DimensionError):
+        encode_var(tape, [encoders[0], odd], tape.constant(x))
 
 
 def test_encoder_gradient_matches_fd(world):
