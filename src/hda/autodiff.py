@@ -247,7 +247,7 @@ def smul(c: float, a: Var) -> Var:
     def vjp(g: Array):
         return (c * g,)
 
-    return tape_of(a)._append("smul", c * a.value, (a.index,), vjp, a.node.requires_grad)
+    return a.tape._append("smul", c * a.value, (a.index,), vjp, a.node.requires_grad)
 
 
 def mul(a: Var, b: Var) -> Var:
@@ -295,7 +295,7 @@ def tanh(a: Var) -> Var:
     def vjp(g: Array):
         return (g * (1.0 - t * t),)
 
-    return tape_of(a)._append("tanh", t, (a.index,), vjp, a.node.requires_grad)
+    return a.tape._append("tanh", t, (a.index,), vjp, a.node.requires_grad)
 
 
 def relu(a: Var) -> Var:
@@ -306,7 +306,7 @@ def relu(a: Var) -> Var:
         # subgradient 0 at the kink
         return (np.where(va > 0.0, g, 0.0),)
 
-    return tape_of(a)._append("relu", out, (a.index,), vjp, a.node.requires_grad)
+    return a.tape._append("relu", out, (a.index,), vjp, a.node.requires_grad)
 
 
 def vsum(a: Var, axis: Optional[int] = None) -> Var:
@@ -321,7 +321,7 @@ def vsum(a: Var, axis: Optional[int] = None) -> Var:
     def vjp(g: Array):
         return (np.reshape(g, kept) * np.ones_like(va),)
 
-    return tape_of(a)._append("sum", out, (a.index,), vjp, a.node.requires_grad)
+    return a.tape._append("sum", out, (a.index,), vjp, a.node.requires_grad)
 
 
 def reshape(a: Var, shape: tuple[int, ...]) -> Var:
@@ -330,9 +330,7 @@ def reshape(a: Var, shape: tuple[int, ...]) -> Var:
     def vjp(g: Array):
         return (np.reshape(g, va.shape),)
 
-    return tape_of(a)._append(
-        "reshape", va.reshape(shape), (a.index,), vjp, a.node.requires_grad
-    )
+    return a.tape._append("reshape", va.reshape(shape), (a.index,), vjp, a.node.requires_grad)
 
 
 def sq_norm(a: Var) -> Var:
@@ -342,7 +340,7 @@ def sq_norm(a: Var) -> Var:
     def vjp(g: Array):
         return ((2.0 * g)[..., None] * va,)
 
-    return tape_of(a)._append(
+    return a.tape._append(
         "sqnorm", np.asarray((va * va).sum(axis=-1)), (a.index,), vjp, a.node.requires_grad
     )
 
@@ -370,11 +368,7 @@ def norm_eps(a: Var, eps: float) -> Var:
     def vjp(g: Array):
         return ((g / n)[..., None] * va,)
 
-    return tape_of(a)._append("norm_eps", n, (a.index,), vjp, a.node.requires_grad)
-
-
-def tape_of(a: Var) -> Tape:
-    return a.tape
+    return a.tape._append("norm_eps", n, (a.index,), vjp, a.node.requires_grad)
 
 
 @dataclass

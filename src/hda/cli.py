@@ -30,7 +30,7 @@ from .errors import (
     NumericalError,
 )
 from .metrics import evaluate, write_report
-from .subspace import pca2d_export, write_pca2d_csv
+from .subspace import DEFAULT_RANK_TOLERANCE, pca2d_export, write_pca2d_csv
 from .worlds import (
     World,
     WorldConfig,
@@ -107,7 +107,9 @@ def gen_world(config_path, out_dir, seed):
 @main.command("build-subspaces")
 @click.option("--world", "world_dir", type=click.Path(), required=True)
 @click.option("--out", "out_dir", type=click.Path(), required=True)
-@click.option("--rank-tolerance", type=float, default=1e-8, show_default=True)
+@click.option(
+    "--rank-tolerance", type=float, default=DEFAULT_RANK_TOLERANCE, show_default=True
+)
 @_guarded
 def build_subspaces(world_dir, out_dir, rank_tolerance):
     """Write one subspace JSON per (encoder, domain) pair."""

@@ -75,50 +75,6 @@ def _scalarized(tape: Tape, out, weight: Array):
     return ad.vsum(ad.mul(out, tape.constant(weight)))
 
 
-def _binary_builder(op_name: str):
-    op = getattr(ad, op_name)
-
-    def build(rng):
-        n = 5
-        a0, b0, w = (_draw(rng, n) for _ in range(3))
-
-        def f(p):
-            tape = Tape()
-            a = tape.variable(p[:n])
-            b = tape.variable(p[n:])
-            loss = _scalarized(tape, op(a, b), w)
-            tape.backward(loss)
-            return loss.item(), np.concatenate([a.grad, b.grad])
-
-        return f, np.concatenate([a0, b0])
-
-    return build
-
-
-def _unary_builder(op_name: str):
-    op = getattr(ad, op_name)
-
-    def build(rng):
-        n = 6
-        a0 = _draw(rng, n)
-        if op_name == "norm_eps":
-            out_of = lambda tape, a: ad.norm_eps(a, 1e-8)  # noqa: E731
-        else:
-            out_of = lambda tape, a: op(a)  # noqa: E731
-        w = _draw(rng, () if op_name in ("vsum", "sq_norm", "norm_eps") else n)
-
-        def f(p):
-            tape = Tape()
-            a = tape.variable(p)
-            loss = _scalarized(tape, out_of(tape, a), w)
-            tape.backward(loss)
-            return loss.item(), np.asarray(a.grad)
-
-        return f, a0
-
-    return build
-
-
 def _build_smul(rng):
     n = 6
     a0 = _draw(rng, n)
@@ -176,11 +132,11 @@ _STACK = (2, 3, _B)
 
 
 _PRIMITIVE_BUILDERS = {
-    "add": _binary_builder("add"),
-    "sub": _binary_builder("sub"),
+    "add": _shaped_builder(ad.add, [(5,), (5,)], (5,)),
+    "sub": _shaped_builder(ad.sub, [(5,), (5,)], (5,)),
     "smul": _build_smul,
-    "mul": _binary_builder("mul"),
-    "div": _binary_builder("div"),
+    "mul": _shaped_builder(ad.mul, [(5,), (5,)], (5,)),
+    "div": _shaped_builder(ad.div, [(5,), (5,)], (5,)),
     "linear": _shaped_builder(ad.linear, [(4,), (3, 4)], (3,)),
     "linear_rows": _shaped_builder(ad.linear, [_ROWS, (3, _D)], (_B, 3), batched=True),
     "add_bias_rows": _shaped_builder(ad.add, [_ROWS, (_D,)], _ROWS, batched=True),
@@ -190,17 +146,17 @@ _PRIMITIVE_BUILDERS = {
     "linear_stacked": _shaped_builder(
         ad.linear, [_ROWS, (2, 3, _D)], (2, _B, 3), batched=True
     ),
-    "tanh": _unary_builder("tanh"),
-    "relu": _unary_builder("relu"),
-    "sum": _unary_builder("vsum"),
+    "tanh": _shaped_builder(ad.tanh, [(6,)], (6,)),
+    "relu": _shaped_builder(ad.relu, [(6,)], (6,)),
+    "sum": _shaped_builder(ad.vsum, [(6,)], ()),
     "sum_axis": _shaped_builder(_sum_axis0, [_STACK], _STACK[1:], batched=True),
     "reshape": _shaped_builder(_flipped, [_STACK], _STACK[::-1]),
-    "sq_norm": _unary_builder("sq_norm"),
+    "sq_norm": _shaped_builder(ad.sq_norm, [(6,)], ()),
     "sq_norm_rows": _shaped_builder(ad.sq_norm, [_ROWS], (_B,), batched=True),
     "dot": _shaped_builder(ad.dot, [(5,), (5,)], ()),
     "dot_rows": _shaped_builder(ad.dot, [_ROWS, _ROWS], (_B,), batched=True),
     "dot_broadcast": _shaped_builder(ad.dot, [(2, 1, _D), _ROWS], (2, _B), batched=True),
-    "norm_eps": _unary_builder("norm_eps"),
+    "norm_eps": _shaped_builder(_norm_eps, [(6,)], ()),
     "norm_eps_rows": _shaped_builder(_norm_eps, [_ROWS], (_B,), batched=True),
 }
 

@@ -476,9 +476,12 @@ def load_run(run_dir) -> tuple[RunRecord, str]:
     step_losses: list[LossBreakdown] = []
     if os.path.isfile(log_path):
         with open(log_path, "r", encoding="utf8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, start=1):
                 if line.strip():
-                    step_losses.append(LossBreakdown.from_json_dict(json.loads(line)))
+                    try:
+                        step_losses.append(LossBreakdown.from_json_dict(json.loads(line)))
+                    except (ValueError, ConfigError) as exc:
+                        raise ConfigError(f"{log_path}: line {lineno}: {exc}") from exc
     record = RunRecord(
         config=config,
         step_losses=step_losses,

@@ -3,10 +3,8 @@
 A domain with reference features ``f_1 .. f_k`` is summarised by the
 affine subspace ``{mean + basis @ c}`` where ``mean`` is the feature
 average and ``basis`` holds the orthonormal left singular vectors of the
-mean-centred feature matrix.  The singular value decomposition is
-obtained from the eigendecomposition of the small ``k x k`` Gram matrix
-of the centred features, lifted back to feature space and cleaned up
-with modified Gram-Schmidt (two passes per column).
+mean-centred feature matrix, taken from one thin singular value
+decomposition of the centred ``k x d`` matrix.
 
 Distances to a subspace are always measured to the orthogonal
 projection ``f* = basis @ basis.T @ (p - mean) + mean``, computed for a
@@ -190,20 +188,6 @@ class DomainSubspace:
         return cls(mean=mean, basis=basis, singular_values=svals)
 
 
-def _orthonormalize(columns: Array) -> Array:
-    """Modified Gram-Schmidt with one re-orthogonalization pass per column."""
-    q = np.array(columns, dtype=np.float64)
-    for j in range(q.shape[1]):
-        for _ in range(2):
-            for i in range(j):
-                q[:, j] -= (q[:, i] @ q[:, j]) * q[:, i]
-        norm = np.linalg.norm(q[:, j])
-        if norm <= 0.0:
-            raise DegenerateDomain("basis column collapsed during orthonormalization")
-        q[:, j] /= norm
-    return q
-
-
 def build_subspace(
     features: FeatureSet,
     rank_tolerance: float = DEFAULT_RANK_TOLERANCE,
@@ -233,27 +217,14 @@ def build_subspace(
             "subspace; pass allow_point_subspace to accept a single point"
         )
     centered = features.features - features.mean
-    gram = centered @ centered.T
-    eigvals, eigvecs = np.linalg.eigh(gram)
-    eigvals = eigvals[::-1]
-    eigvecs = eigvecs[:, ::-1]
-    svals = np.sqrt(np.maximum(eigvals, 0.0))
+    _, svals, vt = np.linalg.svd(centered, full_matrices=False)
     if svals[0] <= 0.0:
         raise DegenerateDomain(
             f"{features.domain_id or 'feature set'}: all centred features are zero"
         )
     rank = int(np.count_nonzero(svals > rank_tolerance * svals[0]))
-    rank = min(rank, k - 1, d)
-    lifted = centered.T @ eigvecs[:, :rank] / svals[:rank]
-    # exact-arithmetic lifted columns are unit vectors; a tiny norm marks a
-    # noise eigenvalue of an exactly degenerate set that slipped past the
-    # rank cut (the Gram route's noise floor sits near sqrt(machine eps),
-    # which is the default cut itself)
-    keep = np.linalg.norm(lifted, axis=0) > 0.5
-    basis = _orthonormalize(lifted[:, keep])
-    return DomainSubspace(
-        mean=features.mean, basis=basis, singular_values=svals[:rank][keep]
-    )
+    rank = min(rank, k - 1)
+    return DomainSubspace(mean=features.mean, basis=vt[:rank].T, singular_values=svals[:rank])
 
 
 def project(subspace: DomainSubspace, point) -> Array:

@@ -617,6 +617,8 @@ def load_world(world_dir) -> World:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: a world file must hold a JSON object")
     config = WorldConfig.from_json_dict(doc.get("config", {}))
     world = build_world(config)
     references = {}

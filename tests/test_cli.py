@@ -187,6 +187,28 @@ def test_invalid_config_json_exits_2(tmp_path, runner, world_dir):
     assert result.exit_code == 2
 
 
+def test_truncated_run_log_exits_2_naming_the_line(tmp_path, runner, tiny_run):
+    run = tmp_path / "run"
+    shutil.copytree(tiny_run, run)
+    log = run / "log.jsonl"
+    lines = log.read_text(encoding="utf8").splitlines()
+    log.write_text("\n".join(lines[:2] + [lines[2][:20]]) + "\n", encoding="utf8")
+    result = runner.invoke(main, ["eval", "--run", str(run), "--out", str(tmp_path / "r.json")])
+    assert result.exit_code == 2, result.output
+    assert "log.jsonl: line 3:" in result.output
+
+
+def test_world_file_that_is_not_an_object_exits_2(tmp_path, runner, world_dir):
+    world = tmp_path / "world"
+    shutil.copytree(world_dir, world)
+    (world / "world.json").write_text("[]", encoding="utf8")
+    result = runner.invoke(
+        main, ["build-subspaces", "--world", str(world), "--out", str(tmp_path / "s")]
+    )
+    assert result.exit_code == 2, result.output
+    assert "world.json" in result.output
+
+
 def test_string_boolean_in_config_exits_2(tmp_path, runner, world_dir):
     config = tmp_path / "string_flag.json"
     config.write_text(json.dumps({"steps": 2, "dist_only": "false"}), encoding="utf8")

@@ -59,6 +59,20 @@ def test_rank_capped_by_shot_count():
     assert sub.rank == 2
 
 
+@pytest.mark.parametrize("s2", [2e-8, 5e-8, 1e-7, 1e-6])
+def test_small_second_singular_value_is_exact(s2):
+    # centred features U diag(1, s2) V^T: a Gram-matrix eigen-route squares
+    # s2 to ~1e-15, below its own rounding noise, and loses it
+    rng = stream_rng(4, "subspace-test", s2)
+    for _ in range(50):
+        a = rng.standard_normal((10, 2))
+        u, _ = np.linalg.qr(a - a.mean(axis=0))
+        v, _ = np.linalg.qr(rng.standard_normal((16, 2)))
+        sub = _sub_from(3.0 + u @ np.diag([1.0, s2]) @ v.T)
+        assert sub.rank == 2
+        np.testing.assert_allclose(sub.singular_values, [1.0, s2], rtol=1e-6)
+
+
 def test_distance_to_axis_line():
     sub = _sub_from([[0.0, 0.0, 0.0], [4.0, 0.0, 0.0]])
     point = np.array([2.0, 3.0, 4.0])
