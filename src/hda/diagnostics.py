@@ -14,7 +14,12 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import GradCheckReport, Tape, grad_check
 from .losses import (
+    NORM_EPS,
     DomainWeight,
+    _breakdown,
+    _hybrid_direct,
+    _hybrid_dist,
+    _perpendiculars,
     dist_loss,
     direct_loss,
     hda_objective,
@@ -25,7 +30,11 @@ from .seeding import stream_rng
 from .subspace import DomainSubspace
 from .worlds import (
     PARAM_FIELDS,
+    encode,
+    encode_var,
     flatten_generator,
+    generator_forward_var,
+    generator_param_vars,
     make_encoder,
     make_source_generator,
     unflatten_generator,
@@ -36,6 +45,39 @@ Array = np.ndarray
 PRIMITIVE_TOL = 1e-6
 COMPOSITE_TOL = 1e-5
 STEP = 1e-6
+
+
+def tape_objective(
+    z_batch, source_gen, target_gen, encoders, subspaces_per_encoder, weights, lam, *,
+    dist_only=False, direct_only=False, detach_projection=False,
+):
+    """:func:`hda.losses.hda_objective` as one tape expression: the closed form's oracle.
+
+    Takes the same arguments, unchecked, and returns the same breakdown
+    and gradients, computed by :mod:`hda.autodiff` from the tape losses'
+    building blocks.
+    """
+    inv_batch = 1.0 / z_batch.shape[0]
+    tape = Tape()
+    param_vars = generator_param_vars(tape, target_gen)
+    x_target = generator_forward_var(tape, param_vars, z_batch)
+    f_t = encode_var(tape, encoders, x_target)  # (E, B, d_e)
+    grid = [subspaces_per_encoder[e.encoder_id][w.domain_id] for w in weights for e in encoders]
+    perps = _perpendiculars(f_t, grid, (len(weights), len(encoders)), detach_projection)
+    dist = direct = rows = None  # (E, B): per encoder and latent
+    if not direct_only:
+        dist = rows = _hybrid_dist(perps, weights)
+    if not dist_only:
+        x_source = source_gen.forward(z_batch)
+        f_s = tape.constant(np.array([encode(enc, x_source) for enc in encoders]))
+        direct = _hybrid_direct(f_s, f_t, perps, weights, NORM_EPS)
+        weighted = ad.smul(lam, direct)
+        rows = weighted if rows is None else ad.add(rows, weighted)
+    tape.backward(ad.vsum(rows), seed=inv_batch)
+    grads = {name: np.array(var.grad) for name, var in param_vars.items()}
+    absent = np.zeros(f_t.shape[:-1])
+    dist, direct = (absent if t is None else t.value for t in (dist, direct))
+    return _breakdown([e.encoder_id for e in encoders], dist, direct, lam), grads
 
 
 def _merge(name: str, tol: float, reports: list[GradCheckReport]) -> GradCheckReport:
@@ -325,21 +367,49 @@ def _toy_objective_setup(seed: int, batch: int, n_encoders: int, unequal_ranks: 
 
 
 def _check_objective(
-    seed: int, batch: int, n_encoders: int = 2, unequal_ranks: bool = False
+    seed: int,
+    batch: int,
+    n_encoders: int = 2,
+    unequal_ranks: bool = False,
+    lam: float = 0.8,
+    degenerate: bool = False,
+    **flags: bool,
 ) -> GradCheckReport:
+    """The objective at a nudged target, or with ``degenerate`` at the source itself.
+
+    At ``f_t == f_s`` the direction loss turns within ``NORM_EPS`` while
+    ``f_t - f_s`` rounds at ~1e-15, so no difference step resolves it:
+    that case runs at ``lam=0``, and the tape oracle checks the rest.  A
+    detached projection's gradient is that of the loss with every
+    projection point held at its base value, so the differenced values
+    come from point subspaces there, which needs ``batch == 1``.
+    """
+    from .subspace import FeatureSet, build_subspace, project
+
     source, target0, encoders, subspaces, weights, z_batch = _toy_objective_setup(
         seed, batch, n_encoders, unequal_ranks
     )
-    label = f"{n_encoders} encoders, 2 domains"
+    label = ", ".join([f"{n_encoders} encoders, 2 domains", *flags])
     if unequal_ranks:
         ranks = sorted({s.rank for per in subspaces.values() for s in per.values()})
         label += ", ranks " + "/".join(map(str, ranks))
+    if degenerate:
+        target0 = source
+        label += f", degenerate start, lambda {lam}"
+    valued = subspaces
+    if flags.get("detach_projection"):
+        x0 = target0.forward(z_batch)
+        valued = {e.encoder_id: {
+            w.domain_id: build_subspace(FeatureSet.from_features(project(
+                subspaces[e.encoder_id][w.domain_id], encode(e, x0))), allow_point_subspace=True)
+            for w in weights
+        } for e in encoders}
 
     def f(p):
         target = unflatten_generator(p, like=source)
-        breakdown, grads = hda_objective(
-            z_batch, source, target, encoders, subspaces, weights, lam=0.8
-        )
+        args = (z_batch, source, target, encoders)
+        breakdown, _ = hda_objective(*args, valued, weights, lam=lam, **flags)
+        _, grads = hda_objective(*args, subspaces, weights, lam=lam, **flags)
         return breakdown.total, np.concatenate(
             [grads[name].ravel() for name in PARAM_FIELDS]
         )
@@ -355,7 +425,6 @@ def _check_objective(
 
 def _check_dist_through_encoder(seed: int) -> GradCheckReport:
     from .subspace import FeatureSet, build_subspace
-    from .worlds import encode, encode_var, generator_forward_var, generator_param_vars
 
     rng = stream_rng(seed, "gradcheck", "dist-encoder")
     source = make_source_generator(seed + 17, d_z=3, d_h=5, d_x=6, output_gain=0.5)
@@ -402,6 +471,10 @@ def composite_suite(seed: int = 0) -> list[GradCheckReport]:
         _check_objective(seed, batch=2),
         _check_objective(seed, batch=5),
         _check_objective(seed, batch=4, n_encoders=3, unequal_ranks=True),
+        _check_objective(seed, 4, 3, True, dist_only=True),
+        _check_objective(seed, 4, 3, True, direct_only=True),
+        _check_objective(seed, 1, 3, True, detach_projection=True),
+        _check_objective(seed, 4, 3, True, lam=0.0, degenerate=True),
     ]
 
 

@@ -16,7 +16,8 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .errors import ConfigError, DegenerateDomain, NumericalError
-from .losses import DomainWeight, LossBreakdown, hda_objective
+from .losses import DomainWeight, LossBreakdown, ObjectivePlan
+from .losses import hda_objective  # noqa: F401  (bench/probes.py times it here)
 from .metrics import MetricsReport, evaluate
 from .seeding import derive_seed, stream_rng
 from .subspace import DomainSubspace, separation_ratio
@@ -336,8 +337,16 @@ def run_adaptation(
     )
 
     source = world.source_generator
-    encoders = [world.encoder(eid) for eid in config.encoder_ids]
-    weights = config.ordered_weights()
+    objective = ObjectivePlan(
+        source,
+        [world.encoder(eid) for eid in config.encoder_ids],
+        subspaces,
+        list(config.ordered_weights()),
+        config.lam,
+        dist_only=config.dist_only,
+        direct_only=config.direct_only,
+        detach_projection=config.detach_projection,
+    )
     held_subs = {d: subspaces[held_out.encoder_id][d] for d in config.domain_ids}
     refs = {d: world.references[d] for d in config.domain_ids}
     eval_seed = derive_seed(config.seed, "snapshot-eval")
@@ -365,27 +374,15 @@ def run_adaptation(
 
     step_losses: list[LossBreakdown] = []
     for step, z_batch in enumerate(training_batches(config, source.d_z), start=1):
-        target = GeneratorParams.from_dict(params, trainable=True)
         try:
-            breakdown, grads = hda_objective(
-                z_batch,
-                source,
-                target,
-                encoders,
-                subspaces,
-                list(weights),
-                config.lam,
-                dist_only=config.dist_only,
-                direct_only=config.direct_only,
-                detach_projection=config.detach_projection,
-            )
+            breakdown, grads = objective(z_batch, params)
             if not np.isfinite(breakdown.total):
                 raise NumericalError(f"non-finite loss at step {step}")
             grads, _ = clip_gradients(grads, config.grad_clip_norm)
             params, state = adam_step(params, grads, state, config)
         except NumericalError as exc:
             exc.step = step
-            exc.last_good_params = target
+            exc.last_good_params = GeneratorParams.from_dict(params, trainable=True)
             raise
         step_losses.append(breakdown)
         if step == 1 or step % snapshot_every == 0 or step == config.steps:
@@ -421,7 +418,10 @@ def run_single_domain(
 
 
 def save_run(record: RunRecord, out_dir, world_dir: str = "") -> None:
-    """Write ``run_record.json`` plus the per-step ``log.jsonl``."""
+    """Write ``run_record.json`` plus the per-step ``log.jsonl``, each replaced whole.
+
+    A non-finite value is a :class:`NumericalError` raised before either file is touched.
+    """
     os.makedirs(out_dir, exist_ok=True)
     doc = {
         "config": record.config.to_json_dict(),
@@ -436,14 +436,35 @@ def save_run(record: RunRecord, out_dir, world_dir: str = "") -> None:
             for name, ckpt in record.checkpoints.items()
         },
     }
-    with open(os.path.join(out_dir, RUN_RECORD_FILE), "w", encoding="utf8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-    with open(os.path.join(out_dir, LOG_FILE), "w", encoding="utf8") as fh:
-        for i, breakdown in enumerate(record.step_losses, start=1):
-            line = {"step": i}
-            line.update(breakdown.to_json_dict())
-            fh.write(json.dumps(line) + "\n")
+    record_path = os.path.join(out_dir, RUN_RECORD_FILE)
+    log_path = os.path.join(out_dir, LOG_FILE)
+    record_text = _finite_json(record_path, doc, indent=2) + "\n"
+    log_text = "".join(
+        _finite_json(log_path, {"step": i, **breakdown.to_json_dict()}) + "\n"
+        for i, breakdown in enumerate(record.step_losses, start=1)
+    )
+    _write_atomic(record_path, record_text)
+    _write_atomic(log_path, log_text)
+
+
+def _finite_json(path: str, doc, indent: Optional[int] = None) -> str:
+    """``doc`` as JSON text; a NaN or infinity, which JSON cannot hold, is refused."""
+    try:
+        return json.dumps(doc, indent=indent, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError(f"{path}: refusing to write a non-finite value: {exc}") from exc
+
+
+def _write_atomic(path: str, text: str) -> None:
+    """Replace ``path`` through a temporary file beside it, never leaving a partial file."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_run(run_dir) -> tuple[RunRecord, str]:

@@ -15,11 +15,15 @@ The full objective sums ``dist + lambda * direct`` over the encoder
 ensemble and averages over a latent batch.  Gradients flow through the
 projection unless ``detach_projection`` is set.
 
-Every loss here is one tape expression whatever the number of domains
-and encoders: the ``D`` domain subspaces (zero-padded to one rank) and
-the ``E`` encoders are leading axes of ``(D, E, B, d)`` perpendiculars,
-and the alpha-weighted sums reduce the domain axis.  The single-encoder
-losses are the same expression without the ensemble axis.
+The ``D`` domain subspaces (zero-padded to one rank) and the ``E``
+encoders are leading axes of ``(D, E, B, d)`` perpendiculars, and the
+alpha-weighted sums reduce the domain axis.  The public losses
+(:func:`dist_loss`, :func:`hybrid_dist_loss` and the direction forms)
+are tape expressions over these arrays, without the ensemble axis.  The
+full objective (:class:`ObjectivePlan`, :func:`hda_objective`) is closed
+form: numpy computes its value and its hand-written gradient, and
+:func:`hda.diagnostics.tape_objective` keeps the same objective as one
+tape expression, the oracle it is tested against.
 """
 from __future__ import annotations
 
@@ -28,17 +32,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tape, Var
+from .autodiff import Var
 from .errors import ConfigError, DimensionError
-from .subspace import DomainSubspace, project  # noqa: F401  (bench/probes.py times it here)
-from .worlds import (
-    EncoderSpec,
-    GeneratorParams,
-    encode,
-    encode_var,
-    generator_forward_var,
-    generator_param_vars,
-)
+from .subspace import DomainSubspace
+from .worlds import PARAM_FIELDS, EncoderSpec, GeneratorParams, stack_encoders
+
+# bench/probes.py times these names in this module; nothing here calls them
+from .subspace import project  # noqa: F401
+from .worlds import encode, encode_var, generator_forward_var  # noqa: F401
 
 Array = np.ndarray
 
@@ -110,6 +111,22 @@ class LossBreakdown:
             raise ConfigError(f"malformed loss record: {exc}") from exc
 
 
+def _stacked_subspaces(subspaces, lead: tuple[int, ...], d: int) -> tuple[Array, Array]:
+    """Means ``lead + (1, d)`` and bases ``lead + (d, r)`` of a row-major grid of subspaces.
+
+    Lower ranks are padded with zero columns, which changes no projection.
+    """
+    if any(s.dim != d for s in subspaces):
+        raise DimensionError(
+            f"embeddings have width {d}, subspaces live in {[s.dim for s in subspaces]}"
+        )
+    means = np.array([s.mean for s in subspaces]).reshape(lead + (1, d))
+    bases = np.zeros((len(subspaces), d, max(s.rank for s in subspaces)))
+    for padded, s in zip(bases, subspaces):
+        padded[:, : s.rank] = s.basis
+    return means, bases.reshape(lead + bases.shape[1:])
+
+
 def _perpendiculars(f_t: Var, subspaces, lead: tuple[int, ...], detach: bool) -> Var:
     """``f* - f_t`` for every subspace, as one expression.
 
@@ -120,17 +137,7 @@ def _perpendiculars(f_t: Var, subspaces, lead: tuple[int, ...], detach: bool) ->
     :func:`subspace.project`'s order, ``((f - mu) U) Uᵀ + mu``.
     """
     tape = f_t.tape
-    d = f_t.shape[-1]
-    if any(s.dim != d for s in subspaces):
-        raise DimensionError(
-            f"embedding has shape {f_t.shape}, subspaces live in {[s.dim for s in subspaces]}"
-        )
-    means = np.array([s.mean for s in subspaces]).reshape(lead + (1, d))
-    # lower ranks are padded with zero columns, which changes no projection
-    bases = np.zeros((len(subspaces), d, max(s.rank for s in subspaces)))
-    for padded, s in zip(bases, subspaces):
-        padded[:, : s.rank] = s.basis
-    bases = bases.reshape(lead + bases.shape[1:])
+    means, bases = _stacked_subspaces(subspaces, lead, f_t.shape[-1])
     # a detached projection is the same expression on a constant copy
     source = tape.constant(f_t.value) if detach else f_t
     mean = tape.constant(means)
@@ -234,6 +241,117 @@ def hybrid_direct_loss(
     return _per_row(_hybrid_direct(f_s, f_t, perps, weights, eps), f_t)
 
 
+def _breakdown(encoder_ids, dist: Array, direct: Array, lam: float) -> LossBreakdown:
+    """Batch means of ``(E, B)`` per-row distance and direction losses."""
+    inv_batch = 1.0 / dist.shape[-1]
+    terms = tuple(
+        EncoderTerms(eid, float(dist[e].sum()) * inv_batch, float(direct[e].sum()) * inv_batch)
+        for e, eid in enumerate(encoder_ids)
+    )
+    total = sum(t.dist_term + lam * t.direct_term for t in terms)
+    return LossBreakdown(total=total, per_encoder=terms, lam=lam)
+
+
+class ObjectivePlan:
+    """The full objective's run constants, checked once; a call gives value and gradient.
+
+    The plan stacks the encoder weights along the ensemble axis and the
+    ``(D, E)`` grid of subspaces to zero-padded bases, as the tape losses
+    do.  A call takes a ``(B, d_z)`` latent batch and the target
+    generator's arrays by name, computes the objective in numpy and its
+    gradient by the hand-written vector-Jacobian product of the same
+    expression, and returns them as :func:`hda_objective` does.
+    """
+
+    def __init__(
+        self,
+        source_gen: GeneratorParams,
+        encoders: list[EncoderSpec],
+        subspaces_per_encoder: dict[str, dict[str, DomainSubspace]],
+        weights: list[DomainWeight],
+        lam: float,
+        *,
+        dist_only: bool = False,
+        direct_only: bool = False,
+        detach_projection: bool = False,
+    ):
+        if not encoders:
+            raise ConfigError("need at least one encoder")
+        if lam < 0.0:
+            raise ConfigError(f"lambda must be >= 0, got {lam}")
+        if dist_only and direct_only:
+            raise ConfigError("dist_only and direct_only are mutually exclusive")
+        _check_hybrid_args([None] * len(weights), weights)
+        try:
+            grid = [
+                subspaces_per_encoder[e.encoder_id][w.domain_id] for w in weights for e in encoders
+            ]
+        except KeyError as exc:
+            raise ConfigError(f"no subspace supplied for encoder or domain {exc}") from exc
+        self.w1, self.b1, self.w2, self.b2 = stack_encoders(encoders)
+        if self.w1.shape[-1] != source_gen.d_x:
+            raise DimensionError(
+                f"encoders read width {self.w1.shape[-1]}, the generator writes {source_gen.d_x}"
+            )
+        lead = (len(weights), len(encoders))
+        self.means, self.bases = _stacked_subspaces(grid, lead, self.w2.shape[1])
+        self.bases_t = np.swapaxes(self.bases, -1, -2)
+        self.alpha = _domain_weights(weights, 4)  # (D, 1, 1, 1)
+        self.source, self.lam = source_gen, float(lam)
+        self.encoder_ids = tuple(e.encoder_id for e in encoders)
+        self.dist_only, self.direct_only = dist_only, direct_only
+        self.detach_projection = detach_projection
+
+    def _encode(self, x: Array) -> tuple[Array, Array]:
+        """``(E, B, d_e)`` embeddings of ``(B, d_x)`` rows, and the hidden units before relu."""
+        pre = ad.matmul_rows(x, np.swapaxes(self.w1, -1, -2)) + self.b1
+        hidden = np.where(pre > 0.0, pre, 0.0)
+        return ad.matmul_rows(hidden, np.swapaxes(self.w2, -1, -2)) + self.b2, pre
+
+    def __call__(
+        self, z_batch: Array, params: dict[str, Array]
+    ) -> tuple[LossBreakdown, dict[str, Array]]:
+        inv_batch = 1.0 / z_batch.shape[0]
+        w1, b1, w2, b2 = (params[n] for n in PARAM_FIELDS)
+        hidden = np.tanh(ad.matmul_rows(z_batch, w1.T) + b1)
+        f_t, pre = self._encode(ad.matmul_rows(hidden, w2.T) + b2)
+        lifted = ad.matmul_rows(ad.matmul_rows(f_t - self.means, self.bases), self.bases_t)
+        perps = lifted + self.means - f_t  # (D, E, B, d)
+        dist = direct = np.zeros(f_t.shape[:-1])  # (E, B): per encoder and latent
+        g_perps = np.zeros_like(perps)  # d total / d perps
+        g_f = np.zeros_like(f_t)  # d total / d f_t, other than through perps
+        if not self.direct_only:
+            dist = ((perps * perps).sum(axis=-1) * self.alpha[..., 0]).sum(axis=0)
+            g_perps += (2.0 * inv_batch) * self.alpha * perps
+        if not self.dist_only:
+            u = f_t - self._encode(self.source.forward(z_batch))[0]
+            v = (perps * self.alpha).sum(axis=0)
+            nu = np.sqrt((u * u).sum(axis=-1) + NORM_EPS * NORM_EPS)
+            nv = np.sqrt((v * v).sum(axis=-1) + NORM_EPS * NORM_EPS)
+            dot, den = (u * v).sum(axis=-1), nu * nv
+            direct = 1.0 - dot / den
+            # the tape's reverse steps in its order, so that a subnormal
+            # lambda rounds the same way in both
+            g_cos = -(self.lam * inv_batch)
+            g_dot, g_den = (g_cos / den)[..., None], -g_cos * dot / (den * den)
+            g_f += g_dot * v + (g_den * nv / nu)[..., None] * u
+            g_perps += (g_dot * u + (g_den * nu / nv)[..., None] * v) * self.alpha
+        # perps = P(f_t) - f_t; a detached projection P passes no gradient
+        g_f -= g_perps.sum(axis=0)
+        if not self.detach_projection:
+            g_f += ad.matmul_rows(ad.matmul_rows(g_perps, self.bases), self.bases_t).sum(axis=0)
+        g_pre = np.where(pre > 0.0, ad.matmul_rows(g_f, self.w2), 0.0)
+        g_x = ad.matmul_rows(g_pre, self.w1).sum(axis=0)
+        g_hidden = ad.matmul_rows(g_x, w2) * (1.0 - hidden * hidden)
+        grads = {
+            "w1": ad.matmul_rows(g_hidden.T, z_batch),
+            "b1": g_hidden.sum(axis=0),
+            "w2": ad.matmul_rows(g_x.T, hidden),
+            "b2": g_x.sum(axis=0),
+        }
+        return _breakdown(self.encoder_ids, dist, direct, self.lam), grads
+
+
 def hda_objective(
     z_batch,
     source_gen: GeneratorParams,
@@ -252,7 +370,8 @@ def hda_objective(
     Returns the batch-mean loss breakdown and the gradient of the total
     with respect to each target generator parameter array.  Source
     generator and encoders enter as constants: their weights receive no
-    gradient and are never modified.
+    gradient and are never modified.  Builds an :class:`ObjectivePlan`
+    for this one call.
     """
     z_batch = np.asarray(z_batch, dtype=np.float64)
     if z_batch.ndim != 2:
@@ -263,53 +382,8 @@ def hda_objective(
         raise DimensionError(
             f"latents have dimension {z_batch.shape[1]}, generator wants {target_gen.d_z}"
         )
-    if not encoders:
-        raise ConfigError("need at least one encoder")
-    if lam < 0.0:
-        raise ConfigError(f"lambda must be >= 0, got {lam}")
-    if dist_only and direct_only:
-        raise ConfigError("dist_only and direct_only are mutually exclusive")
-    _check_hybrid_args([None] * len(weights), weights)
-    for enc in encoders:
-        per_domain = subspaces_per_encoder.get(enc.encoder_id)
-        if per_domain is None:
-            raise ConfigError(f"no subspaces supplied for encoder {enc.encoder_id!r}")
-        for w in weights:
-            sub_i = per_domain.get(w.domain_id)
-            if sub_i is None:
-                raise ConfigError(
-                    f"encoder {enc.encoder_id!r} has no subspace for domain {w.domain_id!r}"
-                )
-            if sub_i.dim != enc.d_e:
-                raise DimensionError(
-                    f"subspace for ({enc.encoder_id!r}, {w.domain_id!r}) lives in "
-                    f"dimension {sub_i.dim}, encoder outputs {enc.d_e}"
-                )
-
-    inv_batch = 1.0 / z_batch.shape[0]
-    tape = Tape()
-    param_vars = generator_param_vars(tape, target_gen)
-    x_target = generator_forward_var(tape, param_vars, z_batch)
-    f_t = encode_var(tape, encoders, x_target)  # (E, B, d_e)
-    grid = [subspaces_per_encoder[e.encoder_id][w.domain_id] for w in weights for e in encoders]
-    perps = _perpendiculars(f_t, grid, (len(weights), len(encoders)), detach_projection)
-    dist = direct = rows = None  # (E, B): per encoder and latent
-    if not direct_only:
-        dist = rows = _hybrid_dist(perps, weights)
-    if not dist_only:
-        x_source = source_gen.forward(z_batch)
-        f_s = tape.constant(np.array([encode(enc, x_source) for enc in encoders]))
-        direct = _hybrid_direct(f_s, f_t, perps, weights, NORM_EPS)
-        weighted = ad.smul(lam, direct)
-        rows = weighted if rows is None else ad.add(rows, weighted)
-    tape.backward(ad.vsum(rows), seed=inv_batch)
-    grads = {name: np.array(var.grad) for name, var in param_vars.items()}
-
-    per_encoder = []
-    total = 0.0
-    for e, enc in enumerate(encoders):
-        dist_term = 0.0 if dist is None else float(dist.value[e].sum()) * inv_batch
-        direct_term = 0.0 if direct is None else float(direct.value[e].sum()) * inv_batch
-        per_encoder.append(EncoderTerms(enc.encoder_id, dist_term, direct_term))
-        total += dist_term + lam * direct_term
-    return LossBreakdown(total=total, per_encoder=tuple(per_encoder), lam=lam), grads
+    plan = ObjectivePlan(
+        source_gen, encoders, subspaces_per_encoder, weights, lam,
+        dist_only=dist_only, direct_only=direct_only, detach_projection=detach_projection,
+    )
+    return plan(z_batch, {name: getattr(target_gen, name) for name in PARAM_FIELDS})

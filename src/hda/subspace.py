@@ -119,6 +119,8 @@ def read_feature_csv(path) -> Array:
             rows.append([float(p) for p in parts])
         except ValueError as exc:
             raise ConfigError(f"{path}: line {i} has a non-numeric value") from exc
+        if not np.all(np.isfinite(rows[-1])):
+            raise ConfigError(f"{path}: line {i} has a non-finite value")
     return np.array(rows, dtype=np.float64).reshape(k, d)
 
 

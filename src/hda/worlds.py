@@ -327,6 +327,18 @@ def generator_forward_var(tape, param_vars: dict, z):
     return ad.add(ad.linear(hidden, param_vars["w2"]), param_vars["b2"])
 
 
+def stack_encoders(encoders) -> tuple[Array, Array, Array, Array]:
+    """``w1, b1, w2, b2`` of encoders of one shape, stacked along a leading ensemble axis.
+
+    The biases get a row axis, ``(E, 1, h)``, to broadcast over ``(E, B, h)`` rows.
+    """
+    shapes = {tuple(getattr(e, n).shape for n in PARAM_FIELDS) for e in encoders}
+    if len(shapes) != 1:
+        raise DimensionError(f"an encoder ensemble needs one weight shape, got {shapes}")
+    w1, b1, w2, b2 = (np.array([getattr(e, n) for e in encoders]) for n in PARAM_FIELDS)
+    return w1, b1[:, None], w2, b2[:, None]
+
+
 def encode_var(tape, encoders, x):
     """Tape version of :func:`encode`; bit-identical on a batch.
 
@@ -339,11 +351,7 @@ def encode_var(tape, encoders, x):
     if isinstance(encoders, EncoderSpec):
         w1, b1, w2, b2 = (getattr(encoders, name) for name in PARAM_FIELDS)
     else:
-        shapes = {tuple(getattr(e, n).shape for n in PARAM_FIELDS) for e in encoders}
-        if len(shapes) != 1:
-            raise DimensionError(f"an encoder ensemble needs one weight shape, got {shapes}")
-        w1, b1, w2, b2 = (np.array([getattr(e, n) for e in encoders]) for n in PARAM_FIELDS)
-        b1, b2 = b1[:, None], b2[:, None]
+        w1, b1, w2, b2 = stack_encoders(encoders)
     hidden = ad.relu(ad.add(ad.linear(x, tape.constant(w1)), tape.constant(b1)))
     return ad.add(ad.linear(hidden, tape.constant(w2)), tape.constant(b2))
 
@@ -619,7 +627,10 @@ def load_world(world_dir) -> World:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: a world file must hold a JSON object")
-    config = WorldConfig.from_json_dict(doc.get("config", {}))
+    try:
+        config = WorldConfig.from_json_dict(doc.get("config", {}))
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     world = build_world(config)
     references = {}
     for d in config.domains:

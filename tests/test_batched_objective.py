@@ -1,10 +1,14 @@
-"""The batched objective against a per-sample reference, and its tape shape."""
+"""The batched objective against a per-sample reference and against its tape oracle."""
+
+import itertools
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hda.autodiff import Tape
+from hda.diagnostics import _toy_objective_setup, tape_objective
 from hda.losses import (
     DomainWeight,
     hda_objective,
@@ -23,6 +27,7 @@ from hda.worlds import (
 )
 
 REL = 1e-10
+ORACLE_REL = 1e-12
 
 
 def _per_sample_objective(
@@ -116,37 +121,28 @@ def test_batched_objective_matches_per_sample_reference(
         assert np.max(np.abs(grads[name] - want_grads[name])) <= REL * scale, name
 
 
-def test_objective_builds_one_tape_per_call(world, subspaces, monkeypatch):
-    calls = []
-    original = Tape.backward
-
-    def counting(self, out, seed=1.0):
-        calls.append(len(self))
-        return original(self, out, seed)
-
-    monkeypatch.setattr(Tape, "backward", counting)
-    batch = 4
-    z = stream_rng(0, "batched-objective", "nodes").standard_normal(
-        (batch, world.config.d_z)
+def test_objective_matches_tape_oracle():
+    """The closed form against the tape expression of the same objective."""
+    source, target, encoders, subspaces, weights, z = _toy_objective_setup(
+        3, batch=4, n_encoders=3, unequal_ranks=True
     )
-    encoders = list(world.train_encoders)
-    assert len(encoders) == 3 and len(world.domains) == 2
-    nodes = {}
-    for n_enc in (1, 3):
-        for n_dom in (1, 2):
-            weights = [DomainWeight(d.domain_id, 0.5) for d in world.domains[:n_dom]]
-            calls.clear()
-            hda_objective(
-                z,
-                world.source_generator,
-                world.source_generator,
-                encoders[:n_enc],
-                subspaces,
-                weights,
-                lam=1.0,
-            )
-            assert len(calls) == 1
-            nodes[n_enc, n_dom] = calls[0]
-    # encoders and domains are axes of one expression, not extra nodes
-    assert len(set(nodes.values())) == 1, nodes
-    assert nodes[3, 2] <= 50
+    ranks = {s.rank for per in subspaces.values() for s in per.values()}
+    assert len(ranks) > 1  # the stacked bases need zero padding
+    # every encoder unit is active at bias ~2; flipped biases make half of them dead
+    signs = np.where(np.arange(encoders[0].b1.size) % 2, 1.0, -1.0)
+    half_dead = [replace(e, b1=e.b1 * signs) for e in encoders]
+    variants = [{}, {"dist_only": True}, {"direct_only": True}, {"detach_projection": True}]
+    # the source as target puts f_t on f_s: the degenerate first step
+    for start, encs in itertools.product((target, source), (encoders, half_dead)):
+        for n_enc, n_dom, flags in itertools.product((1, 3), (1, 2), variants):
+            args = (z, source, start, encs[:n_enc], subspaces, weights[:n_dom], 0.8)
+            got, grads = hda_objective(*args, **flags)
+            want, want_grads = tape_objective(*args, **flags)
+            assert abs(got.total - want.total) <= ORACLE_REL * abs(want.total)
+            for t, w in zip(got.per_encoder, want.per_encoder, strict=True):
+                assert t.encoder_id == w.encoder_id
+                assert abs(t.dist_term - w.dist_term) <= ORACLE_REL * abs(w.dist_term)
+                assert abs(t.direct_term - w.direct_term) <= ORACLE_REL * abs(w.direct_term)
+            for name in PARAM_FIELDS:
+                scale = np.max(np.abs(want_grads[name]))
+                assert np.max(np.abs(grads[name] - want_grads[name])) <= ORACLE_REL * scale

@@ -209,6 +209,33 @@ def test_world_file_that_is_not_an_object_exits_2(tmp_path, runner, world_dir):
     assert "world.json" in result.output
 
 
+@pytest.mark.parametrize("config", [[], {"sede": 1}], ids=["not-an-object", "unknown-key"])
+def test_malformed_world_config_exits_2_naming_the_file(tmp_path, runner, world_dir, config):
+    world = tmp_path / "world"
+    shutil.copytree(world_dir, world)
+    (world / "world.json").write_text(json.dumps({"config": config}), encoding="utf8")
+    result = runner.invoke(
+        main, ["build-subspaces", "--world", str(world), "--out", str(tmp_path / "s")]
+    )
+    assert result.exit_code == 2, result.output
+    assert "world.json" in result.output
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_reference_exits_2_naming_the_line(tmp_path, runner, world_dir, value):
+    world = tmp_path / "world"
+    shutil.copytree(world_dir, world)
+    refs = world / "references_attr0.csv"
+    lines = refs.read_text(encoding="utf8").splitlines()
+    lines[2] = ",".join([value] + lines[2].split(",")[1:])
+    refs.write_text("\n".join(lines) + "\n", encoding="utf8")
+    result = runner.invoke(
+        main, ["build-subspaces", "--world", str(world), "--out", str(tmp_path / "s")]
+    )
+    assert result.exit_code == 2, result.output
+    assert "references_attr0.csv: line 3" in result.output
+
+
 def test_string_boolean_in_config_exits_2(tmp_path, runner, world_dir):
     config = tmp_path / "string_flag.json"
     config.write_text(json.dumps({"steps": 2, "dist_only": "false"}), encoding="utf8")

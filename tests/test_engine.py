@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -281,6 +282,39 @@ def test_save_load_round_trip(tmp_path, world, subspaces):
     save_run(back, again, world_dir="some/world")
     assert (out / "run_record.json").read_bytes() == (again / "run_record.json").read_bytes()
     assert (out / "log.jsonl").read_bytes() == (again / "log.jsonl").read_bytes()
+
+
+def test_save_run_refuses_non_finite_values(tmp_path, world, subspaces):
+    record = run_adaptation(_small_config(world, steps=3), world, subspaces)
+    out = tmp_path / "run"
+    save_run(record, out)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    bad = record.step_losses[1]
+    record.step_losses[1] = replace(bad, total=float("nan"))
+    with pytest.raises(NumericalError, match="log.jsonl: refusing to write a non-finite"):
+        save_run(record, out)
+    # neither file was touched, and no temporary file is left behind
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_save_run_replaces_files_atomically(tmp_path, world, subspaces, monkeypatch):
+    short = run_adaptation(_small_config(world, steps=3), world, subspaces)
+    longer = run_adaptation(_small_config(world, steps=6), world, subspaces)
+    out = tmp_path / "run"
+    save_run(short, out)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    renames = []
+
+    def crash(src, dst):
+        renames.append((os.path.dirname(src), os.path.dirname(dst)))
+        raise OSError("simulated crash before the rename")
+
+    monkeypatch.setattr(os, "replace", crash)
+    with pytest.raises(OSError, match="simulated crash"):
+        save_run(longer, out)
+    assert renames == [(str(out), str(out))]
+    # the previous files survive whole and the temporary file is removed
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_log_lines_are_valid_json(tmp_path, world, subspaces):
