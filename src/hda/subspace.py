@@ -98,10 +98,11 @@ def write_feature_csv(path, features: Array) -> None:
 
 def read_feature_csv(path) -> Array:
     with open(path, "r", encoding="utf8") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
+        # (file line number, text) of the non-blank lines, so errors name the file's line
+        lines = [(i, line.strip()) for i, line in enumerate(fh, start=1) if line.strip()]
     if not lines:
         raise ConfigError(f"{path}: empty feature file")
-    header = lines[0].split(",")
+    header = lines[0][1].split(",")
     if len(header) != 2:
         raise ConfigError(f"{path}: header must be 'd,k'")
     try:
@@ -111,7 +112,7 @@ def read_feature_csv(path) -> Array:
     if len(lines) - 1 != k:
         raise ConfigError(f"{path}: header promises {k} rows, found {len(lines) - 1}")
     rows = []
-    for i, line in enumerate(lines[1:], start=2):
+    for i, line in lines[1:]:
         parts = line.split(",")
         if len(parts) != d:
             raise ConfigError(f"{path}: line {i} has {len(parts)} values, expected {d}")

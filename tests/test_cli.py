@@ -228,12 +228,13 @@ def test_non_finite_reference_exits_2_naming_the_line(tmp_path, runner, world_di
     refs = world / "references_attr0.csv"
     lines = refs.read_text(encoding="utf8").splitlines()
     lines[2] = ",".join([value] + lines[2].split(",")[1:])
+    lines.insert(1, "")  # a blank line still counts toward the line named
     refs.write_text("\n".join(lines) + "\n", encoding="utf8")
     result = runner.invoke(
         main, ["build-subspaces", "--world", str(world), "--out", str(tmp_path / "s")]
     )
     assert result.exit_code == 2, result.output
-    assert "references_attr0.csv: line 3" in result.output
+    assert "references_attr0.csv: line 4 has a non-finite value" in result.output
 
 
 def test_string_boolean_in_config_exits_2(tmp_path, runner, world_dir):
