@@ -39,7 +39,7 @@ from .losses import (
     hybrid_direct_loss,
     hybrid_dist_loss,
 )
-from .metrics import MetricsReport, evaluate
+from .metrics import MetricsReport, SnapshotPlan, evaluate
 from .subspace import (
     DomainSubspace,
     FeatureSet,
@@ -47,7 +47,6 @@ from .subspace import (
     pca2d_export,
     project,
     separation_ratio,
-    subspace_distance,
     subspace_distance_sq,
 )
 from .worlds import (

@@ -6,14 +6,13 @@ the distance-only variant directly visible next to the full loss.
 """
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, replace
 
 from .engine import AdaptationConfig, run_adaptation
 from .errors import ConfigError
-from .metrics import MetricsReport, evaluate, round12
-from .worlds import World, build_world_subspaces
+from .metrics import MetricsReport, SnapshotPlan, round12
+from .worlds import World, build_world_subspaces, finite_json, write_atomic
 
 VARIANTS = ("full", "dist_only", "direct_only")
 ENCODER_MODES = ("single", "ensemble")
@@ -32,13 +31,9 @@ class AblationRow:
 
 
 def _variant_flags(variant: str) -> dict:
-    if variant == "full":
-        return {"dist_only": False, "direct_only": False}
-    if variant == "dist_only":
-        return {"dist_only": True, "direct_only": False}
-    if variant == "direct_only":
-        return {"dist_only": False, "direct_only": True}
-    raise ConfigError(f"unknown ablation variant {variant!r}")
+    if variant not in VARIANTS:
+        raise ConfigError(f"unknown ablation variant {variant!r}")
+    return {"dist_only": variant == "dist_only", "direct_only": variant == "direct_only"}
 
 
 def ablation_suite(
@@ -56,10 +51,14 @@ def ablation_suite(
     base_config.validate()
     subspaces = build_world_subspaces(world)
     held_out = world.held_out_encoder
-    held_subs = {
-        d: subspaces[held_out.encoder_id][d] for d in base_config.domain_ids
-    }
-    refs = {d: world.references[d] for d in base_config.domain_ids}
+    snapshot = SnapshotPlan(
+        world.source_generator,
+        held_out,
+        {d: subspaces[held_out.encoder_id][d] for d in base_config.domain_ids},
+        {d: world.references[d] for d in base_config.domain_ids},
+        n_samples,
+        eval_seed,
+    )
     rows: list[AblationRow] = []
     for mode in ENCODER_MODES:
         encoder_ids = (
@@ -70,22 +69,13 @@ def ablation_suite(
                 base_config, encoder_ids=encoder_ids, **_variant_flags(variant)
             )
             record = run_adaptation(config, world, subspaces)
-            report = evaluate(
-                record.final_params,
-                world.source_generator,
-                held_out,
-                held_subs,
-                refs,
-                n_samples,
-                eval_seed,
-            )
             rows.append(
                 AblationRow(
                     variant=variant,
                     encoder_mode=mode,
                     encoder_ids=tuple(encoder_ids),
                     final_total=record.step_losses[-1].total,
-                    report=report,
+                    report=snapshot(record.final_params),
                 )
             )
     return rows
@@ -105,10 +95,13 @@ def rows_to_json_dict(rows: list[AblationRow]) -> list[dict]:
 
 
 def save_ablation(rows: list[AblationRow], out_dir) -> None:
+    """Write ``ablation.json`` and ``ablation.csv``, each replaced whole.
+
+    A non-finite value is a :class:`NumericalError` raised before either file is touched.
+    """
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, ABLATION_JSON), "w", encoding="utf8") as fh:
-        json.dump(rows_to_json_dict(rows), fh, indent=2)
-        fh.write("\n")
+    json_path = os.path.join(out_dir, ABLATION_JSON)
+    json_text = finite_json(json_path, rows_to_json_dict(rows), indent=2) + "\n"
     domains = list(rows[0].report.semantic_similarity) if rows else []
     header = ["variant", "encoder_mode", "encoder_ids", "final_total", "consistency", "diversity"]
     header += [f"semantic_similarity_{d}" for d in domains]
@@ -124,5 +117,6 @@ def save_ablation(rows: list[AblationRow], out_dir) -> None:
         ]
         cells += [repr(round12(row.report.semantic_similarity[d])) for d in domains]
         lines.append(",".join(cells))
-    with open(os.path.join(out_dir, ABLATION_CSV), "w", encoding="utf8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    # the CSV holds the JSON's numbers, so the check above covers it
+    write_atomic(json_path, json_text)
+    write_atomic(os.path.join(out_dir, ABLATION_CSV), "\n".join(lines) + "\n")

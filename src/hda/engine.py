@@ -8,20 +8,34 @@ same batches as the prefix of a longer run.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator, Optional
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateDomain, NumericalError
 from .losses import DomainWeight, LossBreakdown, ObjectivePlan
-from .losses import hda_objective  # noqa: F401  (bench/probes.py times it here)
-from .metrics import MetricsReport, evaluate
+from .metrics import MetricsReport, SnapshotPlan
 from .seeding import derive_seed, stream_rng
 from .subspace import DomainSubspace, separation_ratio
-from .worlds import GeneratorParams, World, json_bool, json_fields, make_target_generator
+from .worlds import (
+    GeneratorParams,
+    World,
+    finite_json,
+    flatten_generator,
+    generator_views,
+    json_bool,
+    json_fields,
+    unflatten_generator,
+    write_atomic,
+)
+
+# bench/probes.py times these names in this module; nothing here calls them
+from .losses import hda_objective  # noqa: F401  (probe site)
+from .metrics import evaluate  # noqa: F401  (probe site)
 
 Array = np.ndarray
 
@@ -100,23 +114,10 @@ class AdaptationConfig:
         return tuple(by_id[d] for d in self.domain_ids)
 
     def to_json_dict(self) -> dict:
-        return {
-            "encoder_ids": list(self.encoder_ids),
-            "domain_ids": list(self.domain_ids),
-            "weights": [w.to_json_dict() for w in self.weights],
-            "lambda": self.lam,
-            "steps": self.steps,
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "adam_beta1": self.adam_beta1,
-            "adam_beta2": self.adam_beta2,
-            "adam_eps": self.adam_eps,
-            "grad_clip_norm": self.grad_clip_norm,
-            "seed": self.seed,
-            "dist_only": self.dist_only,
-            "direct_only": self.direct_only,
-            "detach_projection": self.detach_projection,
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc.update(encoder_ids=list(self.encoder_ids), domain_ids=list(self.domain_ids),
+                   weights=[w.to_json_dict() for w in self.weights])
+        return {("lambda" if key == "lam" else key): value for key, value in doc.items()}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "AdaptationConfig":
@@ -168,66 +169,57 @@ def default_adaptation_config(
 
 @dataclass
 class OptimizerState:
-    m: dict[str, Array]
-    v: dict[str, Array]
+    """Adam's moments, vectors laid out as the parameter vector.
+
+    ``layout`` names the parameters in that vector, each with the offset where it ends.
+    """
+
+    m: Array
+    v: Array
+    layout: tuple[tuple[str, int], ...]
     step: int = 0
 
 
 def init_optimizer_state(params: dict[str, Array]) -> OptimizerState:
-    return OptimizerState(
-        m={name: np.zeros_like(arr) for name, arr in params.items()},
-        v={name: np.zeros_like(arr) for name, arr in params.items()},
-        step=0,
-    )
+    """Zero moments for the vector whose consecutive named views are ``params``."""
+    ends = list(itertools.accumulate(arr.size for arr in params.values()))
+    size = ends[-1] if ends else 0
+    return OptimizerState(m=np.zeros(size), v=np.zeros(size), layout=tuple(zip(params, ends)))
 
 
 def adam_step(
-    params: dict[str, Array],
-    grads: dict[str, Array],
-    state: OptimizerState,
-    config: AdaptationConfig,
-) -> tuple[dict[str, Array], OptimizerState]:
-    """One bias-corrected Adam update; inputs are left untouched."""
+    params: Array, grads: Array, state: OptimizerState, config: AdaptationConfig
+) -> tuple[Array, OptimizerState]:
+    """One bias-corrected Adam update of a parameter vector; inputs are left untouched."""
     t = state.step + 1
+    if grads.shape != params.shape:
+        raise ConfigError(f"gradient has shape {grads.shape}, expected {params.shape}")
+    bad = np.flatnonzero(~np.isfinite(grads))
+    if bad.size:
+        name = next(name for name, end in state.layout if bad[0] < end)
+        raise NumericalError(f"non-finite gradient for {name!r} at optimizer step {t}")
     b1, b2 = config.adam_beta1, config.adam_beta2
-    new_params: dict[str, Array] = {}
-    new_m: dict[str, Array] = {}
-    new_v: dict[str, Array] = {}
-    for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.shape:
-            raise ConfigError(f"gradient for {name!r} has shape {g.shape}, expected {p.shape}")
-        if not np.all(np.isfinite(g)):
-            raise NumericalError(f"non-finite gradient for {name!r} at optimizer step {t}")
-        m = b1 * state.m[name] + (1.0 - b1) * g
-        v = b2 * state.v[name] + (1.0 - b2) * (g * g)
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        new_params[name] = p - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_eps)
-        new_m[name] = m
-        new_v[name] = v
-    return new_params, OptimizerState(m=new_m, v=new_v, step=t)
+    m = b1 * state.m + (1.0 - b1) * grads
+    v = b2 * state.v + (1.0 - b2) * (grads * grads)
+    m_hat = m / (1.0 - b1**t)
+    v_hat = v / (1.0 - b2**t)
+    new_params = params - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+    return new_params, OptimizerState(m=m, v=v, layout=state.layout, step=t)
 
 
-def clip_gradients(
-    grads: dict[str, Array], max_norm: Optional[float]
-) -> tuple[dict[str, Array], float]:
-    """Joint-norm clipping over all parameter gradients.
+def clip_gradients(grads: Array, max_norm: Optional[float]) -> tuple[Array, float]:
+    """Norm clipping of the gradient vector.
 
-    Returns the (possibly rescaled) gradients and the pre-clip global
-    norm.  The direction is preserved; only the length changes.  The
+    Returns the (possibly rescaled) gradient and its pre-clip norm.  The
+    direction is preserved; only the length changes.  The
     degenerate-start direction loss spikes to roughly 1/eps for one
     step, and an unclipped spike of that size poisons Adam's second
     moment for hundreds of steps afterwards.
     """
-    total = 0.0
-    for g in grads.values():
-        total += float((g * g).sum())
-    norm = float(np.sqrt(total))
+    norm = float(np.sqrt(grads @ grads))
     if max_norm is None or norm <= max_norm or norm == 0.0:
         return grads, norm
-    scale = max_norm / norm
-    return {name: g * scale for name, g in grads.items()}, norm
+    return grads * (max_norm / norm), norm
 
 
 @dataclass(frozen=True)
@@ -321,16 +313,10 @@ def run_adaptation(
     held_out = world.held_out_encoder
     if held_out.encoder_id in config.encoder_ids:
         raise ConfigError("the held-out encoder cannot be used for training")
-    needed = list(config.encoder_ids) + [held_out.encoder_id]
-    for encoder_id in needed:
-        per_domain = subspaces.get(encoder_id)
-        if per_domain is None:
-            raise ConfigError(f"missing subspaces for encoder {encoder_id!r}")
-        for domain_id in config.domain_ids:
-            if domain_id not in per_domain:
-                raise ConfigError(
-                    f"missing subspace for encoder {encoder_id!r}, domain {domain_id!r}"
-                )
+    for encoder_id in (*config.encoder_ids, held_out.encoder_id):
+        missing = [d for d in config.domain_ids if d not in subspaces.get(encoder_id, {})]
+        if missing:
+            raise ConfigError(f"missing subspaces for encoder {encoder_id!r}, domains {missing}")
 
     check_separability(
         world, config.encoder_ids, config.domain_ids, separability_threshold
@@ -347,48 +333,52 @@ def run_adaptation(
         direct_only=config.direct_only,
         detach_projection=config.detach_projection,
     )
-    held_subs = {d: subspaces[held_out.encoder_id][d] for d in config.domain_ids}
-    refs = {d: world.references[d] for d in config.domain_ids}
-    eval_seed = derive_seed(config.seed, "snapshot-eval")
+    snapshot = SnapshotPlan(
+        source,
+        held_out,
+        {d: subspaces[held_out.encoder_id][d] for d in config.domain_ids},
+        {d: world.references[d] for d in config.domain_ids},
+        snapshot_samples,
+        derive_seed(config.seed, "snapshot-eval"),
+    )
 
-    params = make_target_generator(source).to_dict()
-    state = init_optimizer_state(params)
+    # the target generator as one vector; the Adam update is copied into it in place
+    params = flatten_generator(source)
+    views = generator_views(params, source)
+    state = init_optimizer_state(views)
 
     snapshots: list[MetricSnapshot] = []
     best: Optional[Checkpoint] = None
     best_consistency = -np.inf
 
-    def take_snapshot(step: int, current: dict[str, Array]) -> None:
+    def take_snapshot(step: int) -> GeneratorParams:
         nonlocal best, best_consistency
-        gen = GeneratorParams.from_dict(current, trainable=True)
-        report = evaluate(
-            gen, source, held_out, held_subs, refs, snapshot_samples, eval_seed
-        )
+        gen = unflatten_generator(params, source)
+        report = snapshot(gen)
         snapshots.append(MetricSnapshot(step=step, report=report))
         if step >= 1 and report.consistency > best_consistency:
             best_consistency = report.consistency
             best = Checkpoint(step=step, params=gen)
+        return gen
 
-    first = Checkpoint(step=0, params=GeneratorParams.from_dict(params, trainable=True))
-    take_snapshot(0, params)
+    first = Checkpoint(step=0, params=take_snapshot(0))
 
     step_losses: list[LossBreakdown] = []
     for step, z_batch in enumerate(training_batches(config, source.d_z), start=1):
         try:
-            breakdown, grads = objective(z_batch, params)
+            breakdown, grads = objective(z_batch, views)
             if not np.isfinite(breakdown.total):
                 raise NumericalError(f"non-finite loss at step {step}")
             grads, _ = clip_gradients(grads, config.grad_clip_norm)
-            params, state = adam_step(params, grads, state, config)
+            params[:], state = adam_step(params, grads, state, config)
         except NumericalError as exc:
             exc.step = step
-            exc.last_good_params = GeneratorParams.from_dict(params, trainable=True)
+            exc.last_good_params = unflatten_generator(params, source)
             raise
         step_losses.append(breakdown)
         if step == 1 or step % snapshot_every == 0 or step == config.steps:
-            take_snapshot(step, params)
+            final = take_snapshot(step)
 
-    final = GeneratorParams.from_dict(params, trainable=True)
     checkpoints = {
         "first": first,
         "best": best if best is not None else Checkpoint(step=config.steps, params=final),
@@ -438,33 +428,13 @@ def save_run(record: RunRecord, out_dir, world_dir: str = "") -> None:
     }
     record_path = os.path.join(out_dir, RUN_RECORD_FILE)
     log_path = os.path.join(out_dir, LOG_FILE)
-    record_text = _finite_json(record_path, doc, indent=2) + "\n"
+    record_text = finite_json(record_path, doc, indent=2) + "\n"
     log_text = "".join(
-        _finite_json(log_path, {"step": i, **breakdown.to_json_dict()}) + "\n"
+        finite_json(log_path, {"step": i, **breakdown.to_json_dict()}) + "\n"
         for i, breakdown in enumerate(record.step_losses, start=1)
     )
-    _write_atomic(record_path, record_text)
-    _write_atomic(log_path, log_text)
-
-
-def _finite_json(path: str, doc, indent: Optional[int] = None) -> str:
-    """``doc`` as JSON text; a NaN or infinity, which JSON cannot hold, is refused."""
-    try:
-        return json.dumps(doc, indent=indent, allow_nan=False)
-    except ValueError as exc:
-        raise NumericalError(f"{path}: refusing to write a non-finite value: {exc}") from exc
-
-
-def _write_atomic(path: str, text: str) -> None:
-    """Replace ``path`` through a temporary file beside it, never leaving a partial file."""
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "w", encoding="utf8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+    write_atomic(record_path, record_text)
+    write_atomic(log_path, log_text)
 
 
 def load_run(run_dir) -> tuple[RunRecord, str]:

@@ -35,11 +35,11 @@ from . import autodiff as ad
 from .autodiff import Var
 from .errors import ConfigError, DimensionError
 from .subspace import DomainSubspace
-from .worlds import PARAM_FIELDS, EncoderSpec, GeneratorParams, stack_encoders
+from .worlds import PARAM_FIELDS, EncoderSpec, GeneratorParams, generator_views, stack_encoders
 
 # bench/probes.py times these names in this module; nothing here calls them
-from .subspace import project  # noqa: F401
-from .worlds import encode, encode_var, generator_forward_var  # noqa: F401
+from .subspace import project  # noqa: F401  (probe site)
+from .worlds import encode, encode_var, generator_forward_var  # noqa: F401  (probe sites)
 
 Array = np.ndarray
 
@@ -260,7 +260,8 @@ class ObjectivePlan:
     do.  A call takes a ``(B, d_z)`` latent batch and the target
     generator's arrays by name, computes the objective in numpy and its
     gradient by the hand-written vector-Jacobian product of the same
-    expression, and returns them as :func:`hda_objective` does.
+    expression.  It returns the loss breakdown and the gradient as one
+    vector in :func:`hda.worlds.flatten_generator`'s layout.
     """
 
     def __init__(
@@ -310,7 +311,7 @@ class ObjectivePlan:
 
     def __call__(
         self, z_batch: Array, params: dict[str, Array]
-    ) -> tuple[LossBreakdown, dict[str, Array]]:
+    ) -> tuple[LossBreakdown, Array]:
         inv_batch = 1.0 / z_batch.shape[0]
         w1, b1, w2, b2 = (params[n] for n in PARAM_FIELDS)
         hidden = np.tanh(ad.matmul_rows(z_batch, w1.T) + b1)
@@ -343,12 +344,12 @@ class ObjectivePlan:
         g_pre = np.where(pre > 0.0, ad.matmul_rows(g_f, self.w2), 0.0)
         g_x = ad.matmul_rows(g_pre, self.w1).sum(axis=0)
         g_hidden = ad.matmul_rows(g_x, w2) * (1.0 - hidden * hidden)
-        grads = {
-            "w1": ad.matmul_rows(g_hidden.T, z_batch),
-            "b1": g_hidden.sum(axis=0),
-            "w2": ad.matmul_rows(g_x.T, hidden),
-            "b2": g_x.sum(axis=0),
-        }
+        grads = np.concatenate([
+            ad.matmul_rows(g_hidden.T, z_batch).ravel(),
+            g_hidden.sum(axis=0),
+            ad.matmul_rows(g_x.T, hidden).ravel(),
+            g_x.sum(axis=0),
+        ])
         return _breakdown(self.encoder_ids, dist, direct, self.lam), grads
 
 
@@ -386,4 +387,5 @@ def hda_objective(
         source_gen, encoders, subspaces_per_encoder, weights, lam,
         dist_only=dist_only, direct_only=direct_only, detach_projection=detach_projection,
     )
-    return plan(z_batch, {name: getattr(target_gen, name) for name in PARAM_FIELDS})
+    breakdown, grads = plan(z_batch, {name: getattr(target_gen, name) for name in PARAM_FIELDS})
+    return breakdown, generator_views(grads, target_gen)

@@ -21,10 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import SERIAL_GEMM_SIZE
 from .errors import ConfigError, DimensionError
 from .seeding import stream_rng
 from .subspace import DomainSubspace, project
-from .worlds import EncoderSpec, GeneratorParams, encode
+from .worlds import EncoderSpec, GeneratorParams, encode, finite_json, write_atomic
 
 Array = np.ndarray
 
@@ -71,9 +72,8 @@ class MetricsReport:
 
 
 def write_report(report: MetricsReport, path) -> None:
-    with open(path, "w", encoding="utf8") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2)
-        fh.write("\n")
+    """Write the report as JSON, replacing ``path`` whole; a non-finite metric is refused."""
+    write_atomic(path, finite_json(path, report.to_json_dict(), indent=2) + "\n")
 
 
 def read_report(path) -> MetricsReport:
@@ -98,6 +98,29 @@ def _mean_subspace_distance(subspace: DomainSubspace, embeddings: Array) -> floa
     return float(np.mean(np.linalg.norm(residuals, axis=1)))
 
 
+def _cluster_pair_distances(members: Array) -> Array:
+    """Distances of all member pairs ``i < j``, in ``np.triu_indices`` order.
+
+    Rows are taken in blocks whose difference tensor holds at most
+    :data:`autodiff.SERIAL_GEMM_SIZE` entries (one row, if a row alone
+    holds more), so memory stays bounded at any cluster size.  Each
+    distance is computed exactly as over the full ``(m, m, d)`` tensor.
+    """
+    m, d = members.shape
+    out = np.empty(m * (m - 1) // 2)
+    start = filled = 0
+    while start < m - 1:
+        cols = m - start - 1
+        stop = min(m - 1, start + max(1, SERIAL_GEMM_SIZE // (cols * d)))
+        block = members[start:stop, None, :] - members[None, start + 1 :, :]
+        # row start + r pairs with column start + 1 + c where c >= r, taken row by row
+        above = np.arange(cols) >= np.arange(stop - start)[:, None]
+        upper = np.linalg.norm(block, axis=2)[above]
+        out[filled : filled + upper.size] = upper
+        start, filled = stop, filled + upper.size
+    return out
+
+
 def _diversity(embeddings: Array, reference_embeddings: Array) -> float:
     """Mean pairwise distance inside nearest-reference clusters.
 
@@ -106,18 +129,66 @@ def _diversity(embeddings: Array, reference_embeddings: Array) -> float:
     """
     diffs = embeddings[:, None, :] - reference_embeddings[None, :, :]
     assignment = np.argmin(np.linalg.norm(diffs, axis=2), axis=1)
-    cluster_means = []
-    for cluster in range(reference_embeddings.shape[0]):
-        members = embeddings[assignment == cluster]
-        if members.shape[0] < 2:
-            continue
-        deltas = members[:, None, :] - members[None, :, :]
-        dists = np.linalg.norm(deltas, axis=2)
-        upper = dists[np.triu_indices(members.shape[0], k=1)]
-        cluster_means.append(float(np.mean(upper)))
+    sizes = np.bincount(assignment, minlength=reference_embeddings.shape[0])
+    cluster_means = [
+        float(np.mean(_cluster_pair_distances(embeddings[assignment == cluster])))
+        for cluster in np.flatnonzero(sizes >= 2)
+    ]
     if not cluster_means:
         return 0.0
     return float(np.mean(cluster_means))
+
+
+class SnapshotPlan:
+    """The fixed inputs of repeated held-out evaluations, checked once.
+
+    A plan holds the ``eval-z`` latents of ``seed``, the source
+    generator's held-out embeddings of them and the held-out embeddings
+    of the references.  A call evaluates one target generator against
+    them.  ``held_out_subspaces`` and ``references`` are keyed by domain
+    id; references are x-space vectors.
+    """
+
+    def __init__(
+        self,
+        source_gen: GeneratorParams,
+        held_out_encoder: EncoderSpec,
+        held_out_subspaces: dict[str, DomainSubspace],
+        references: dict[str, Array],
+        n_samples: int,
+        seed: int,
+    ):
+        if n_samples < 2:
+            raise ConfigError(f"n_samples must be >= 2, got {n_samples}")
+        if not held_out_subspaces:
+            raise ConfigError("no held-out subspaces supplied")
+        if set(held_out_subspaces) != set(references):
+            raise ConfigError(
+                f"subspace domains {sorted(held_out_subspaces)} do not match "
+                f"reference domains {sorted(references)}"
+            )
+        self.source, self.encoder = source_gen, held_out_encoder
+        self.subspaces = held_out_subspaces
+        self.z = stream_rng(seed, "eval-z").standard_normal((int(n_samples), source_gen.d_z))
+        self.f_source = encode(held_out_encoder, source_gen.forward(self.z))
+        self.reference_embeddings = np.vstack(
+            [encode(held_out_encoder, references[d]) for d in references]
+        )
+
+    def __call__(self, target_gen: GeneratorParams) -> MetricsReport:
+        if target_gen.d_z != self.source.d_z or target_gen.d_x != self.source.d_x:
+            raise DimensionError("target and source generators have mismatched dimensions")
+        f_target = encode(self.encoder, target_gen.forward(self.z))
+        semantic = {
+            domain_id: -_mean_subspace_distance(subspace, f_target)
+            for domain_id, subspace in self.subspaces.items()
+        }
+        return MetricsReport(
+            semantic_similarity=semantic,
+            consistency=float(np.mean(_pairwise_cosine(self.f_source, f_target))),
+            diversity=_diversity(f_target, self.reference_embeddings),
+            n_samples=self.z.shape[0],
+        )
 
 
 def evaluate(
@@ -131,41 +202,9 @@ def evaluate(
 ) -> MetricsReport:
     """Evaluate a target generator against the source under a held-out encoder.
 
-    ``held_out_subspaces`` and ``references`` are keyed by domain id;
-    references are x-space vectors and are embedded here with the
-    held-out encoder.
+    Builds a :class:`SnapshotPlan` for this one call.
     """
-    if n_samples < 2:
-        raise ConfigError(f"n_samples must be >= 2, got {n_samples}")
-    if not held_out_subspaces:
-        raise ConfigError("no held-out subspaces supplied")
-    if set(held_out_subspaces) != set(references):
-        raise ConfigError(
-            f"subspace domains {sorted(held_out_subspaces)} do not match "
-            f"reference domains {sorted(references)}"
-        )
-    if target_gen.d_z != source_gen.d_z or target_gen.d_x != source_gen.d_x:
-        raise DimensionError("target and source generators have mismatched dimensions")
-
-    rng = stream_rng(seed, "eval-z")
-    z = rng.standard_normal((int(n_samples), target_gen.d_z))
-    x_target = target_gen.forward(z)
-    x_source = source_gen.forward(z)
-    f_target = encode(held_out_encoder, x_target)
-    f_source = encode(held_out_encoder, x_source)
-
-    semantic = {
-        domain_id: -_mean_subspace_distance(held_out_subspaces[domain_id], f_target)
-        for domain_id in held_out_subspaces
-    }
-    consistency = float(np.mean(_pairwise_cosine(f_source, f_target)))
-    reference_embeddings = np.vstack(
-        [encode(held_out_encoder, references[d]) for d in references]
+    plan = SnapshotPlan(
+        source_gen, held_out_encoder, held_out_subspaces, references, n_samples, seed
     )
-    diversity = _diversity(f_target, reference_embeddings)
-    return MetricsReport(
-        semantic_similarity=semantic,
-        consistency=consistency,
-        diversity=diversity,
-        n_samples=int(n_samples),
-    )
+    return plan(target_gen)

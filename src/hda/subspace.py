@@ -75,13 +75,6 @@ class FeatureSet:
     def dim(self) -> int:
         return self.features.shape[1]
 
-    def save_csv(self, path) -> None:
-        write_feature_csv(path, self.features)
-
-    @classmethod
-    def from_csv(cls, path, domain_id: str = "") -> "FeatureSet":
-        return cls.from_features(read_feature_csv(path), domain_id=domain_id)
-
 
 def write_feature_csv(path, features: Array) -> None:
     """Write a ``(k, d)`` feature matrix; first line is ``d,k``."""
@@ -245,10 +238,6 @@ def subspace_distance_sq(subspace: DomainSubspace, point) -> float:
     """Squared Euclidean distance from ``point`` to its projection."""
     residual = project(subspace, point) - np.asarray(point, dtype=np.float64)
     return float(residual @ residual)
-
-
-def subspace_distance(subspace: DomainSubspace, point) -> float:
-    return float(np.sqrt(subspace_distance_sq(subspace, point)))
 
 
 def pca2d_export(feature_sets: list[FeatureSet]) -> list[tuple[str, float, float]]:

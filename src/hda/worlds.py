@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, NumericalError
 from .seeding import derive_seed, stream_rng
 from .subspace import (
     DEFAULT_RANK_TOLERANCE,
@@ -131,6 +131,26 @@ def json_bool(data: dict, key: str) -> bool:
     return value
 
 
+def finite_json(path: str, doc, indent: Optional[int] = None) -> str:
+    """``doc`` as JSON text; a NaN or infinity, which JSON cannot hold, is refused."""
+    try:
+        return json.dumps(doc, indent=indent, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError(f"{path}: refusing to write a non-finite value: {exc}") from exc
+
+
+def write_atomic(path: str, text: str) -> None:
+    """Replace ``path`` through a temporary file beside it, never leaving a partial file."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 @dataclass(frozen=True)
 class GeneratorParams:
     """Two-layer MLP ``x = w2 @ tanh(w1 @ z + b1) + b2``."""
@@ -177,13 +197,6 @@ class GeneratorParams:
     def to_dict(self) -> dict[str, Array]:
         return {name: np.array(getattr(self, name)) for name in PARAM_FIELDS}
 
-    @classmethod
-    def from_dict(cls, params: dict[str, Array], trainable: bool) -> "GeneratorParams":
-        return cls(
-            w1=params["w1"], b1=params["b1"], w2=params["w2"], b2=params["b2"],
-            trainable=trainable,
-        )
-
     def to_json_dict(self) -> dict:
         data = {name: getattr(self, name).tolist() for name in PARAM_FIELDS}
         data["trainable"] = self.trainable
@@ -192,13 +205,8 @@ class GeneratorParams:
     @classmethod
     def from_json_dict(cls, data: dict) -> "GeneratorParams":
         try:
-            return cls(
-                w1=np.array(data["w1"], dtype=np.float64),
-                b1=np.array(data["b1"], dtype=np.float64),
-                w2=np.array(data["w2"], dtype=np.float64),
-                b2=np.array(data["b2"], dtype=np.float64),
-                trainable=json_bool(data, "trainable"),
-            )
+            arrays = {name: np.array(data[name], dtype=np.float64) for name in PARAM_FIELDS}
+            return cls(**arrays, trainable=json_bool(data, "trainable"))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed generator document: {exc}") from exc
 
@@ -223,33 +231,35 @@ def make_source_generator(
 
 def make_target_generator(source: GeneratorParams) -> GeneratorParams:
     """Trainable deep copy of the source generator (bit-identical at step 0)."""
-    return GeneratorParams(
-        w1=np.array(source.w1),
-        b1=np.array(source.b1),
-        w2=np.array(source.w2),
-        b2=np.array(source.b2),
-        trainable=True,
-    )
+    return replace(source, trainable=True)
 
 
 def flatten_generator(gen: GeneratorParams) -> Array:
     return np.concatenate([np.asarray(getattr(gen, name)).ravel() for name in PARAM_FIELDS])
 
 
-def unflatten_generator(
-    flat: Array, like: GeneratorParams, trainable: bool = True
-) -> GeneratorParams:
-    flat = np.asarray(flat, dtype=np.float64)
-    arrays = {}
-    offset = 0
+def generator_views(flat: Array, like: GeneratorParams) -> dict[str, Array]:
+    """Named views into ``flat``, in :func:`flatten_generator`'s layout, shaped as ``like``'s.
+
+    Writing into ``flat`` changes the views, so they are built once per vector.
+    """
+    views, offset = {}, 0
     for name in PARAM_FIELDS:
         shape = getattr(like, name).shape
         size = int(np.prod(shape))
-        arrays[name] = flat[offset : offset + size].reshape(shape)
+        views[name] = flat[offset : offset + size].reshape(shape)
         offset += size
     if offset != flat.size:
         raise DimensionError(f"flat vector has {flat.size} entries, expected {offset}")
-    return GeneratorParams(trainable=trainable, **arrays)
+    return views
+
+
+def unflatten_generator(
+    flat: Array, like: GeneratorParams, trainable: bool = True
+) -> GeneratorParams:
+    """A generator holding copies of ``flat``'s entries, shaped as ``like``'s."""
+    views = generator_views(np.asarray(flat, dtype=np.float64), like)
+    return GeneratorParams(trainable=trainable, **views)
 
 
 @dataclass(frozen=True)
@@ -484,17 +494,8 @@ class WorldConfig:
         object.__setattr__(self, "domains", domains)
 
     def to_json_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "d_z": self.d_z,
-            "d_h": self.d_h,
-            "d_x": self.d_x,
-            "d_e": self.d_e,
-            "encoder_hidden": self.encoder_hidden,
-            "n_train_encoders": self.n_train_encoders,
-            "output_gain": self.output_gain,
-            "domains": [d.to_json_dict() for d in self.domains],
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {**doc, "domains": [d.to_json_dict() for d in self.domains]}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "WorldConfig":

@@ -1,12 +1,14 @@
 """Loss-variant x encoder-mode ablation grid over a shared seed."""
 
 import csv
+import dataclasses
 import json
 
 import pytest
 
 from hda.ablation import ENCODER_MODES, VARIANTS, ablation_suite, save_ablation
 from hda.engine import default_adaptation_config
+from hda.errors import NumericalError
 
 
 @pytest.fixture(scope="module")
@@ -89,3 +91,12 @@ def test_base_config_variant_flags_are_overridden(world):
     assert [(r.variant, r.final_total) for r in a] == [
         (r.variant, r.final_total) for r in b
     ]
+
+
+def test_save_ablation_refuses_a_nan_metric_and_writes_nothing(tmp_path, rows):
+    bad = dataclasses.replace(rows[2].report, diversity=float("nan"))
+    broken = [*rows[:2], dataclasses.replace(rows[2], report=bad), *rows[3:]]
+    out = tmp_path / "grid"
+    with pytest.raises(NumericalError, match="ablation.json: refusing to write a non-finite"):
+        save_ablation(broken, out)
+    assert list(out.iterdir()) == []

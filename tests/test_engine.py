@@ -10,11 +10,11 @@ import pytest
 
 from hda.engine import (
     AdaptationConfig,
-    OptimizerState,
     adam_step,
     check_separability,
     clip_gradients,
     default_adaptation_config,
+    init_optimizer_state,
     load_run,
     run_adaptation,
     run_single_domain,
@@ -38,15 +38,13 @@ def _small_config(world, **overrides):
 
 
 def test_adam_first_step_hand_value():
-    params = {"w": np.array([1.0])}
-    grads = {"w": np.array([1.0])}
+    params = np.array([1.0])
+    grads = np.array([1.0])
     config = default_config_for_adam(lr=1e-3)
-    state = OptimizerState(
-        m={"w": np.zeros(1)}, v={"w": np.zeros(1)}, step=0
-    )
+    state = init_optimizer_state({"w": params})
     new_params, new_state = adam_step(params, grads, state, config)
     # bias-corrected first step moves by almost exactly the learning rate
-    assert new_params["w"][0] == pytest.approx(1.0 - 9.9999999e-4, abs=1e-12)
+    assert new_params[0] == pytest.approx(1.0 - 9.9999999e-4, abs=1e-12)
     assert new_state.step == 1
 
 
@@ -60,39 +58,52 @@ def default_config_for_adam(lr):
 
 
 def test_adam_zero_gradient_keeps_params():
-    params = {"w": np.array([1.0, -2.0])}
-    grads = {"w": np.zeros(2)}
-    state = OptimizerState(m={"w": np.zeros(2)}, v={"w": np.zeros(2)}, step=0)
+    params = np.array([1.0, -2.0])
+    grads = np.zeros(2)
+    state = init_optimizer_state({"w": params})
     new_params, _ = adam_step(params, grads, state, default_config_for_adam(1e-2))
-    np.testing.assert_array_equal(new_params["w"], params["w"])
+    np.testing.assert_array_equal(new_params, params)
 
 
 def test_adam_rejects_non_finite_gradient():
-    params = {"w": np.array([1.0])}
-    grads = {"w": np.array([np.nan])}
-    state = OptimizerState(m={"w": np.zeros(1)}, v={"w": np.zeros(1)}, step=3)
+    params = np.array([1.0])
+    grads = np.array([np.nan])
+    state = replace(init_optimizer_state({"w": params}), step=3)
     with pytest.raises(NumericalError):
         adam_step(params, grads, state, default_config_for_adam(1e-2))
 
 
+def test_adam_error_names_the_bad_parameter():
+    views = {"w1": np.zeros((2, 3)), "b1": np.zeros(2), "w2": np.zeros((1, 2)), "b2": np.zeros(1)}
+    state = init_optimizer_state(views)
+    assert state.m.shape == state.v.shape == (11,)
+    params = np.zeros(11)
+    for index, name in ((0, "w1"), (5, "w1"), (6, "b1"), (8, "w2"), (10, "b2")):
+        grads = np.zeros(11)
+        grads[index] = np.inf
+        grads[-1] = np.nan  # only the first bad entry is named
+        message = f"non-finite gradient for '{name}' at optimizer step 1"
+        with pytest.raises(NumericalError, match=message):
+            adam_step(params, grads, state, default_config_for_adam(1e-2))
+
+
 def test_clip_gradients_behavior():
-    grads = {"a": np.array([3.0]), "b": np.array([4.0])}
+    grads = np.array([3.0, 4.0])
     clipped, norm = clip_gradients(grads, 10.0)
     assert norm == pytest.approx(5.0)
-    np.testing.assert_array_equal(clipped["a"], grads["a"])  # under the cap
+    np.testing.assert_array_equal(clipped, grads)  # under the cap
     clipped, norm = clip_gradients(grads, 1.0)
     assert norm == pytest.approx(5.0)
-    total = np.sqrt(sum(float((g * g).sum()) for g in clipped.values()))
-    assert total == pytest.approx(1.0, rel=1e-12)
+    assert np.sqrt(clipped @ clipped) == pytest.approx(1.0, rel=1e-12)
     # direction preserved
-    assert clipped["a"][0] / clipped["b"][0] == pytest.approx(3.0 / 4.0, rel=1e-12)
+    assert clipped[0] / clipped[1] == pytest.approx(3.0 / 4.0, rel=1e-12)
     # disabled and degenerate cases pass through
     same, _ = clip_gradients(grads, None)
     assert same is grads
-    zeros = {"a": np.zeros(2)}
+    zeros = np.zeros(2)
     same, norm = clip_gradients(zeros, 1.0)
     assert norm == 0.0
-    np.testing.assert_array_equal(same["a"], zeros["a"])
+    np.testing.assert_array_equal(same, zeros)
 
 
 def test_training_batches_deterministic_prefix():

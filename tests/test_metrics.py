@@ -1,13 +1,25 @@
 """Held-out evaluation: similarity, consistency, diversity, stable reports."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from hda.errors import ConfigError
-from hda.metrics import MetricsReport, evaluate, read_report, round12, write_report
-from hda.worlds import make_target_generator
+from hda import engine
+from hda.engine import default_adaptation_config, run_adaptation
+from hda.errors import ConfigError, DimensionError, NumericalError
+from hda.metrics import (
+    MetricsReport,
+    SnapshotPlan,
+    _diversity,
+    evaluate,
+    read_report,
+    round12,
+    write_report,
+)
+from hda.seeding import derive_seed
+from hda.worlds import make_source_generator, make_target_generator
 
 
 def _held_out_inputs(world, subspaces):
@@ -108,3 +120,101 @@ def test_round12_pins_representation():
     assert round12(1.0) == 1.0
     assert round12(0.1 + 0.2) == round12(0.30000000000000004)
     assert round12(1.23456789012345e-7) == pytest.approx(1.23456789012e-7, rel=1e-13)
+
+
+def _diversity_oracle(embeddings, reference_embeddings):
+    """The per-cluster loop over full ``(m, m, d)`` difference tensors."""
+    diffs = embeddings[:, None, :] - reference_embeddings[None, :, :]
+    assignment = np.argmin(np.linalg.norm(diffs, axis=2), axis=1)
+    cluster_means = []
+    for cluster in range(reference_embeddings.shape[0]):
+        members = embeddings[assignment == cluster]
+        if members.shape[0] < 2:
+            continue
+        deltas = members[:, None, :] - members[None, :, :]
+        dists = np.linalg.norm(deltas, axis=2)
+        upper = dists[np.triu_indices(members.shape[0], k=1)]
+        cluster_means.append(float(np.mean(upper)))
+    if not cluster_means:
+        return 0.0
+    return float(np.mean(cluster_means))
+
+
+@pytest.mark.parametrize("n", [2, 3, 128, 1024])
+def test_diversity_matches_the_full_tensor_oracle_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    d = 16
+    refs = rng.standard_normal((20, d))
+    spread = rng.standard_normal((n, d))
+    # one cluster: every sample near one reference, as at the stock run's final checkpoint
+    collapsed = refs[7] + 1e-3 * spread
+    # mixed sizes: clusters of about n/2, n/4, ... members, plus scattered samples
+    sizes = np.minimum(rng.geometric(0.5, size=n), 5)
+    mixed = refs[sizes] + 0.05 * spread
+    mixed[::7] = 3.0 * spread[::7]
+    for embeddings in (spread, collapsed, mixed):
+        assert _diversity(embeddings, refs) == _diversity_oracle(embeddings, refs)
+    assert _diversity(collapsed, refs) > 0.0
+
+
+def test_diversity_of_singletons_is_zero():
+    rng = np.random.default_rng(0)
+    refs = 10.0 * rng.standard_normal((12, 16))
+    singletons = refs[:12] + 1e-3 * rng.standard_normal((12, 16))
+    assert _diversity(singletons, refs) == _diversity_oracle(singletons, refs) == 0.0
+
+
+def test_diversity_memory_is_bounded_at_1024_samples():
+    rng = np.random.default_rng(1)
+    refs = rng.standard_normal((20, 16))
+    collapsed = refs[3] + 1e-3 * rng.standard_normal((1024, 16))
+    tracemalloc.start()
+    try:
+        _diversity(collapsed, refs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the full (1024, 1024, 16) difference tensor alone is 128 MiB
+    assert peak < 32 * 2**20
+
+
+def test_snapshot_plan_matches_evaluate_on_every_snapshot(world, subspaces, monkeypatch):
+    seen = []
+
+    class RecordingPlan(SnapshotPlan):
+        def __call__(self, target_gen):
+            report = super().__call__(target_gen)
+            seen.append((target_gen, report))
+            return report
+
+    monkeypatch.setattr(engine, "SnapshotPlan", RecordingPlan)
+    config = default_adaptation_config(world, seed=0)
+    record = run_adaptation(config, world, subspaces)
+    assert [report for _, report in seen] == [s.report for s in record.snapshots]
+    assert len(seen) == 14
+    enc, held_subs, refs = _held_out_inputs(world, subspaces)
+    seed = derive_seed(config.seed, "snapshot-eval")
+    for gen, report in seen:
+        direct = evaluate(gen, world.source_generator, enc, held_subs, refs, 128, seed)
+        assert direct.to_json_dict() == report.to_json_dict()
+        assert direct == report
+
+
+def test_snapshot_plan_checks_target_dimensions(world, subspaces):
+    enc, held_subs, refs = _held_out_inputs(world, subspaces)
+    plan = SnapshotPlan(world.source_generator, enc, held_subs, refs, 16, 0)
+    source = world.source_generator
+    wider = make_source_generator(0, d_z=source.d_z + 1, d_h=source.d_h, d_x=source.d_x)
+    with pytest.raises(DimensionError):
+        plan(wider)
+
+
+def test_report_with_a_nan_metric_is_refused_and_leaves_no_file(tmp_path):
+    report = MetricsReport(
+        semantic_similarity={"attr0": float("nan")}, consistency=0.5, diversity=0.25,
+        n_samples=8,
+    )
+    path = tmp_path / "report.json"
+    with pytest.raises(NumericalError, match=f"{path}: refusing to write a non-finite"):
+        write_report(report, path)
+    assert list(tmp_path.iterdir()) == []
