@@ -12,7 +12,8 @@ from dataclasses import dataclass, replace
 from .engine import AdaptationConfig, run_adaptation
 from .errors import ConfigError
 from .metrics import MetricsReport, SnapshotPlan, round12
-from .worlds import World, build_world_subspaces, finite_json, write_atomic
+from .subspace import finite_json, write_atomic
+from .worlds import World, build_world_subspaces
 
 VARIANTS = ("full", "dist_only", "direct_only")
 ENCODER_MODES = ("single", "ensemble")

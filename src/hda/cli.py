@@ -30,7 +30,13 @@ from .errors import (
     NumericalError,
 )
 from .metrics import evaluate, write_report
-from .subspace import DEFAULT_RANK_TOLERANCE, pca2d_export, write_pca2d_csv
+from .subspace import (
+    DEFAULT_RANK_TOLERANCE,
+    finite_json,
+    pca2d_export,
+    write_atomic,
+    write_pca2d_csv,
+)
 from .worlds import (
     World,
     WorldConfig,
@@ -69,14 +75,18 @@ def _guarded(fn):
 
 
 def _write_last_good(exc, out_dir) -> None:
+    """Checkpoint the parameters a numerical failure carries; never raises."""
     params = getattr(exc, "last_good_params", None)
     if params is None or not out_dir:
         return
-    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "last_good_params.json")
-    with open(path, "w", encoding="utf8") as fh:
-        json.dump({"step": exc.step, "params": params.to_json_dict()}, fh, indent=2)
-        fh.write("\n")
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        doc = {"step": exc.step, "params": params.to_json_dict()}
+        write_atomic(path, finite_json(path, doc, indent=2) + "\n")
+    except Exception as write_exc:  # the run has already failed; keep its exit code
+        click.echo(f"warning: last good parameters not written: {write_exc}", err=True)
+        return
     click.echo(f"last good parameters written to {path}", err=True)
 
 
@@ -120,9 +130,7 @@ def build_subspaces(world_dir, out_dir, rank_tolerance):
     for encoder_id, per_domain in subspaces.items():
         for domain_id, sub in per_domain.items():
             path = os.path.join(out_dir, f"subspace_{encoder_id}_{domain_id}.json")
-            with open(path, "w", encoding="utf8") as fh:
-                json.dump(sub.to_json_dict(), fh, indent=2)
-                fh.write("\n")
+            write_atomic(path, finite_json(path, sub.to_json_dict(), indent=2) + "\n")
             count += 1
     click.echo(f"{count} subspace file(s) written to {out_dir}")
 

@@ -20,17 +20,15 @@ from .errors import ConfigError, DegenerateDomain, NumericalError
 from .losses import DomainWeight, LossBreakdown, ObjectivePlan
 from .metrics import MetricsReport, SnapshotPlan
 from .seeding import derive_seed, stream_rng
-from .subspace import DomainSubspace, separation_ratio
+from .subspace import DomainSubspace, finite_json, separation_ratio, write_atomic
 from .worlds import (
     GeneratorParams,
     World,
-    finite_json,
     flatten_generator,
     generator_views,
     json_bool,
     json_fields,
     unflatten_generator,
-    write_atomic,
 )
 
 # bench/probes.py times these names in this module; nothing here calls them

@@ -12,12 +12,15 @@ batch of row vectors as ``(P - mean) @ basis @ basis.T + mean``.
 """
 from __future__ import annotations
 
+import json
+import os
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .autodiff import matmul_rows
-from .errors import ConfigError, DegenerateDomain, DimensionError
+from .errors import ConfigError, DegenerateDomain, DimensionError, NumericalError
 
 Array = np.ndarray
 
@@ -76,17 +79,42 @@ class FeatureSet:
         return self.features.shape[1]
 
 
+def finite_json(path: str, doc, indent: Optional[int] = None) -> str:
+    """``doc`` as JSON text; a NaN or infinity, which JSON cannot hold, is refused."""
+    try:
+        return json.dumps(doc, indent=indent, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError(f"{path}: refusing to write a non-finite value: {exc}") from exc
+
+
+def write_atomic(path: str, text: str) -> None:
+    """Replace ``path`` through a temporary file beside it, never leaving a partial file."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def _refuse_non_finite(path, values) -> None:
+    if not np.all(np.isfinite(values)):
+        raise NumericalError(f"{path}: refusing to write a non-finite value")
+
+
 def write_feature_csv(path, features: Array) -> None:
     """Write a ``(k, d)`` feature matrix; first line is ``d,k``."""
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 2:
         raise DimensionError(f"expected a (k, d) array, got shape {feats.shape}")
+    _refuse_non_finite(path, feats)
     k, d = feats.shape
     lines = [f"{d},{k}"]
     for row in feats:
         lines.append(",".join(repr(float(v)) for v in row))
-    with open(path, "w", encoding="utf8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def read_feature_csv(path) -> Array:
@@ -274,11 +302,11 @@ def pca2d_export(feature_sets: list[FeatureSet]) -> list[tuple[str, float, float
 
 
 def write_pca2d_csv(path, rows: list[tuple[str, float, float]]) -> None:
+    _refuse_non_finite(path, [(x, y) for _, x, y in rows])
     lines = ["domain_id,x,y"]
     for label, x, y in rows:
         lines.append(f"{label},{repr(x)},{repr(y)}")
-    with open(path, "w", encoding="utf8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def _spread(points: Array, centroid: Array) -> float:

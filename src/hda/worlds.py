@@ -25,14 +25,16 @@ from typing import Optional
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, DimensionError, NumericalError
+from .errors import ConfigError, DimensionError
 from .seeding import derive_seed, stream_rng
 from .subspace import (
     DEFAULT_RANK_TOLERANCE,
     DomainSubspace,
     FeatureSet,
     build_subspace,
+    finite_json,
     read_feature_csv,
+    write_atomic,
     write_feature_csv,
 )
 
@@ -129,26 +131,6 @@ def json_bool(data: dict, key: str) -> bool:
     if not isinstance(value, bool):
         raise ConfigError(f"{key} must be true or false, got {value!r}")
     return value
-
-
-def finite_json(path: str, doc, indent: Optional[int] = None) -> str:
-    """``doc`` as JSON text; a NaN or infinity, which JSON cannot hold, is refused."""
-    try:
-        return json.dumps(doc, indent=indent, allow_nan=False)
-    except ValueError as exc:
-        raise NumericalError(f"{path}: refusing to write a non-finite value: {exc}") from exc
-
-
-def write_atomic(path: str, text: str) -> None:
-    """Replace ``path`` through a temporary file beside it, never leaving a partial file."""
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
 
 
 @dataclass(frozen=True)
@@ -609,10 +591,9 @@ def build_world(config: WorldConfig) -> World:
 
 def save_world(world: World, out_dir) -> None:
     os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, WORLD_FILE)
     doc = {"config": world.config.to_json_dict()}
-    with open(os.path.join(out_dir, WORLD_FILE), "w", encoding="utf8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    write_atomic(path, finite_json(path, doc, indent=2) + "\n")
     for domain_id, refs in world.references.items():
         write_feature_csv(os.path.join(out_dir, f"references_{domain_id}.csv"), refs)
 

@@ -8,6 +8,7 @@ import sys
 from importlib.metadata import entry_points
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -304,6 +305,25 @@ def test_inseparable_world_exits_3(tmp_path, runner, world_dir):
         main, ["adapt", "--world", str(noisy_world), "--out", str(tmp_path / "r")]
     )
     assert result.exit_code == 3
+
+
+def test_exploding_run_checkpoints_last_good_params_and_exits_3(tmp_path, runner, world_dir):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"steps": 20, "learning_rate": 1e200}), encoding="utf8")
+    args = ["adapt", "--config", str(config), "--world", str(world_dir), "--out"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = runner.invoke(main, args + [str(tmp_path / "run")])
+    assert result.exit_code == 3
+    doc = json.loads((tmp_path / "run" / "last_good_params.json").read_text(encoding="utf8"))
+    assert doc["step"] >= 1
+    # a directory where the checkpoint should go: the write fails, the exit code stays 3
+    blocked = tmp_path / "blocked"
+    (blocked / "last_good_params.json").mkdir(parents=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = runner.invoke(main, args + [str(blocked)])
+    assert result.exit_code == 3
+    assert "warning: last good parameters not written" in result.output
+    assert sorted(p.name for p in blocked.iterdir()) == ["last_good_params.json"]
 
 
 def test_entry_point_is_installed(tmp_path):

@@ -6,12 +6,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hda import engine
+from hda import engine, metrics
 from hda.engine import default_adaptation_config, run_adaptation
 from hda.errors import ConfigError, DimensionError, NumericalError
 from hda.metrics import (
     MetricsReport,
     SnapshotPlan,
+    _cluster_pair_distances,
     _diversity,
     evaluate,
     read_report,
@@ -140,8 +141,16 @@ def _diversity_oracle(embeddings, reference_embeddings):
     return float(np.mean(cluster_means))
 
 
+def _sub_groups(rng, n, d, spread):
+    """Two sub-groups of ``spread`` at +-1 along the first axis."""
+    groups = spread * rng.standard_normal((n, d))
+    groups[: n // 2, 0] += 1.0
+    groups[n // 2 :, 0] -= 1.0
+    return groups
+
+
 @pytest.mark.parametrize("n", [2, 3, 128, 1024])
-def test_diversity_matches_the_full_tensor_oracle_bit_for_bit(n):
+def test_diversity_matches_the_full_tensor_oracle_to_1e_12(n):
     rng = np.random.default_rng(n)
     d = 16
     refs = rng.standard_normal((20, d))
@@ -152,9 +161,54 @@ def test_diversity_matches_the_full_tensor_oracle_bit_for_bit(n):
     sizes = np.minimum(rng.geometric(0.5, size=n), 5)
     mixed = refs[sizes] + 0.05 * spread
     mixed[::7] = 3.0 * spread[::7]
-    for embeddings in (spread, collapsed, mixed):
-        assert _diversity(embeddings, refs) == _diversity_oracle(embeddings, refs)
+    # one cluster of spread 1e-6 far from the origin
+    offset = 5.0 + 1e-6 * spread
+    # one cluster of two tight sub-groups: the pairs inside a sub-group need the guard
+    sub_groups = [refs[7] + _sub_groups(rng, n, d, s) for s in (1e-3, 1e-6, 1e-9)]
+    for embeddings in (spread, collapsed, mixed, offset, *sub_groups):
+        assert _diversity(embeddings, refs) == pytest.approx(
+            _diversity_oracle(embeddings, refs), rel=1e-12, abs=0.0
+        )
     assert _diversity(collapsed, refs) > 0.0
+
+
+@pytest.mark.parametrize("case", ["groups1e-3", "groups1e-6", "groups1e-9", "offset"])
+def test_cluster_pair_distances_match_direct_norms_to_1e_12(case):
+    rng = np.random.default_rng(3)
+    if case == "offset":
+        # far from the origin, but too spread for the guard: the centring keeps these
+        members = 5.0 + 0.07 * rng.standard_normal((64, 16))
+    else:
+        members = _sub_groups(rng, 64, 16, float(case[len("groups"):]))
+    direct = np.linalg.norm(members[:, None, :] - members[None, :, :], axis=2)
+    expected = direct[np.triu_indices(64, k=1)]
+    assert _cluster_pair_distances(members) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def test_duplicate_rows_are_exactly_zero_apart():
+    rng = np.random.default_rng(0)  # here the Gram form alone leaves 5.8e-11
+    members = 5.0 + 1e-3 * rng.standard_normal((40, 16))
+    members[31] = members[6]
+    rows, cols = np.triu_indices(40, k=1)
+    distances = _cluster_pair_distances(members)
+    assert distances[(rows == 6) & (cols == 31)] == [0.0]
+    assert np.count_nonzero(distances == 0.0) == 1
+
+
+def test_stock_run_snapshot_diversities_match_the_oracle(world, subspaces, monkeypatch):
+    seen = []
+
+    def recording(embeddings, reference_embeddings):
+        value = _diversity(embeddings, reference_embeddings)
+        seen.append((value, _diversity_oracle(embeddings, reference_embeddings)))
+        return value
+
+    monkeypatch.setattr(metrics, "_diversity", recording)
+    record = run_adaptation(default_adaptation_config(world, seed=0), world, subspaces)
+    assert [value for value, _ in seen] == [s.report.diversity for s in record.snapshots]
+    assert len(seen) == 14
+    for value, oracle in seen:
+        assert value == pytest.approx(oracle, rel=1e-12, abs=0.0)
 
 
 def test_diversity_of_singletons_is_zero():

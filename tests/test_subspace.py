@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hda.errors import ConfigError, DegenerateDomain
+from hda.errors import ConfigError, DegenerateDomain, NumericalError
 from hda.seeding import stream_rng
 from hda.subspace import (
     DomainSubspace,
@@ -156,6 +156,18 @@ def test_feature_csv_round_trip(tmp_path):
     path = tmp_path / "refs.csv"
     write_feature_csv(path, feats)
     np.testing.assert_array_equal(read_feature_csv(path), feats)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_csv_writers_refuse_non_finite_values_and_leave_no_file(tmp_path, bad):
+    feats = np.ones((3, 4))
+    feats[1, 2] = bad
+    path = tmp_path / "refs.csv"
+    with pytest.raises(NumericalError, match="refs.csv: refusing to write a non-finite"):
+        write_feature_csv(path, feats)
+    with pytest.raises(NumericalError, match="viz.csv: refusing to write a non-finite"):
+        write_pca2d_csv(tmp_path / "viz.csv", [("a", 0.5, 1.0), ("b", bad, 2.0)])
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_feature_csv_rejects_bad_header(tmp_path):

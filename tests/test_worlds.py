@@ -1,11 +1,14 @@
 """Synthetic world construction: generators, encoders, reference sampling."""
 
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from hda import autodiff as ad
 from hda.autodiff import Tape, grad_check
-from hda.errors import ConfigError, DimensionError
+from hda.errors import ConfigError, DimensionError, NumericalError
 from hda.seeding import stream_rng
 from hda.worlds import (
     GeneratorParams,
@@ -228,6 +231,15 @@ def test_save_load_world_round_trip(tmp_path, world):
     for domain_id, refs in world.references.items():
         np.testing.assert_array_equal(back.references[domain_id], refs)
     assert [d.domain_id for d in back.domains] == [d.domain_id for d in world.domains]
+
+
+def test_save_world_refuses_a_nan_and_leaves_no_file(tmp_path, world):
+    bad = replace(world, config=replace(world.config, output_gain=float("nan")))
+    out = tmp_path / "world"
+    path = re.escape(str(out / "world.json"))
+    with pytest.raises(NumericalError, match=f"{path}: refusing to write a non-finite"):
+        save_world(bad, out)
+    assert list(out.iterdir()) == []
 
 
 def test_world_config_json_round_trip():
