@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 import numpy as np
@@ -26,7 +26,7 @@ from .worlds import (
     World,
     flatten_generator,
     generator_views,
-    json_bool,
+    json_doc,
     json_fields,
     unflatten_generator,
 )
@@ -42,6 +42,15 @@ LOG_FILE = "log.jsonl"
 
 #: Minimum inter-centroid distance over intra-set spread required before training.
 SEPARABILITY_THRESHOLD = 3.0
+
+#: Metric snapshots are taken at step 1, every this many steps, and the last step.
+SNAPSHOT_EVERY = 25
+
+#: Latent samples per metric snapshot.
+SNAPSHOT_SAMPLES = 128
+
+#: ``AdaptationConfig`` field names whose JSON key differs.
+_JSON_RENAMES = {"lam": "lambda"}
 
 
 @dataclass(frozen=True)
@@ -112,36 +121,11 @@ class AdaptationConfig:
         return tuple(by_id[d] for d in self.domain_ids)
 
     def to_json_dict(self) -> dict:
-        doc = {f.name: getattr(self, f.name) for f in fields(self)}
-        doc.update(encoder_ids=list(self.encoder_ids), domain_ids=list(self.domain_ids),
-                   weights=[w.to_json_dict() for w in self.weights])
-        return {("lambda" if key == "lam" else key): value for key, value in doc.items()}
+        return json_doc(self, _JSON_RENAMES)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "AdaptationConfig":
-        v = json_fields(cls, data, "adaptation config", {"lam": "lambda"})
-        try:
-            return cls(
-                encoder_ids=tuple(v["encoder_ids"]),
-                domain_ids=tuple(v["domain_ids"]),
-                weights=tuple(DomainWeight.from_json_dict(w) for w in v["weights"]),
-                lam=float(v["lam"]),
-                steps=int(v["steps"]),
-                batch_size=int(v["batch_size"]),
-                learning_rate=float(v["learning_rate"]),
-                adam_beta1=float(v["adam_beta1"]),
-                adam_beta2=float(v["adam_beta2"]),
-                adam_eps=float(v["adam_eps"]),
-                grad_clip_norm=(
-                    None if v["grad_clip_norm"] is None else float(v["grad_clip_norm"])
-                ),
-                seed=int(v["seed"]),
-                dist_only=json_bool(v, "dist_only"),
-                direct_only=json_bool(v, "direct_only"),
-                detach_projection=json_bool(v, "detach_projection"),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed adaptation config: {exc}") from exc
+        return cls(**json_fields(cls, data, "adaptation config", _JSON_RENAMES))
 
 
 def default_adaptation_config(
@@ -260,13 +244,12 @@ def check_separability(
     world: World,
     encoder_ids: tuple[str, ...],
     domain_ids: tuple[str, ...],
-    threshold: float = SEPARABILITY_THRESHOLD,
 ) -> dict[str, float]:
     """Centroid-gap-over-spread ratio per training encoder.
 
     With a single domain the source cluster stands in as the second
-    set.  Raises :class:`DegenerateDomain` if any encoder fails the
-    threshold, naming the worst offender.
+    set.  Raises :class:`DegenerateDomain` if any encoder fails
+    :data:`SEPARABILITY_THRESHOLD`, naming the worst offender.
     """
     ratios: dict[str, float] = {}
     for encoder_id in encoder_ids:
@@ -276,12 +259,12 @@ def check_separability(
             k = max(world.domain(d).k for d in domain_ids)
             sets.append(world.source_feature_set(enc, k))
         ratios[encoder_id] = separation_ratio(sets)
-    failing = {eid: r for eid, r in ratios.items() if not r > threshold}
+    failing = {eid: r for eid, r in ratios.items() if not r > SEPARABILITY_THRESHOLD}
     if failing:
         worst = min(failing, key=failing.get)
         raise DegenerateDomain(
             f"domains are not separable under encoder {worst!r}: "
-            f"ratio {failing[worst]:.3f} <= {threshold} "
+            f"ratio {failing[worst]:.3f} <= {SEPARABILITY_THRESHOLD} "
             f"(all ratios: { {k: round(v, 3) for k, v in ratios.items()} })"
         )
     return ratios
@@ -291,10 +274,6 @@ def run_adaptation(
     config: AdaptationConfig,
     world: World,
     subspaces: dict[str, dict[str, DomainSubspace]],
-    *,
-    snapshot_every: int = 25,
-    snapshot_samples: int = 128,
-    separability_threshold: float = SEPARABILITY_THRESHOLD,
 ) -> RunRecord:
     """Adapt a copy of the source generator toward the configured domains.
 
@@ -316,9 +295,7 @@ def run_adaptation(
         if missing:
             raise ConfigError(f"missing subspaces for encoder {encoder_id!r}, domains {missing}")
 
-    check_separability(
-        world, config.encoder_ids, config.domain_ids, separability_threshold
-    )
+    check_separability(world, config.encoder_ids, config.domain_ids)
 
     source = world.source_generator
     objective = ObjectivePlan(
@@ -336,7 +313,7 @@ def run_adaptation(
         held_out,
         {d: subspaces[held_out.encoder_id][d] for d in config.domain_ids},
         {d: world.references[d] for d in config.domain_ids},
-        snapshot_samples,
+        SNAPSHOT_SAMPLES,
         derive_seed(config.seed, "snapshot-eval"),
     )
 
@@ -374,7 +351,7 @@ def run_adaptation(
             exc.last_good_params = unflatten_generator(params, source)
             raise
         step_losses.append(breakdown)
-        if step == 1 or step % snapshot_every == 0 or step == config.steps:
+        if step == 1 or step % SNAPSHOT_EVERY == 0 or step == config.steps:
             final = take_snapshot(step)
 
     checkpoints = {
@@ -395,14 +372,13 @@ def run_single_domain(
     config: AdaptationConfig,
     world: World,
     subspaces: dict[str, dict[str, DomainSubspace]],
-    **kwargs,
 ) -> RunRecord:
     """Single-domain adaptation; a thin wrapper over :func:`run_adaptation`."""
     if len(config.domain_ids) != 1:
         raise ConfigError(
             f"run_single_domain expects exactly one domain, got {list(config.domain_ids)}"
         )
-    return run_adaptation(config, world, subspaces, **kwargs)
+    return run_adaptation(config, world, subspaces)
 
 
 def save_run(record: RunRecord, out_dir, world_dir: str = "") -> None:

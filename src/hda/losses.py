@@ -36,6 +36,7 @@ from .autodiff import Var
 from .errors import ConfigError, DimensionError
 from .subspace import DomainSubspace
 from .worlds import PARAM_FIELDS, EncoderSpec, GeneratorParams, generator_views, stack_encoders
+from .worlds import json_doc, json_fields
 
 # bench/probes.py times these names in this module; nothing here calls them
 from .subspace import project  # noqa: F401  (probe site)
@@ -57,14 +58,11 @@ class DomainWeight:
             raise ConfigError(f"weight for {self.domain_id!r} must be positive")
 
     def to_json_dict(self) -> dict:
-        return {"domain_id": self.domain_id, "alpha": self.alpha}
+        return json_doc(self)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DomainWeight":
-        try:
-            return cls(domain_id=data["domain_id"], alpha=float(data["alpha"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed weight entry: {exc}") from exc
+        return cls(**json_fields(cls, data, "weight entry"))
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,8 @@ from __future__ import annotations
 import json
 import os
 import re
+import sys
+import typing
 from dataclasses import MISSING, dataclass, fields, replace
 from typing import Optional
 
@@ -91,45 +93,107 @@ def _rows(x, width: int, kind: str) -> Array:
     return x
 
 
+#: ``type: (accepted Python types, what the error asks for)`` of a scalar field
+_SCALARS = {
+    bool: ((bool,), "true or false"),
+    int: ((int,), "a JSON integer"),
+    float: ((int, float), "a finite number"),
+    str: ((str,), "a string"),
+}
+
+#: ``(class, renames) -> {JSON key: (field name, default, annotated type)}``
+_FIELD_TABLES: dict[tuple, dict] = {}
+
+
+def _read(hint, value, key: str):
+    """``value`` checked against the annotated type ``hint`` and converted to it."""
+    if typing.get_origin(hint) is typing.Union:  # Optional[X]
+        return None if value is None else _read(typing.get_args(hint)[0], value, key)
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{key} must be a list, got {value!r}")
+        item = typing.get_args(hint)[0]
+        return tuple(_read(item, v, f"{key}[{i}]") for i, v in enumerate(value))
+    if hint is np.ndarray:
+        try:
+            arr = np.array(value) if isinstance(value, list) else None
+        except ValueError:  # a ragged list
+            arr = None
+        if arr is None or arr.dtype.kind not in "iuf":
+            raise ConfigError(f"{key} must be a rectangular list of numbers")
+        return arr.astype(np.float64, copy=False)
+    if hint in _SCALARS:
+        accepts, what = _SCALARS[hint]
+        if isinstance(value, accepts) and (hint is bool or not isinstance(value, bool)):
+            if hint is not float:
+                return value
+            # the bounds refuse NaN, infinities and integers too large for a float
+            if -sys.float_info.max <= value <= sys.float_info.max:
+                return float(value)
+        raise ConfigError(f"{key} must be {what}, got {value!r}")
+    try:
+        return hint.from_json_dict(value)
+    except ConfigError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
 def json_fields(cls, data, kind: str, renames: Optional[dict] = None) -> dict:
     """Values for the dataclass fields of ``cls`` read from a JSON object.
 
-    An absent key takes the field's own default, so each default is
-    written once, in the dataclass.  A key that names no field, or a
-    missing field without a default, is a :class:`ConfigError`; the
-    former says which field was probably meant.  ``renames`` maps a
-    field name to its JSON key where the two differ.
+    Each value is checked and converted by its field's annotated type:
+    ``bool`` takes only ``true``/``false``, ``int`` only a JSON integer,
+    ``float`` a finite number, ``str`` a string, ``tuple[...]`` a list,
+    an array a rectangular list of numbers, ``Optional`` also ``null``,
+    and a nested dataclass its own ``from_json_dict``.  An absent key
+    takes the field's default, so each default is written once, in the
+    dataclass.  An unknown key (with a did-you-mean hint), a missing
+    field without a default, or a value of the wrong type is a
+    :class:`ConfigError` naming the key.  ``renames`` maps a field name
+    to its JSON key where the two differ.
     """
     if not isinstance(data, dict):
         raise ConfigError(f"{kind} must be a JSON object")
     renames = renames or {}
-    by_key = {renames.get(f.name, f.name): f for f in fields(cls)}
+    cache_key = (cls, tuple(renames.items()))
+    table = _FIELD_TABLES.get(cache_key)
+    if table is None:  # type hints are slow to resolve, so once per class
+        hints = typing.get_type_hints(cls)
+        table = _FIELD_TABLES[cache_key] = {
+            renames.get(f.name, f.name): (f.name, f.default, hints[f.name]) for f in fields(cls)
+        }
     for key in data:
-        if key not in by_key:
+        if key not in table:
             import difflib  # only to phrase the error
 
-            close = difflib.get_close_matches(str(key), by_key, n=1)
+            close = difflib.get_close_matches(str(key), table, n=1)
             hint = f"; did you mean {close[0]!r}?" if close else ""
             raise ConfigError(f"unknown {kind} key {key!r}{hint}")
     values = {}
-    for key, f in by_key.items():
+    for key, (name, default, hint) in table.items():
         if key in data:
-            values[f.name] = data[key]
-        elif f.default is not MISSING:
-            values[f.name] = f.default
+            values[name] = _read(hint, data[key], key)
+        elif default is not MISSING:
+            values[name] = default
         else:
             raise ConfigError(f"{kind} is missing {key!r}")
     return values
 
 
-def json_bool(data: dict, key: str) -> bool:
-    """An optional JSON ``true``/``false`` field (absent means false).
+def json_doc(obj, renames: Optional[dict] = None) -> dict:
+    """The JSON object :func:`json_fields` reads back into ``obj``, keys in field order."""
+    renames = renames or {}
+    return {
+        renames.get(f.name, f.name): _json_value(getattr(obj, f.name)) for f in fields(obj)
+    }
 
-    Anything else, the string ``"false"`` included, is a :class:`ConfigError`.
-    """
-    value = data.get(key, False)
-    if not isinstance(value, bool):
-        raise ConfigError(f"{key} must be true or false, got {value!r}")
+
+def _json_value(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return [_json_value(item) for item in value]
+    if hasattr(value, "to_json_dict"):
+        return value.to_json_dict()
     return value
 
 
@@ -180,17 +244,11 @@ class GeneratorParams:
         return {name: np.array(getattr(self, name)) for name in PARAM_FIELDS}
 
     def to_json_dict(self) -> dict:
-        data = {name: getattr(self, name).tolist() for name in PARAM_FIELDS}
-        data["trainable"] = self.trainable
-        return data
+        return json_doc(self)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "GeneratorParams":
-        try:
-            arrays = {name: np.array(data[name], dtype=np.float64) for name in PARAM_FIELDS}
-            return cls(**arrays, trainable=json_bool(data, "trainable"))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed generator document: {exc}") from exc
+        return cls(**json_fields(cls, data, "generator document"))
 
 
 def make_source_generator(
@@ -380,33 +438,11 @@ class SyntheticDomainSpec:
         return self.attribute_shift.shape[0]
 
     def to_json_dict(self) -> dict:
-        return {
-            "domain_id": self.domain_id,
-            "attribute_shift": self.attribute_shift.tolist(),
-            "attribute_transform": (
-                None if self.attribute_transform is None else self.attribute_transform.tolist()
-            ),
-            "noise_scale": self.noise_scale,
-            "k": self.k,
-        }
+        return json_doc(self)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SyntheticDomainSpec":
-        v = json_fields(cls, data, "domain document")
-        try:
-            return cls(
-                domain_id=v["domain_id"],
-                attribute_shift=np.array(v["attribute_shift"], dtype=np.float64),
-                attribute_transform=(
-                    None
-                    if v["attribute_transform"] is None
-                    else np.array(v["attribute_transform"], dtype=np.float64)
-                ),
-                noise_scale=float(v["noise_scale"]),
-                k=int(v["k"]),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed domain document: {exc}") from exc
+        return cls(**json_fields(cls, data, "domain document"))
 
 
 def sample_domain_references(
@@ -476,26 +512,11 @@ class WorldConfig:
         object.__setattr__(self, "domains", domains)
 
     def to_json_dict(self) -> dict:
-        doc = {f.name: getattr(self, f.name) for f in fields(self)}
-        return {**doc, "domains": [d.to_json_dict() for d in self.domains]}
+        return json_doc(self)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "WorldConfig":
-        v = json_fields(cls, data, "world config")
-        try:
-            return cls(
-                seed=int(v["seed"]),
-                d_z=int(v["d_z"]),
-                d_h=int(v["d_h"]),
-                d_x=int(v["d_x"]),
-                d_e=int(v["d_e"]),
-                encoder_hidden=int(v["encoder_hidden"]),
-                n_train_encoders=int(v["n_train_encoders"]),
-                output_gain=float(v["output_gain"]),
-                domains=tuple(SyntheticDomainSpec.from_json_dict(d) for d in v["domains"]),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed world config: {exc}") from exc
+        return cls(**json_fields(cls, data, "world config"))
 
 
 def default_world_config(seed: int = DEFAULT_WORLD_SEED, n_domains: int = 2) -> WorldConfig:
@@ -607,10 +628,10 @@ def load_world(world_dir) -> World:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: a world file must hold a JSON object")
+    if not isinstance(doc, dict) or list(doc) != ["config"]:
+        raise ConfigError(f"{path}: a world file must be a JSON object whose one key is 'config'")
     try:
-        config = WorldConfig.from_json_dict(doc.get("config", {}))
+        config = WorldConfig.from_json_dict(doc["config"])
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     world = build_world(config)
@@ -635,10 +656,7 @@ def load_world(world_dir) -> World:
 
 
 def build_world_subspaces(
-    world: World,
-    rank_tolerance: float = DEFAULT_RANK_TOLERANCE,
-    *,
-    allow_point_subspace: bool = False,
+    world: World, rank_tolerance: float = DEFAULT_RANK_TOLERANCE
 ) -> dict[str, dict[str, DomainSubspace]]:
     """Per-(encoder, domain) subspaces for all encoders incl. the held-out one."""
     out: dict[str, dict[str, DomainSubspace]] = {}
@@ -646,9 +664,7 @@ def build_world_subspaces(
         per_domain = {}
         for dom in world.domains:
             per_domain[dom.domain_id] = build_subspace(
-                world.feature_set(enc, dom.domain_id),
-                rank_tolerance,
-                allow_point_subspace=allow_point_subspace,
+                world.feature_set(enc, dom.domain_id), rank_tolerance
             )
         out[enc.encoder_id] = per_domain
     return out

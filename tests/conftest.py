@@ -5,9 +5,15 @@ import os
 
 import pytest
 
+import hda
 from hda.worlds import build_world, build_world_subspaces, default_world_config
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
+
+# tests that run `python -m hda.cli` in a subprocess get the package this run imported
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [os.path.dirname(os.path.dirname(hda.__file__)), os.environ.get("PYTHONPATH")])
+)
 
 
 @pytest.fixture(scope="session")

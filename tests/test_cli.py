@@ -200,14 +200,16 @@ def test_truncated_run_log_exits_2_naming_the_line(tmp_path, runner, tiny_run):
 
 
 def test_world_file_that_is_not_an_object_exits_2(tmp_path, runner, world_dir):
-    world = tmp_path / "world"
-    shutil.copytree(world_dir, world)
-    (world / "world.json").write_text("[]", encoding="utf8")
-    result = runner.invoke(
-        main, ["build-subspaces", "--world", str(world), "--out", str(tmp_path / "s")]
-    )
-    assert result.exit_code == 2, result.output
-    assert "world.json" in result.output
+    # without the one key "config", the default world would meet these reference CSVs
+    for i, text in enumerate(["[]", "{}", '{"confg": {"seed": 1}}']):
+        world = tmp_path / f"world{i}"
+        shutil.copytree(world_dir, world)
+        (world / "world.json").write_text(text, encoding="utf8")
+        result = runner.invoke(
+            main, ["build-subspaces", "--world", str(world), "--out", str(tmp_path / "s")]
+        )
+        assert result.exit_code == 2, (text, result.output)
+        assert "world.json" in result.output
 
 
 @pytest.mark.parametrize("config", [[], {"sede": 1}], ids=["not-an-object", "unknown-key"])
@@ -247,6 +249,23 @@ def test_string_boolean_in_config_exits_2(tmp_path, runner, world_dir):
     )
     assert result.exit_code == 2
     assert "dist_only" in result.output
+
+
+@pytest.mark.parametrize(
+    "text, key", [('{"steps": 2.5}', "steps"), ('{"lambda": NaN}', "lambda")]
+)
+def test_malformed_config_value_exits_2_naming_the_key(
+    tmp_path, runner, world_dir, text, key
+):
+    config = tmp_path / "bad.json"
+    config.write_text(text, encoding="utf8")
+    out = tmp_path / "r"
+    result = runner.invoke(
+        main, ["adapt", "--config", str(config), "--world", str(world_dir), "--out", str(out)]
+    )
+    assert result.exit_code == 2, result.output
+    assert f"error: {key} must be" in result.output
+    assert not out.exists()
 
 
 def test_misspelled_adaptation_key_exits_2_with_hint(tmp_path, runner, world_dir):

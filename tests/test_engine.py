@@ -350,15 +350,28 @@ def test_config_json_round_trip_including_optional_clip(world):
     doc = config.to_json_dict()
     del doc["grad_clip_norm"]
     assert AdaptationConfig.from_json_dict(doc).grad_clip_norm == 10.0
+    # a JSON integer is a float setting's value, and is written back as a float
+    doc.update({"lambda": 1, "learning_rate": 1})
+    doc["weights"][0]["alpha"] = 2
+    back = AdaptationConfig.from_json_dict(doc).to_json_dict()
+    values = (back["lambda"], back["learning_rate"], back["weights"][0]["alpha"])
+    assert values == (1.0, 1.0, 2.0) and all(type(v) is float for v in values)
 
 
-@pytest.mark.parametrize("field", ["dist_only", "direct_only", "detach_projection"])
+@pytest.mark.parametrize(
+    "field", ["dist_only", "direct_only", "detach_projection", "seed", "grad_clip_norm"]
+)
 def test_config_flags_accept_only_json_booleans(world, field):
     doc = default_adaptation_config(world).to_json_dict()
-    doc[field] = True
-    assert getattr(AdaptationConfig.from_json_dict(doc), field) is True
-    # the string "false" is truthy; it must not switch an ablation on
-    for bad in ("false", 0, None):
+    if field in ("seed", "grad_clip_norm"):
+        # and a number takes no boolean, though Python counts True as the int 1
+        bad_values = (True,)
+    else:
+        doc[field] = True
+        assert getattr(AdaptationConfig.from_json_dict(doc), field) is True
+        # the string "false" is truthy; it must not switch an ablation on
+        bad_values = ("false", 0, None)
+    for bad in bad_values:
         doc[field] = bad
         with pytest.raises(ConfigError, match=field):
             AdaptationConfig.from_json_dict(doc)

@@ -1,5 +1,6 @@
 """Synthetic world construction: generators, encoders, reference sampling."""
 
+import json
 import re
 from dataclasses import replace
 
@@ -8,7 +9,9 @@ import pytest
 
 from hda import autodiff as ad
 from hda.autodiff import Tape, grad_check
+from hda.engine import AdaptationConfig, default_adaptation_config
 from hda.errors import ConfigError, DimensionError, NumericalError
+from hda.losses import DomainWeight
 from hda.seeding import stream_rng
 from hda.worlds import (
     GeneratorParams,
@@ -251,6 +254,39 @@ def test_world_config_json_round_trip():
     np.testing.assert_array_equal(
         back.domains[1].attribute_shift, config.domains[1].attribute_shift
     )
+
+
+@pytest.mark.parametrize(
+    "cls, key, value",
+    [
+        ("AdaptationConfig", "steps", "2.5"),
+        ("AdaptationConfig", "steps", '"300"'),
+        ("AdaptationConfig", "lambda", '"0.5"'),
+        ("AdaptationConfig", "lambda", "NaN"),
+        ("AdaptationConfig", "learning_rate", "1e999"),
+        ("AdaptationConfig", "encoder_ids", '"train0"'),
+        ("WorldConfig", "d_z", "8.9"),
+        ("WorldConfig", "seed", '"307"'),
+        ("WorldConfig", "n_train_encoders", "true"),
+        ("SyntheticDomainSpec", "k", "10.7"),
+        ("SyntheticDomainSpec", "attribute_shift", "[[1, 2], [3]]"),
+        ("DomainWeight", "alhpa", "0.5"),
+        ("GeneratorParams", "w3", "[1]"),
+    ],
+)
+def test_typed_reader_rejects_malformed_values_naming_the_key(world, cls, key, value):
+    """Each value, given as JSON text, is refused by its field's annotated type."""
+    valid = {
+        "AdaptationConfig": (AdaptationConfig, default_adaptation_config(world).to_json_dict()),
+        "WorldConfig": (WorldConfig, {}),
+        "SyntheticDomainSpec": (SyntheticDomainSpec, world.domains[0].to_json_dict()),
+        "DomainWeight": (DomainWeight, {"domain_id": "attr0", "alpha": 0.5}),
+        "GeneratorParams": (GeneratorParams, world.source_generator.to_json_dict()),
+    }
+    reader, doc = valid[cls]
+    reader.from_json_dict(doc)
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        reader.from_json_dict({**doc, key: json.loads(value)})
 
 
 def test_world_accessors_validate_ids(world):
