@@ -11,8 +11,8 @@ from dataclasses import dataclass, replace
 
 from .engine import AdaptationConfig, run_adaptation
 from .errors import ConfigError
-from .metrics import MetricsReport, SnapshotPlan, round12
-from .subspace import finite_json, write_atomic
+from .metrics import EVAL_SAMPLES, EVAL_SEED, MetricsReport, SnapshotPlan, round12
+from .subspace import write_atomic, write_json
 from .worlds import World, build_world_subspaces
 
 VARIANTS = ("full", "dist_only", "direct_only")
@@ -41,8 +41,8 @@ def ablation_suite(
     base_config: AdaptationConfig,
     world: World,
     *,
-    n_samples: int = 256,
-    eval_seed: int = 0,
+    n_samples: int = EVAL_SAMPLES,
+    eval_seed: int = EVAL_SEED,
 ) -> list[AblationRow]:
     """Run {full, dist_only, direct_only} x {single encoder, ensemble}.
 
@@ -101,8 +101,6 @@ def save_ablation(rows: list[AblationRow], out_dir) -> None:
     A non-finite value is a :class:`NumericalError` raised before either file is touched.
     """
     os.makedirs(out_dir, exist_ok=True)
-    json_path = os.path.join(out_dir, ABLATION_JSON)
-    json_text = finite_json(json_path, rows_to_json_dict(rows), indent=2) + "\n"
     domains = list(rows[0].report.semantic_similarity) if rows else []
     header = ["variant", "encoder_mode", "encoder_ids", "final_total", "consistency", "diversity"]
     header += [f"semantic_similarity_{d}" for d in domains]
@@ -118,6 +116,6 @@ def save_ablation(rows: list[AblationRow], out_dir) -> None:
         ]
         cells += [repr(round12(row.report.semantic_similarity[d])) for d in domains]
         lines.append(",".join(cells))
-    # the CSV holds the JSON's numbers, so the check above covers it
-    write_atomic(json_path, json_text)
+    # the CSV holds the JSON's numbers, so the JSON's finiteness check, made first, covers it
+    write_json(os.path.join(out_dir, ABLATION_JSON), rows_to_json_dict(rows))
     write_atomic(os.path.join(out_dir, ABLATION_CSV), "\n".join(lines) + "\n")

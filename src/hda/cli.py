@@ -7,7 +7,6 @@ degenerate feature sets, failed gradient checks).
 from __future__ import annotations
 
 import functools
-import json
 import os
 import sys
 from dataclasses import replace
@@ -29,12 +28,12 @@ from .errors import (
     DimensionError,
     NumericalError,
 )
-from .metrics import evaluate, write_report
+from .metrics import EVAL_SAMPLES, EVAL_SEED, evaluate, write_report
 from .subspace import (
     DEFAULT_RANK_TOLERANCE,
-    finite_json,
     pca2d_export,
-    write_atomic,
+    read_json,
+    write_json,
     write_pca2d_csv,
 )
 from .worlds import (
@@ -44,18 +43,9 @@ from .worlds import (
     build_world_subspaces,
     default_world_config,
     load_world,
+    read_document,
     save_world,
 )
-
-
-def _load_json(path) -> dict:
-    if not os.path.isfile(path):
-        raise ConfigError(f"{path}: file not found")
-    with open(path, "r", encoding="utf8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
 
 
 def _guarded(fn):
@@ -82,8 +72,7 @@ def _write_last_good(exc, out_dir) -> None:
     path = os.path.join(out_dir, "last_good_params.json")
     try:
         os.makedirs(out_dir, exist_ok=True)
-        doc = {"step": exc.step, "params": params.to_json_dict()}
-        write_atomic(path, finite_json(path, doc, indent=2) + "\n")
+        write_json(path, {"step": exc.step, "params": params.to_json_dict()})
     except Exception as write_exc:  # the run has already failed; keep its exit code
         click.echo(f"warning: last good parameters not written: {write_exc}", err=True)
         return
@@ -106,7 +95,7 @@ def gen_world(config_path, out_dir, seed):
     if config_path is None:
         config = default_world_config()
     else:
-        config = WorldConfig.from_json_dict(_load_json(config_path))
+        config = read_document(WorldConfig, config_path, "world config")
     if seed is not None:
         config = replace(config, seed=seed)
     world = build_world(config)
@@ -130,7 +119,7 @@ def build_subspaces(world_dir, out_dir, rank_tolerance):
     for encoder_id, per_domain in subspaces.items():
         for domain_id, sub in per_domain.items():
             path = os.path.join(out_dir, f"subspace_{encoder_id}_{domain_id}.json")
-            write_atomic(path, finite_json(path, sub.to_json_dict(), indent=2) + "\n")
+            write_json(path, sub.to_json_dict())
             count += 1
     click.echo(f"{count} subspace file(s) written to {out_dir}")
 
@@ -138,15 +127,18 @@ def build_subspaces(world_dir, out_dir, rank_tolerance):
 def _load_adaptation_config(config_path, world: World) -> AdaptationConfig:
     if config_path is None:
         return default_adaptation_config(world)
-    data = _load_json(config_path)
+    data = read_json(config_path, "adaptation config")
     if not isinstance(data, dict):
         raise ConfigError(f"{config_path}: adaptation config must be a JSON object")
-    # a minimal config may omit the id lists; fill them from the world
+    # a minimal config may omit the id lists and weights: all of the world's
+    # encoders and domains, and equal weights over the domains it names
     defaults = default_adaptation_config(world)
     data.setdefault("encoder_ids", list(defaults.encoder_ids))
-    data.setdefault("domain_ids", list(defaults.domain_ids))
-    data.setdefault("weights", [w.to_json_dict() for w in defaults.ordered_weights()
-                                if w.domain_id in data["domain_ids"]])
+    domain_ids = data.setdefault("domain_ids", list(defaults.domain_ids))
+    if isinstance(domain_ids, list):  # anything else is refused when the config is read
+        data.setdefault(
+            "weights", [{"domain_id": d, "alpha": 1.0 / len(domain_ids)} for d in domain_ids]
+        )
     return AdaptationConfig.from_json_dict(data)
 
 
@@ -178,8 +170,8 @@ def adapt(config_path, world_dir, out_dir, seed):
 @click.option("--out", "out_path", type=click.Path(), required=True)
 @click.option("--world", "world_override", type=click.Path(), default=None,
               help="World directory; defaults to the one recorded in the run.")
-@click.option("--n-samples", type=int, default=256, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--n-samples", type=int, default=EVAL_SAMPLES, show_default=True)
+@click.option("--seed", type=int, default=EVAL_SEED, show_default=True)
 @_guarded
 def eval_cmd(run_dir, out_path, world_override, n_samples, seed):
     """Evaluate a finished run under the held-out encoder."""

@@ -20,14 +20,15 @@ from .errors import ConfigError, DegenerateDomain, NumericalError
 from .losses import DomainWeight, LossBreakdown, ObjectivePlan
 from .metrics import MetricsReport, SnapshotPlan
 from .seeding import derive_seed, stream_rng
-from .subspace import DomainSubspace, finite_json, separation_ratio, write_atomic
+from .subspace import DomainSubspace, finite_json, separation_ratio, write_atomic, write_json
 from .worlds import (
     GeneratorParams,
     World,
     flatten_generator,
     generator_views,
     json_doc,
-    json_fields,
+    read_document,
+    read_object,
     unflatten_generator,
 )
 
@@ -125,7 +126,7 @@ class AdaptationConfig:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "AdaptationConfig":
-        return cls(**json_fields(cls, data, "adaptation config", _JSON_RENAMES))
+        return read_object(cls, data, "adaptation config", _JSON_RENAMES)
 
 
 def default_adaptation_config(
@@ -231,6 +232,17 @@ class RunRecord:
             if snap.step == step:
                 return snap.report
         raise KeyError(f"no snapshot at step {step}")
+
+
+@dataclass(frozen=True)
+class _RunFile:
+    """What ``run_record.json`` holds: a :class:`RunRecord` less its losses, plus the world."""
+
+    config: AdaptationConfig
+    world_dir: str
+    snapshots: tuple[MetricSnapshot, ...]
+    final_params: GeneratorParams
+    checkpoints: dict[str, Checkpoint]
 
 
 def training_batches(config: AdaptationConfig, d_z: int) -> Iterator[Array]:
@@ -387,56 +399,30 @@ def save_run(record: RunRecord, out_dir, world_dir: str = "") -> None:
     A non-finite value is a :class:`NumericalError` raised before either file is touched.
     """
     os.makedirs(out_dir, exist_ok=True)
-    doc = {
-        "config": record.config.to_json_dict(),
-        "world_dir": world_dir,
-        "snapshots": [
-            {"step": snap.step, "report": snap.report.to_json_dict()}
-            for snap in record.snapshots
-        ],
-        "final_params": record.final_params.to_json_dict(),
-        "checkpoints": {
-            name: {"step": ckpt.step, "params": ckpt.params.to_json_dict()}
-            for name, ckpt in record.checkpoints.items()
-        },
-    }
-    record_path = os.path.join(out_dir, RUN_RECORD_FILE)
     log_path = os.path.join(out_dir, LOG_FILE)
-    record_text = finite_json(record_path, doc, indent=2) + "\n"
     log_text = "".join(
         finite_json(log_path, {"step": i, **breakdown.to_json_dict()}) + "\n"
         for i, breakdown in enumerate(record.step_losses, start=1)
     )
-    write_atomic(record_path, record_text)
+    doc = _RunFile(
+        config=record.config,
+        world_dir=world_dir,
+        snapshots=tuple(record.snapshots),
+        final_params=record.final_params,
+        checkpoints=record.checkpoints,
+    )
+    # the log text is checked above; write_json checks the record before writing it
+    write_json(os.path.join(out_dir, RUN_RECORD_FILE), json_doc(doc))
     write_atomic(log_path, log_text)
 
 
 def load_run(run_dir) -> tuple[RunRecord, str]:
-    """Rebuild a :class:`RunRecord` from a run directory."""
-    record_path = os.path.join(run_dir, RUN_RECORD_FILE)
-    if not os.path.isfile(record_path):
-        raise ConfigError(f"{record_path}: run record not found")
-    with open(record_path, "r", encoding="utf8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{record_path}: invalid JSON: {exc}") from exc
-    try:
-        config = AdaptationConfig.from_json_dict(doc["config"])
-        snapshots = [
-            MetricSnapshot(step=int(s["step"]), report=MetricsReport.from_json_dict(s["report"]))
-            for s in doc["snapshots"]
-        ]
-        final = GeneratorParams.from_json_dict(doc["final_params"])
-        checkpoints = {
-            name: Checkpoint(
-                step=int(c["step"]), params=GeneratorParams.from_json_dict(c["params"])
-            )
-            for name, c in doc["checkpoints"].items()
-        }
-        world_dir = str(doc.get("world_dir", ""))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{record_path}: malformed run record: {exc}") from exc
+    """Rebuild a :class:`RunRecord` and its world directory from a run directory.
+
+    Every key of ``run_record.json`` is checked by the type of its field;
+    a wrong one is a :class:`ConfigError` naming the file and the key.
+    """
+    doc = read_document(_RunFile, os.path.join(run_dir, RUN_RECORD_FILE), "run record")
     log_path = os.path.join(run_dir, LOG_FILE)
     step_losses: list[LossBreakdown] = []
     if os.path.isfile(log_path):
@@ -448,10 +434,10 @@ def load_run(run_dir) -> tuple[RunRecord, str]:
                     except (ValueError, ConfigError) as exc:
                         raise ConfigError(f"{log_path}: line {lineno}: {exc}") from exc
     record = RunRecord(
-        config=config,
+        config=doc.config,
         step_losses=step_losses,
-        snapshots=snapshots,
-        final_params=final,
-        checkpoints=checkpoints,
+        snapshots=list(doc.snapshots),
+        final_params=doc.final_params,
+        checkpoints=doc.checkpoints,
     )
-    return record, world_dir
+    return record, doc.world_dir

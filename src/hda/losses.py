@@ -36,7 +36,7 @@ from .autodiff import Var
 from .errors import ConfigError, DimensionError
 from .subspace import DomainSubspace
 from .worlds import PARAM_FIELDS, EncoderSpec, GeneratorParams, generator_views, stack_encoders
-from .worlds import json_doc, json_fields
+from .worlds import json_doc, read_object
 
 # bench/probes.py times these names in this module; nothing here calls them
 from .subspace import project  # noqa: F401  (probe site)
@@ -62,7 +62,7 @@ class DomainWeight:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DomainWeight":
-        return cls(**json_fields(cls, data, "weight entry"))
+        return read_object(cls, data, "weight entry")
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ byte-identical.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,10 +23,14 @@ import numpy as np
 from .autodiff import SERIAL_GEMM_SIZE, matmul_rows
 from .errors import ConfigError, DimensionError
 from .seeding import stream_rng
-from .subspace import DomainSubspace, finite_json, project, write_atomic
-from .worlds import EncoderSpec, GeneratorParams, encode
+from .subspace import DomainSubspace, project, write_json
+from .worlds import EncoderSpec, GeneratorParams, encode, read_object
 
 Array = np.ndarray
+
+#: Latent samples and seed of a held-out evaluation (``hda eval`` and the ablation grid).
+EVAL_SAMPLES = 256
+EVAL_SEED = 0
 
 
 def round12(x: float) -> float:
@@ -54,17 +57,7 @@ class MetricsReport:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MetricsReport":
-        try:
-            return cls(
-                semantic_similarity={
-                    str(k): float(v) for k, v in data["semantic_similarity"].items()
-                },
-                consistency=float(data["consistency"]),
-                diversity=float(data["diversity"]),
-                n_samples=int(data["n_samples"]),
-            )
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise ConfigError(f"malformed metrics report: {exc}") from exc
+        return read_object(cls, data, "metrics report")
 
     def mean_distance(self, domain_id: str) -> float:
         """Positive mean subspace distance for one domain."""
@@ -73,15 +66,7 @@ class MetricsReport:
 
 def write_report(report: MetricsReport, path) -> None:
     """Write the report as JSON, replacing ``path`` whole; a non-finite metric is refused."""
-    write_atomic(path, finite_json(path, report.to_json_dict(), indent=2) + "\n")
-
-
-def read_report(path) -> MetricsReport:
-    with open(path, "r", encoding="utf8") as fh:
-        try:
-            return MetricsReport.from_json_dict(json.load(fh))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    write_json(path, report.to_json_dict())
 
 
 def _pairwise_cosine(a: Array, b: Array) -> Array:

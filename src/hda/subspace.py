@@ -87,6 +87,26 @@ def finite_json(path: str, doc, indent: Optional[int] = None) -> str:
         raise NumericalError(f"{path}: refusing to write a non-finite value: {exc}") from exc
 
 
+def read_json(path, kind: str):
+    """The JSON document in the file ``path``, parsed but not yet checked.
+
+    A missing file, or text that is not JSON, is a :class:`ConfigError`
+    naming ``path``; ``kind`` says what the missing file should hold.
+    """
+    if not os.path.isfile(path):
+        raise ConfigError(f"{path}: {kind} not found")
+    with open(path, "r", encoding="utf8") as fh:
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+
+
+def write_json(path, doc) -> None:
+    """Replace ``path`` with ``doc`` as indented JSON; a non-finite value is refused first."""
+    write_atomic(path, finite_json(path, doc, indent=2) + "\n")
+
+
 def write_atomic(path: str, text: str) -> None:
     """Replace ``path`` through a temporary file beside it, never leaving a partial file."""
     tmp = f"{path}.tmp"
@@ -197,19 +217,6 @@ class DomainSubspace:
             "basis": self.basis.tolist(),
             "singular_values": self.singular_values.tolist(),
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "DomainSubspace":
-        try:
-            mean = np.array(data["mean"], dtype=np.float64)
-            basis = np.array(data["basis"], dtype=np.float64)
-            svals = np.array(data["singular_values"], dtype=np.float64)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed subspace document: {exc}") from exc
-        if basis.ndim == 1:
-            # a rank-0 subspace serialises its basis as d empty rows
-            basis = basis.reshape(mean.shape[0], 0)
-        return cls(mean=mean, basis=basis, singular_values=svals)
 
 
 def build_subspace(

@@ -16,12 +16,11 @@ bit for bit.
 """
 from __future__ import annotations
 
-import json
 import os
 import re
 import sys
 import typing
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -34,10 +33,10 @@ from .subspace import (
     DomainSubspace,
     FeatureSet,
     build_subspace,
-    finite_json,
     read_feature_csv,
-    write_atomic,
+    read_json,
     write_feature_csv,
+    write_json,
 )
 
 Array = np.ndarray
@@ -107,21 +106,6 @@ _FIELD_TABLES: dict[tuple, dict] = {}
 
 def _read(hint, value, key: str):
     """``value`` checked against the annotated type ``hint`` and converted to it."""
-    if typing.get_origin(hint) is typing.Union:  # Optional[X]
-        return None if value is None else _read(typing.get_args(hint)[0], value, key)
-    if typing.get_origin(hint) is tuple:
-        if not isinstance(value, list):
-            raise ConfigError(f"{key} must be a list, got {value!r}")
-        item = typing.get_args(hint)[0]
-        return tuple(_read(item, v, f"{key}[{i}]") for i, v in enumerate(value))
-    if hint is np.ndarray:
-        try:
-            arr = np.array(value) if isinstance(value, list) else None
-        except ValueError:  # a ragged list
-            arr = None
-        if arr is None or arr.dtype.kind not in "iuf":
-            raise ConfigError(f"{key} must be a rectangular list of numbers")
-        return arr.astype(np.float64, copy=False)
     if hint in _SCALARS:
         accepts, what = _SCALARS[hint]
         if isinstance(value, accepts) and (hint is bool or not isinstance(value, bool)):
@@ -131,25 +115,50 @@ def _read(hint, value, key: str):
             if -sys.float_info.max <= value <= sys.float_info.max:
                 return float(value)
         raise ConfigError(f"{key} must be {what}, got {value!r}")
+    if hint is np.ndarray:
+        try:
+            arr = np.array(value) if isinstance(value, list) else None
+        except ValueError:  # a ragged list
+            arr = None
+        if arr is None or arr.dtype.kind not in "iuf":
+            raise ConfigError(f"{key} must be a rectangular list of numbers")
+        return arr.astype(np.float64, copy=False)
+    origin = typing.get_origin(hint)
+    if origin is typing.Union:  # Optional[X]
+        return None if value is None else _read(typing.get_args(hint)[0], value, key)
+    if origin is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{key} must be a list, got {value!r}")
+        item = typing.get_args(hint)[0]
+        return tuple(_read(item, v, f"{key}[{i}]") for i, v in enumerate(value))
+    if origin is dict:  # dict[str, X]; JSON object keys are strings
+        if not isinstance(value, dict):
+            raise ConfigError(f"{key} must be a JSON object, got {value!r}")
+        item = typing.get_args(hint)[1]
+        return {k: _read(item, v, f"{key}[{k!r}]") for k, v in value.items()}
+    reader = getattr(hint, "from_json_dict", None)
     try:
-        return hint.from_json_dict(value)
+        return reader(value) if reader else read_object(hint, value, hint.__name__)
     except ConfigError as exc:
         raise ConfigError(f"{key}: {exc}") from exc
 
 
-def json_fields(cls, data, kind: str, renames: Optional[dict] = None) -> dict:
-    """Values for the dataclass fields of ``cls`` read from a JSON object.
+def read_object(cls, data, kind: str, renames: Optional[dict] = None):
+    """An instance of the dataclass ``cls`` built from a JSON object.
 
     Each value is checked and converted by its field's annotated type:
     ``bool`` takes only ``true``/``false``, ``int`` only a JSON integer,
-    ``float`` a finite number, ``str`` a string, ``tuple[...]`` a list,
-    an array a rectangular list of numbers, ``Optional`` also ``null``,
-    and a nested dataclass its own ``from_json_dict``.  An absent key
+    ``float`` a finite number, ``str`` a string, ``tuple[X, ...]`` a
+    list, ``dict[str, X]`` an object, an array a rectangular list of
+    numbers, ``Optional`` also ``null``, and a nested dataclass its own
+    ``from_json_dict``, or this reader if it has none.  An absent key
     takes the field's default, so each default is written once, in the
     dataclass.  An unknown key (with a did-you-mean hint), a missing
     field without a default, or a value of the wrong type is a
-    :class:`ConfigError` naming the key.  ``renames`` maps a field name
-    to its JSON key where the two differ.
+    :class:`ConfigError` naming the key.  A :class:`DimensionError` from
+    the constructor (sizes that disagree) becomes a ``ConfigError``
+    naming ``kind``.  ``renames`` maps a field name to its JSON key
+    where the two differ.
     """
     if not isinstance(data, dict):
         raise ConfigError(f"{kind} must be a JSON object")
@@ -176,11 +185,23 @@ def json_fields(cls, data, kind: str, renames: Optional[dict] = None) -> dict:
             values[name] = default
         else:
             raise ConfigError(f"{kind} is missing {key!r}")
-    return values
+    try:
+        return cls(**values)
+    except DimensionError as exc:
+        raise ConfigError(f"{kind}: {exc}") from exc
+
+
+def read_document(cls, path, kind: str):
+    """``cls`` read by :func:`read_object` from the JSON file ``path``; errors name ``path``."""
+    doc = read_json(path, kind)
+    try:
+        return read_object(cls, doc, kind)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def json_doc(obj, renames: Optional[dict] = None) -> dict:
-    """The JSON object :func:`json_fields` reads back into ``obj``, keys in field order."""
+    """The JSON object :func:`read_object` reads back into ``obj``, keys in field order."""
     renames = renames or {}
     return {
         renames.get(f.name, f.name): _json_value(getattr(obj, f.name)) for f in fields(obj)
@@ -192,8 +213,12 @@ def _json_value(value):
         return value.tolist()
     if isinstance(value, tuple):
         return [_json_value(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _json_value(item) for key, item in value.items()}
     if hasattr(value, "to_json_dict"):
         return value.to_json_dict()
+    if is_dataclass(value):
+        return json_doc(value)
     return value
 
 
@@ -248,7 +273,7 @@ class GeneratorParams:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "GeneratorParams":
-        return cls(**json_fields(cls, data, "generator document"))
+        return read_object(cls, data, "generator document")
 
 
 def make_source_generator(
@@ -442,7 +467,7 @@ class SyntheticDomainSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SyntheticDomainSpec":
-        return cls(**json_fields(cls, data, "domain document"))
+        return read_object(cls, data, "domain document")
 
 
 def sample_domain_references(
@@ -516,7 +541,7 @@ class WorldConfig:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "WorldConfig":
-        return cls(**json_fields(cls, data, "world config"))
+        return read_object(cls, data, "world config")
 
 
 def default_world_config(seed: int = DEFAULT_WORLD_SEED, n_domains: int = 2) -> WorldConfig:
@@ -610,30 +635,22 @@ def build_world(config: WorldConfig) -> World:
     )
 
 
+@dataclass(frozen=True)
+class _WorldFile:
+    """What ``world.json`` holds: the config the world is rebuilt from."""
+
+    config: WorldConfig
+
+
 def save_world(world: World, out_dir) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, WORLD_FILE)
-    doc = {"config": world.config.to_json_dict()}
-    write_atomic(path, finite_json(path, doc, indent=2) + "\n")
+    write_json(os.path.join(out_dir, WORLD_FILE), json_doc(_WorldFile(world.config)))
     for domain_id, refs in world.references.items():
         write_feature_csv(os.path.join(out_dir, f"references_{domain_id}.csv"), refs)
 
 
 def load_world(world_dir) -> World:
-    path = os.path.join(world_dir, WORLD_FILE)
-    if not os.path.isfile(path):
-        raise ConfigError(f"{path}: world file not found")
-    with open(path, "r", encoding="utf8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or list(doc) != ["config"]:
-        raise ConfigError(f"{path}: a world file must be a JSON object whose one key is 'config'")
-    try:
-        config = WorldConfig.from_json_dict(doc["config"])
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    config = read_document(_WorldFile, os.path.join(world_dir, WORLD_FILE), "world file").config
     world = build_world(config)
     references = {}
     for d in config.domains:

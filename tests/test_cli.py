@@ -45,6 +45,14 @@ def tiny_run(tmp_path_factory, runner, world_dir):
     return out
 
 
+@pytest.fixture(scope="module")
+def stock_run(tmp_path_factory, runner, world_dir):
+    out = tmp_path_factory.mktemp("cli-stock") / "run"
+    result = runner.invoke(main, ["adapt", "--world", str(world_dir), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    return out
+
+
 def test_gen_world_writes_expected_files(world_dir):
     assert (world_dir / "world.json").is_file()
     assert (world_dir / "references_attr0.csv").is_file()
@@ -212,7 +220,11 @@ def test_world_file_that_is_not_an_object_exits_2(tmp_path, runner, world_dir):
         assert "world.json" in result.output
 
 
-@pytest.mark.parametrize("config", [[], {"sede": 1}], ids=["not-an-object", "unknown-key"])
+@pytest.mark.parametrize(
+    "config",
+    [[], {"sede": 1}, {"domains": [{"domain_id": "a", "attribute_shift": [1, 2]}]}],
+    ids=["not-an-object", "unknown-key", "dimension-mismatch"],
+)
 def test_malformed_world_config_exits_2_naming_the_file(tmp_path, runner, world_dir, config):
     world = tmp_path / "world"
     shutil.copytree(world_dir, world)
@@ -222,6 +234,67 @@ def test_malformed_world_config_exits_2_naming_the_file(tmp_path, runner, world_
     )
     assert result.exit_code == 2, result.output
     assert "world.json" in result.output
+    # the same config given to gen-world
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf8")
+    result = runner.invoke(
+        main, ["gen-world", "--config", str(path), "--out", str(tmp_path / "w")]
+    )
+    assert result.exit_code == 2, result.output
+    assert f"{path}: " in result.output
+
+
+def _set(*keys, value):
+    """An edit of a JSON document that sets the entry at ``keys`` to ``value``."""
+
+    def edit(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        doc[keys[-1]] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (_set("world_dir", value=None), "world_dir must be a string"),
+        (_set("snapshots", 1, "step", value=2.5), "snapshots[1]: step must be"),
+        (_set("checkpoints", "best", "step", value="3"), "checkpoints['best']: step must be"),
+        (_set("snapshots", 0, "report", "consistency", value="0.9"), "report: consistency"),
+        (_set("snapshots", 0, "report", "semantic_similarity", value=[-1.0, -2.0]),
+         "report: semantic_similarity"),
+        (_set("snapshots", 0, "report", "n_samples", value=1.5), "report: n_samples"),
+        (_set("snapshots", 0, "bogus", value=1), "unknown MetricSnapshot key 'bogus'"),
+    ],
+    ids=["null-world-dir", "fractional-step", "string-step", "string-metric", "list-similarity",
+         "fractional-n-samples", "unknown-key"],
+)
+def test_malformed_run_record_exits_2_naming_the_key(tmp_path, runner, stock_run, edit, named):
+    run = tmp_path / "run"
+    shutil.copytree(stock_run, run)
+    path = run / "run_record.json"
+    doc = json.loads(path.read_text(encoding="utf8"))
+    edit(doc)
+    path.write_text(json.dumps(doc), encoding="utf8")
+    out = tmp_path / "report.json"
+    result = runner.invoke(main, ["eval", "--run", str(run), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert f"error: {path}: " in result.output
+    assert named in result.output
+    assert not out.exists()
+
+
+def test_minimal_config_weights_the_named_domains_equally(tmp_path, runner, world_dir):
+    config = tmp_path / "one_domain.json"
+    config.write_text(json.dumps({"domain_ids": ["attr1"], "steps": 2}), encoding="utf8")
+    out = tmp_path / "r"
+    result = runner.invoke(
+        main, ["adapt", "--config", str(config), "--world", str(world_dir), "--out", str(out)]
+    )
+    assert result.exit_code == 0, result.output
+    record = json.loads((out / "run_record.json").read_text(encoding="utf8"))
+    assert record["config"]["weights"] == [{"domain_id": "attr1", "alpha": 1.0}]
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -131,23 +131,13 @@ def test_single_shot_requires_opt_in():
     assert subspace_distance_sq(sub, np.array([1.0, 2.0, 4.0])) == pytest.approx(1.0)
 
 
-def test_subspace_json_round_trip():
-    rng = stream_rng(4, "subspace-test")
-    sub = _sub_from(rng.standard_normal((5, 7)))
-    doc = json.loads(json.dumps(sub.to_json_dict()))
-    back = DomainSubspace.from_json_dict(doc)
-    np.testing.assert_array_equal(back.mean, sub.mean)
-    np.testing.assert_array_equal(back.basis, sub.basis)
-    np.testing.assert_array_equal(back.singular_values, sub.singular_values)
-
-
-def test_point_subspace_json_round_trip():
+def test_point_subspace_json_document():
     sub = build_subspace(
         FeatureSet.from_features(np.array([[1.0, 2.0]])), allow_point_subspace=True
     )
-    back = DomainSubspace.from_json_dict(sub.to_json_dict())
-    assert back.rank == 0
-    assert back.dim == 2
+    # a rank-0 subspace writes its basis as d empty rows
+    doc = json.loads(json.dumps(sub.to_json_dict()))
+    assert doc == {"mean": [1.0, 2.0], "basis": [[], []], "singular_values": []}
 
 
 def test_feature_csv_round_trip(tmp_path):
