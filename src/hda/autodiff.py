@@ -51,7 +51,7 @@ SERIAL_GEMM_SIZE = 1 << 16
 
 
 def matmul_rows(x: Array, m: Array) -> Array:
-    """``x @ m`` in row blocks.
+    """``x @ m`` in row blocks, each written into one preallocated output.
 
     ``x`` is a ``(d,)`` vector or ``(..., n, d)`` rows and ``m`` a
     ``(d, k)`` matrix or a ``(..., d, k)`` stack; leading axes broadcast
@@ -64,9 +64,11 @@ def matmul_rows(x: Array, m: Array) -> Array:
     block = max(1, SERIAL_GEMM_SIZE // max(1, m.shape[-2] * m.shape[-1]))
     if x.ndim < 2 or x.shape[-2] <= block:
         return x @ m
-    return np.concatenate(
-        [x[..., i:i + block, :] @ m for i in range(0, x.shape[-2], block)], axis=-2
-    )
+    lead = np.broadcast_shapes(x.shape[:-2], m.shape[:-2])
+    out = np.empty((*lead, x.shape[-2], m.shape[-1]), dtype=np.result_type(x, m))
+    for i in range(0, x.shape[-2], block):
+        np.matmul(x[..., i:i + block, :], m, out=out[..., i:i + block, :])
+    return out
 
 
 @dataclass

@@ -139,7 +139,10 @@ def _load_adaptation_config(config_path, world: World) -> AdaptationConfig:
         data.setdefault(
             "weights", [{"domain_id": d, "alpha": 1.0 / len(domain_ids)} for d in domain_ids]
         )
-    return AdaptationConfig.from_json_dict(data)
+    try:
+        return AdaptationConfig.from_json_dict(data)
+    except ConfigError as exc:
+        raise ConfigError(f"{config_path}: {exc}") from exc
 
 
 @main.command("adapt")
@@ -157,7 +160,8 @@ def adapt(config_path, world_dir, out_dir, seed):
         config = replace(config, seed=seed)
     subspaces = build_world_subspaces(world)
     record = run_adaptation(config, world, subspaces)
-    save_run(record, out_dir, world_dir=str(world_dir))
+    # absolute, so `hda eval --run` finds the world from any directory
+    save_run(record, out_dir, world_dir=os.path.abspath(world_dir))
     final = record.step_losses[-1].total
     click.echo(
         f"adapted for {config.steps} steps; final loss {final:.6g}; "

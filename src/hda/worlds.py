@@ -16,6 +16,7 @@ bit for bit.
 """
 from __future__ import annotations
 
+import functools
 import os
 import re
 import sys
@@ -383,11 +384,20 @@ def make_encoder(
     return EncoderSpec(encoder_id=encoder_id, seed=int(seed), w1=w1, b1=b1, w2=w2, b2=b2)
 
 
-def encode(spec: EncoderSpec, x) -> Array:
-    x = _rows(x, spec.d_x, "input")
-    hidden = _relu(ad.matmul_rows(np.atleast_2d(x), spec.w1.T) + spec.b1)
-    f = ad.matmul_rows(hidden, spec.w2.T) + spec.b2
-    return f[0] if x.ndim == 1 else f
+def encode(encoders, x) -> Array:
+    """Features of a ``(d_x,)`` vector or ``(n, d_x)`` rows.
+
+    ``encoders`` is one spec, giving ``(d_e,)`` or ``(n, d_e)``, or a
+    sequence of specs of one shape.  A sequence runs as one expression
+    over weights stacked along a leading ensemble axis, giving
+    ``(E, d_e)`` or ``(E, n, d_e)``, and row ``e`` equals ``encode``
+    under encoder ``e`` bit for bit.
+    """
+    w1, b1, w2, b2 = _encoder_weights(encoders)
+    x = _rows(x, w1.shape[-1], "input")
+    hidden = _relu(ad.matmul_rows(np.atleast_2d(x), np.swapaxes(w1, -1, -2)) + b1)
+    f = ad.matmul_rows(hidden, np.swapaxes(w2, -1, -2)) + b2
+    return f[..., 0, :] if x.ndim == 1 else f
 
 
 def generator_param_vars(tape, gen: GeneratorParams) -> dict:
@@ -414,19 +424,16 @@ def stack_encoders(encoders) -> tuple[Array, Array, Array, Array]:
     return w1, b1[:, None], w2, b2[:, None]
 
 
-def encode_var(tape, encoders, x):
-    """Tape version of :func:`encode`; bit-identical on a batch.
-
-    ``encoders`` is one spec, giving rows as :func:`encode` does, or a
-    sequence of specs of one shape.  A sequence runs as one expression
-    over weights stacked along a leading ensemble axis, so ``(B, d_x)``
-    inputs give ``(E, B, d_e)`` and row ``e`` equals ``encode`` under
-    encoder ``e`` bit for bit.
-    """
+def _encoder_weights(encoders) -> tuple[Array, Array, Array, Array]:
+    """One spec's ``w1, b1, w2, b2``, or a sequence's stacked by :func:`stack_encoders`."""
     if isinstance(encoders, EncoderSpec):
-        w1, b1, w2, b2 = (getattr(encoders, name) for name in PARAM_FIELDS)
-    else:
-        w1, b1, w2, b2 = stack_encoders(encoders)
+        return tuple(getattr(encoders, name) for name in PARAM_FIELDS)
+    return stack_encoders(encoders)
+
+
+def encode_var(tape, encoders, x):
+    """Tape version of :func:`encode`, for one spec or a sequence; bit-identical on a batch."""
+    w1, b1, w2, b2 = _encoder_weights(encoders)
     hidden = ad.relu(ad.add(ad.linear(x, tape.constant(w1)), tape.constant(b1)))
     return ad.add(ad.linear(hidden, tape.constant(w2)), tape.constant(b2))
 
@@ -560,7 +567,15 @@ class World:
     source_generator: GeneratorParams
     train_encoders: tuple[EncoderSpec, ...]
     held_out_encoder: EncoderSpec
-    references: dict[str, Array]  # domain_id -> (k, d_x)
+    references: dict[str, Array]  # domain_id -> (k, d_x), read-only copies
+
+    def __post_init__(self):
+        # locked copies, so the features cached from them cannot go stale
+        references = {
+            d: _locked(refs, np.shape(refs), f"references {d}")
+            for d, refs in self.references.items()
+        }
+        object.__setattr__(self, "references", references)
 
     @property
     def domains(self) -> tuple[SyntheticDomainSpec, ...]:
@@ -585,10 +600,27 @@ class World:
         return tuple(enc.encoder_id for enc in self.train_encoders)
 
     def feature_set(self, encoder: EncoderSpec, domain_id: str) -> FeatureSet:
-        refs = self.references.get(domain_id)
-        if refs is None:
+        """``domain_id``'s reference features under ``encoder``, one of this world's own specs."""
+        if domain_id not in self.references:
             raise ConfigError(f"unknown domain id {domain_id!r}")
-        return FeatureSet.from_features(encode(encoder, refs), domain_id=domain_id)
+        if self.encoder(encoder.encoder_id) is not encoder:
+            raise ConfigError(f"encoder {encoder.encoder_id!r} is not this world's own spec")
+        return self._feature_sets[encoder.encoder_id][domain_id]
+
+    @functools.cached_property
+    def _feature_sets(self) -> dict[str, dict[str, FeatureSet]]:
+        """``encoder_id -> domain_id ->`` features: every encoder on all references at once."""
+        encoders = (*self.train_encoders, self.held_out_encoder)
+        ids = tuple(self.references)
+        stacked = encode(encoders, np.concatenate([self.references[d] for d in ids]))
+        bounds = np.cumsum([self.references[d].shape[0] for d in ids])[:-1]
+        return {
+            enc.encoder_id: {
+                d: FeatureSet.from_features(f, domain_id=d)
+                for d, f in zip(ids, np.split(features, bounds))
+            }
+            for enc, features in zip(encoders, stacked)
+        }
 
     def source_feature_set(self, encoder: EncoderSpec, k: int) -> FeatureSet:
         points = sample_source_points(

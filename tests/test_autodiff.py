@@ -234,6 +234,9 @@ def test_matmul_rows_blocks_match_one_product():
         out = ad.matmul_rows(x, m)
         assert out.shape == (n, 16)
         np.testing.assert_allclose(out, x @ m, rtol=1e-13, atol=1e-13)
+        # each block is its own product, written in place: the blocks' products stacked
+        blocks = [x[i:i + block] @ m for i in range(0, n, block)]
+        np.testing.assert_array_equal(out, np.concatenate(blocks))
     np.testing.assert_array_equal(ad.matmul_rows(x[0], m), x[0] @ m)
 
 

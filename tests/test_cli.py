@@ -337,8 +337,27 @@ def test_malformed_config_value_exits_2_naming_the_key(
         main, ["adapt", "--config", str(config), "--world", str(world_dir), "--out", str(out)]
     )
     assert result.exit_code == 2, result.output
-    assert f"error: {key} must be" in result.output
+    assert f"error: {config}: {key} must be" in result.output
     assert not out.exists()
+
+
+def test_eval_finds_a_relative_world_from_another_directory(
+    tmp_path, monkeypatch, runner, world_dir
+):
+    out = tmp_path / "out"
+    shutil.copytree(world_dir, out / "w")
+    (out / "config.json").write_text(json.dumps({"steps": 2}), encoding="utf8")
+    monkeypatch.chdir(out)
+    result = runner.invoke(
+        main, ["adapt", "--config", "config.json", "--world", "w", "--out", "r"]
+    )
+    assert result.exit_code == 0, result.output
+    monkeypatch.chdir(tmp_path)
+    result = runner.invoke(
+        main, ["eval", "--run", "out/r", "--out", "report.json", "--n-samples", "16"]
+    )
+    assert result.exit_code == 0, result.output
+    assert (tmp_path / "report.json").is_file()
 
 
 def test_misspelled_adaptation_key_exits_2_with_hint(tmp_path, runner, world_dir):

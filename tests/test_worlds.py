@@ -13,11 +13,13 @@ from hda.engine import AdaptationConfig, default_adaptation_config
 from hda.errors import ConfigError, DimensionError, NumericalError
 from hda.losses import DomainWeight
 from hda.seeding import stream_rng
+from hda.subspace import FeatureSet, build_subspace
 from hda.worlds import (
     GeneratorParams,
     SyntheticDomainSpec,
     WorldConfig,
     build_world,
+    build_world_subspaces,
     default_world_config,
     encode,
     encode_var,
@@ -158,11 +160,16 @@ def test_stacked_encode_var_matches_each_encoder(world):
     tape = Tape()
     got = encode_var(tape, encoders, tape.constant(x))
     assert got.shape == (len(encoders), 5, world.config.d_e)
+    stacked = encode(encoders, x)
     for e, enc in enumerate(encoders):
         np.testing.assert_array_equal(got.value[e], encode(enc, x))
+        np.testing.assert_array_equal(stacked[e], encode(enc, x))
+        np.testing.assert_array_equal(encode(encoders, x[1])[e], encode(enc, x[1]))
     odd = make_encoder("odd", seed=1, d_x=world.config.d_x, d_e=world.config.d_e + 1)
     with pytest.raises(DimensionError):
         encode_var(tape, [encoders[0], odd], tape.constant(x))
+    with pytest.raises(DimensionError):
+        encode([encoders[0], odd], x)
 
 
 def test_encoder_gradient_matches_fd(world):
@@ -296,6 +303,53 @@ def test_world_accessors_validate_ids(world):
         world.domain("nope")
     with pytest.raises(ConfigError):
         world.feature_set(world.held_out_encoder, "nope")
+
+
+def _unequal_k_world():
+    base = default_world_config()
+    domains = tuple(replace(d, k=k) for d, k in zip(base.domains, (3, 10)))
+    return build_world(replace(base, domains=domains))
+
+
+WORLDS = {
+    "stock": lambda: build_world(default_world_config()),
+    "seed 11": lambda: build_world(default_world_config(seed=11)),
+    "seed 12": lambda: build_world(default_world_config(seed=12)),
+    "k 3 and 10": _unequal_k_world,
+}
+
+
+@pytest.mark.parametrize("make_world", WORLDS.values(), ids=list(WORLDS))
+def test_cached_feature_sets_equal_the_per_slot_path(make_world):
+    """One stacked encode per world gives each slot's features and subspace bit for bit."""
+    world = make_world()
+    subspaces = build_world_subspaces(world)
+    for enc in (*world.train_encoders, world.held_out_encoder):
+        for domain_id, refs in world.references.items():
+            want = FeatureSet.from_features(encode(enc, refs), domain_id=domain_id)
+            got = world.feature_set(enc, domain_id)
+            assert got.domain_id == domain_id
+            np.testing.assert_array_equal(got.features, want.features)
+            np.testing.assert_array_equal(got.mean, want.mean)
+            assert world.feature_set(enc, domain_id) is got
+            sub, per_slot = subspaces[enc.encoder_id][domain_id], build_subspace(want)
+            for name in ("mean", "basis", "singular_values"):
+                np.testing.assert_array_equal(getattr(sub, name), getattr(per_slot, name))
+
+
+def test_world_references_are_locked_copies_and_foreign_specs_refused(world):
+    for refs in world.references.values():
+        with pytest.raises(ValueError):
+            refs[0, 0] = 0.0
+    mine = {d: np.array(refs) for d, refs in world.references.items()}
+    copy = replace(world, references=mine)
+    mine["attr0"][0, 0] += 1.0
+    np.testing.assert_array_equal(copy.references["attr0"], world.references["attr0"])
+    # equal weights under the same id are still not this world's spec
+    with pytest.raises(ConfigError, match="not this world's own spec"):
+        world.feature_set(replace(world.held_out_encoder), "attr0")
+    with pytest.raises(ConfigError, match="unknown encoder"):
+        world.feature_set(make_encoder("stranger", seed=1), "attr0")
 
 
 def test_default_world_config_bounds():
