@@ -17,7 +17,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .errors import ConfigError, DegenerateDomain, NumericalError
-from .losses import DomainWeight, LossBreakdown, ObjectivePlan
+from .losses import DomainWeight, LossBreakdown, ObjectivePlan, loss_breakdowns, loss_total
 from .metrics import MetricsReport, SnapshotPlan
 from .seeding import derive_seed, stream_rng
 from .subspace import DomainSubspace, finite_json, separation_ratio, write_atomic, write_json
@@ -245,11 +245,25 @@ class _RunFile:
     checkpoints: dict[str, Checkpoint]
 
 
+def training_chunks(config: AdaptationConfig, d_z: int) -> Iterator[Array]:
+    """The deterministic latent stream of a run, ``(S, B, d_z)`` per chunk of ``S`` steps.
+
+    A chunk spans at most a snapshot interval and holds at most as many
+    latent rows as a snapshot evaluates, but at least one step; the last
+    chunk holds the steps left.  One draw of ``S`` batches equals ``S``
+    draws of one batch, so a run with fewer steps sees exactly the
+    batches of a longer run's prefix.
+    """
+    rng = stream_rng(config.seed, "train-z")
+    size = max(1, min(SNAPSHOT_EVERY, SNAPSHOT_SAMPLES // config.batch_size))
+    for start in range(0, config.steps, size):
+        yield rng.standard_normal((min(size, config.steps - start), config.batch_size, d_z))
+
+
 def training_batches(config: AdaptationConfig, d_z: int) -> Iterator[Array]:
     """The deterministic latent-batch stream of a run, one batch per step."""
-    rng = stream_rng(config.seed, "train-z")
-    for _ in range(config.steps):
-        yield rng.standard_normal((config.batch_size, d_z))
+    for chunk in training_chunks(config, d_z):
+        yield from chunk
 
 
 def check_separability(
@@ -350,21 +364,34 @@ def run_adaptation(
 
     first = Checkpoint(step=0, params=take_snapshot(0))
 
-    step_losses: list[LossBreakdown] = []
-    for step, z_batch in enumerate(training_batches(config, source.d_z), start=1):
-        try:
-            breakdown, grads = objective(z_batch, views)
-            if not np.isfinite(breakdown.total):
-                raise NumericalError(f"non-finite loss at step {step}")
-            grads, _ = clip_gradients(grads, config.grad_clip_norm)
-            params[:], state = adam_step(params, grads, state, config)
-        except NumericalError as exc:
-            exc.step = step
-            exc.last_good_params = unflatten_generator(params, source)
-            raise
-        step_losses.append(breakdown)
-        if step == 1 or step % SNAPSHOT_EVERY == 0 or step == config.steps:
-            final = take_snapshot(step)
+    # per-encoder batch sums of each step's distance and direction losses
+    dist_sums = np.zeros((config.steps, len(objective.encoder_ids)))
+    direct_sums = np.zeros_like(dist_sums)
+    step = 0
+    for z_chunk in training_chunks(config, source.d_z):
+        # the source side depends on no trained parameter: one call per chunk
+        f_chunk = (
+            [None] * len(z_chunk) if config.dist_only else objective.source_embeddings(z_chunk)
+        )
+        for z_batch, f_s in zip(z_chunk, f_chunk):
+            step += 1
+            dist, direct = dist_sums[step - 1], direct_sums[step - 1]  # this step's rows
+            try:
+                dist[:], direct[:], grads = objective(z_batch, views, f_s)
+                total = loss_total(dist, direct, config.batch_size, objective.lam)
+                if not np.isfinite(total):
+                    raise NumericalError(f"non-finite loss at step {step}")
+                grads, _ = clip_gradients(grads, config.grad_clip_norm)
+                params[:], state = adam_step(params, grads, state, config)
+            except NumericalError as exc:
+                exc.step = step
+                exc.last_good_params = unflatten_generator(params, source)
+                raise
+            if step == 1 or step % SNAPSHOT_EVERY == 0 or step == config.steps:
+                final = take_snapshot(step)
+    step_losses = loss_breakdowns(
+        objective.encoder_ids, dist_sums, direct_sums, config.batch_size, objective.lam
+    )
 
     checkpoints = {
         "first": first,

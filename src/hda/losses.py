@@ -28,6 +28,7 @@ tape expression, the oracle it is tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -239,15 +240,42 @@ def hybrid_direct_loss(
     return _per_row(_hybrid_direct(f_s, f_t, perps, weights, eps), f_t)
 
 
+def loss_total(dist_sums: Array, direct_sums: Array, batch_size: int, lam: float) -> float:
+    """Objective total of one step's ``(E,)`` per-encoder batch sums of the two losses.
+
+    Each encoder's batch means give ``dist + lam * direct``, and these
+    add in encoder order, as :class:`LossBreakdown` records them.
+    """
+    inv_batch = 1.0 / batch_size
+    return sum(
+        d * inv_batch + lam * (r * inv_batch)
+        for d, r in zip(dist_sums.tolist(), direct_sums.tolist())
+    )
+
+
+def loss_breakdowns(
+    encoder_ids, dist_sums: Array, direct_sums: Array, batch_size: int, lam: float
+) -> list[LossBreakdown]:
+    """One breakdown per row of ``(steps, E)`` per-encoder batch sums."""
+    inv_batch = 1.0 / batch_size
+    dist_terms, direct_terms = (dist_sums * inv_batch).tolist(), (direct_sums * inv_batch).tolist()
+    return [
+        LossBreakdown(
+            total=loss_total(dist_row, direct_row, batch_size, lam),
+            per_encoder=tuple(map(EncoderTerms, encoder_ids, dists, directs)),
+            lam=lam,
+        )
+        for dist_row, direct_row, dists, directs in zip(
+            dist_sums, direct_sums, dist_terms, direct_terms
+        )
+    ]
+
+
 def _breakdown(encoder_ids, dist: Array, direct: Array, lam: float) -> LossBreakdown:
     """Batch means of ``(E, B)`` per-row distance and direction losses."""
-    inv_batch = 1.0 / dist.shape[-1]
-    terms = tuple(
-        EncoderTerms(eid, float(dist[e].sum()) * inv_batch, float(direct[e].sum()) * inv_batch)
-        for e, eid in enumerate(encoder_ids)
-    )
-    total = sum(t.dist_term + lam * t.direct_term for t in terms)
-    return LossBreakdown(total=total, per_encoder=terms, lam=lam)
+    return loss_breakdowns(
+        encoder_ids, dist.sum(axis=-1)[None], direct.sum(axis=-1)[None], dist.shape[-1], lam
+    )[0]
 
 
 class ObjectivePlan:
@@ -255,11 +283,15 @@ class ObjectivePlan:
 
     The plan stacks the encoder weights along the ensemble axis and the
     ``(D, E)`` grid of subspaces to zero-padded bases, as the tape losses
-    do.  A call takes a ``(B, d_z)`` latent batch and the target
-    generator's arrays by name, computes the objective in numpy and its
-    gradient by the hand-written vector-Jacobian product of the same
-    expression.  It returns the loss breakdown and the gradient as one
-    vector in :func:`hda.worlds.flatten_generator`'s layout.
+    do.  The source side does not depend on the trained parameters, so
+    :meth:`source_embeddings` computes it for a chunk of steps at once.
+    A call takes a ``(B, d_z)`` latent batch, the target generator's
+    arrays by name and the batch's ``(E, B, d_e)`` source embeddings
+    (``None`` when only the distance loss is on), computes the objective
+    in numpy and its gradient by the hand-written vector-Jacobian
+    product of the same expression.  It returns the ``(E,)`` per-encoder
+    batch sums of the distance and direction losses, and the gradient
+    as one vector in :func:`hda.worlds.flatten_generator`'s layout.
     """
 
     def __init__(
@@ -288,6 +320,7 @@ class ObjectivePlan:
         except KeyError as exc:
             raise ConfigError(f"no subspace supplied for encoder or domain {exc}") from exc
         self.w1, self.b1, self.w2, self.b2 = stack_encoders(encoders)
+        self.w1_t, self.w2_t = np.swapaxes(self.w1, -1, -2), np.swapaxes(self.w2, -1, -2)
         if self.w1.shape[-1] != source_gen.d_x:
             raise DimensionError(
                 f"encoders read width {self.w1.shape[-1]}, the generator writes {source_gen.d_x}"
@@ -302,33 +335,44 @@ class ObjectivePlan:
         self.detach_projection = detach_projection
 
     def _encode(self, x: Array) -> tuple[Array, Array]:
-        """``(E, B, d_e)`` embeddings of ``(B, d_x)`` rows, and the hidden units before relu."""
-        pre = ad.matmul_rows(x, np.swapaxes(self.w1, -1, -2)) + self.b1
+        """``(..., E, B, d_e)`` embeddings of ``(..., B, d_x)`` rows, and the units before relu."""
+        pre = ad.matmul_rows(x[..., None, :, :], self.w1_t) + self.b1
         hidden = np.where(pre > 0.0, pre, 0.0)
-        return ad.matmul_rows(hidden, np.swapaxes(self.w2, -1, -2)) + self.b2, pre
+        return ad.matmul_rows(hidden, self.w2_t) + self.b2, pre
+
+    def source_embeddings(self, z_chunk: Array) -> Array:
+        """``(S, E, B, d_e)`` source embeddings of ``(S, B, d_z)`` latent batches.
+
+        The products are stacked per batch, one BLAS call each, so entry
+        ``s`` equals the embeddings of batch ``s`` alone bit for bit; one
+        product over all ``S * B`` rows would round differently.
+        """
+        return self._encode(self.source.forward(z_chunk))[0]
 
     def __call__(
-        self, z_batch: Array, params: dict[str, Array]
-    ) -> tuple[LossBreakdown, Array]:
+        self, z_batch: Array, params: dict[str, Array], f_s: Optional[Array]
+    ) -> tuple[Array, Array, Array]:
         inv_batch = 1.0 / z_batch.shape[0]
         w1, b1, w2, b2 = (params[n] for n in PARAM_FIELDS)
         hidden = np.tanh(ad.matmul_rows(z_batch, w1.T) + b1)
         f_t, pre = self._encode(ad.matmul_rows(hidden, w2.T) + b2)
         lifted = ad.matmul_rows(ad.matmul_rows(f_t - self.means, self.bases), self.bases_t)
         perps = lifted + self.means - f_t  # (D, E, B, d)
-        dist = direct = np.zeros(f_t.shape[:-1])  # (E, B): per encoder and latent
+        dist_sums = direct_sums = np.zeros(f_t.shape[0])  # (E,): summed over the batch
         g_perps = np.zeros_like(perps)  # d total / d perps
         g_f = np.zeros_like(f_t)  # d total / d f_t, other than through perps
         if not self.direct_only:
-            dist = ((perps * perps).sum(axis=-1) * self.alpha[..., 0]).sum(axis=0)
+            dist = ((perps * perps).sum(axis=-1) * self.alpha[..., 0]).sum(axis=0)  # (E, B)
+            dist_sums = dist.sum(axis=-1)
             g_perps += (2.0 * inv_batch) * self.alpha * perps
         if not self.dist_only:
-            u = f_t - self._encode(self.source.forward(z_batch))[0]
+            u = f_t - f_s
             v = (perps * self.alpha).sum(axis=0)
             nu = np.sqrt((u * u).sum(axis=-1) + NORM_EPS * NORM_EPS)
             nv = np.sqrt((v * v).sum(axis=-1) + NORM_EPS * NORM_EPS)
             dot, den = (u * v).sum(axis=-1), nu * nv
             direct = 1.0 - dot / den
+            direct_sums = direct.sum(axis=-1)
             # the tape's reverse steps in its order, so that a subnormal
             # lambda rounds the same way in both
             g_cos = -(self.lam * inv_batch)
@@ -348,7 +392,7 @@ class ObjectivePlan:
             ad.matmul_rows(g_x.T, hidden).ravel(),
             g_x.sum(axis=0),
         ])
-        return _breakdown(self.encoder_ids, dist, direct, self.lam), grads
+        return dist_sums, direct_sums, grads
 
 
 def hda_objective(
@@ -370,7 +414,7 @@ def hda_objective(
     with respect to each target generator parameter array.  Source
     generator and encoders enter as constants: their weights receive no
     gradient and are never modified.  Builds an :class:`ObjectivePlan`
-    for this one call.
+    for this one call, a chunk of one step.
     """
     z_batch = np.asarray(z_batch, dtype=np.float64)
     if z_batch.ndim != 2:
@@ -385,5 +429,10 @@ def hda_objective(
         source_gen, encoders, subspaces_per_encoder, weights, lam,
         dist_only=dist_only, direct_only=direct_only, detach_projection=detach_projection,
     )
-    breakdown, grads = plan(z_batch, {name: getattr(target_gen, name) for name in PARAM_FIELDS})
+    f_s = None if dist_only else plan.source_embeddings(z_batch[None])[0]
+    params = {name: getattr(target_gen, name) for name in PARAM_FIELDS}
+    dist_sums, direct_sums, grads = plan(z_batch, params, f_s)
+    breakdown = loss_breakdowns(
+        plan.encoder_ids, dist_sums[None], direct_sums[None], len(z_batch), plan.lam
+    )[0]
     return breakdown, generator_views(grads, target_gen)

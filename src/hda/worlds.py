@@ -83,11 +83,11 @@ def _relu(x: Array) -> Array:
     return np.where(x > 0.0, x, 0.0)
 
 
-def _rows(x, width: int, kind: str) -> Array:
-    """``x`` as a float vector or ``(n, width)`` batch, checked."""
+def _rows(x, width: int, kind: str, max_ndim: int = 2) -> Array:
+    """``x`` as a float vector or ``(..., n, width)`` rows of at most ``max_ndim`` axes, checked."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim not in (1, 2):
-        raise DimensionError(f"{kind}s must be 1- or 2-dimensional, got shape {x.shape}")
+    if not 1 <= x.ndim <= max_ndim:
+        raise DimensionError(f"{kind}s must have 1 to {max_ndim} axes, got shape {x.shape}")
     if x.shape[-1] != width:
         raise DimensionError(f"{kind} has length {x.shape[-1]}, expected {width}")
     return x
@@ -261,7 +261,12 @@ class GeneratorParams:
         return self.w2.shape[0]
 
     def forward(self, z) -> Array:
-        z = _rows(z, self.d_z, "latent")
+        """Outputs of a ``(d_z,)`` latent, ``(n, d_z)`` rows or ``(S, n, d_z)`` stacked batches.
+
+        Each batch of a stack equals its own forward bit for bit: the
+        products run as one BLAS call per batch.
+        """
+        z = _rows(z, self.d_z, "latent", max_ndim=3)
         hidden = np.tanh(ad.matmul_rows(np.atleast_2d(z), self.w1.T) + self.b1)
         x = ad.matmul_rows(hidden, self.w2.T) + self.b2
         return x[0] if z.ndim == 1 else x

@@ -4,13 +4,16 @@ import itertools
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hda.autodiff import Tape
 from hda.diagnostics import _toy_objective_setup, tape_objective
+from hda.engine import default_adaptation_config
 from hda.losses import (
     DomainWeight,
+    ObjectivePlan,
     hda_objective,
     hybrid_direct_loss,
     hybrid_dist_loss,
@@ -146,3 +149,20 @@ def test_objective_matches_tape_oracle():
             for name in PARAM_FIELDS:
                 scale = np.max(np.abs(want_grads[name]))
                 assert np.max(np.abs(grads[name] - want_grads[name])) <= ORACLE_REL * scale
+
+
+@pytest.mark.parametrize("steps, batch", [(25, 4), (3, 48), (1, 200), (7, 1)])
+def test_source_embeddings_equal_each_batch_encoded_alone(world, subspaces, steps, batch):
+    """A chunk's stacked source side, step by step and encoder by encoder, bit for bit."""
+    config = default_adaptation_config(world)
+    encoders = [world.encoder(e) for e in config.encoder_ids]
+    plan = ObjectivePlan(
+        world.source_generator, encoders, subspaces, list(config.ordered_weights()), config.lam
+    )
+    z_chunk = stream_rng(0, "chunk").standard_normal((steps, batch, world.config.d_z))
+    f_s = plan.source_embeddings(z_chunk)
+    assert f_s.shape[:3] == (steps, len(encoders), batch)
+    for s, z in enumerate(z_chunk):
+        x = world.source_generator.forward(z)
+        for e, enc in enumerate(encoders):
+            np.testing.assert_array_equal(f_s[s, e], encode(enc, x))

@@ -20,9 +20,11 @@ from hda.engine import (
     run_single_domain,
     save_run,
     training_batches,
+    training_chunks,
 )
 from hda.errors import ConfigError, DegenerateDomain, NumericalError
-from hda.losses import DomainWeight, hda_objective
+from hda.losses import DomainWeight, ObjectivePlan, hda_objective
+from hda.seeding import stream_rng
 from hda.worlds import (
     build_world,
     build_world_subspaces,
@@ -115,14 +117,18 @@ def test_training_batches_deterministic_prefix():
         batch_size=3,
         seed=7,
     )
-    longer = replace(config, steps=20)
+    longer = replace(config, steps=60)  # three chunks of steps: 25, 25 and 10
     short_batches = list(training_batches(config, d_z=4))
     long_batches = list(training_batches(longer, d_z=4))
     assert len(short_batches) == 10
-    assert len(long_batches) == 20
+    assert len(long_batches) == 60
     for a, b in zip(short_batches, long_batches):
         np.testing.assert_array_equal(a, b)
         assert a.shape == (3, 4)
+    # a chunk's one draw equals one draw per step
+    rng = stream_rng(7, "train-z")
+    for batch in long_batches:
+        np.testing.assert_array_equal(batch, rng.standard_normal((3, 4)))
 
 
 def test_run_is_deterministic(world, subspaces):
@@ -166,7 +172,7 @@ def test_first_step_loss_is_reproducible_from_checkpoint(world, subspaces):
         list(config.ordered_weights()),
         config.lam,
     )
-    assert breakdown.total == pytest.approx(record.step_losses[0].total, rel=1e-8)
+    assert breakdown == record.step_losses[0]
 
 
 @pytest.fixture(scope="module")
@@ -174,32 +180,83 @@ def stock_record(world, subspaces):
     return run_adaptation(default_adaptation_config(world), world, subspaces)
 
 
+def _recomputed_loss(config, world, subspaces, step, first_params):
+    """``hda_objective`` at ``step`` of a run, from the params that enter that step."""
+    if step == 1:
+        params = first_params
+    else:
+        # params entering step s are the final params of an s-1 step run
+        params = run_adaptation(replace(config, steps=step - 1), world, subspaces).final_params
+    batch = next(itertools.islice(training_batches(config, world.config.d_z), step - 1, step))
+    breakdown, _ = hda_objective(
+        batch,
+        world.source_generator,
+        params,
+        [world.encoder(e) for e in config.encoder_ids],
+        subspaces,
+        list(config.ordered_weights()),
+        config.lam,
+    )
+    return breakdown
+
+
 def test_logged_losses_match_recomputation_at_spot_steps(world, subspaces, stock_record):
     config = default_adaptation_config(world)
-    encoders = [world.encoder(e) for e in config.encoder_ids]
-    for step in (1, 150, 300):
-        if step == 1:
-            params = stock_record.checkpoints["first"].params
-        else:
-            # params entering step s are the final params of an s-1 step run
-            prefix = run_adaptation(
-                replace(config, steps=step - 1), world, subspaces
-            )
-            params = prefix.final_params
-        batch = next(
-            itertools.islice(training_batches(config, world.config.d_z), step - 1, step)
-        )
-        breakdown, _ = hda_objective(
-            batch,
-            world.source_generator,
-            params,
-            encoders,
-            subspaces,
-            list(config.ordered_weights()),
-            config.lam,
-        )
-        logged = stock_record.step_losses[step - 1].total
-        assert breakdown.total == pytest.approx(logged, rel=1e-8), f"step {step}"
+    first = stock_record.checkpoints["first"].params
+    # 25 and 26 sit either side of the first chunk edge, 37 inside the second chunk
+    for step in (1, 25, 26, 37, 150, 300):
+        breakdown = _recomputed_loss(config, world, subspaces, step, first)
+        assert breakdown == stock_record.step_losses[step - 1], f"step {step}"
+
+
+@pytest.mark.parametrize(
+    "batch_size, chunks",
+    # 128 // 48 = 2 steps per chunk, the last one a remainder; 200 rows make one step
+    [(48, [2, 2, 1]), (200, [1, 1, 1])],
+)
+def test_logged_losses_match_recomputation_at_other_chunk_sizes(
+    world, subspaces, batch_size, chunks
+):
+    steps = sum(chunks)
+    config = _small_config(world, steps=steps, batch_size=batch_size)
+    assert [len(c) for c in training_chunks(config, world.config.d_z)] == chunks
+    record = run_adaptation(config, world, subspaces)
+    first = record.checkpoints["first"].params
+    for step in range(1, steps + 1):
+        breakdown = _recomputed_loss(config, world, subspaces, step, first)
+        assert breakdown == record.step_losses[step - 1], f"step {step}"
+
+
+def test_run_across_a_chunk_edge_extends_the_shorter_run(world, subspaces):
+    # 25 steps per chunk at the stock batch of 4
+    short = run_adaptation(_small_config(world, steps=30), world, subspaces)
+    longer = run_adaptation(_small_config(world, steps=60), world, subspaces)
+    assert short.step_losses == longer.step_losses[:30]
+
+
+def _count_source_calls(monkeypatch) -> list:
+    calls = []
+    wrapped = ObjectivePlan.source_embeddings
+
+    def counted(self, z_chunk):
+        calls.append(z_chunk.shape)
+        return wrapped(self, z_chunk)
+
+    monkeypatch.setattr(ObjectivePlan, "source_embeddings", counted)
+    return calls
+
+
+def test_source_side_is_computed_once_per_chunk(world, subspaces, monkeypatch):
+    calls = _count_source_calls(monkeypatch)
+    run_adaptation(_small_config(world, steps=60), world, subspaces)
+    d_z = world.config.d_z
+    assert calls == [(25, 4, d_z), (25, 4, d_z), (10, 4, d_z)]
+
+
+def test_distance_only_run_computes_no_source_side(world, subspaces, monkeypatch):
+    calls = _count_source_calls(monkeypatch)
+    run_adaptation(_small_config(world, steps=30, dist_only=True), world, subspaces)
+    assert calls == []
 
 
 def test_dist_term_trend_nonincreasing_in_25_step_blocks(stock_record):
@@ -233,8 +290,16 @@ def test_exploding_run_reports_last_good_step(world, subspaces):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalError) as excinfo:
             run_adaptation(config, world, subspaces)
-    assert excinfo.value.step is not None
-    assert excinfo.value.last_good_params is not None
+    exc = excinfo.value
+    assert exc.step is not None and exc.step >= 2
+    assert f"step {exc.step}" in str(exc)
+    # the params it reports are those entering the failing step
+    with np.errstate(over="ignore", invalid="ignore"):
+        prefix = run_adaptation(replace(config, steps=exc.step - 1), world, subspaces)
+    for name in ("w1", "b1", "w2", "b2"):
+        np.testing.assert_array_equal(
+            getattr(exc.last_good_params, name), getattr(prefix.final_params, name)
+        )
 
 
 def test_inseparable_domains_abort_before_training():

@@ -197,6 +197,13 @@ def test_generator_forward_var_matches_forward(world):
     out = generator_forward_var(tape, params, z)
     np.testing.assert_array_equal(out.value, gen.forward(z))
     np.testing.assert_array_equal(gen.forward(z[2]), gen.forward(z[2:3])[0])
+    # stacked batches run one product each, so each equals its own forward
+    stacked = gen.forward(np.stack([z, z[::-1]]))
+    np.testing.assert_array_equal(stacked[1], gen.forward(z[::-1]))
+    with pytest.raises(DimensionError, match="latents must have 1 to 3 axes"):
+        gen.forward(z[None, None])
+    with pytest.raises(DimensionError, match="latent has length"):
+        gen.forward(z[..., :-1][None])
 
 
 def test_generator_trainable_accepts_only_json_booleans(world):
