@@ -49,7 +49,6 @@ def ablation_suite(
     Every run shares ``base_config.seed``, so rows differ only in the
     ablated ingredient.
     """
-    base_config.validate()
     subspaces = build_world_subspaces(world)
     held_out = world.held_out_encoder
     snapshot = SnapshotPlan(

@@ -354,9 +354,7 @@ def _toy_objective_setup(seed: int, batch: int, n_encoders: int, unequal_ranks: 
         per_domain = {}
         for j, w in enumerate(weights):
             rank = 1 + (i + j) % 3 if unequal_ranks else 2
-            feats = FeatureSet.from_features(
-                rng.standard_normal((rank + 1, 4)), domain_id=w.domain_id
-            )
+            feats = FeatureSet(rng.standard_normal((rank + 1, 4)), domain_id=w.domain_id)
             per_domain[w.domain_id] = build_subspace(feats)
         subspaces[enc.encoder_id] = per_domain
     # perturb the target so the source-to-target displacement is nonzero
@@ -404,7 +402,7 @@ def _check_objective(
 
         def point_at_projection(e, w):
             at = project(subspaces[e.encoder_id][w.domain_id], encode(e, x0))
-            return build_subspace(FeatureSet.from_features(at), allow_point_subspace=True)
+            return build_subspace(FeatureSet(at), allow_point_subspace=True)
 
         frozen = {e.encoder_id: {w.domain_id: point_at_projection(e, w) for w in weights}
                   for e in encoders}
@@ -439,7 +437,7 @@ def _check_dist_through_encoder(seed: int) -> GradCheckReport:
     # references around the probe's own embedding keep the loss O(1): with
     # far references (loss ~30) the small w2 coordinates sat below the
     # central differences' rounding noise at some seeds
-    sub = build_subspace(FeatureSet.from_features(encode(enc, source.forward(z)) + offsets))
+    sub = build_subspace(FeatureSet(encode(enc, source.forward(z)) + offsets))
 
     def f(p):
         target = unflatten_generator(p, like=source)

@@ -78,9 +78,6 @@ class AdaptationConfig:
         object.__setattr__(self, "encoder_ids", tuple(self.encoder_ids))
         object.__setattr__(self, "domain_ids", tuple(self.domain_ids))
         object.__setattr__(self, "weights", tuple(self.weights))
-        self.validate()
-
-    def validate(self) -> None:
         if not self.encoder_ids:
             raise ConfigError("encoder_ids is empty")
         if len(set(self.encoder_ids)) != len(self.encoder_ids):
@@ -307,7 +304,6 @@ def run_adaptation(
     configured training encoder and for the held-out encoder, which the
     metric snapshots use.
     """
-    config.validate()
     for encoder_id in config.encoder_ids:
         if encoder_id not in world.train_encoder_ids:
             raise ConfigError(f"encoder {encoder_id!r} is not a training encoder")

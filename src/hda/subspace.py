@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -27,14 +27,18 @@ Array = np.ndarray
 #: Singular values below ``rank_tolerance * s_max`` are treated as zero.
 DEFAULT_RANK_TOLERANCE = 1e-8
 
-_ORTHONORMALITY_TOL = 1e-10
-_MEAN_TOL = 1e-12
+_AXES = {1: "a vector", 2: "a matrix"}
 
 
-def _locked_array(value, *, ndim: int, name: str) -> Array:
+def locked_array(
+    value, name: str, *, ndim: Optional[int] = None, shape: Optional[tuple] = None
+) -> Array:
+    """A read-only float64 copy of ``value`` with ``ndim`` axes or exactly ``shape``, all finite."""
     arr = np.array(value, dtype=np.float64)
-    if arr.ndim != ndim:
-        raise DimensionError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
+    if ndim is not None and arr.ndim != ndim:
+        raise DimensionError(f"{name} must be {_AXES[ndim]}, got shape {arr.shape}")
+    if shape is not None and arr.shape != shape:
+        raise DimensionError(f"{name} must have shape {shape}, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ConfigError(f"{name} contains non-finite entries")
     arr.setflags(write=False)
@@ -43,32 +47,18 @@ def _locked_array(value, *, ndim: int, name: str) -> Array:
 
 @dataclass(frozen=True)
 class FeatureSet:
-    """Reference features of one domain under one encoder."""
+    """Reference features of one domain under one encoder; ``mean`` is their average."""
 
     features: Array  # (k, d)
-    mean: Array  # (d,)
     domain_id: str = ""
+    mean: Array = field(init=False)  # (d,)
 
     def __post_init__(self):
-        feats = _locked_array(self.features, ndim=2, name="features")
-        mean = _locked_array(self.mean, ndim=1, name="mean")
+        feats = locked_array(self.features, "features", ndim=2)
         if feats.shape[0] < 1:
             raise DegenerateDomain("a feature set needs at least one vector")
-        if feats.shape[1] != mean.shape[0]:
-            raise DimensionError(
-                f"mean length {mean.shape[0]} does not match feature width {feats.shape[1]}"
-            )
-        if np.max(np.abs(mean - feats.mean(axis=0))) > _MEAN_TOL:
-            raise ConfigError("stored mean is not the average of the features")
         object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "mean", mean)
-
-    @classmethod
-    def from_features(cls, vectors, domain_id: str = "") -> "FeatureSet":
-        feats = np.array(vectors, dtype=np.float64)
-        if feats.ndim != 2:
-            raise DimensionError(f"expected a (k, d) array, got shape {feats.shape}")
-        return cls(features=feats, mean=feats.mean(axis=0), domain_id=domain_id)
+        object.__setattr__(self, "mean", locked_array(feats.mean(axis=0), "mean"))
 
     @property
     def k(self) -> int:
@@ -168,37 +158,26 @@ def read_feature_csv(path) -> Array:
 
 @dataclass(frozen=True)
 class DomainSubspace:
-    """Affine subspace ``{mean + basis @ c}`` with orthonormal basis columns."""
+    """Affine subspace ``{mean + basis @ c}`` with orthonormal basis columns.
+
+    The constructor checks shapes and finiteness only: the orthonormal basis
+    and the positive, non-increasing singular values come from
+    :func:`build_subspace`.
+    """
 
     mean: Array  # (d,)
     basis: Array  # (d, r); r == 0 encodes a single point
     singular_values: Array  # (r,)
 
     def __post_init__(self):
-        mean = _locked_array(self.mean, ndim=1, name="mean")
-        basis = np.array(self.basis, dtype=np.float64)
-        if basis.ndim != 2:
-            raise DimensionError(f"basis must be a matrix, got shape {basis.shape}")
-        if not np.all(np.isfinite(basis)):
-            raise ConfigError("basis contains non-finite entries")
+        mean = locked_array(self.mean, "mean", ndim=1)
+        basis = locked_array(self.basis, "basis", ndim=2)
         d, r = basis.shape
         if d != mean.shape[0]:
             raise DimensionError(f"basis has {d} rows but mean has length {mean.shape[0]}")
         if r > d:
             raise DimensionError(f"rank {r} exceeds ambient dimension {d}")
-        svals = np.array(self.singular_values, dtype=np.float64)
-        if svals.ndim != 1 or svals.shape[0] != r:
-            raise DimensionError("need one singular value per basis column")
-        if r > 0:
-            if not np.all(svals > 0.0):
-                raise ConfigError("singular values must be strictly positive")
-            if np.any(np.diff(svals) > 0.0):
-                raise ConfigError("singular values must be non-increasing")
-            gram = basis.T @ basis
-            if np.max(np.abs(gram - np.eye(r))) > _ORTHONORMALITY_TOL:
-                raise ConfigError("basis columns are not orthonormal")
-        basis.setflags(write=False)
-        svals.setflags(write=False)
+        svals = locked_array(self.singular_values, "singular_values", shape=(r,))
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "singular_values", svals)
@@ -345,8 +324,5 @@ def separation_ratio_2d(rows: list[tuple[str, float, float]]) -> float:
     groups: dict[str, list[tuple[float, float]]] = {}
     for label, x, y in rows:
         groups.setdefault(label, []).append((x, y))
-    sets = [
-        FeatureSet.from_features(np.array(points, dtype=np.float64), domain_id=label)
-        for label, points in groups.items()
-    ]
+    sets = [FeatureSet(points, domain_id=label) for label, points in groups.items()]
     return separation_ratio(sets)

@@ -34,6 +34,7 @@ from .subspace import (
     DomainSubspace,
     FeatureSet,
     build_subspace,
+    locked_array,
     read_feature_csv,
     read_json,
     write_feature_csv,
@@ -69,14 +70,23 @@ def _check_identifier(name: str, kind: str) -> str:
     return name
 
 
-def _locked(value, shape, name) -> Array:
-    arr = np.array(value, dtype=np.float64)
-    if arr.shape != shape:
-        raise DimensionError(f"{name} must have shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ConfigError(f"{name} contains non-finite entries")
-    arr.setflags(write=False)
-    return arr
+def _lock_mlp(obj, prefix: str) -> None:
+    """Lock ``obj``'s two-layer weights ``w1, b1, w2, b2`` as checked read-only copies.
+
+    ``w1`` is ``(d_h, d_in)``, ``b1`` ``(d_h,)``, ``w2`` ``(d_out, d_h)`` and
+    ``b2`` ``(d_out,)``; ``prefix`` starts each error's array name.
+    """
+    w1 = locked_array(obj.w1, f"{prefix}w1", ndim=2)
+    b1 = locked_array(obj.b1, f"{prefix}b1", shape=(w1.shape[0],))
+    w2 = np.array(obj.w2, dtype=np.float64)
+    if w2.ndim != 2 or w2.shape[1] != w1.shape[0]:
+        raise DimensionError(
+            f"{prefix}w2 must have {w1.shape[0]} columns, got shape {w2.shape}"
+        )
+    w2 = locked_array(w2, f"{prefix}w2")
+    b2 = locked_array(obj.b2, f"{prefix}b2", shape=(w2.shape[0],))
+    for name, arr in zip(PARAM_FIELDS, (w1, b1, w2, b2)):
+        object.__setattr__(obj, name, arr)
 
 
 def _relu(x: Array) -> Array:
@@ -234,19 +244,7 @@ class GeneratorParams:
     trainable: bool = False
 
     def __post_init__(self):
-        w1 = np.array(self.w1, dtype=np.float64)
-        if w1.ndim != 2:
-            raise DimensionError(f"w1 must be a matrix, got shape {w1.shape}")
-        d_h, d_z = w1.shape
-        w1 = _locked(w1, (d_h, d_z), "w1")
-        b1 = _locked(self.b1, (d_h,), "b1")
-        w2 = np.array(self.w2, dtype=np.float64)
-        if w2.ndim != 2 or w2.shape[1] != d_h:
-            raise DimensionError(f"w2 must have {d_h} columns, got shape {w2.shape}")
-        w2 = _locked(w2, (w2.shape[0], d_h), "w2")
-        b2 = _locked(self.b2, (w2.shape[0],), "b2")
-        for name, arr in zip(PARAM_FIELDS, (w1, b1, w2, b2)):
-            object.__setattr__(self, name, arr)
+        _lock_mlp(self, "")
 
     @property
     def d_z(self) -> int:
@@ -346,21 +344,7 @@ class EncoderSpec:
 
     def __post_init__(self):
         _check_identifier(self.encoder_id, "encoder")
-        w1 = np.array(self.w1, dtype=np.float64)
-        if w1.ndim != 2:
-            raise DimensionError(f"encoder w1 must be a matrix, got shape {w1.shape}")
-        d_h, d_x = w1.shape
-        w1 = _locked(w1, (d_h, d_x), "encoder w1")
-        b1 = _locked(self.b1, (d_h,), "encoder b1")
-        w2 = np.array(self.w2, dtype=np.float64)
-        if w2.ndim != 2 or w2.shape[1] != d_h:
-            raise DimensionError(f"encoder w2 must have {d_h} columns, got {w2.shape}")
-        w2 = _locked(w2, (w2.shape[0], d_h), "encoder w2")
-        b2 = _locked(self.b2, (w2.shape[0],), "encoder b2")
-        object.__setattr__(self, "w1", w1)
-        object.__setattr__(self, "b1", b1)
-        object.__setattr__(self, "w2", w2)
-        object.__setattr__(self, "b2", b2)
+        _lock_mlp(self, "encoder ")
 
     @property
     def d_x(self) -> int:
@@ -455,15 +439,11 @@ class SyntheticDomainSpec:
 
     def __post_init__(self):
         _check_identifier(self.domain_id, "domain")
-        shift = np.array(self.attribute_shift, dtype=np.float64)
-        if shift.ndim != 1:
-            raise DimensionError(f"attribute_shift must be a vector, got {shift.shape}")
-        shift = _locked(shift, shift.shape, "attribute_shift")
+        shift = locked_array(self.attribute_shift, "attribute_shift", ndim=1)
         object.__setattr__(self, "attribute_shift", shift)
         if self.attribute_transform is not None:
-            t = np.array(self.attribute_transform, dtype=np.float64)
             d = shift.shape[0]
-            t = _locked(t, (d, d), "attribute_transform")
+            t = locked_array(self.attribute_transform, "attribute_transform", shape=(d, d))
             object.__setattr__(self, "attribute_transform", t)
         if self.noise_scale < 0.0:
             raise ConfigError(f"noise_scale must be >= 0, got {self.noise_scale}")
@@ -577,8 +557,7 @@ class World:
     def __post_init__(self):
         # locked copies, so the features cached from them cannot go stale
         references = {
-            d: _locked(refs, np.shape(refs), f"references {d}")
-            for d, refs in self.references.items()
+            d: locked_array(refs, f"references {d}", ndim=2) for d, refs in self.references.items()
         }
         object.__setattr__(self, "references", references)
 
@@ -621,7 +600,7 @@ class World:
         bounds = np.cumsum([self.references[d].shape[0] for d in ids])[:-1]
         return {
             enc.encoder_id: {
-                d: FeatureSet.from_features(f, domain_id=d)
+                d: FeatureSet(f, domain_id=d)
                 for d, f in zip(ids, np.split(features, bounds))
             }
             for enc, features in zip(encoders, stacked)
@@ -631,7 +610,7 @@ class World:
         points = sample_source_points(
             self.source_generator, k, derive_seed(self.config.seed, "source-cluster")
         )
-        return FeatureSet.from_features(encode(encoder, points), domain_id="source")
+        return FeatureSet(encode(encoder, points), domain_id="source")
 
 
 def build_world(config: WorldConfig) -> World:
@@ -688,7 +667,6 @@ def save_world(world: World, out_dir) -> None:
 
 def load_world(world_dir) -> World:
     config = read_document(_WorldFile, os.path.join(world_dir, WORLD_FILE), "world file").config
-    world = build_world(config)
     references = {}
     for d in config.domains:
         csv_path = os.path.join(world_dir, f"references_{d.domain_id}.csv")
@@ -700,13 +678,7 @@ def load_world(world_dir) -> World:
                 f"{csv_path}: expected shape {(d.k, config.d_x)}, got {refs.shape}"
             )
         references[d.domain_id] = refs
-    return World(
-        config=config,
-        source_generator=world.source_generator,
-        train_encoders=world.train_encoders,
-        held_out_encoder=world.held_out_encoder,
-        references=references,
-    )
+    return replace(build_world(config), references=references)
 
 
 def build_world_subspaces(

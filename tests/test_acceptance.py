@@ -67,7 +67,7 @@ def test_criterion_1_projection_oracle():
     for _ in range(n_pairs):
         k = int(rng.integers(2, 11))
         d = int(rng.integers(2, 33))
-        sub = build_subspace(FeatureSet.from_features(rng.standard_normal((k, d))))
+        sub = build_subspace(FeatureSet(rng.standard_normal((k, d))))
         p = 3.0 * rng.standard_normal(d)
         got = subspace_distance_sq(sub, p)
         coeffs, _, _, _ = np.linalg.lstsq(sub.basis, p - sub.mean, rcond=None)
@@ -123,7 +123,7 @@ def test_criterion_3_reduction_and_invariance():
     worst_scale_direct = 0.0
     for _ in range(n):
         d = int(rng.integers(4, 9))
-        sub = build_subspace(FeatureSet.from_features(rng.standard_normal((4, d))))
+        sub = build_subspace(FeatureSet(rng.standard_normal((4, d))))
         p_s, p_t = rng.standard_normal(d), rng.standard_normal(d)
         tape = Tape()
         f_s, f_t = tape.variable(p_s), tape.variable(p_t)

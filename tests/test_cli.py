@@ -255,6 +255,17 @@ def _set(*keys, value):
     return edit
 
 
+def _drop_last(*keys):
+    """An edit of a JSON document that removes the last entry of the list at ``keys``."""
+
+    def edit(doc):
+        for key in keys:
+            doc = doc[key]
+        doc.pop()
+
+    return edit
+
+
 @pytest.mark.parametrize(
     "edit, named",
     [
@@ -266,9 +277,16 @@ def _set(*keys, value):
          "report: semantic_similarity"),
         (_set("snapshots", 0, "report", "n_samples", value=1.5), "report: n_samples"),
         (_set("snapshots", 0, "bogus", value=1), "unknown MetricSnapshot key 'bogus'"),
+        (_set("final_params", "w1", 0, 0, value=float("nan")),
+         "final_params: w1 contains non-finite entries"),
+        (_drop_last("final_params", "b2"),
+         "final_params: generator document: b2 must have shape (32,), got (31,)"),
+        (_set("checkpoints", "best", "params", "b1", 0, value=float("inf")),
+         "checkpoints['best']: params: b1 contains non-finite entries"),
     ],
     ids=["null-world-dir", "fractional-step", "string-step", "string-metric", "list-similarity",
-         "fractional-n-samples", "unknown-key"],
+         "fractional-n-samples", "unknown-key", "nan-final-w1", "short-final-b2",
+         "infinite-best-b1"],
 )
 def test_malformed_run_record_exits_2_naming_the_key(tmp_path, runner, stock_run, edit, named):
     run = tmp_path / "run"

@@ -31,9 +31,7 @@ def _axis_subspace(d: int, axis: int, mean=None) -> DomainSubspace:
 
 
 def _random_subspace(rng, d: int, r: int) -> DomainSubspace:
-    return build_subspace(
-        FeatureSet.from_features(rng.standard_normal((r + 1, d)))
-    )
+    return build_subspace(FeatureSet(rng.standard_normal((r + 1, d))))
 
 
 def test_dist_loss_hand_value_and_gradient():

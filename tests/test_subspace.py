@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hda.errors import ConfigError, DegenerateDomain, NumericalError
@@ -25,7 +25,7 @@ from hda.subspace import (
 
 
 def _sub_from(points) -> DomainSubspace:
-    return build_subspace(FeatureSet.from_features(np.asarray(points, dtype=np.float64)))
+    return build_subspace(FeatureSet(np.asarray(points, dtype=np.float64)))
 
 
 def test_plane_from_three_points():
@@ -122,7 +122,7 @@ def test_distance_matches_least_squares():
 
 
 def test_single_shot_requires_opt_in():
-    fs = FeatureSet.from_features(np.array([[1.0, 2.0, 3.0]]))
+    fs = FeatureSet(np.array([[1.0, 2.0, 3.0]]))
     with pytest.raises(DegenerateDomain):
         build_subspace(fs)
     sub = build_subspace(fs, allow_point_subspace=True)
@@ -132,9 +132,7 @@ def test_single_shot_requires_opt_in():
 
 
 def test_point_subspace_json_document():
-    sub = build_subspace(
-        FeatureSet.from_features(np.array([[1.0, 2.0]])), allow_point_subspace=True
-    )
+    sub = build_subspace(FeatureSet(np.array([[1.0, 2.0]])), allow_point_subspace=True)
     # a rank-0 subspace writes its basis as d empty rows
     doc = json.loads(json.dumps(sub.to_json_dict()))
     assert doc == {"mean": [1.0, 2.0], "basis": [[], []], "singular_values": []}
@@ -168,13 +166,13 @@ def test_feature_csv_rejects_bad_header(tmp_path):
 
 
 def test_separation_ratio_hand_value():
-    a = FeatureSet.from_features(np.array([[0.0, 0.0], [0.0, 2.0]]), domain_id="a")
-    b = FeatureSet.from_features(np.array([[10.0, 0.0], [10.0, 2.0]]), domain_id="b")
+    a = FeatureSet(np.array([[0.0, 0.0], [0.0, 2.0]]), domain_id="a")
+    b = FeatureSet(np.array([[10.0, 0.0], [10.0, 2.0]]), domain_id="b")
     assert separation_ratio([a, b]) == pytest.approx(10.0, rel=1e-12)
 
 
 def test_separation_ratio_needs_two_sets():
-    a = FeatureSet.from_features(np.zeros((2, 2)), domain_id="a")
+    a = FeatureSet(np.zeros((2, 2)), domain_id="a")
     with pytest.raises(ConfigError):
         separation_ratio([a])
 
@@ -184,12 +182,8 @@ def test_pca2d_separates_distinct_clusters(tmp_path):
     d = 16
     offset = np.zeros(d)
     offset[0] = 10.0
-    a = FeatureSet.from_features(
-        offset + 0.1 * rng.standard_normal((20, d)), domain_id="a"
-    )
-    b = FeatureSet.from_features(
-        -offset + 0.1 * rng.standard_normal((20, d)), domain_id="b"
-    )
+    a = FeatureSet(offset + 0.1 * rng.standard_normal((20, d)), domain_id="a")
+    b = FeatureSet(-offset + 0.1 * rng.standard_normal((20, d)), domain_id="b")
     rows = pca2d_export([a, b])
     assert len(rows) == 40
     ax = np.mean([x for label, x, y in rows if label == "a"])
@@ -203,7 +197,7 @@ def test_pca2d_separates_distinct_clusters(tmp_path):
 
 
 def test_pca2d_needs_three_points():
-    a = FeatureSet.from_features(np.zeros((2, 4)), domain_id="a")
+    a = FeatureSet(np.zeros((2, 4)), domain_id="a")
     with pytest.raises(DegenerateDomain):
         pca2d_export([a])
 
@@ -218,3 +212,44 @@ def test_projection_never_increases_distance(seed, k, d):
     # any other subspace point is at least as far away as the projection
     other = sub.mean + sub.basis @ rng.standard_normal(sub.rank)
     assert np.sum((p - proj) ** 2) <= np.sum((p - other) ** 2) + 1e-9
+
+
+def _oracle_features(rng, kind: str, k: int, d: int, s2: float):
+    """``(k, d)`` features: spread rows, a few rows repeated, or a tiny second singular value."""
+    if kind == "spread":
+        return 10.0 ** rng.integers(-3, 4) * rng.standard_normal((k, d))
+    if kind == "repeated":
+        distinct = rng.standard_normal((int(rng.integers(min(k, 2), k + 1)), d))
+        return np.resize(distinct, (k, d))
+    # the construction of test_small_second_singular_value_is_exact
+    a = rng.standard_normal((k, 2))
+    u, _ = np.linalg.qr(a - a.mean(axis=0))
+    v, _ = np.linalg.qr(rng.standard_normal((d, 2)))
+    return 3.0 + u @ np.diag([1.0, s2]) @ v.T
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    k=st.integers(1, 12),
+    d=st.integers(1, 33),
+    kind=st.sampled_from(["spread", "repeated", "near-rank-deficient"]),
+    s2=st.sampled_from([1e-9, 2e-8, 1e-7, 1e-6]),
+)
+def test_built_subspaces_hold_the_invariants_the_constructors_trust(seed, k, d, kind, s2):
+    # FeatureSet and DomainSubspace check shapes only; the invariants of
+    # build_subspace's output are checked here
+    if kind == "near-rank-deficient":
+        assume(k >= 3 and d >= 2)
+    x = _oracle_features(stream_rng(seed, "subspace-oracle"), kind, k, d, s2)
+    fs = FeatureSet(x)
+    sub = build_subspace(fs, allow_point_subspace=True)
+    r = sub.rank
+    np.testing.assert_allclose(sub.basis.T @ sub.basis, np.eye(r), rtol=0.0, atol=1e-10)
+    assert np.all(sub.singular_values > 0.0)
+    assert np.all(np.diff(sub.singular_values) <= 0.0)
+    assert r <= min(k - 1, d)
+    np.testing.assert_allclose(fs.mean, x.mean(axis=0), rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(sub.mean, x.mean(axis=0), rtol=0.0, atol=1e-12)
+    for arr in (fs.features, fs.mean, sub.mean, sub.basis, sub.singular_values):
+        assert not arr.flags.writeable

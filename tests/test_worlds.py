@@ -333,7 +333,7 @@ def test_cached_feature_sets_equal_the_per_slot_path(make_world):
     subspaces = build_world_subspaces(world)
     for enc in (*world.train_encoders, world.held_out_encoder):
         for domain_id, refs in world.references.items():
-            want = FeatureSet.from_features(encode(enc, refs), domain_id=domain_id)
+            want = FeatureSet(encode(enc, refs), domain_id=domain_id)
             got = world.feature_set(enc, domain_id)
             assert got.domain_id == domain_id
             np.testing.assert_array_equal(got.features, want.features)
