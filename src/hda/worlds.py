@@ -613,7 +613,10 @@ class World:
         return FeatureSet(encode(encoder, points), domain_id="source")
 
 
-def build_world(config: WorldConfig) -> World:
+def _world_models(
+    config: WorldConfig,
+) -> tuple[GeneratorParams, tuple[EncoderSpec, ...], EncoderSpec]:
+    """The source generator, training encoders and held-out encoder ``config`` seeds."""
     source = make_source_generator(
         derive_seed(config.seed, "generator"),
         d_z=config.d_z,
@@ -638,6 +641,11 @@ def build_world(config: WorldConfig) -> World:
         d_hidden=config.encoder_hidden,
         d_e=config.d_e,
     )
+    return source, train, held_out
+
+
+def build_world(config: WorldConfig) -> World:
+    source, train, held_out = _world_models(config)
     ref_seed = derive_seed(config.seed, "references")
     references = {
         d.domain_id: sample_domain_references(source, d, ref_seed) for d in config.domains
@@ -678,7 +686,7 @@ def load_world(world_dir) -> World:
                 f"{csv_path}: expected shape {(d.k, config.d_x)}, got {refs.shape}"
             )
         references[d.domain_id] = refs
-    return replace(build_world(config), references=references)
+    return World(config, *_world_models(config), references)
 
 
 def build_world_subspaces(

@@ -1,6 +1,7 @@
 """Held-out evaluation: similarity, consistency, diversity, stable reports."""
 
 import dataclasses
+import itertools
 import json
 import tracemalloc
 
@@ -15,6 +16,7 @@ from hda.metrics import (
     SnapshotPlan,
     _cluster_pair_distances,
     _diversity,
+    _nearest_reference,
     evaluate,
     round12,
     write_report,
@@ -229,6 +231,49 @@ def test_diversity_memory_is_bounded_at_1024_samples():
         tracemalloc.stop()
     # the full (1024, 1024, 16) difference tensor alone is 128 MiB
     assert peak < 32 * 2**20
+
+
+def _nearest_reference_cases():
+    rng = np.random.default_rng(5)
+    refs = rng.standard_normal((20, 16))
+    # every ordered pair's midpoint: exact ties in real arithmetic
+    midpoints = np.array([(refs[i] + refs[j]) / 2 for i, j in itertools.permutations(range(20), 2)])
+    near_midpoint = (refs[0] + refs[1]) / 2 + 1e-15 * rng.standard_normal((512, 16))
+    far_refs = 1e3 + 1e-6 * rng.standard_normal((20, 16))
+    far_cluster = 1e3 + 1e-6 * rng.standard_normal((256, 16))
+    duplicated = refs.copy()
+    duplicated[13] = duplicated[4]
+    near_duplicate = refs[4] + 0.5 * rng.standard_normal((256, 16))
+    single = rng.standard_normal((64, 16))
+    return {
+        "midpoints": (midpoints, refs),
+        "near-midpoint": (near_midpoint, refs),
+        "far-offset": (far_cluster, far_refs),
+        "duplicated-reference": (np.vstack([near_duplicate, duplicated]), duplicated),
+        "single-reference": (single, refs[:1]),
+    }
+
+
+@pytest.mark.parametrize("case", list(_nearest_reference_cases()))
+def test_nearest_reference_equals_the_full_tensor_argmin(case):
+    embeddings, refs = _nearest_reference_cases()[case]
+    diffs = embeddings[:, None, :] - refs[None, :, :]
+    expected = np.argmin(np.linalg.norm(diffs, axis=2), axis=1)
+    assert np.array_equal(_nearest_reference(embeddings, refs), expected)
+
+
+def test_nearest_reference_memory_is_bounded():
+    rng = np.random.default_rng(2)
+    refs = rng.standard_normal((512, 16))
+    embeddings = rng.standard_normal((1024, 16))
+    tracemalloc.start()
+    try:
+        _nearest_reference(embeddings, refs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the (1024, 512, 16) difference tensor alone is 64 MiB
+    assert peak < 16 * 2**20
 
 
 def test_snapshot_plan_matches_evaluate_on_every_snapshot(world, subspaces, monkeypatch):
