@@ -170,11 +170,10 @@ def _nearest_reference(embeddings: Array, reference_embeddings: Array) -> Array:
 def _diversity(embeddings: Array, reference_embeddings: Array) -> float:
     """Mean pairwise distance inside nearest-reference clusters.
 
-    Each sample joins its nearest reference's cluster
-    (:func:`_nearest_reference`: a Gram-form ``argmin``, with near ties
-    settled by direct norms, so the clusters are those of the full
-    difference tensor's ``argmin``).  Clusters with fewer than two
-    members carry no pairwise distance and are skipped; a fully collapsed
+    Each sample joins the cluster of its nearest reference, found in Gram
+    form with near ties settled by direct norms
+    (:func:`_nearest_reference`).  Clusters with fewer than two members
+    carry no pairwise distance and are skipped; a fully collapsed
     generator therefore scores 0.
     """
     assignment = _nearest_reference(embeddings, reference_embeddings)
