@@ -29,13 +29,7 @@ from .errors import (
     NumericalError,
 )
 from .metrics import EVAL_SAMPLES, EVAL_SEED, evaluate, write_report
-from .subspace import (
-    DEFAULT_RANK_TOLERANCE,
-    pca2d_export,
-    read_json,
-    write_json,
-    write_pca2d_csv,
-)
+from .subspace import pca2d_export, read_json, write_json, write_pca2d_csv
 from .worlds import (
     World,
     WorldConfig,
@@ -106,14 +100,11 @@ def gen_world(config_path, out_dir, seed):
 @main.command("build-subspaces")
 @click.option("--world", "world_dir", type=click.Path(), required=True)
 @click.option("--out", "out_dir", type=click.Path(), required=True)
-@click.option(
-    "--rank-tolerance", type=float, default=DEFAULT_RANK_TOLERANCE, show_default=True
-)
 @_guarded
-def build_subspaces(world_dir, out_dir, rank_tolerance):
+def build_subspaces(world_dir, out_dir):
     """Write one subspace JSON per (encoder, domain) pair."""
     world = load_world(world_dir)
-    subspaces = build_world_subspaces(world, rank_tolerance)
+    subspaces = build_world_subspaces(world)
     os.makedirs(out_dir, exist_ok=True)
     count = 0
     for encoder_id, per_domain in subspaces.items():

@@ -18,7 +18,6 @@ from .autodiff import GradCheckReport, Tape, grad_check
 from .losses import (
     NORM_EPS,
     DomainWeight,
-    _breakdown,
     _hybrid_direct,
     _hybrid_dist,
     _perpendiculars,
@@ -27,6 +26,7 @@ from .losses import (
     hda_objective,
     hybrid_direct_loss,
     hybrid_dist_loss,
+    loss_breakdowns,
 )
 from .seeding import stream_rng
 from .subspace import DomainSubspace
@@ -51,7 +51,7 @@ STEP = 1e-6
 
 def tape_objective(
     z_batch, source_gen, target_gen, encoders, subspaces_per_encoder, weights, lam, *,
-    dist_only=False, direct_only=False, detach_projection=False,
+    dist_only=False, direct_only=False,
 ):
     """:func:`hda.losses.hda_objective` as one tape expression: the closed form's oracle.
 
@@ -65,7 +65,7 @@ def tape_objective(
     x_target = generator_forward_var(tape, param_vars, z_batch)
     f_t = encode_var(tape, encoders, x_target)  # (E, B, d_e)
     grid = [subspaces_per_encoder[e.encoder_id][w.domain_id] for w in weights for e in encoders]
-    perps = _perpendiculars(f_t, grid, (len(weights), len(encoders)), detach_projection)
+    perps = _perpendiculars(f_t, grid, (len(weights), len(encoders)))
     dist = direct = rows = None  # (E, B): per encoder and latent
     if not direct_only:
         dist = rows = _hybrid_dist(perps, weights)
@@ -79,7 +79,9 @@ def tape_objective(
     grads = {name: np.array(var.grad) for name, var in param_vars.items()}
     absent = np.zeros(f_t.shape[:-1])
     dist, direct = (absent if t is None else t.value for t in (dist, direct))
-    return _breakdown([e.encoder_id for e in encoders], dist, direct, lam), grads
+    ids = [e.encoder_id for e in encoders]
+    breakdown = loss_breakdowns(ids, dist.sum(-1)[None], direct.sum(-1)[None], len(z_batch), lam)
+    return breakdown[0], grads
 
 
 def _merge(name: str, tol: float, reports: list[GradCheckReport]) -> GradCheckReport:
@@ -233,7 +235,7 @@ def _random_subspace(rng, d: int, r: int) -> DomainSubspace:
     )
 
 
-def _check_dist(rng, detach: bool) -> GradCheckReport:
+def _check_dist(rng) -> GradCheckReport:
     d = 6
     sub = _random_subspace(rng, d, 3)
     f_t0 = rng.standard_normal(d)
@@ -241,12 +243,11 @@ def _check_dist(rng, detach: bool) -> GradCheckReport:
     def f(p):
         tape = Tape()
         f_t = tape.variable(p)
-        loss = dist_loss(f_t, sub, detach_projection=detach)
+        loss = dist_loss(f_t, sub)
         tape.backward(loss)
         return loss.item(), np.asarray(f_t.grad)
 
-    label = "dist_loss (projection detached)" if detach else "dist_loss"
-    return grad_check(f, f_t0, h=STEP, tol=COMPOSITE_TOL, name=label)
+    return grad_check(f, f_t0, h=STEP, tol=COMPOSITE_TOL, name="dist_loss")
 
 
 def _check_direct(rng, collinear: bool) -> GradCheckReport:
@@ -379,13 +380,8 @@ def _check_objective(
 
     At ``f_t == f_s`` the direction loss turns within ``NORM_EPS`` while
     ``f_t - f_s`` rounds at ~1e-15, so no difference step resolves it:
-    that case runs at ``lam=0``, and the tape oracle checks the rest.  A
-    detached projection's gradient is that of the loss with every
-    projection point held at its base value, so the differenced values
-    come from point subspaces there, which needs ``batch == 1``.
+    that case runs at ``lam=0``, and the tape oracle checks the rest.
     """
-    from .subspace import FeatureSet, build_subspace, project
-
     source, target0, encoders, subspaces, weights, z_batch = _toy_objective_setup(
         seed, batch, n_encoders, unequal_ranks
     )
@@ -396,23 +392,11 @@ def _check_objective(
     if degenerate:
         target0 = source
         label += f", degenerate start, lambda {lam}"
-    frozen = None
-    if flags.get("detach_projection"):
-        x0 = target0.forward(z_batch)
-
-        def point_at_projection(e, w):
-            at = project(subspaces[e.encoder_id][w.domain_id], encode(e, x0))
-            return build_subspace(FeatureSet(at), allow_point_subspace=True)
-
-        frozen = {e.encoder_id: {w.domain_id: point_at_projection(e, w) for w in weights}
-                  for e in encoders}
 
     def f(p):
         target = unflatten_generator(p, like=source)
         args = (z_batch, source, target, encoders)
         breakdown, grads = hda_objective(*args, subspaces, weights, lam=lam, **flags)
-        if frozen is not None:
-            breakdown, _ = hda_objective(*args, frozen, weights, lam=lam, **flags)
         return breakdown.total, np.concatenate(
             [grads[name].ravel() for name in PARAM_FIELDS]
         )
@@ -463,8 +447,7 @@ def composite_suite(seed: int = 0) -> list[GradCheckReport]:
     """Gradient checks through the actual loss programs."""
     rng = stream_rng(seed, "gradcheck", "composite")
     return [
-        _check_dist(rng, detach=False),
-        _check_dist(rng, detach=True),
+        _check_dist(rng),
         _check_direct(rng, collinear=False),
         _check_direct(rng, collinear=True),
         _check_hybrid_dist(rng),
@@ -476,9 +459,6 @@ def composite_suite(seed: int = 0) -> list[GradCheckReport]:
         _check_objective(seed, batch=4, n_encoders=3, unequal_ranks=True),
         _check_objective(seed, batch=4, n_encoders=3, unequal_ranks=True, dist_only=True),
         _check_objective(seed, batch=4, n_encoders=3, unequal_ranks=True, direct_only=True),
-        _check_objective(
-            seed, batch=1, n_encoders=3, unequal_ranks=True, detach_projection=True
-        ),
         _check_objective(
             seed, batch=4, n_encoders=3, unequal_ranks=True, lam=0.0, degenerate=True
         ),

@@ -72,7 +72,6 @@ class AdaptationConfig:
     seed: int = 0
     dist_only: bool = False
     direct_only: bool = False
-    detach_projection: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "encoder_ids", tuple(self.encoder_ids))
@@ -328,7 +327,6 @@ def run_adaptation(
         config.lam,
         dist_only=config.dist_only,
         direct_only=config.direct_only,
-        detach_projection=config.detach_projection,
     )
     snapshot = SnapshotPlan(
         source,

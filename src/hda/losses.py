@@ -13,7 +13,7 @@ weights ``alpha_i``; the direction loss compares the source-to-target
 displacement against the weighted sum of per-domain perpendiculars.
 The full objective sums ``dist + lambda * direct`` over the encoder
 ensemble and averages over a latent batch.  Gradients flow through the
-projection unless ``detach_projection`` is set.
+projection.
 
 The ``D`` domain subspaces (zero-padded to one rank) and the ``E``
 encoders are leading axes of ``(D, E, B, d)`` perpendiculars, and the
@@ -126,7 +126,7 @@ def _stacked_subspaces(subspaces, lead: tuple[int, ...], d: int) -> tuple[Array,
     return means, bases.reshape(lead + bases.shape[1:])
 
 
-def _perpendiculars(f_t: Var, subspaces, lead: tuple[int, ...], detach: bool) -> Var:
+def _perpendiculars(f_t: Var, subspaces, lead: tuple[int, ...]) -> Var:
     """``f* - f_t`` for every subspace, as one expression.
 
     ``subspaces`` lists a grid of shape ``lead`` in row-major order, and
@@ -137,10 +137,8 @@ def _perpendiculars(f_t: Var, subspaces, lead: tuple[int, ...], detach: bool) ->
     """
     tape = f_t.tape
     means, bases = _stacked_subspaces(subspaces, lead, f_t.shape[-1])
-    # a detached projection is the same expression on a constant copy
-    source = tape.constant(f_t.value) if detach else f_t
     mean = tape.constant(means)
-    centered = ad.sub(source, mean)
+    centered = ad.sub(f_t, mean)
     coords = ad.linear(centered, tape.constant(np.swapaxes(bases, -1, -2)))
     lifted = ad.linear(coords, tape.constant(bases))
     return ad.sub(ad.add(lifted, mean), f_t)
@@ -175,32 +173,20 @@ def _per_row(loss: Var, f_t: Var) -> Var:
     return loss if loss.shape == rows else ad.reshape(loss, rows)
 
 
-def dist_loss(
-    f_t: Var, subspace: DomainSubspace, *, detach_projection: bool = False
-) -> Var:
+def dist_loss(f_t: Var, subspace: DomainSubspace) -> Var:
     """Squared distance from ``f_t`` to its projection onto the subspace.
 
     ``f_t`` is one embedding ``(d,)`` (scalar loss) or a batch ``(B, d)``
     (one loss per row); the same holds for every loss below.
     """
-    return hybrid_dist_loss(
-        f_t, [subspace], [DomainWeight("domain", 1.0)], detach_projection=detach_projection
-    )
+    return hybrid_dist_loss(f_t, [subspace], [DomainWeight("domain", 1.0)])
 
 
 def direct_loss(
-    f_s: Var,
-    f_t: Var,
-    subspace: DomainSubspace,
-    *,
-    eps: float = NORM_EPS,
-    detach_projection: bool = False,
+    f_s: Var, f_t: Var, subspace: DomainSubspace, *, eps: float = NORM_EPS
 ) -> Var:
     """One minus the cosine between ``f_t - f_s`` and ``f* - f_t``."""
-    return hybrid_direct_loss(
-        f_s, f_t, [subspace], [DomainWeight("domain", 1.0)],
-        eps=eps, detach_projection=detach_projection,
-    )
+    return hybrid_direct_loss(f_s, f_t, [subspace], [DomainWeight("domain", 1.0)], eps=eps)
 
 
 def _check_hybrid_args(subspaces, weights) -> None:
@@ -213,15 +199,11 @@ def _check_hybrid_args(subspaces, weights) -> None:
 
 
 def hybrid_dist_loss(
-    f_t: Var,
-    subspaces: list[DomainSubspace],
-    weights: list[DomainWeight],
-    *,
-    detach_projection: bool = False,
+    f_t: Var, subspaces: list[DomainSubspace], weights: list[DomainWeight]
 ) -> Var:
     """Weighted sum of per-domain distance losses."""
     _check_hybrid_args(subspaces, weights)
-    perps = _perpendiculars(f_t, subspaces, (len(subspaces),), detach_projection)
+    perps = _perpendiculars(f_t, subspaces, (len(subspaces),))
     return _per_row(_hybrid_dist(perps, weights), f_t)
 
 
@@ -232,11 +214,10 @@ def hybrid_direct_loss(
     weights: list[DomainWeight],
     *,
     eps: float = NORM_EPS,
-    detach_projection: bool = False,
 ) -> Var:
     """Direction loss against the weighted sum of per-domain perpendiculars."""
     _check_hybrid_args(subspaces, weights)
-    perps = _perpendiculars(f_t, subspaces, (len(subspaces),), detach_projection)
+    perps = _perpendiculars(f_t, subspaces, (len(subspaces),))
     return _per_row(_hybrid_direct(f_s, f_t, perps, weights, eps), f_t)
 
 
@@ -271,13 +252,6 @@ def loss_breakdowns(
     ]
 
 
-def _breakdown(encoder_ids, dist: Array, direct: Array, lam: float) -> LossBreakdown:
-    """Batch means of ``(E, B)`` per-row distance and direction losses."""
-    return loss_breakdowns(
-        encoder_ids, dist.sum(axis=-1)[None], direct.sum(axis=-1)[None], dist.shape[-1], lam
-    )[0]
-
-
 class ObjectivePlan:
     """The full objective's run constants, checked once; a call gives value and gradient.
 
@@ -304,7 +278,6 @@ class ObjectivePlan:
         *,
         dist_only: bool = False,
         direct_only: bool = False,
-        detach_projection: bool = False,
     ):
         if not encoders:
             raise ConfigError("need at least one encoder")
@@ -332,7 +305,6 @@ class ObjectivePlan:
         self.source, self.lam = source_gen, float(lam)
         self.encoder_ids = tuple(e.encoder_id for e in encoders)
         self.dist_only, self.direct_only = dist_only, direct_only
-        self.detach_projection = detach_projection
 
     def _encode(self, x: Array) -> tuple[Array, Array]:
         """``(..., E, B, d_e)`` embeddings of ``(..., B, d_x)`` rows, and the units before relu."""
@@ -379,10 +351,9 @@ class ObjectivePlan:
             g_dot, g_den = (g_cos / den)[..., None], -g_cos * dot / (den * den)
             g_f += g_dot * v + (g_den * nv / nu)[..., None] * u
             g_perps += (g_dot * u + (g_den * nu / nv)[..., None] * v) * self.alpha
-        # perps = P(f_t) - f_t; a detached projection P passes no gradient
+        # perps = P(f_t) - f_t: the direct term, then the one through P
         g_f -= g_perps.sum(axis=0)
-        if not self.detach_projection:
-            g_f += ad.matmul_rows(ad.matmul_rows(g_perps, self.bases), self.bases_t).sum(axis=0)
+        g_f += ad.matmul_rows(ad.matmul_rows(g_perps, self.bases), self.bases_t).sum(axis=0)
         g_pre = np.where(pre > 0.0, ad.matmul_rows(g_f, self.w2), 0.0)
         g_x = ad.matmul_rows(g_pre, self.w1).sum(axis=0)
         g_hidden = ad.matmul_rows(g_x, w2) * (1.0 - hidden * hidden)
@@ -406,7 +377,6 @@ def hda_objective(
     *,
     dist_only: bool = False,
     direct_only: bool = False,
-    detach_projection: bool = False,
 ) -> tuple[LossBreakdown, dict[str, Array]]:
     """Full objective over a latent batch, with target-generator gradients.
 
@@ -427,7 +397,7 @@ def hda_objective(
         )
     plan = ObjectivePlan(
         source_gen, encoders, subspaces_per_encoder, weights, lam,
-        dist_only=dist_only, direct_only=direct_only, detach_projection=detach_projection,
+        dist_only=dist_only, direct_only=direct_only,
     )
     f_s = None if dist_only else plan.source_embeddings(z_batch[None])[0]
     params = {name: getattr(target_gen, name) for name in PARAM_FIELDS}

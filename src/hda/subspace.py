@@ -24,8 +24,8 @@ from .errors import ConfigError, DegenerateDomain, DimensionError, NumericalErro
 
 Array = np.ndarray
 
-#: Singular values below ``rank_tolerance * s_max`` are treated as zero.
-DEFAULT_RANK_TOLERANCE = 1e-8
+#: Singular values below ``RANK_TOLERANCE * s_max`` are treated as zero.
+RANK_TOLERANCE = 1e-8
 
 _AXES = {1: "a vector", 2: "a matrix"}
 
@@ -198,33 +198,17 @@ class DomainSubspace:
         }
 
 
-def build_subspace(
-    features: FeatureSet,
-    rank_tolerance: float = DEFAULT_RANK_TOLERANCE,
-    *,
-    allow_point_subspace: bool = False,
-) -> DomainSubspace:
+def build_subspace(features: FeatureSet) -> DomainSubspace:
     """Estimate the affine subspace spanned by a few-shot feature set.
 
-    The rank keeps every singular value above ``rank_tolerance`` times
+    The rank keeps every singular value above ``RANK_TOLERANCE`` times
     the largest one, and never exceeds ``min(k - 1, d)``.  A single
-    reference (``k == 1``) defines no direction at all: it is rejected
-    unless ``allow_point_subspace`` is set, in which case a rank-0
-    subspace (projection returns the mean) is produced.
+    reference (``k == 1``) defines no direction at all and is rejected.
     """
-    if not (0.0 < rank_tolerance < 1.0):
-        raise ConfigError(f"rank_tolerance must lie in (0, 1), got {rank_tolerance}")
-    k, d = features.k, features.dim
+    k = features.k
     if k < 2:
-        if allow_point_subspace:
-            return DomainSubspace(
-                mean=features.mean,
-                basis=np.zeros((d, 0)),
-                singular_values=np.zeros(0),
-            )
         raise DegenerateDomain(
-            f"{features.domain_id or 'feature set'}: {k} reference(s) cannot span a "
-            "subspace; pass allow_point_subspace to accept a single point"
+            f"{features.domain_id or 'feature set'}: {k} reference(s) cannot span a subspace"
         )
     centered = features.features - features.mean
     _, svals, vt = np.linalg.svd(centered, full_matrices=False)
@@ -232,7 +216,7 @@ def build_subspace(
         raise DegenerateDomain(
             f"{features.domain_id or 'feature set'}: all centred features are zero"
         )
-    rank = int(np.count_nonzero(svals > rank_tolerance * svals[0]))
+    rank = int(np.count_nonzero(svals > RANK_TOLERANCE * svals[0]))
     rank = min(rank, k - 1)
     return DomainSubspace(mean=features.mean, basis=vt[:rank].T, singular_values=svals[:rank])
 

@@ -30,7 +30,6 @@ from . import autodiff as ad
 from .errors import ConfigError, DimensionError
 from .seeding import derive_seed, stream_rng
 from .subspace import (
-    DEFAULT_RANK_TOLERANCE,
     DomainSubspace,
     FeatureSet,
     build_subspace,
@@ -689,16 +688,12 @@ def load_world(world_dir) -> World:
     return World(config, *_world_models(config), references)
 
 
-def build_world_subspaces(
-    world: World, rank_tolerance: float = DEFAULT_RANK_TOLERANCE
-) -> dict[str, dict[str, DomainSubspace]]:
+def build_world_subspaces(world: World) -> dict[str, dict[str, DomainSubspace]]:
     """Per-(encoder, domain) subspaces for all encoders incl. the held-out one."""
     out: dict[str, dict[str, DomainSubspace]] = {}
     for enc in list(world.train_encoders) + [world.held_out_encoder]:
         per_domain = {}
         for dom in world.domains:
-            per_domain[dom.domain_id] = build_subspace(
-                world.feature_set(enc, dom.domain_id), rank_tolerance
-            )
+            per_domain[dom.domain_id] = build_subspace(world.feature_set(enc, dom.domain_id))
         out[enc.encoder_id] = per_domain
     return out

@@ -35,7 +35,7 @@ ORACLE_REL = 1e-12
 
 def _per_sample_objective(
     z_batch, source, target, encoders, subspaces, weights, lam,
-    dist_only=False, direct_only=False, detach_projection=False,
+    dist_only=False, direct_only=False,
 ):
     """One 1-D tape per latent through the hybrid losses, averaged over the rows."""
     inv_batch = 1.0 / len(z_batch)
@@ -52,15 +52,11 @@ def _per_sample_objective(
             subs = [subspaces[enc.encoder_id][w.domain_id] for w in weights]
             term = None
             if not direct_only:
-                term = hybrid_dist_loss(
-                    f_t, subs, weights, detach_projection=detach_projection
-                )
+                term = hybrid_dist_loss(f_t, subs, weights)
                 dist[enc.encoder_id] += term.item()
             if not dist_only:
                 f_s = tape.constant(encode(enc, source.forward(z)))
-                r = hybrid_direct_loss(
-                    f_s, f_t, subs, weights, detach_projection=detach_projection
-                )
+                r = hybrid_direct_loss(f_s, f_t, subs, weights)
                 direct[enc.encoder_id] += r.item()
                 term = lam * r if term is None else term + lam * r
             total = term if total is None else total + term
@@ -85,7 +81,7 @@ def _close(got: float, want: float) -> bool:
     n_domains=st.integers(1, 2),
     encoder_mask=st.integers(1, 7),
     lam=st.floats(0.0, 2.0),
-    variant=st.sampled_from(["full", "dist_only", "direct_only", "detach_projection"]),
+    variant=st.sampled_from(["full", "dist_only", "direct_only"]),
 )
 def test_batched_objective_matches_per_sample_reference(
     world, subspaces, seed, batch, n_domains, encoder_mask, lam, variant
@@ -134,7 +130,7 @@ def test_objective_matches_tape_oracle():
     # every encoder unit is active at bias ~2; flipped biases make half of them dead
     signs = np.where(np.arange(encoders[0].b1.size) % 2, 1.0, -1.0)
     half_dead = [replace(e, b1=e.b1 * signs) for e in encoders]
-    variants = [{}, {"dist_only": True}, {"direct_only": True}, {"detach_projection": True}]
+    variants = [{}, {"dist_only": True}, {"direct_only": True}]
     # the source as target puts f_t on f_s: the degenerate first step
     for start, encs in itertools.product((target, source), (encoders, half_dead)):
         for n_enc, n_dom, flags in itertools.product((1, 3), (1, 2), variants):

@@ -343,6 +343,26 @@ def test_string_boolean_in_config_exits_2(tmp_path, runner, world_dir):
 
 
 @pytest.mark.parametrize(
+    "command, named",
+    [
+        (["adapt", "--config", "{config}", "--world", "{world}", "--out", "{out}"],
+         "'detach_projection'"),
+        (["build-subspaces", "--world", "{world}", "--out", "{out}", "--rank-tolerance", "1e-6"],
+         "--rank-tolerance"),
+    ],
+    ids=["config-key", "cli-option"],
+)
+def test_removed_settings_exit_2(tmp_path, runner, world_dir, command, named):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"steps": 2, "detach_projection": False}), encoding="utf8")
+    paths = {"config": config, "world": world_dir, "out": tmp_path / "out"}
+    result = runner.invoke(main, [arg.format(**paths) for arg in command])
+    assert result.exit_code == 2, result.output
+    assert named in result.output
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
     "text, key", [('{"steps": 2.5}', "steps"), ('{"lambda": NaN}', "lambda")]
 )
 def test_malformed_config_value_exits_2_naming_the_key(

@@ -416,9 +416,7 @@ def test_config_json_round_trip_including_optional_clip(world):
     assert values == (1.0, 1.0, 2.0) and all(type(v) is float for v in values)
 
 
-@pytest.mark.parametrize(
-    "field", ["dist_only", "direct_only", "detach_projection", "seed", "grad_clip_norm"]
-)
+@pytest.mark.parametrize("field", ["dist_only", "direct_only", "seed", "grad_clip_norm"])
 def test_config_flags_accept_only_json_booleans(world, field):
     doc = default_adaptation_config(world).to_json_dict()
     if field in ("seed", "grad_clip_norm"):

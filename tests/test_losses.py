@@ -45,17 +45,6 @@ def test_dist_loss_hand_value_and_gradient():
     np.testing.assert_allclose(f_t.grad, [0.0, 6.0, 8.0], rtol=1e-10)
 
 
-def test_dist_loss_detached_projection_same_gradient_here():
-    # with an exact projector the residual is the gradient either way
-    sub = _axis_subspace(3, 0)
-    for detach in (False, True):
-        tape = Tape()
-        f_t = tape.variable(np.array([2.0, 3.0, 4.0]))
-        loss = dist_loss(f_t, sub, detach_projection=detach)
-        tape.backward(loss)
-        np.testing.assert_allclose(f_t.grad, [0.0, 6.0, 8.0], rtol=1e-10)
-
-
 def test_dist_loss_zero_on_subspace_point():
     sub = _axis_subspace(4, 1, mean=[0.0, 2.0, 0.0, 0.0])
     tape = Tape()

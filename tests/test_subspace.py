@@ -121,18 +121,23 @@ def test_distance_matches_least_squares():
         assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
 
 
+def _point_subspace(mean) -> DomainSubspace:
+    mean = np.asarray(mean, dtype=float)
+    return DomainSubspace(mean=mean, basis=np.zeros((mean.size, 0)), singular_values=np.zeros(0))
+
+
 def test_single_shot_requires_opt_in():
-    fs = FeatureSet(np.array([[1.0, 2.0, 3.0]]))
-    with pytest.raises(DegenerateDomain):
-        build_subspace(fs)
-    sub = build_subspace(fs, allow_point_subspace=True)
+    # one reference spans no direction; a point subspace is built directly
+    with pytest.raises(DegenerateDomain, match="1 reference"):
+        build_subspace(FeatureSet(np.array([[1.0, 2.0, 3.0]])))
+    sub = _point_subspace([1.0, 2.0, 3.0])
     assert sub.rank == 0
-    np.testing.assert_allclose(project(sub, np.array([9.0, 9.0, 9.0])), fs.mean)
+    np.testing.assert_allclose(project(sub, np.array([9.0, 9.0, 9.0])), sub.mean)
     assert subspace_distance_sq(sub, np.array([1.0, 2.0, 4.0])) == pytest.approx(1.0)
 
 
 def test_point_subspace_json_document():
-    sub = build_subspace(FeatureSet(np.array([[1.0, 2.0]])), allow_point_subspace=True)
+    sub = _point_subspace([1.0, 2.0])
     # a rank-0 subspace writes its basis as d empty rows
     doc = json.loads(json.dumps(sub.to_json_dict()))
     assert doc == {"mean": [1.0, 2.0], "basis": [[], []], "singular_values": []}
@@ -231,7 +236,7 @@ def _oracle_features(rng, kind: str, k: int, d: int, s2: float):
 @settings(max_examples=300, deadline=None)
 @given(
     seed=st.integers(0, 10_000),
-    k=st.integers(1, 12),
+    k=st.integers(2, 12),
     d=st.integers(1, 33),
     kind=st.sampled_from(["spread", "repeated", "near-rank-deficient"]),
     s2=st.sampled_from([1e-9, 2e-8, 1e-7, 1e-6]),
@@ -243,7 +248,7 @@ def test_built_subspaces_hold_the_invariants_the_constructors_trust(seed, k, d, 
         assume(k >= 3 and d >= 2)
     x = _oracle_features(stream_rng(seed, "subspace-oracle"), kind, k, d, s2)
     fs = FeatureSet(x)
-    sub = build_subspace(fs, allow_point_subspace=True)
+    sub = build_subspace(fs)
     r = sub.rank
     np.testing.assert_allclose(sub.basis.T @ sub.basis, np.eye(r), rtol=0.0, atol=1e-10)
     assert np.all(sub.singular_values > 0.0)
