@@ -168,22 +168,33 @@ def init_optimizer_state(params: dict[str, Array]) -> OptimizerState:
 
 def adam_step(
     params: Array, grads: Array, state: OptimizerState, config: AdaptationConfig
-) -> tuple[Array, OptimizerState]:
-    """One bias-corrected Adam update of a parameter vector; inputs are left untouched."""
+) -> None:
+    """One bias-corrected Adam update of a parameter vector and of ``state``, in place.
+
+    A non-finite gradient raises :class:`NumericalError` naming its
+    parameter before anything is written.
+    """
     t = state.step + 1
     if grads.shape != params.shape:
         raise ConfigError(f"gradient has shape {grads.shape}, expected {params.shape}")
-    bad = np.flatnonzero(~np.isfinite(grads))
-    if bad.size:
+    if not np.isfinite(grads).all():
+        bad = np.flatnonzero(~np.isfinite(grads))
         name = next(name for name, end in state.layout if bad[0] < end)
         raise NumericalError(f"non-finite gradient for {name!r} at optimizer step {t}")
     b1, b2 = config.adam_beta1, config.adam_beta2
-    m = b1 * state.m + (1.0 - b1) * grads
-    v = b2 * state.v + (1.0 - b2) * (grads * grads)
+    m, v = state.m, state.v
+    m *= b1
+    m += (1.0 - b1) * grads
+    v *= b2
+    v += (1.0 - b2) * (grads * grads)
     m_hat = m / (1.0 - b1**t)
     v_hat = v / (1.0 - b2**t)
-    new_params = params - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_eps)
-    return new_params, OptimizerState(m=m, v=v, layout=state.layout, step=t)
+    np.sqrt(v_hat, out=v_hat)
+    v_hat += config.adam_eps
+    m_hat *= config.learning_rate
+    m_hat /= v_hat
+    params -= m_hat
+    state.step = t
 
 
 def clip_gradients(grads: Array, max_norm: Optional[float]) -> tuple[Array, float]:
@@ -254,12 +265,6 @@ def training_chunks(config: AdaptationConfig, d_z: int) -> Iterator[Array]:
     size = max(1, min(SNAPSHOT_EVERY, SNAPSHOT_SAMPLES // config.batch_size))
     for start in range(0, config.steps, size):
         yield rng.standard_normal((min(size, config.steps - start), config.batch_size, d_z))
-
-
-def training_batches(config: AdaptationConfig, d_z: int) -> Iterator[Array]:
-    """The deterministic latent-batch stream of a run, one batch per step."""
-    for chunk in training_chunks(config, d_z):
-        yield from chunk
 
 
 def check_separability(
@@ -337,7 +342,7 @@ def run_adaptation(
         derive_seed(config.seed, "snapshot-eval"),
     )
 
-    # the target generator as one vector; the Adam update is copied into it in place
+    # the target generator as one vector, which Adam updates in place
     params = flatten_generator(source)
     views = generator_views(params, source)
     state = init_optimizer_state(views)
@@ -376,7 +381,7 @@ def run_adaptation(
                 if not np.isfinite(total):
                     raise NumericalError(f"non-finite loss at step {step}")
                 grads, _ = clip_gradients(grads, config.grad_clip_norm)
-                params[:], state = adam_step(params, grads, state, config)
+                adam_step(params, grads, state, config)
             except NumericalError as exc:
                 exc.step = step
                 exc.last_good_params = unflatten_generator(params, source)

@@ -39,7 +39,7 @@ def locked_array(
         raise DimensionError(f"{name} must be {_AXES[ndim]}, got shape {arr.shape}")
     if shape is not None and arr.shape != shape:
         raise DimensionError(f"{name} must have shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ConfigError(f"{name} contains non-finite entries")
     arr.setflags(write=False)
     return arr

@@ -19,7 +19,6 @@ from hda.engine import (
     run_adaptation,
     run_single_domain,
     save_run,
-    training_batches,
     training_chunks,
 )
 from hda.errors import ConfigError, DegenerateDomain, NumericalError
@@ -39,15 +38,21 @@ def _small_config(world, **overrides):
     return default_adaptation_config(world, **base)
 
 
+def training_batches(config, d_z):
+    """The latent-batch stream of a run, one ``(B, d_z)`` batch per step."""
+    for chunk in training_chunks(config, d_z):
+        yield from chunk
+
+
 def test_adam_first_step_hand_value():
     params = np.array([1.0])
     grads = np.array([1.0])
     config = default_config_for_adam(lr=1e-3)
     state = init_optimizer_state({"w": params})
-    new_params, new_state = adam_step(params, grads, state, config)
+    adam_step(params, grads, state, config)
     # bias-corrected first step moves by almost exactly the learning rate
-    assert new_params[0] == pytest.approx(1.0 - 9.9999999e-4, abs=1e-12)
-    assert new_state.step == 1
+    assert params[0] == pytest.approx(1.0 - 9.9999999e-4, abs=1e-12)
+    assert state.step == 1
 
 
 def default_config_for_adam(lr):
@@ -61,10 +66,39 @@ def default_config_for_adam(lr):
 
 def test_adam_zero_gradient_keeps_params():
     params = np.array([1.0, -2.0])
+    before = params.copy()
     grads = np.zeros(2)
     state = init_optimizer_state({"w": params})
-    new_params, _ = adam_step(params, grads, state, default_config_for_adam(1e-2))
-    np.testing.assert_array_equal(new_params, params)
+    adam_step(params, grads, state, default_config_for_adam(1e-2))
+    np.testing.assert_array_equal(params, before)
+
+
+def _adam_reference(params, grads, m, v, t, config):
+    """The out-of-place Adam formula: new params and moments after step ``t``."""
+    b1, b2 = config.adam_beta1, config.adam_beta2
+    m = b1 * m + (1.0 - b1) * grads
+    v = b2 * v + (1.0 - b2) * (grads * grads)
+    m_hat = m / (1.0 - b1**t)
+    v_hat = v / (1.0 - b2**t)
+    return params - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_eps), m, v
+
+
+def test_adam_in_place_equals_the_out_of_place_formula_bit_for_bit():
+    rng = np.random.default_rng(11)
+    config = default_config_for_adam(2e-3)
+    params = rng.standard_normal(37)
+    state = init_optimizer_state({"w": params})
+    want, m, v = params.copy(), state.m.copy(), state.v.copy()
+    for t in range(1, 301):
+        # gradients over many scales, with exact zeros
+        grads = rng.standard_normal(37) * 10.0 ** rng.integers(-8, 3, size=37)
+        grads[rng.random(37) < 0.1] = 0.0
+        adam_step(params, grads, state, config)
+        want, m, v = _adam_reference(want, grads, m, v, t, config)
+        assert state.step == t
+    assert params.tobytes() == want.tobytes()
+    assert state.m.tobytes() == m.tobytes()
+    assert state.v.tobytes() == v.tobytes()
 
 
 def test_adam_rejects_non_finite_gradient():
@@ -87,6 +121,23 @@ def test_adam_error_names_the_bad_parameter():
         message = f"non-finite gradient for '{name}' at optimizer step 1"
         with pytest.raises(NumericalError, match=message):
             adam_step(params, grads, state, default_config_for_adam(1e-2))
+
+
+def test_adam_non_finite_gradient_leaves_params_and_state_untouched():
+    rng = np.random.default_rng(4)
+    config = default_config_for_adam(1e-2)
+    params = rng.standard_normal(11)
+    state = init_optimizer_state({"w1": params[:6], "b1": params[6:8], "w2": params[8:]})
+    for _ in range(3):  # non-zero moments
+        adam_step(params, rng.standard_normal(11), state, config)
+    before = params.copy(), state.m.copy(), state.v.copy()
+    grads = rng.standard_normal(11)
+    grads[7] = -np.inf
+    with pytest.raises(NumericalError, match="'b1' at optimizer step 4"):
+        adam_step(params, grads, state, config)
+    for got, want in zip((params, state.m, state.v), before):
+        assert got.tobytes() == want.tobytes()
+    assert state.step == 3
 
 
 def test_clip_gradients_behavior():
