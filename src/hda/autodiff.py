@@ -61,9 +61,9 @@ def matmul_rows(x: Array, m: Array) -> Array:
     each slice of a stacked product equals the 2-D product of that slice
     bit for bit.
     """
-    block = max(1, SERIAL_GEMM_SIZE // max(1, m.shape[-2] * m.shape[-1]))
-    if x.ndim < 2 or x.shape[-2] <= block:
+    if x.ndim < 2 or x.shape[-2] * m.shape[-2] * m.shape[-1] <= SERIAL_GEMM_SIZE:
         return x @ m
+    block = max(1, SERIAL_GEMM_SIZE // max(1, m.shape[-2] * m.shape[-1]))
     lead = np.broadcast_shapes(x.shape[:-2], m.shape[:-2])
     out = np.empty((*lead, x.shape[-2], m.shape[-1]), dtype=np.result_type(x, m))
     for i in range(0, x.shape[-2], block):

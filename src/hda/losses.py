@@ -260,17 +260,12 @@ class ObjectivePlan:
     do.  The source side does not depend on the trained parameters, so
     :meth:`source_embeddings` computes it for a chunk of steps at once.
     A call takes a ``(B, d_z)`` latent batch, the target generator's
-    arrays by name, shaped as the source's, and the batch's
-    ``(E, B, d_e)`` source embeddings (``None`` when only the distance
-    loss is on), computes the objective in numpy and its gradient by the
-    hand-written vector-Jacobian product of the same expression.  It
-    returns the ``(E,)`` per-encoder batch sums of the distance and
-    direction losses, and the gradient as one vector in
-    :func:`hda.worlds.flatten_generator`'s layout.  Up to
-    ``direct_batch`` rows every product of a call fits one serial BLAS
-    call, which :func:`autodiff.matmul_rows` would pass to ``np.matmul``
-    unsplit, so the call issues it directly; a larger batch takes its
-    products through ``matmul_rows``.
+    arrays by name and the batch's ``(E, B, d_e)`` source embeddings
+    (``None`` when only the distance loss is on), computes the objective
+    in numpy and its gradient by the hand-written vector-Jacobian
+    product of the same expression.  It returns the ``(E,)`` per-encoder
+    batch sums of the distance and direction losses, and the gradient
+    as one vector in :func:`hda.worlds.flatten_generator`'s layout.
     """
 
     def __init__(
@@ -310,21 +305,13 @@ class ObjectivePlan:
         self.source, self.lam = source_gen, float(lam)
         self.encoder_ids = tuple(e.encoder_id for e in encoders)
         self.dist_only, self.direct_only = dist_only, direct_only
-        # Every product of a call is the batch times one weight or basis
-        # matrix's size; the weight gradients take the batch as their inner
-        # axis.  Up to this batch each fits one serial BLAS call.
-        widest = max(
-            m.shape[-2] * m.shape[-1]
-            for m in (source_gen.w1, source_gen.w2, self.w1, self.w2, self.bases)
-        )
-        self.direct_batch = ad.SERIAL_GEMM_SIZE // widest
 
-    def _encode(self, x: Array, matmul=ad.matmul_rows) -> tuple[Array, Array]:
+    def _encode(self, x: Array) -> tuple[Array, Array]:
         """``(..., E, B, d_e)`` embeddings of ``(..., B, d_x)`` rows, and where relu passes."""
-        pre = matmul(x[..., None, :, :], self.w1_t)
+        pre = ad.matmul_rows(x[..., None, :, :], self.w1_t)
         pre += self.b1
         active = pre > 0.0
-        f = matmul(np.where(active, pre, 0.0), self.w2_t)
+        f = ad.matmul_rows(np.where(active, pre, 0.0), self.w2_t)
         f += self.b2
         return f, active
 
@@ -341,26 +328,26 @@ class ObjectivePlan:
         self, z_batch: Array, params: dict[str, Array], f_s: Optional[Array]
     ) -> tuple[Array, Array, Array]:
         inv_batch = 1.0 / z_batch.shape[0]
-        # below the plan's batch bound no product needs matmul_rows' blocks
-        matmul = np.matmul if z_batch.shape[0] <= self.direct_batch else ad.matmul_rows
         add = np.add.reduce
         w1, b1, w2, b2 = (params[n] for n in PARAM_FIELDS)
-        hidden = matmul(z_batch, w1.T)
+        hidden = ad.matmul_rows(z_batch, w1.T)
         hidden += b1
         np.tanh(hidden, out=hidden)
-        x = matmul(hidden, w2.T)
+        x = ad.matmul_rows(hidden, w2.T)
         x += b2
-        f_t, active = self._encode(x, matmul)
-        perps = matmul(matmul(f_t - self.means, self.bases), self.bases_t)
+        f_t, active = self._encode(x)
+        perps = ad.matmul_rows(ad.matmul_rows(f_t - self.means, self.bases), self.bases_t)
         perps += self.means
         perps -= f_t  # (D, E, B, d)
         dist_sums = direct_sums = np.zeros(f_t.shape[0])  # (E,): summed over the batch
-        # g_perps is d total / d perps; g_f is d total / d f_t other than through perps
+        # the gradients accumulate from zero: d total / d perps, and
+        # d total / d f_t other than through perps
+        g_perps = g_f = 0.0
         if not self.direct_only:
             dist = add(perps * perps, -1)
             dist *= self.alpha[..., 0]
             dist_sums = add(add(dist, 0), -1)
-            g_perps = perps * ((2.0 * inv_batch) * self.alpha)
+            g_perps += (2.0 * inv_batch) * self.alpha * perps
         if not self.dist_only:
             u = f_t - f_s
             v = add(perps * self.alpha, 0)
@@ -378,31 +365,21 @@ class ObjectivePlan:
             g_cos = -(self.lam * inv_batch)
             g_dot, g_den = (g_cos / den)[..., None], -g_cos * dot
             g_den /= den * den
-            g_f = g_dot * v
-            g_f += (g_den * nv / nu)[..., None] * u
-            g_v = g_dot * u
-            g_v += (g_den * nu / nv)[..., None] * v
-            g_v = g_v * self.alpha
-            if self.direct_only:
-                g_perps = g_v
-            else:
-                g_perps += g_v
+            g_f += g_dot * v + (g_den * nv / nu)[..., None] * u
+            g_perps += (g_dot * u + (g_den * nu / nv)[..., None] * v) * self.alpha
         # perps = P(f_t) - f_t: the direct term, then the one through P
-        if self.dist_only:
-            g_f = np.negative(add(g_perps, 0))
-        else:
-            g_f -= add(g_perps, 0)
-        g_f += add(matmul(matmul(g_perps, self.bases), self.bases_t), 0)
-        g_pre = np.where(active, matmul(g_f, self.w2), 0.0)
-        g_x = add(matmul(g_pre, self.w1), 0)
-        g_hidden = matmul(g_x, w2)
+        g_f -= add(g_perps, 0)
+        g_f += add(ad.matmul_rows(ad.matmul_rows(g_perps, self.bases), self.bases_t), 0)
+        g_pre = np.where(active, ad.matmul_rows(g_f, self.w2), 0.0)
+        g_x = add(ad.matmul_rows(g_pre, self.w1), 0)
+        g_hidden = ad.matmul_rows(g_x, w2)
         tanh_grad = hidden * hidden
         np.subtract(1.0, tanh_grad, out=tanh_grad)
         g_hidden *= tanh_grad
         grads = np.concatenate([
-            matmul(g_hidden.T, z_batch).ravel(),
+            ad.matmul_rows(g_hidden.T, z_batch).ravel(),
             add(g_hidden, 0),
-            matmul(g_x.T, hidden).ravel(),
+            ad.matmul_rows(g_x.T, hidden).ravel(),
             add(g_x, 0),
         ])
         return dist_sums, direct_sums, grads
@@ -437,8 +414,6 @@ def hda_objective(
         raise DimensionError(
             f"latents have dimension {z_batch.shape[1]}, generator wants {target_gen.d_z}"
         )
-    if any(getattr(target_gen, n).shape != getattr(source_gen, n).shape for n in PARAM_FIELDS):
-        raise DimensionError("target and source generators have different shapes")
     plan = ObjectivePlan(
         source_gen, encoders, subspaces_per_encoder, weights, lam,
         dist_only=dist_only, direct_only=direct_only,

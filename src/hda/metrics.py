@@ -143,11 +143,9 @@ def _nearest_reference(embeddings: Array, reference_embeddings: Array) -> Array:
     through :func:`autodiff.matmul_rows`, so no ``(n, R, d)`` difference
     tensor is built.  A row whose two smallest squared distances are not
     more than ``_NEAREST_MARGIN`` times ``|e|² + max |r|²`` apart (a tie,
-    a near tie or a non-finite value) is assigned again against the
-    references less their exact later duplicates, and only a row that
-    ties there too is recomputed as the ``argmin`` of the norms of its
-    differences (:func:`_argmin_norms`).  The result equals that
-    expression's element for element, first index on exact ties included.
+    a near tie or a non-finite value) is recomputed as the ``argmin`` of
+    the norms of its differences, so the result equals that expression's
+    element for element, first index on exact ties included.
     """
     centre = np.mean(reference_embeddings, axis=0)
     centred = embeddings - centre
@@ -164,21 +162,9 @@ def _nearest_reference(embeddings: Array, reference_embeddings: Array) -> Array:
         gap = d2[:, 1] - d2[:, 0]
         rows = np.flatnonzero(~(gap > _NEAREST_MARGIN * (sq + np.max(ref_sq))))
         if rows.size:
-            # an exact duplicate reference ties every row near it; the
-            # lower index wins, so settle such rows on the first copies
-            keep = np.sort(np.unique(reference_embeddings, axis=0, return_index=True)[1])
-            if keep.size < refs.shape[0]:
-                kept = _nearest_reference(embeddings[rows], reference_embeddings[keep])
-                assignment[rows] = keep[kept]
-            else:
-                assignment[rows] = _argmin_norms(embeddings[rows], reference_embeddings)
+            diffs = embeddings[rows, None, :] - reference_embeddings[None, :, :]
+            assignment[rows] = np.argmin(np.linalg.norm(diffs, axis=2), axis=1)
     return assignment
-
-
-def _argmin_norms(embeddings: Array, reference_embeddings: Array) -> Array:
-    """Each embedding's nearest reference by the norms of the ``(n, R, d)`` differences."""
-    diffs = embeddings[:, None, :] - reference_embeddings[None, :, :]
-    return np.argmin(np.linalg.norm(diffs, axis=2), axis=1)
 
 
 def _diversity(embeddings: Array, reference_embeddings: Array) -> float:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hda.autodiff import SERIAL_GEMM_SIZE, Tape
+from hda.autodiff import Tape
 from hda.diagnostics import _toy_objective_setup, tape_objective
 from hda.engine import default_adaptation_config
 from hda.losses import (
@@ -19,7 +19,6 @@ from hda.losses import (
     hybrid_dist_loss,
 )
 from hda.seeding import stream_rng
-from hda.subspace import FeatureSet, build_subspace
 from hda.worlds import (
     PARAM_FIELDS,
     encode,
@@ -27,8 +26,6 @@ from hda.worlds import (
     flatten_generator,
     generator_forward_var,
     generator_param_vars,
-    make_encoder,
-    make_source_generator,
     unflatten_generator,
 )
 
@@ -165,89 +162,3 @@ def test_source_embeddings_equal_each_batch_encoded_alone(world, subspaces, step
         x = world.source_generator.forward(z)
         for e, enc in enumerate(encoders):
             np.testing.assert_array_equal(f_s[s, e], encode(enc, x))
-
-
-def _stock_setup(world, subspaces):
-    config = default_adaptation_config(world)
-    encoders = [world.encoder(e) for e in config.encoder_ids]
-    return world.source_generator, encoders, subspaces, list(config.ordered_weights())
-
-
-def _wide_setup():
-    """A toy world whose widest weight is the generator's ``(40, 96)`` ``w2``."""
-    rng = stream_rng(0, "wide-objective")
-    source = make_source_generator(1, d_z=24, d_h=96, d_x=40, output_gain=0.5)
-    encoders = [make_encoder(f"enc{i}", 2 + i, d_x=40, d_hidden=80, d_e=12) for i in range(2)]
-    weights = [DomainWeight("dom0", 0.6), DomainWeight("dom1", 0.4)]
-    subspaces = {
-        enc.encoder_id: {
-            w.domain_id: build_subspace(FeatureSet(rng.standard_normal((6, 12)), w.domain_id))
-            for w in weights
-        }
-        for enc in encoders
-    }
-    return source, encoders, subspaces, weights
-
-
-def _widest_product(source, encoders, subspaces):
-    """The largest weight or basis matrix that a call's products take once per batch row."""
-    enc = encoders[0]
-    rank = max(s.rank for per in subspaces.values() for s in per.values())
-    return max(
-        source.d_z * source.d_h,
-        source.d_h * source.d_x,
-        source.d_x * enc.w1.shape[0],
-        enc.w1.shape[0] * enc.w2.shape[0],
-        enc.w2.shape[0] * rank,
-    )
-
-
-def _setup(name, world, subspaces):
-    return _stock_setup(world, subspaces) if name == "stock" else _wide_setup()
-
-
-@pytest.mark.parametrize("name", ["stock", "wide"])
-def test_direct_batch_is_the_largest_that_keeps_every_product_serial(
-    world, subspaces, name, monkeypatch
-):
-    source, encoders, subs, weights = _setup(name, world, subspaces)
-    plan = ObjectivePlan(source, encoders, subs, weights, 0.8)
-    widest = _widest_product(source, encoders, subs)
-    assert plan.direct_batch * widest <= SERIAL_GEMM_SIZE < (plan.direct_batch + 1) * widest
-    products = []
-    matmul = np.matmul
-
-    def recording(x, m, **kwargs):
-        products.append(x.shape[-2] * x.shape[-1] * m.shape[-1])
-        return matmul(x, m, **kwargs)
-
-    # np.matmul sees every product at or below the bound; above it, every block
-    monkeypatch.setattr(np, "matmul", recording)
-    params = {n: getattr(source, n) for n in PARAM_FIELDS}
-    rng = stream_rng(1, "direct-batch")
-    for batch in (1, plan.direct_batch, plan.direct_batch + 1, 5 * plan.direct_batch + 3):
-        z = rng.standard_normal((batch, source.d_z))
-        f_s = plan.source_embeddings(z[None])[0]
-        products.clear()
-        plan(z, params, f_s)
-        if batch <= plan.direct_batch:
-            assert len(products) == 13
-        assert products and max(products) <= SERIAL_GEMM_SIZE
-
-
-@pytest.mark.parametrize("name", ["stock", "wide"])
-def test_objective_matches_tape_oracle_around_the_direct_batch(world, subspaces, name):
-    source, encoders, subs, weights = _setup(name, world, subspaces)
-    bound = ObjectivePlan(source, encoders, subs, weights, 0.8).direct_batch
-    rng = stream_rng(2, "direct-batch")
-    flat = flatten_generator(source)
-    target = unflatten_generator(flat + 0.02 * rng.standard_normal(flat.size), like=source)
-    for batch in (bound - 1, bound, bound + 1, bound + 2):
-        z = rng.standard_normal((batch, source.d_z))
-        args = (z, source, target, encoders, subs, weights, 0.8)
-        got, grads = hda_objective(*args)
-        want, want_grads = tape_objective(*args)
-        assert abs(got.total - want.total) <= ORACLE_REL * abs(want.total)
-        for field in PARAM_FIELDS:
-            scale = np.max(np.abs(want_grads[field]))
-            assert np.max(np.abs(grads[field] - want_grads[field])) <= ORACLE_REL * scale

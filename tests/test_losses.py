@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hda.autodiff import Tape
-from hda.errors import ConfigError, DimensionError
+from hda.errors import ConfigError
 from hda.losses import (
     NORM_EPS,
     DomainWeight,
@@ -17,7 +17,7 @@ from hda.losses import (
 )
 from hda.seeding import stream_rng
 from hda.subspace import DomainSubspace, FeatureSet, build_subspace, subspace_distance_sq
-from hda.worlds import make_source_generator, make_target_generator
+from hda.worlds import make_target_generator
 
 
 def _axis_subspace(d: int, axis: int, mean=None) -> DomainSubspace:
@@ -304,21 +304,6 @@ def test_objective_weight_subset_and_unknown_domain(world, subspaces):
             encoders,
             subspaces,
             [DomainWeight("missing", 1.0)],
-            lam=1.0,
-        )
-
-
-def test_objective_refuses_a_target_shaped_unlike_the_source(world, subspaces):
-    z = stream_rng(3, "loss-test").standard_normal((4, world.config.d_z))
-    wider = make_source_generator(1, d_z=world.config.d_z, d_h=40, d_x=world.config.d_x)
-    with pytest.raises(DimensionError, match="different shapes"):
-        hda_objective(
-            z,
-            world.source_generator,
-            wider,
-            [world.encoder(e) for e in world.train_encoder_ids],
-            subspaces,
-            [DomainWeight("attr0", 1.0)],
             lam=1.0,
         )
 

@@ -262,25 +262,6 @@ def test_nearest_reference_equals_the_full_tensor_argmin(case):
     assert np.array_equal(_nearest_reference(embeddings, refs), expected)
 
 
-def test_duplicate_references_send_only_genuine_ties_to_the_full_tensor(monkeypatch):
-    calls = []
-    full_tensor = metrics._argmin_norms
-
-    def recording(embeddings, refs):
-        calls.append((embeddings.shape[0], refs.shape[0]))
-        return full_tensor(embeddings, refs)
-
-    monkeypatch.setattr(metrics, "_argmin_norms", recording)
-    embeddings, refs = _nearest_reference_cases()["duplicated-reference"]
-    assert np.array_equal(_nearest_reference(embeddings, refs), full_tensor(embeddings, refs))
-    assert calls == []  # each duplicate tie goes to the lower index without the tensor
-    # the midpoint of two distinct references still ties, against the 19 distinct ones
-    midpoints = np.repeat([(refs[0] + refs[1]) / 2], 5, axis=0)
-    embeddings = np.vstack([embeddings, midpoints])
-    assert np.array_equal(_nearest_reference(embeddings, refs), full_tensor(embeddings, refs))
-    assert calls == [(5, 19)]
-
-
 def test_nearest_reference_memory_is_bounded():
     rng = np.random.default_rng(2)
     refs = rng.standard_normal((512, 16))
