@@ -20,7 +20,6 @@ from .engine import (
     default_adaptation_config,
     init_optimizer_state,
     run_adaptation,
-    run_single_domain,
 )
 from .errors import (
     AdaptationError,

@@ -36,8 +36,10 @@ from .worlds import (
     build_world,
     build_world_subspaces,
     default_world_config,
+    json_doc,
     load_world,
     read_document,
+    read_object,
     save_world,
 )
 
@@ -66,7 +68,7 @@ def _write_last_good(exc, out_dir) -> None:
     path = os.path.join(out_dir, "last_good_params.json")
     try:
         os.makedirs(out_dir, exist_ok=True)
-        write_json(path, {"step": exc.step, "params": params.to_json_dict()})
+        write_json(path, {"step": exc.step, "params": json_doc(params)})
     except Exception as write_exc:  # the run has already failed; keep its exit code
         click.echo(f"warning: last good parameters not written: {write_exc}", err=True)
         return
@@ -110,7 +112,7 @@ def build_subspaces(world_dir, out_dir):
     for encoder_id, per_domain in subspaces.items():
         for domain_id, sub in per_domain.items():
             path = os.path.join(out_dir, f"subspace_{encoder_id}_{domain_id}.json")
-            write_json(path, sub.to_json_dict())
+            write_json(path, json_doc(sub))
             count += 1
     click.echo(f"{count} subspace file(s) written to {out_dir}")
 
@@ -131,7 +133,7 @@ def _load_adaptation_config(config_path, world: World) -> AdaptationConfig:
             "weights", [{"domain_id": d, "alpha": 1.0 / len(domain_ids)} for d in domain_ids]
         )
     try:
-        return AdaptationConfig.from_json_dict(data)
+        return read_object(AdaptationConfig, data, "adaptation config")
     except ConfigError as exc:
         raise ConfigError(f"{config_path}: {exc}") from exc
 

@@ -11,13 +11,14 @@ from __future__ import annotations
 import itertools
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateDomain, NumericalError
-from .losses import DomainWeight, LossBreakdown, ObjectivePlan, loss_breakdowns, loss_total
+from .losses import DomainWeight, EncoderTerms, LossBreakdown, ObjectivePlan
+from .losses import loss_breakdowns, loss_total
 from .metrics import MetricsReport, SnapshotPlan
 from .seeding import derive_seed, stream_rng
 from .subspace import DomainSubspace, finite_json, separation_ratio, write_atomic, write_json
@@ -28,7 +29,7 @@ from .worlds import (
     generator_views,
     json_doc,
     read_document,
-    read_object,
+    read_value,
     unflatten_generator,
 )
 
@@ -50,8 +51,9 @@ SNAPSHOT_EVERY = 25
 #: Latent samples per metric snapshot.
 SNAPSHOT_SAMPLES = 128
 
-#: ``AdaptationConfig`` field names whose JSON key differs.
-_JSON_RENAMES = {"lam": "lambda"}
+#: The keys of a ``log.jsonl`` line and of each of its ``per_encoder`` entries.
+_LOG_KEYS = frozenset(("step", "total", "lambda", "per_encoder"))
+_TERM_KEYS = frozenset(("encoder_id", "dist", "direct"))
 
 
 @dataclass(frozen=True)
@@ -61,7 +63,7 @@ class AdaptationConfig:
     encoder_ids: tuple[str, ...]
     domain_ids: tuple[str, ...]
     weights: tuple[DomainWeight, ...]
-    lam: float = 1.0
+    lam: float = field(default=1.0, metadata={"json": "lambda"})
     steps: int = 300
     batch_size: int = 4
     learning_rate: float = 2e-3
@@ -116,13 +118,6 @@ class AdaptationConfig:
     def ordered_weights(self) -> tuple[DomainWeight, ...]:
         by_id = {w.domain_id: w for w in self.weights}
         return tuple(by_id[d] for d in self.domain_ids)
-
-    def to_json_dict(self) -> dict:
-        return json_doc(self, _JSON_RENAMES)
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "AdaptationConfig":
-        return read_object(cls, data, "adaptation config", _JSON_RENAMES)
 
 
 def default_adaptation_config(
@@ -406,19 +401,6 @@ def run_adaptation(
     )
 
 
-def run_single_domain(
-    config: AdaptationConfig,
-    world: World,
-    subspaces: dict[str, dict[str, DomainSubspace]],
-) -> RunRecord:
-    """Single-domain adaptation; a thin wrapper over :func:`run_adaptation`."""
-    if len(config.domain_ids) != 1:
-        raise ConfigError(
-            f"run_single_domain expects exactly one domain, got {list(config.domain_ids)}"
-        )
-    return run_adaptation(config, world, subspaces)
-
-
 def save_run(record: RunRecord, out_dir, world_dir: str = "") -> None:
     """Write ``run_record.json`` plus the per-step ``log.jsonl``, each replaced whole.
 
@@ -427,7 +409,7 @@ def save_run(record: RunRecord, out_dir, world_dir: str = "") -> None:
     os.makedirs(out_dir, exist_ok=True)
     log_path = os.path.join(out_dir, LOG_FILE)
     log_text = "".join(
-        finite_json(log_path, {"step": i, **breakdown.to_json_dict()}) + "\n"
+        finite_json(log_path, {"step": i, **json_doc(breakdown)}) + "\n"
         for i, breakdown in enumerate(record.step_losses, start=1)
     )
     doc = _RunFile(
@@ -442,11 +424,49 @@ def save_run(record: RunRecord, out_dir, world_dir: str = "") -> None:
     write_atomic(log_path, log_text)
 
 
+def _keys_error(doc, keys: frozenset, kind: str) -> ConfigError:
+    got = sorted(doc) if isinstance(doc, dict) else doc
+    return ConfigError(f"{kind} must be an object of exactly {sorted(keys)}, got {got!r}")
+
+
+def _log_line(line: str, step: int) -> LossBreakdown:
+    """The breakdown on line ``step`` of ``log.jsonl``, checked against :func:`save_run`'s layout.
+
+    Each value follows :func:`read_object`'s rules, but the layout is
+    checked here: ``read_object`` takes about twice as long per line.
+    """
+    doc = json.loads(line)
+    if type(doc) is not dict or doc.keys() != _LOG_KEYS:
+        raise _keys_error(doc, _LOG_KEYS, "a log line")
+    if type(doc["step"]) is not int or doc["step"] != step:
+        raise ConfigError(f"step must be the JSON integer {step}, got {doc['step']!r}")
+    entries = doc["per_encoder"]
+    if type(entries) is not list:
+        raise ConfigError(f"per_encoder must be a list, got {entries!r}")
+    terms = []
+    for i, entry in enumerate(entries):
+        try:
+            if type(entry) is not dict or entry.keys() != _TERM_KEYS:
+                raise _keys_error(entry, _TERM_KEYS, "an entry")
+            encoder_id = read_value(str, entry["encoder_id"], "encoder_id")
+            dist = read_value(float, entry["dist"], "dist")
+            direct = read_value(float, entry["direct"], "direct")
+        except ConfigError as exc:
+            raise ConfigError(f"per_encoder[{i}]: {exc}") from exc
+        terms.append(EncoderTerms(encoder_id, dist, direct))
+    return LossBreakdown(
+        read_value(float, doc["total"], "total"),
+        read_value(float, doc["lambda"], "lambda"),
+        tuple(terms),
+    )
+
+
 def load_run(run_dir) -> tuple[RunRecord, str]:
     """Rebuild a :class:`RunRecord` and its world directory from a run directory.
 
-    Every key of ``run_record.json`` is checked by the type of its field;
-    a wrong one is a :class:`ConfigError` naming the file and the key.
+    Every key of ``run_record.json`` is checked by the type of its field,
+    and every line of ``log.jsonl`` by :func:`_log_line`; a wrong one is
+    a :class:`ConfigError` naming the file and the key or line.
     """
     doc = read_document(_RunFile, os.path.join(run_dir, RUN_RECORD_FILE), "run record")
     log_path = os.path.join(run_dir, LOG_FILE)
@@ -454,11 +474,10 @@ def load_run(run_dir) -> tuple[RunRecord, str]:
     if os.path.isfile(log_path):
         with open(log_path, "r", encoding="utf8") as fh:
             for lineno, line in enumerate(fh, start=1):
-                if line.strip():
-                    try:
-                        step_losses.append(LossBreakdown.from_json_dict(json.loads(line)))
-                    except (ValueError, ConfigError) as exc:
-                        raise ConfigError(f"{log_path}: line {lineno}: {exc}") from exc
+                try:
+                    step_losses.append(_log_line(line, lineno))
+                except (ValueError, ConfigError) as exc:
+                    raise ConfigError(f"{log_path}: line {lineno}: {exc}") from exc
     record = RunRecord(
         config=doc.config,
         step_losses=step_losses,

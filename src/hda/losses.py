@@ -27,7 +27,7 @@ tape expression, the oracle it is tested against.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -37,7 +37,6 @@ from .autodiff import Var
 from .errors import ConfigError, DimensionError
 from .subspace import DomainSubspace
 from .worlds import PARAM_FIELDS, EncoderSpec, GeneratorParams, generator_views, stack_encoders
-from .worlds import json_doc, read_object
 
 # bench/probes.py times these names in this module; nothing here calls them
 from .subspace import project  # noqa: F401  (probe site)
@@ -58,19 +57,12 @@ class DomainWeight:
         if not self.alpha > 0.0:
             raise ConfigError(f"weight for {self.domain_id!r} must be positive")
 
-    def to_json_dict(self) -> dict:
-        return json_doc(self)
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "DomainWeight":
-        return read_object(cls, data, "weight entry")
-
 
 @dataclass(frozen=True)
 class EncoderTerms:
     encoder_id: str
-    dist_term: float
-    direct_term: float
+    dist_term: float = field(metadata={"json": "dist"})
+    direct_term: float = field(metadata={"json": "direct"})
 
 
 @dataclass(frozen=True)
@@ -82,32 +74,8 @@ class LossBreakdown:
     """
 
     total: float
+    lam: float = field(metadata={"json": "lambda"})
     per_encoder: tuple[EncoderTerms, ...]
-    lam: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "lambda": self.lam,
-            "per_encoder": [
-                {"encoder_id": t.encoder_id, "dist": t.dist_term, "direct": t.direct_term}
-                for t in self.per_encoder
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "LossBreakdown":
-        try:
-            return cls(
-                total=float(data["total"]),
-                per_encoder=tuple(
-                    EncoderTerms(t["encoder_id"], float(t["dist"]), float(t["direct"]))
-                    for t in data["per_encoder"]
-                ),
-                lam=float(data["lambda"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed loss record: {exc}") from exc
 
 
 def _stacked_subspaces(subspaces, lead: tuple[int, ...], d: int) -> tuple[Array, Array]:

@@ -24,7 +24,7 @@ from .autodiff import SERIAL_GEMM_SIZE, matmul_rows
 from .errors import ConfigError, DimensionError
 from .seeding import stream_rng
 from .subspace import DomainSubspace, project, write_json
-from .worlds import EncoderSpec, GeneratorParams, encode, read_object
+from .worlds import EncoderSpec, GeneratorParams, encode
 
 Array = np.ndarray
 
@@ -54,10 +54,6 @@ class MetricsReport:
             "diversity": round12(self.diversity),
             "n_samples": self.n_samples,
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "MetricsReport":
-        return read_object(cls, data, "metrics report")
 
     def mean_distance(self, domain_id: str) -> float:
         """Positive mean subspace distance for one domain."""

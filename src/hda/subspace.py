@@ -190,13 +190,6 @@ class DomainSubspace:
     def dim(self) -> int:
         return self.mean.shape[0]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "mean": self.mean.tolist(),
-            "basis": self.basis.tolist(),
-            "singular_values": self.singular_values.tolist(),
-        }
-
 
 def build_subspace(features: FeatureSet) -> DomainSubspace:
     """Estimate the affine subspace spanned by a few-shot feature set.

@@ -110,19 +110,23 @@ _SCALARS = {
     str: ((str,), "a string"),
 }
 
-#: ``(class, renames) -> {JSON key: (field name, default, annotated type)}``
-_FIELD_TABLES: dict[tuple, dict] = {}
+_FLOAT_MAX = sys.float_info.max
+
+#: ``class -> {JSON key: (field name, default, annotated type)}``
+_FIELD_TABLES: dict[type, dict] = {}
 
 
-def _read(hint, value, key: str):
+def read_value(hint, value, key: str):
     """``value`` checked against the annotated type ``hint`` and converted to it."""
+    if type(value) is hint and (hint is not float or -_FLOAT_MAX <= value <= _FLOAT_MAX):
+        return value  # the common case, ahead of the general rules below
     if hint in _SCALARS:
         accepts, what = _SCALARS[hint]
         if isinstance(value, accepts) and (hint is bool or not isinstance(value, bool)):
             if hint is not float:
                 return value
             # the bounds refuse NaN, infinities and integers too large for a float
-            if -sys.float_info.max <= value <= sys.float_info.max:
+            if -_FLOAT_MAX <= value <= _FLOAT_MAX:
                 return float(value)
         raise ConfigError(f"{key} must be {what}, got {value!r}")
     if hint is np.ndarray:
@@ -135,50 +139,46 @@ def _read(hint, value, key: str):
         return arr.astype(np.float64, copy=False)
     origin = typing.get_origin(hint)
     if origin is typing.Union:  # Optional[X]
-        return None if value is None else _read(typing.get_args(hint)[0], value, key)
+        return None if value is None else read_value(typing.get_args(hint)[0], value, key)
     if origin is tuple:
         if not isinstance(value, list):
             raise ConfigError(f"{key} must be a list, got {value!r}")
         item = typing.get_args(hint)[0]
-        return tuple(_read(item, v, f"{key}[{i}]") for i, v in enumerate(value))
+        return tuple(read_value(item, v, f"{key}[{i}]") for i, v in enumerate(value))
     if origin is dict:  # dict[str, X]; JSON object keys are strings
         if not isinstance(value, dict):
             raise ConfigError(f"{key} must be a JSON object, got {value!r}")
         item = typing.get_args(hint)[1]
-        return {k: _read(item, v, f"{key}[{k!r}]") for k, v in value.items()}
-    reader = getattr(hint, "from_json_dict", None)
+        return {k: read_value(item, v, f"{key}[{k!r}]") for k, v in value.items()}
     try:
-        return reader(value) if reader else read_object(hint, value, hint.__name__)
+        return read_object(hint, value, hint.__name__)
     except ConfigError as exc:
         raise ConfigError(f"{key}: {exc}") from exc
 
 
-def read_object(cls, data, kind: str, renames: Optional[dict] = None):
+def read_object(cls, data, kind: str):
     """An instance of the dataclass ``cls`` built from a JSON object.
 
     Each value is checked and converted by its field's annotated type:
     ``bool`` takes only ``true``/``false``, ``int`` only a JSON integer,
     ``float`` a finite number, ``str`` a string, ``tuple[X, ...]`` a
     list, ``dict[str, X]`` an object, an array a rectangular list of
-    numbers, ``Optional`` also ``null``, and a nested dataclass its own
-    ``from_json_dict``, or this reader if it has none.  An absent key
-    takes the field's default, so each default is written once, in the
-    dataclass.  An unknown key (with a did-you-mean hint), a missing
-    field without a default, or a value of the wrong type is a
-    :class:`ConfigError` naming the key.  A :class:`DimensionError` from
-    the constructor (sizes that disagree) becomes a ``ConfigError``
-    naming ``kind``.  ``renames`` maps a field name to its JSON key
-    where the two differ.
+    numbers, ``Optional`` also ``null``, and a nested dataclass this
+    reader again, with its class name as ``kind``.  A field's JSON key
+    is its ``"json"`` metadata, else its name.  An absent key takes the
+    field's default, so each default is written once, in the dataclass.
+    An unknown key (with a did-you-mean hint), a missing field without a
+    default, or a value of the wrong type is a :class:`ConfigError`
+    naming the key.  A :class:`DimensionError` from the constructor
+    (sizes that disagree) becomes a ``ConfigError`` naming ``kind``.
     """
     if not isinstance(data, dict):
         raise ConfigError(f"{kind} must be a JSON object")
-    renames = renames or {}
-    cache_key = (cls, tuple(renames.items()))
-    table = _FIELD_TABLES.get(cache_key)
+    table = _FIELD_TABLES.get(cls)
     if table is None:  # type hints are slow to resolve, so once per class
         hints = typing.get_type_hints(cls)
-        table = _FIELD_TABLES[cache_key] = {
-            renames.get(f.name, f.name): (f.name, f.default, hints[f.name]) for f in fields(cls)
+        table = _FIELD_TABLES[cls] = {
+            f.metadata.get("json", f.name): (f.name, f.default, hints[f.name]) for f in fields(cls)
         }
     for key in data:
         if key not in table:
@@ -190,7 +190,7 @@ def read_object(cls, data, kind: str, renames: Optional[dict] = None):
     values = {}
     for key, (name, default, hint) in table.items():
         if key in data:
-            values[name] = _read(hint, data[key], key)
+            values[name] = read_value(hint, data[key], key)
         elif default is not MISSING:
             values[name] = default
         else:
@@ -210,11 +210,10 @@ def read_document(cls, path, kind: str):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def json_doc(obj, renames: Optional[dict] = None) -> dict:
+def json_doc(obj) -> dict:
     """The JSON object :func:`read_object` reads back into ``obj``, keys in field order."""
-    renames = renames or {}
     return {
-        renames.get(f.name, f.name): _json_value(getattr(obj, f.name)) for f in fields(obj)
+        f.metadata.get("json", f.name): _json_value(getattr(obj, f.name)) for f in fields(obj)
     }
 
 
@@ -270,31 +269,6 @@ class GeneratorParams:
 
     def to_dict(self) -> dict[str, Array]:
         return {name: np.array(getattr(self, name)) for name in PARAM_FIELDS}
-
-    def to_json_dict(self) -> dict:
-        return json_doc(self)
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "GeneratorParams":
-        return read_object(cls, data, "generator document")
-
-
-def make_source_generator(
-    seed: int,
-    d_z: int = 8,
-    d_h: int = 32,
-    d_x: int = 32,
-    output_gain: float = 0.3,
-) -> GeneratorParams:
-    """Frozen source generator with O(0.1) per-coordinate output spread."""
-    if min(d_z, d_h, d_x) < 1:
-        raise ConfigError("generator dimensions must be positive")
-    rng = stream_rng(seed, "generator-init")
-    w1 = rng.standard_normal((d_h, d_z)) / np.sqrt(d_z)
-    b1 = np.zeros(d_h)
-    w2 = rng.standard_normal((d_x, d_h)) * (output_gain / np.sqrt(d_h))
-    b2 = np.zeros(d_x)
-    return GeneratorParams(w1=w1, b1=b1, w2=w2, b2=b2, trainable=False)
 
 
 def make_target_generator(source: GeneratorParams) -> GeneratorParams:
@@ -354,13 +328,7 @@ class EncoderSpec:
         return self.w2.shape[0]
 
 
-def make_encoder(
-    encoder_id: str,
-    seed: int,
-    d_x: int = 32,
-    d_hidden: int = 32,
-    d_e: int = 16,
-) -> EncoderSpec:
+def make_encoder(encoder_id: str, seed: int, d_x: int, d_hidden: int, d_e: int) -> EncoderSpec:
     """Encoder weights are a pure function of ``(seed, dims)``."""
     if min(d_x, d_hidden, d_e) < 1:
         raise ConfigError("encoder dimensions must be positive")
@@ -453,13 +421,6 @@ class SyntheticDomainSpec:
     def d_x(self) -> int:
         return self.attribute_shift.shape[0]
 
-    def to_json_dict(self) -> dict:
-        return json_doc(self)
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "SyntheticDomainSpec":
-        return read_object(cls, data, "domain document")
-
 
 def sample_domain_references(
     source_gen: GeneratorParams, domain: SyntheticDomainSpec, seed: int
@@ -527,12 +488,23 @@ class WorldConfig:
                 )
         object.__setattr__(self, "domains", domains)
 
-    def to_json_dict(self) -> dict:
-        return json_doc(self)
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "WorldConfig":
-        return read_object(cls, data, "world config")
+def make_source_generator(
+    seed: int,
+    d_z: int = WorldConfig.d_z,
+    d_h: int = WorldConfig.d_h,
+    d_x: int = WorldConfig.d_x,
+    output_gain: float = WorldConfig.output_gain,
+) -> GeneratorParams:
+    """Frozen source generator with O(0.1) per-coordinate output spread; stock sizes by default."""
+    if min(d_z, d_h, d_x) < 1:
+        raise ConfigError("generator dimensions must be positive")
+    rng = stream_rng(seed, "generator-init")
+    w1 = rng.standard_normal((d_h, d_z)) / np.sqrt(d_z)
+    b1 = np.zeros(d_h)
+    w2 = rng.standard_normal((d_x, d_h)) * (output_gain / np.sqrt(d_h))
+    b2 = np.zeros(d_x)
+    return GeneratorParams(w1=w1, b1=b1, w2=w2, b2=b2, trainable=False)
 
 
 def default_world_config(seed: int = DEFAULT_WORLD_SEED, n_domains: int = 2) -> WorldConfig:

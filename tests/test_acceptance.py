@@ -31,7 +31,6 @@ from hda.engine import (
     AdaptationConfig,
     default_adaptation_config,
     run_adaptation,
-    run_single_domain,
 )
 from hda.losses import (
     DomainWeight,
@@ -215,8 +214,8 @@ def test_criterion_4_single_domain_adaptation(world, subspaces, baselines):
         seed=pins["adapt_seed"],
     )
     t0 = time.perf_counter()
-    record = run_single_domain(config, world, subspaces)
-    baseline = run_single_domain(replace(config, lam=0.0), world, subspaces)
+    record = run_adaptation(config, world, subspaces)
+    baseline = run_adaptation(replace(config, lam=0.0), world, subspaces)
     elapsed = time.perf_counter() - t0
 
     # the floor: the target domain's own generator, scored like a snapshot

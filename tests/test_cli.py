@@ -196,15 +196,46 @@ def test_invalid_config_json_exits_2(tmp_path, runner, world_dir):
     assert result.exit_code == 2
 
 
-def test_truncated_run_log_exits_2_naming_the_line(tmp_path, runner, tiny_run):
+def _log_edit(change):
+    """An edit of a log line: ``change`` mutates the parsed line, which is written back."""
+
+    def edit(line):
+        doc = json.loads(line)
+        change(doc)
+        return json.dumps(doc)  # a NaN is written as the bare token NaN
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (lambda line: line[:20], "Expecting value"),
+        (_log_edit(lambda d: d.update(total="1.5")), "total must be a finite number"),
+        (_log_edit(lambda d: d.update(total=True)), "total must be a finite number"),
+        (_log_edit(lambda d: d.update({"lambda": "nan"})), "lambda must be a finite number"),
+        (_log_edit(lambda d: d.update(total=float("nan"))), "total must be a finite number"),
+        (_log_edit(lambda d: d.update(bogus=1)), "'bogus'"),
+        (_log_edit(lambda d: d.update(step=4)), "step must be the JSON integer 3, got 4"),
+        (_log_edit(lambda d: d.pop("step")), "['lambda', 'per_encoder', 'total']"),
+        (_log_edit(lambda d: d["per_encoder"][0].update(extra=1)), "per_encoder[0]: "),
+    ],
+    ids=["truncated", "string-total", "boolean-total", "string-nan-lambda", "bare-nan-total",
+         "unknown-key", "wrong-step", "missing-step", "extra-encoder-key"],
+)
+def test_malformed_run_log_exits_2_naming_the_line(tmp_path, runner, tiny_run, edit, named):
     run = tmp_path / "run"
     shutil.copytree(tiny_run, run)
     log = run / "log.jsonl"
     lines = log.read_text(encoding="utf8").splitlines()
-    log.write_text("\n".join(lines[:2] + [lines[2][:20]]) + "\n", encoding="utf8")
-    result = runner.invoke(main, ["eval", "--run", str(run), "--out", str(tmp_path / "r.json")])
+    lines[2] = edit(lines[2])
+    log.write_text("\n".join(lines) + "\n", encoding="utf8")
+    out = tmp_path / "r.json"
+    result = runner.invoke(main, ["eval", "--run", str(run), "--out", str(out)])
     assert result.exit_code == 2, result.output
-    assert "log.jsonl: line 3:" in result.output
+    assert f"error: {log}: line 3: " in result.output
+    assert named in result.output
+    assert not out.exists()
 
 
 def test_world_file_that_is_not_an_object_exits_2(tmp_path, runner, world_dir):
@@ -280,7 +311,7 @@ def _drop_last(*keys):
         (_set("final_params", "w1", 0, 0, value=float("nan")),
          "final_params: w1 contains non-finite entries"),
         (_drop_last("final_params", "b2"),
-         "final_params: generator document: b2 must have shape (32,), got (31,)"),
+         "final_params: GeneratorParams: b2 must have shape (32,), got (31,)"),
         (_set("checkpoints", "best", "params", "b1", 0, value=float("inf")),
          "checkpoints['best']: params: b1 contains non-finite entries"),
     ],

@@ -17,7 +17,6 @@ from hda.engine import (
     init_optimizer_state,
     load_run,
     run_adaptation,
-    run_single_domain,
     save_run,
     training_chunks,
 )
@@ -28,7 +27,9 @@ from hda.worlds import (
     build_world,
     build_world_subspaces,
     default_world_config,
+    json_doc,
     make_target_generator,
+    read_object,
 )
 
 
@@ -379,12 +380,6 @@ def test_run_rejects_foreign_encoders(world, subspaces):
         )
 
 
-def test_run_single_domain_requires_one_domain(world, subspaces):
-    config = default_adaptation_config(world, steps=2)
-    with pytest.raises(ConfigError):
-        run_single_domain(config, world, subspaces)
-
-
 def test_save_load_round_trip(tmp_path, world, subspaces):
     config = _small_config(world, steps=5)
     record = run_adaptation(config, world, subspaces)
@@ -450,38 +445,38 @@ def test_log_lines_are_valid_json(tmp_path, world, subspaces):
 
 def test_config_json_round_trip_including_optional_clip(world):
     config = default_adaptation_config(world, grad_clip_norm=None)
-    back = AdaptationConfig.from_json_dict(config.to_json_dict())
+    back = read_object(AdaptationConfig, json_doc(config), "config")
     assert back == config
     config = default_adaptation_config(world, grad_clip_norm=2.5)
-    back = AdaptationConfig.from_json_dict(config.to_json_dict())
+    back = read_object(AdaptationConfig, json_doc(config), "config")
     assert back.grad_clip_norm == 2.5
     # absent key falls back to the default
-    doc = config.to_json_dict()
+    doc = json_doc(config)
     del doc["grad_clip_norm"]
-    assert AdaptationConfig.from_json_dict(doc).grad_clip_norm == 10.0
+    assert read_object(AdaptationConfig, doc, "config").grad_clip_norm == 10.0
     # a JSON integer is a float setting's value, and is written back as a float
     doc.update({"lambda": 1, "learning_rate": 1})
     doc["weights"][0]["alpha"] = 2
-    back = AdaptationConfig.from_json_dict(doc).to_json_dict()
+    back = json_doc(read_object(AdaptationConfig, doc, "config"))
     values = (back["lambda"], back["learning_rate"], back["weights"][0]["alpha"])
     assert values == (1.0, 1.0, 2.0) and all(type(v) is float for v in values)
 
 
 @pytest.mark.parametrize("field", ["dist_only", "direct_only", "seed", "grad_clip_norm"])
 def test_config_flags_accept_only_json_booleans(world, field):
-    doc = default_adaptation_config(world).to_json_dict()
+    doc = json_doc(default_adaptation_config(world))
     if field in ("seed", "grad_clip_norm"):
         # and a number takes no boolean, though Python counts True as the int 1
         bad_values = (True,)
     else:
         doc[field] = True
-        assert getattr(AdaptationConfig.from_json_dict(doc), field) is True
+        assert getattr(read_object(AdaptationConfig, doc, "config"), field) is True
         # the string "false" is truthy; it must not switch an ablation on
         bad_values = ("false", 0, None)
     for bad in bad_values:
         doc[field] = bad
         with pytest.raises(ConfigError, match=field):
-            AdaptationConfig.from_json_dict(doc)
+            read_object(AdaptationConfig, doc, "config")
 
 
 @pytest.mark.parametrize(

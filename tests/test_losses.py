@@ -17,7 +17,7 @@ from hda.losses import (
 )
 from hda.seeding import stream_rng
 from hda.subspace import DomainSubspace, FeatureSet, build_subspace, subspace_distance_sq
-from hda.worlds import make_target_generator
+from hda.worlds import json_doc, make_target_generator, read_object
 
 
 def _axis_subspace(d: int, axis: int, mean=None) -> DomainSubspace:
@@ -316,18 +316,19 @@ def test_domain_weight_validation():
 
 
 def test_loss_breakdown_json_round_trip():
-    rng = stream_rng(9, "loss-test")
     from hda.losses import EncoderTerms
 
     breakdown = LossBreakdown(
         total=1.25,
-        per_encoder=[
-            EncoderTerms("train0", 0.5, 0.25),
-            EncoderTerms("train1", 0.25, 0.25),
-        ],
         lam=1.0,
+        per_encoder=(EncoderTerms("train0", 0.5, 0.25), EncoderTerms("train1", 0.25, 0.25)),
     )
-    back = LossBreakdown.from_json_dict(breakdown.to_json_dict())
+    doc = json_doc(breakdown)
+    # the keys of a log.jsonl line after its step, in the order save_run writes them
+    assert list(doc) == ["total", "lambda", "per_encoder"]
+    assert list(doc["per_encoder"][0]) == ["encoder_id", "dist", "direct"]
+    back = read_object(LossBreakdown, doc, "loss breakdown")
     assert back.total == breakdown.total
     assert back.lam == breakdown.lam
     assert [t.encoder_id for t in back.per_encoder] == ["train0", "train1"]
+    assert back == breakdown

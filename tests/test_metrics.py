@@ -22,7 +22,7 @@ from hda.metrics import (
     write_report,
 )
 from hda.seeding import derive_seed
-from hda.worlds import make_source_generator, make_target_generator
+from hda.worlds import make_source_generator, make_target_generator, read_object
 
 
 def _held_out_inputs(world, subspaces):
@@ -114,7 +114,7 @@ def test_report_json_round_trip():
         diversity=0.25,
         n_samples=64,
     )
-    back = MetricsReport.from_json_dict(report.to_json_dict())
+    back = read_object(MetricsReport, report.to_json_dict(), "metrics report")
     assert back == report
 
 

@@ -22,6 +22,7 @@ from hda.subspace import (
     write_feature_csv,
     write_pca2d_csv,
 )
+from hda.worlds import json_doc
 
 
 def _sub_from(points) -> DomainSubspace:
@@ -139,7 +140,7 @@ def test_single_shot_requires_opt_in():
 def test_point_subspace_json_document():
     sub = _point_subspace([1.0, 2.0])
     # a rank-0 subspace writes its basis as d empty rows
-    doc = json.loads(json.dumps(sub.to_json_dict()))
+    doc = json.loads(json.dumps(json_doc(sub)))
     assert doc == {"mean": [1.0, 2.0], "basis": [[], []], "singular_values": []}
 
 

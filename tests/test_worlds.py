@@ -26,15 +26,21 @@ from hda.worlds import (
     flatten_generator,
     generator_forward_var,
     generator_param_vars,
+    json_doc,
     load_world,
     make_encoder,
     make_source_generator,
     make_target_generator,
+    read_object,
     sample_domain_references,
     sample_source_points,
     save_world,
     unflatten_generator,
 )
+
+
+#: ``make_encoder``'s sizes in the stock ``WorldConfig()``
+STOCK_ENCODER = dict(d_x=WorldConfig.d_x, d_hidden=WorldConfig.encoder_hidden, d_e=WorldConfig.d_e)
 
 
 def test_world_rebuild_is_bit_identical(world):
@@ -87,7 +93,7 @@ def test_flatten_round_trip():
 
 def test_generator_json_round_trip():
     gen = make_source_generator(seed=6)
-    back = type(gen).from_json_dict(gen.to_json_dict())
+    back = read_object(GeneratorParams, json_doc(gen), "generator")
     np.testing.assert_array_equal(back.w1, gen.w1)
     np.testing.assert_array_equal(back.b2, gen.b2)
 
@@ -165,7 +171,10 @@ def test_stacked_encode_var_matches_each_encoder(world):
         np.testing.assert_array_equal(got.value[e], encode(enc, x))
         np.testing.assert_array_equal(stacked[e], encode(enc, x))
         np.testing.assert_array_equal(encode(encoders, x[1])[e], encode(enc, x[1]))
-    odd = make_encoder("odd", seed=1, d_x=world.config.d_x, d_e=world.config.d_e + 1)
+    odd = make_encoder(
+        "odd", seed=1, d_x=world.config.d_x, d_hidden=world.config.encoder_hidden,
+        d_e=world.config.d_e + 1,
+    )
     with pytest.raises(DimensionError):
         encode_var(tape, [encoders[0], odd], tape.constant(x))
     with pytest.raises(DimensionError):
@@ -207,13 +216,13 @@ def test_generator_forward_var_matches_forward(world):
 
 
 def test_generator_trainable_accepts_only_json_booleans(world):
-    doc = world.source_generator.to_json_dict()
+    doc = json_doc(world.source_generator)
     doc["trainable"] = True
-    assert GeneratorParams.from_json_dict(doc).trainable is True
+    assert read_object(GeneratorParams, doc, "generator").trainable is True
     for bad in ("false", 1):
         doc["trainable"] = bad
         with pytest.raises(ConfigError, match="trainable"):
-            GeneratorParams.from_json_dict(doc)
+            read_object(GeneratorParams, doc, "generator")
 
 
 def test_encoders_are_genuinely_different(world):
@@ -231,9 +240,9 @@ def test_held_out_encoder_is_not_a_training_encoder(world):
 
 
 def test_make_encoder_is_seeded(world):
-    a = make_encoder("probe", seed=9)
-    b = make_encoder("probe", seed=9)
-    c = make_encoder("probe", seed=10)
+    a = make_encoder("probe", seed=9, **STOCK_ENCODER)
+    b = make_encoder("probe", seed=9, **STOCK_ENCODER)
+    c = make_encoder("probe", seed=10, **STOCK_ENCODER)
     np.testing.assert_array_equal(a.w1, b.w1)
     assert not np.array_equal(a.w1, c.w1)
 
@@ -261,7 +270,7 @@ def test_save_world_refuses_a_nan_and_leaves_no_file(tmp_path, world):
 
 def test_world_config_json_round_trip():
     config = default_world_config(seed=17)
-    back = WorldConfig.from_json_dict(config.to_json_dict())
+    back = read_object(WorldConfig, json_doc(config), "world config")
     assert back.seed == 17
     assert back.d_e == config.d_e
     assert len(back.domains) == 2
@@ -291,16 +300,16 @@ def test_world_config_json_round_trip():
 def test_typed_reader_rejects_malformed_values_naming_the_key(world, cls, key, value):
     """Each value, given as JSON text, is refused by its field's annotated type."""
     valid = {
-        "AdaptationConfig": (AdaptationConfig, default_adaptation_config(world).to_json_dict()),
+        "AdaptationConfig": (AdaptationConfig, json_doc(default_adaptation_config(world))),
         "WorldConfig": (WorldConfig, {}),
-        "SyntheticDomainSpec": (SyntheticDomainSpec, world.domains[0].to_json_dict()),
+        "SyntheticDomainSpec": (SyntheticDomainSpec, json_doc(world.domains[0])),
         "DomainWeight": (DomainWeight, {"domain_id": "attr0", "alpha": 0.5}),
-        "GeneratorParams": (GeneratorParams, world.source_generator.to_json_dict()),
+        "GeneratorParams": (GeneratorParams, json_doc(world.source_generator)),
     }
     reader, doc = valid[cls]
-    reader.from_json_dict(doc)
+    read_object(reader, doc, cls)
     with pytest.raises(ConfigError, match=re.escape(key)):
-        reader.from_json_dict({**doc, key: json.loads(value)})
+        read_object(reader, {**doc, key: json.loads(value)}, cls)
 
 
 def test_world_accessors_validate_ids(world):
@@ -356,7 +365,7 @@ def test_world_references_are_locked_copies_and_foreign_specs_refused(world):
     with pytest.raises(ConfigError, match="not this world's own spec"):
         world.feature_set(replace(world.held_out_encoder), "attr0")
     with pytest.raises(ConfigError, match="unknown encoder"):
-        world.feature_set(make_encoder("stranger", seed=1), "attr0")
+        world.feature_set(make_encoder("stranger", seed=1, **STOCK_ENCODER), "attr0")
 
 
 def test_default_world_config_bounds():
