@@ -429,11 +429,12 @@ def _keys_error(doc, keys: frozenset, kind: str) -> ConfigError:
     return ConfigError(f"{kind} must be an object of exactly {sorted(keys)}, got {got!r}")
 
 
-def _log_line(line: str, step: int) -> LossBreakdown:
+def _log_line(line: str, step: int, encoder_ids: tuple[str, ...]) -> LossBreakdown:
     """The breakdown on line ``step`` of ``log.jsonl``, checked against :func:`save_run`'s layout.
 
     Each value follows :func:`read_object`'s rules, but the layout is
     checked here: ``read_object`` takes about twice as long per line.
+    The entries must name ``encoder_ids``, in order.
     """
     doc = json.loads(line)
     if type(doc) is not dict or doc.keys() != _LOG_KEYS:
@@ -441,14 +442,22 @@ def _log_line(line: str, step: int) -> LossBreakdown:
     if type(doc["step"]) is not int or doc["step"] != step:
         raise ConfigError(f"step must be the JSON integer {step}, got {doc['step']!r}")
     entries = doc["per_encoder"]
-    if type(entries) is not list:
-        raise ConfigError(f"per_encoder must be a list, got {entries!r}")
+    if type(entries) is not list or len(entries) != len(encoder_ids):
+        raise ConfigError(
+            f"per_encoder must be a list of {len(encoder_ids)} entries, one per encoder, "
+            f"got {entries!r}"
+        )
     terms = []
-    for i, entry in enumerate(entries):
+    for i, (entry, expected) in enumerate(zip(entries, encoder_ids)):
         try:
             if type(entry) is not dict or entry.keys() != _TERM_KEYS:
                 raise _keys_error(entry, _TERM_KEYS, "an entry")
             encoder_id = read_value(str, entry["encoder_id"], "encoder_id")
+            if encoder_id != expected:
+                raise ConfigError(
+                    f"encoder_id must be {expected!r}, as in the run's encoder_ids, "
+                    f"got {encoder_id!r}"
+                )
             dist = read_value(float, entry["dist"], "dist")
             direct = read_value(float, entry["direct"], "direct")
         except ConfigError as exc:
@@ -465,19 +474,26 @@ def load_run(run_dir) -> tuple[RunRecord, str]:
     """Rebuild a :class:`RunRecord` and its world directory from a run directory.
 
     Every key of ``run_record.json`` is checked by the type of its field,
-    and every line of ``log.jsonl`` by :func:`_log_line`; a wrong one is
-    a :class:`ConfigError` naming the file and the key or line.
+    and ``log.jsonl`` must hold one line per step of the run's config,
+    each checked by :func:`_log_line`; a wrong one is a
+    :class:`ConfigError` naming the file and the key or line.
     """
     doc = read_document(_RunFile, os.path.join(run_dir, RUN_RECORD_FILE), "run record")
     log_path = os.path.join(run_dir, LOG_FILE)
+    if not os.path.isfile(log_path):
+        raise ConfigError(f"{log_path}: run log not found")
+    steps, encoder_ids = doc.config.steps, doc.config.encoder_ids
     step_losses: list[LossBreakdown] = []
-    if os.path.isfile(log_path):
-        with open(log_path, "r", encoding="utf8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                try:
-                    step_losses.append(_log_line(line, lineno))
-                except (ValueError, ConfigError) as exc:
-                    raise ConfigError(f"{log_path}: line {lineno}: {exc}") from exc
+    with open(log_path, "r", encoding="utf8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                step_losses.append(_log_line(line, lineno, encoder_ids))
+            except (ValueError, ConfigError) as exc:
+                raise ConfigError(f"{log_path}: line {lineno}: {exc}") from exc
+    if len(step_losses) > steps:
+        raise ConfigError(f"{log_path}: line {steps + 1}: the run has only {steps} steps")
+    if len(step_losses) < steps:
+        raise ConfigError(f"{log_path}: {len(step_losses)} lines for the run's {steps} steps")
     record = RunRecord(
         config=doc.config,
         step_losses=step_losses,

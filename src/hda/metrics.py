@@ -17,6 +17,7 @@ byte-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 import numpy as np
 
@@ -79,47 +80,58 @@ def _mean_subspace_distance(subspace: DomainSubspace, embeddings: Array) -> floa
     return float(np.mean(np.linalg.norm(residuals, axis=1)))
 
 
-# A Gram-form d² carries an absolute error of a few ulps of |xi|² + |xj|²,
-# so pairs with d² above this share of it keep a relative error of about
+# The squared distance |xi|² + |xj|² - 2 xi·xj of centred rows comes from
+# one dot product of [xi, |xi|², 1] with [-2 xj, 1, |xj|²].  No term of it
+# exceeds |xi|² + |xj|² in magnitude (2 |xi·xj| <= |xi|² + |xj|²), so its
+# rounding error is a few ulps of |xi|² + |xj|², as in three steps.  Pairs
+# with d² above this share of it therefore keep a relative error of about
 # eps / 1e-4 ~ 2e-12; pairs at or below it are recomputed as direct norms.
 _GRAM_CANCELLATION = 1e-4
 
+# A block is at most SERIAL_GEMM_SIZE distances and no wider than it has
+# rows, so its (R, R) corner fits in this mask of the pairs it does not hold.
+_NON_PAIRS = np.triu(np.ones((isqrt(SERIAL_GEMM_SIZE),) * 2, dtype=bool), 1)
 
-def _cluster_pair_distances(members: Array) -> Array:
-    """Distances of all member pairs ``i < j``, in ``np.triu_indices`` order.
 
-    The members are centred on their mean and each squared distance is
-    taken as ``|xi|² + |xj|² - 2 xi·xj``, with the products through
-    :func:`autodiff.matmul_rows`.  Rows are taken in blocks of at most
-    :data:`autodiff.SERIAL_GEMM_SIZE` distances (one row, if a row alone
-    holds more), so memory stays bounded at any cluster size.  A pair
-    whose squared distance is at most ``_GRAM_CANCELLATION`` times
-    ``|xi|² + |xj|²`` is recomputed as the norm of its difference, so
-    every distance is within about 2e-12 relative of the direct norm and
-    duplicate rows score exactly 0.
+def _augmented(centred: Array) -> tuple[Array, Array]:
+    """Rows ``[c, |c|², 1]`` and columns ``[-2c, 1, |c|²]`` of centred samples.
+
+    Row ``i`` of the first times column ``j`` of the second is the
+    squared distance ``|ci|² + |cj|² - 2 ci·cj``.
     """
-    m = members.shape[0]
-    centred = members - np.mean(members, axis=0)
-    sq = np.einsum("ij,ij->i", centred, centred)
-    out = np.empty(m * (m - 1) // 2)
-    start = filled = 0
-    while start < m - 1:
-        cols = m - start - 1
-        stop = min(m - 1, start + max(1, SERIAL_GEMM_SIZE // cols))
-        # row start + r pairs with column start + 1 + c where c >= r, taken row by row
-        above = np.arange(cols) >= np.arange(stop - start)[:, None]
-        scale = np.add.outer(sq[start:stop], sq[start + 1 :])
-        dist = matmul_rows(centred[start:stop], centred[start + 1 :].T)
-        dist *= -2.0
-        dist += scale  # squared distances
-        close = (dist <= _GRAM_CANCELLATION * scale) & above
-        np.sqrt(np.maximum(dist, 0.0, out=dist), out=dist)
-        r, c = np.divmod(np.flatnonzero(close), cols)
-        dist[r, c] = np.linalg.norm(members[start + r] - members[start + 1 + c], axis=1)
-        upper = dist[above]
-        out[filled : filled + upper.size] = upper
-        start, filled = stop, filled + upper.size
-    return out
+    sq = np.einsum("ij,ij->i", centred, centred)[:, None]
+    ones = np.ones_like(sq)
+    left = np.hstack([centred, sq, ones])
+    right = np.hstack([-2.0 * centred, ones, sq]).T
+    return left, right
+
+
+def _pair_block(samples: Array, left: Array, right: Array, start: int, stop: int, hi: int) -> Array:
+    """Distances from samples ``start:stop`` to their partners up to ``hi``.
+
+    Entry ``(q, p)`` of the ``(hi - start - 1, stop - start)`` result is
+    the distance between samples ``start + 1 + q`` and ``start + p`` when
+    ``q >= p``, and 0 otherwise, so each pair of ``start:hi`` with its
+    lower member in ``start:stop`` appears once.  ``left`` and ``right``
+    are :func:`_augmented` of the samples centred on their cluster's mean,
+    and the block is one :func:`autodiff.matmul_rows` product of them.
+    When some squared distance may be at most ``_GRAM_CANCELLATION``
+    times ``|ci|² + |cj|²``, each such pair is recomputed from the raw
+    samples, so every distance is within about 2e-12 relative of the
+    direct norm and duplicate rows are exactly 0 apart.
+    """
+    block = matmul_rows(left[start + 1 : hi], right[:, start:stop])  # squared distances
+    d = left.shape[1] - 2
+    non_pairs = _NON_PAIRS[: stop - start, : stop - start]
+    corner = block[: stop - start]
+    np.copyto(corner, np.inf, where=non_pairs)
+    rows_sq, cols_sq = left[start + 1 : hi, d], right[d + 1, start:stop]
+    if not block.min() > _GRAM_CANCELLATION * (rows_sq.max() + cols_sq.max()):
+        q, p = np.nonzero(block <= _GRAM_CANCELLATION * np.add.outer(rows_sq, cols_sq))
+        diff = samples[start + 1 + q] - samples[start + p]
+        block[q, p] = np.einsum("ij,ij->i", diff, diff)
+    np.copyto(corner, 0.0, where=non_pairs)
+    return np.sqrt(block, out=block)
 
 
 # Centred on the references' mean, a Gram-form d² is within about
@@ -168,16 +180,32 @@ def _diversity(embeddings: Array, reference_embeddings: Array) -> float:
 
     Each sample joins the cluster of its nearest reference, found in Gram
     form with near ties settled by direct norms
-    (:func:`_nearest_reference`).  Clusters with fewer than two members
-    carry no pairwise distance and are skipped; a fully collapsed
-    generator therefore scores 0.
+    (:func:`_nearest_reference`).  The samples are sorted by cluster once
+    (stably, so each cluster keeps their order), centred on their
+    cluster's mean, and each cluster's distances are summed block by block
+    (:func:`_pair_block`), each block at most
+    :data:`autodiff.SERIAL_GEMM_SIZE` distances, so memory stays bounded at
+    any cluster size.  Clusters with fewer than two members carry no
+    pairwise distance and are skipped; a fully collapsed generator
+    therefore scores 0.  A non-finite sample makes its cluster's mean NaN.
     """
-    assignment = _nearest_reference(embeddings, reference_embeddings)
-    sizes = np.bincount(assignment, minlength=reference_embeddings.shape[0])
-    cluster_means = [
-        float(np.mean(_cluster_pair_distances(embeddings[assignment == cluster])))
-        for cluster in np.flatnonzero(sizes >= 2)
-    ]
+    with np.errstate(invalid="ignore"):  # non-finite samples give NaN, quietly
+        assignment = _nearest_reference(embeddings, reference_embeddings)
+        samples = embeddings[np.argsort(assignment, kind="stable")]
+        sizes = np.bincount(assignment)
+        sizes = sizes[sizes > 0]
+        ends = np.cumsum(sizes)
+        means = np.add.reduceat(samples, ends - sizes, axis=0) / sizes[:, None]
+        left, right = _augmented(samples - np.repeat(means, sizes, axis=0))
+        cluster_means = []
+        for m, hi in zip(sizes[sizes >= 2], ends[sizes >= 2]):
+            total, start = 0.0, hi - m
+            while start < hi - 1:
+                stop = min(hi - 1, start + max(1, SERIAL_GEMM_SIZE // (hi - start - 1)))
+                block = _pair_block(samples, left, right, start, stop, hi)
+                total += np.add.reduce(block, axis=None)
+                start = stop
+            cluster_means.append(total / (m * (m - 1) // 2))
     if not cluster_means:
         return 0.0
     return float(np.mean(cluster_means))

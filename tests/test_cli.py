@@ -207,33 +207,62 @@ def _log_edit(change):
     return edit
 
 
+def _line_3(edit):
+    """An edit of the log's lines that applies ``edit`` to line 3."""
+    return lambda lines: [*lines[:2], edit(lines[2]), *lines[3:]]
+
+
+def _extra_line(lines):
+    doc = json.loads(lines[-1])
+    doc["step"] += 1
+    return [*lines, json.dumps(doc)]
+
+
 @pytest.mark.parametrize(
-    "edit, named",
+    "edit, where, named",
     [
-        (lambda line: line[:20], "Expecting value"),
-        (_log_edit(lambda d: d.update(total="1.5")), "total must be a finite number"),
-        (_log_edit(lambda d: d.update(total=True)), "total must be a finite number"),
-        (_log_edit(lambda d: d.update({"lambda": "nan"})), "lambda must be a finite number"),
-        (_log_edit(lambda d: d.update(total=float("nan"))), "total must be a finite number"),
-        (_log_edit(lambda d: d.update(bogus=1)), "'bogus'"),
-        (_log_edit(lambda d: d.update(step=4)), "step must be the JSON integer 3, got 4"),
-        (_log_edit(lambda d: d.pop("step")), "['lambda', 'per_encoder', 'total']"),
-        (_log_edit(lambda d: d["per_encoder"][0].update(extra=1)), "per_encoder[0]: "),
+        (_line_3(lambda line: line[:20]), "line 3: ", "Expecting value"),
+        (_line_3(_log_edit(lambda d: d.update(total="1.5"))), "line 3: ",
+         "total must be a finite number"),
+        (_line_3(_log_edit(lambda d: d.update(total=True))), "line 3: ",
+         "total must be a finite number"),
+        (_line_3(_log_edit(lambda d: d.update({"lambda": "nan"}))), "line 3: ",
+         "lambda must be a finite number"),
+        (_line_3(_log_edit(lambda d: d.update(total=float("nan")))), "line 3: ",
+         "total must be a finite number"),
+        (_line_3(_log_edit(lambda d: d.update(bogus=1))), "line 3: ", "'bogus'"),
+        (_line_3(_log_edit(lambda d: d.update(step=4))), "line 3: ",
+         "step must be the JSON integer 3, got 4"),
+        (_line_3(_log_edit(lambda d: d.pop("step"))), "line 3: ",
+         "['lambda', 'per_encoder', 'total']"),
+        (_line_3(_log_edit(lambda d: d["per_encoder"][0].update(extra=1))), "line 3: ",
+         "per_encoder[0]: "),
+        (lambda lines: None, "", "run log not found"),
+        (lambda lines: lines[:5], "", "5 lines for the run's 6 steps"),
+        (_extra_line, "line 7: ", "the run has only 6 steps"),
+        (_line_3(_log_edit(lambda d: d["per_encoder"][1].update(encoder_id="train0"))),
+         "line 3: ", "per_encoder[1]: encoder_id must be 'train1'"),
+        (_line_3(_log_edit(lambda d: d["per_encoder"].pop())), "line 3: ",
+         "per_encoder must be a list of 3 entries"),
     ],
     ids=["truncated", "string-total", "boolean-total", "string-nan-lambda", "bare-nan-total",
-         "unknown-key", "wrong-step", "missing-step", "extra-encoder-key"],
+         "unknown-key", "wrong-step", "missing-step", "extra-encoder-key", "missing-log",
+         "short-log", "long-log", "wrong-encoder-id", "missing-encoder"],
 )
-def test_malformed_run_log_exits_2_naming_the_line(tmp_path, runner, tiny_run, edit, named):
+def test_malformed_run_log_exits_2_naming_the_line(tmp_path, runner, tiny_run, edit, where,
+                                                   named):
     run = tmp_path / "run"
     shutil.copytree(tiny_run, run)
     log = run / "log.jsonl"
-    lines = log.read_text(encoding="utf8").splitlines()
-    lines[2] = edit(lines[2])
-    log.write_text("\n".join(lines) + "\n", encoding="utf8")
+    lines = edit(log.read_text(encoding="utf8").splitlines())
+    if lines is None:
+        log.unlink()
+    else:
+        log.write_text("\n".join(lines) + "\n", encoding="utf8")
     out = tmp_path / "r.json"
     result = runner.invoke(main, ["eval", "--run", str(run), "--out", str(out)])
     assert result.exit_code == 2, result.output
-    assert f"error: {log}: line 3: " in result.output
+    assert f"error: {log}: {where}" in result.output
     assert named in result.output
     assert not out.exists()
 

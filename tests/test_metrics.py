@@ -14,9 +14,10 @@ from hda.errors import ConfigError, DimensionError, NumericalError
 from hda.metrics import (
     MetricsReport,
     SnapshotPlan,
-    _cluster_pair_distances,
+    _augmented,
     _diversity,
     _nearest_reference,
+    _pair_block,
     evaluate,
     round12,
     write_report,
@@ -150,8 +151,8 @@ def _sub_groups(rng, n, d, spread):
     return groups
 
 
-@pytest.mark.parametrize("n", [2, 3, 128, 1024])
-def test_diversity_matches_the_full_tensor_oracle_to_1e_12(n):
+def _oracle_cases(n):
+    """Embeddings of ``n`` rows with the 20 references they are clustered on."""
     rng = np.random.default_rng(n)
     d = 16
     refs = rng.standard_normal((20, d))
@@ -165,12 +166,62 @@ def test_diversity_matches_the_full_tensor_oracle_to_1e_12(n):
     # one cluster of spread 1e-6 far from the origin
     offset = 5.0 + 1e-6 * spread
     # one cluster of two tight sub-groups: the pairs inside a sub-group need the guard
-    sub_groups = [refs[7] + _sub_groups(rng, n, d, s) for s in (1e-3, 1e-6, 1e-9)]
-    for embeddings in (spread, collapsed, mixed, offset, *sub_groups):
+    cases = {"spread": spread, "collapsed": collapsed, "mixed": mixed, "offset": offset}
+    for s in (1e-3, 1e-6, 1e-9):
+        cases[f"groups{s:.0e}"] = refs[7] + _sub_groups(rng, n, d, s)
+    return cases, refs
+
+
+@pytest.mark.parametrize("n", [2, 3, 128, 1024])
+def test_diversity_matches_the_full_tensor_oracle_to_1e_12(n):
+    cases, refs = _oracle_cases(n)
+    for embeddings in cases.values():
         assert _diversity(embeddings, refs) == pytest.approx(
             _diversity_oracle(embeddings, refs), rel=1e-12, abs=0.0
         )
-    assert _diversity(collapsed, refs) > 0.0
+    assert _diversity(cases["collapsed"], refs) > 0.0
+
+
+@pytest.mark.parametrize("n", [128, 1024])
+@pytest.mark.parametrize("case", ["mixed", "collapsed"])
+def test_diversity_of_shuffled_rows_matches_the_oracle_to_1e_12(n, case):
+    cases, refs = _oracle_cases(n)
+    embeddings = cases[case][np.random.default_rng(7).permutation(n)]
+    if case == "mixed":
+        # each cluster's members lie scattered in input order, with singletons among them at 128
+        assignment = _nearest_reference(embeddings, refs)
+        assert np.any(np.diff(assignment) < 0)
+        assert n > 128 or np.any(np.bincount(assignment) == 1)
+    assert _diversity(embeddings, refs) == pytest.approx(
+        _diversity_oracle(embeddings, refs), rel=1e-12, abs=0.0
+    )
+
+
+def test_non_finite_samples_make_their_cluster_nan_without_a_warning():
+    rng = np.random.default_rng(4)
+    refs = rng.standard_normal((20, 16))
+    # no sample near reference 0, where every non-finite row is assigned
+    finite = refs[1 + rng.integers(0, 5, 96)] + 0.05 * rng.standard_normal((96, 16))
+    expected = _diversity_oracle(finite, refs)
+    for value in (np.nan, np.inf, -np.inf):
+        bad = finite[:2].copy()
+        bad[0, 3] = bad[1] = value
+        # alone in its cluster, a non-finite row carries no pair
+        assert _diversity(np.vstack([finite[:40], bad[:1], finite[40:]]), refs) == (
+            pytest.approx(expected, rel=1e-12, abs=0.0)
+        )
+        # two in one cluster: that cluster's mean, and so the diversity, is NaN
+        assert np.isnan(_diversity(np.vstack([finite[:40], bad, finite[40:]]), refs))
+        # with finite members beside it
+        near_zero = refs[0] + 0.05 * rng.standard_normal((3, 16))
+        assert np.isnan(_diversity(np.vstack([finite, near_zero, bad[:1]]), refs))
+
+
+def _whole_triangle(members):
+    """:func:`_pair_block` over one block that holds every pair of ``members``."""
+    m = members.shape[0]
+    left, right = _augmented(members - np.mean(members, axis=0))
+    return _pair_block(members, left, right, 0, m - 1, m)
 
 
 @pytest.mark.parametrize("case", ["groups1e-3", "groups1e-6", "groups1e-9", "offset"])
@@ -182,18 +233,18 @@ def test_cluster_pair_distances_match_direct_norms_to_1e_12(case):
     else:
         members = _sub_groups(rng, 64, 16, float(case[len("groups"):]))
     direct = np.linalg.norm(members[:, None, :] - members[None, :, :], axis=2)
-    expected = direct[np.triu_indices(64, k=1)]
-    assert _cluster_pair_distances(members) == pytest.approx(expected, rel=1e-12, abs=0.0)
+    # entry (q, p) pairs members q + 1 and p, for q >= p; the rest are 0
+    expected = np.tril(direct[1:, :-1])
+    assert _whole_triangle(members) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_duplicate_rows_are_exactly_zero_apart():
     rng = np.random.default_rng(0)  # here the Gram form alone leaves 5.8e-11
     members = 5.0 + 1e-3 * rng.standard_normal((40, 16))
     members[31] = members[6]
-    rows, cols = np.triu_indices(40, k=1)
-    distances = _cluster_pair_distances(members)
-    assert distances[(rows == 6) & (cols == 31)] == [0.0]
-    assert np.count_nonzero(distances == 0.0) == 1
+    distances = _whole_triangle(members)
+    assert distances[30, 6] == 0.0
+    assert np.count_nonzero(distances[np.tril_indices(39)] == 0.0) == 1
 
 
 def test_stock_run_snapshot_diversities_match_the_oracle(world, subspaces, monkeypatch):
@@ -229,8 +280,9 @@ def test_diversity_memory_is_bounded_at_1024_samples():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the full (1024, 1024, 16) difference tensor alone is 128 MiB
-    assert peak < 32 * 2**20
+    # the full (1024, 1024, 16) difference tensor alone is 128 MiB, and
+    # the 1024 * 1023 / 2 distances 4 MiB; a block is at most 0.5 MiB
+    assert peak < 4 * 2**20
 
 
 def _nearest_reference_cases():
