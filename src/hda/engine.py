@@ -452,17 +452,16 @@ def _log_line(line: str, step: int, encoder_ids: tuple[str, ...]) -> LossBreakdo
         try:
             if type(entry) is not dict or entry.keys() != _TERM_KEYS:
                 raise _keys_error(entry, _TERM_KEYS, "an entry")
-            encoder_id = read_value(str, entry["encoder_id"], "encoder_id")
-            if encoder_id != expected:
+            if entry["encoder_id"] != expected:  # equal to a str, so a str
                 raise ConfigError(
                     f"encoder_id must be {expected!r}, as in the run's encoder_ids, "
-                    f"got {encoder_id!r}"
+                    f"got {entry['encoder_id']!r}"
                 )
             dist = read_value(float, entry["dist"], "dist")
             direct = read_value(float, entry["direct"], "direct")
         except ConfigError as exc:
             raise ConfigError(f"per_encoder[{i}]: {exc}") from exc
-        terms.append(EncoderTerms(encoder_id, dist, direct))
+        terms.append(EncoderTerms(expected, dist, direct))
     return LossBreakdown(
         read_value(float, doc["total"], "total"),
         read_value(float, doc["lambda"], "lambda"),
@@ -484,10 +483,10 @@ def load_run(run_dir) -> tuple[RunRecord, str]:
         raise ConfigError(f"{log_path}: run log not found")
     steps, encoder_ids = doc.config.steps, doc.config.encoder_ids
     step_losses: list[LossBreakdown] = []
-    with open(log_path, "r", encoding="utf8") as fh:
+    with open(log_path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
-            try:
-                step_losses.append(_log_line(line, lineno, encoder_ids))
+            try:  # undecodable bytes are a ValueError naming the line
+                step_losses.append(_log_line(line.decode("utf8"), lineno, encoder_ids))
             except (ValueError, ConfigError) as exc:
                 raise ConfigError(f"{log_path}: line {lineno}: {exc}") from exc
     if len(step_losses) > steps:

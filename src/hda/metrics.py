@@ -83,9 +83,10 @@ def _mean_subspace_distance(subspace: DomainSubspace, embeddings: Array) -> floa
 # The squared distance |xi|² + |xj|² - 2 xi·xj of centred rows comes from
 # one dot product of [xi, |xi|², 1] with [-2 xj, 1, |xj|²].  No term of it
 # exceeds |xi|² + |xj|² in magnitude (2 |xi·xj| <= |xi|² + |xj|²), so its
-# rounding error is a few ulps of |xi|² + |xj|², as in three steps.  Pairs
-# with d² above this share of it therefore keep a relative error of about
-# eps / 1e-4 ~ 2e-12; pairs at or below it are recomputed as direct norms.
+# rounding error is a few ulps of |xi|² + |xj|², as when the three terms
+# are added one by one.  Pairs with d² above this share of it therefore
+# keep a relative error of about eps / 1e-4 ~ 2e-12; pairs at or below it
+# are recomputed as direct norms.
 _GRAM_CANCELLATION = 1e-4
 
 # A block is at most SERIAL_GEMM_SIZE distances and no wider than it has
@@ -184,8 +185,8 @@ def _diversity(embeddings: Array, reference_embeddings: Array) -> float:
     (stably, so each cluster keeps their order), centred on their
     cluster's mean, and each cluster's distances are summed block by block
     (:func:`_pair_block`), each block at most
-    :data:`autodiff.SERIAL_GEMM_SIZE` distances, so memory stays bounded at
-    any cluster size.  Clusters with fewer than two members carry no
+    :data:`autodiff.SERIAL_GEMM_SIZE` distances (or one sample's partners,
+    if they alone are more), so memory stays bounded at any cluster size.  Clusters with fewer than two members carry no
     pairwise distance and are skipped; a fully collapsed generator
     therefore scores 0.  A non-finite sample makes its cluster's mean NaN.
     """

@@ -212,6 +212,13 @@ def _line_3(edit):
     return lambda lines: [*lines[:2], edit(lines[2]), *lines[3:]]
 
 
+def _undecodable_line_3(lines):
+    """The log as bytes, with a byte that is not UTF-8 on line 3."""
+    raw = [line.encode("utf8") for line in lines]
+    raw[2] = raw[2].replace(b'"lambda"', b'"\xff"')
+    return b"\n".join(raw) + b"\n"
+
+
 def _extra_line(lines):
     doc = json.loads(lines[-1])
     doc["step"] += 1
@@ -238,6 +245,7 @@ def _extra_line(lines):
         (_line_3(_log_edit(lambda d: d["per_encoder"][0].update(extra=1))), "line 3: ",
          "per_encoder[0]: "),
         (lambda lines: None, "", "run log not found"),
+        (_undecodable_line_3, "line 3: ", "can't decode byte 0xff"),
         (lambda lines: lines[:5], "", "5 lines for the run's 6 steps"),
         (_extra_line, "line 7: ", "the run has only 6 steps"),
         (_line_3(_log_edit(lambda d: d["per_encoder"][1].update(encoder_id="train0"))),
@@ -247,7 +255,7 @@ def _extra_line(lines):
     ],
     ids=["truncated", "string-total", "boolean-total", "string-nan-lambda", "bare-nan-total",
          "unknown-key", "wrong-step", "missing-step", "extra-encoder-key", "missing-log",
-         "short-log", "long-log", "wrong-encoder-id", "missing-encoder"],
+         "undecodable-bytes", "short-log", "long-log", "wrong-encoder-id", "missing-encoder"],
 )
 def test_malformed_run_log_exits_2_naming_the_line(tmp_path, runner, tiny_run, edit, where,
                                                    named):
@@ -257,6 +265,8 @@ def test_malformed_run_log_exits_2_naming_the_line(tmp_path, runner, tiny_run, e
     lines = edit(log.read_text(encoding="utf8").splitlines())
     if lines is None:
         log.unlink()
+    elif isinstance(lines, bytes):
+        log.write_bytes(lines)
     else:
         log.write_text("\n".join(lines) + "\n", encoding="utf8")
     out = tmp_path / "r.json"
