@@ -62,7 +62,6 @@ from .worlds import (
     encode,
     make_encoder,
     make_source_generator,
-    make_target_generator,
     sample_domain_references,
 )
 

@@ -373,12 +373,19 @@ def norm_eps(a: Var, eps: float) -> Var:
     return a.tape._append("norm_eps", n, (a.index,), vjp, a.node.requires_grad)
 
 
+#: The central-difference step of :func:`grad_check`.
+GRAD_CHECK_STEP = 1e-6
+
+#: The smallest gradient scale whose relative error :func:`grad_check` compares.
+GRAD_CHECK_FLOOR = 1e-6
+
+
 @dataclass
 class GradCheckReport:
     """Outcome of one tape-vs-central-differences comparison.
 
     Coordinates whose reference scale ``max(|analytic|, |numeric|)``
-    falls below ``denom_floor`` carry no meaningful relative error; they
+    falls below :data:`GRAD_CHECK_FLOOR` carry no meaningful relative error; they
     are listed in ``skipped`` instead of entering ``max_rel_error``.
     """
 
@@ -405,9 +412,7 @@ class GradCheckReport:
 def grad_check(
     f,
     params: Array,
-    h: float = 1e-6,
     tol: float = 1e-5,
-    denom_floor: float = 1e-6,
     name: str = "gradcheck",
 ) -> GradCheckReport:
     """Compare a program's gradient against central finite differences.
@@ -436,16 +441,16 @@ def grad_check(
     skipped: list[tuple[int, float, float]] = []
     probe = params.copy()
     for j in range(params.size):
-        probe[j] = params[j] + h
+        probe[j] = params[j] + GRAD_CHECK_STEP
         f_plus = float(f(probe)[0])
-        probe[j] = params[j] - h
+        probe[j] = params[j] - GRAD_CHECK_STEP
         f_minus = float(f(probe)[0])
         probe[j] = params[j]
         if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
             raise NumericalError(f"{name}: non-finite value while probing coordinate {j}")
-        numeric = (f_plus - f_minus) / (2.0 * h)
+        numeric = (f_plus - f_minus) / (2.0 * GRAD_CHECK_STEP)
         denom = max(abs(analytic[j]), abs(numeric))
-        if denom < denom_floor:
+        if denom < GRAD_CHECK_FLOOR:
             skipped.append((j, float(analytic[j]), float(numeric)))
             continue
         rel = abs(analytic[j] - numeric) / denom

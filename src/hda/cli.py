@@ -18,6 +18,7 @@ from .diagnostics import run_suite
 from .engine import (
     AdaptationConfig,
     default_adaptation_config,
+    equal_weights,
     load_run,
     run_adaptation,
     save_run,
@@ -129,9 +130,7 @@ def _load_adaptation_config(config_path, world: World) -> AdaptationConfig:
     data.setdefault("encoder_ids", list(defaults.encoder_ids))
     domain_ids = data.setdefault("domain_ids", list(defaults.domain_ids))
     if isinstance(domain_ids, list):  # anything else is refused when the config is read
-        data.setdefault(
-            "weights", [{"domain_id": d, "alpha": 1.0 / len(domain_ids)} for d in domain_ids]
-        )
+        data.setdefault("weights", [json_doc(w) for w in equal_weights(domain_ids)])
     try:
         return read_object(AdaptationConfig, data, "adaptation config")
     except ConfigError as exc:

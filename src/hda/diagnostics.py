@@ -46,7 +46,6 @@ Array = np.ndarray
 
 PRIMITIVE_TOL = 1e-6
 COMPOSITE_TOL = 1e-5
-STEP = 1e-6
 
 
 def tape_objective(
@@ -207,12 +206,7 @@ _PRIMITIVE_BUILDERS = {
 }
 
 
-def primitive_suite(
-    n_instances: int = 100,
-    seed: int = 0,
-    h: float = STEP,
-    tol: float = PRIMITIVE_TOL,
-) -> list[GradCheckReport]:
+def primitive_suite(n_instances: int = 100, seed: int = 0) -> list[GradCheckReport]:
     """One aggregated report per primitive over ``n_instances`` instances."""
     out = []
     for name, build in _PRIMITIVE_BUILDERS.items():
@@ -220,10 +214,8 @@ def primitive_suite(
         reports = []
         for i in range(n_instances):
             f, params = build(rng)
-            reports.append(
-                grad_check(f, params, h=h, tol=tol, name=f"{name}[{i}]")
-            )
-        out.append(_merge(f"primitive {name} ({n_instances} instances)", tol, reports))
+            reports.append(grad_check(f, params, tol=PRIMITIVE_TOL, name=f"{name}[{i}]"))
+        out.append(_merge(f"primitive {name} ({n_instances} instances)", PRIMITIVE_TOL, reports))
     return out
 
 
@@ -247,7 +239,7 @@ def _check_dist(rng) -> GradCheckReport:
         tape.backward(loss)
         return loss.item(), np.asarray(f_t.grad)
 
-    return grad_check(f, f_t0, h=STEP, tol=COMPOSITE_TOL, name="dist_loss")
+    return grad_check(f, f_t0, tol=COMPOSITE_TOL, name="dist_loss")
 
 
 def _check_direct(rng, collinear: bool) -> GradCheckReport:
@@ -274,9 +266,7 @@ def _check_direct(rng, collinear: bool) -> GradCheckReport:
         return loss.item(), np.concatenate([f_s.grad, f_t.grad])
 
     label = "direct_loss (collinear)" if collinear else "direct_loss"
-    return grad_check(
-        f, np.concatenate([f_s0, f_t0]), h=STEP, tol=COMPOSITE_TOL, name=label
-    )
+    return grad_check(f, np.concatenate([f_s0, f_t0]), tol=COMPOSITE_TOL, name=label)
 
 
 def _check_hybrid_dist(rng) -> GradCheckReport:
@@ -292,7 +282,7 @@ def _check_hybrid_dist(rng) -> GradCheckReport:
         tape.backward(loss)
         return loss.item(), np.asarray(f_t.grad)
 
-    return grad_check(f, f_t0, h=STEP, tol=COMPOSITE_TOL, name="hybrid_dist_loss")
+    return grad_check(f, f_t0, tol=COMPOSITE_TOL, name="hybrid_dist_loss")
 
 
 def _check_hybrid_direct(rng, cancelling: bool) -> GradCheckReport:
@@ -329,9 +319,7 @@ def _check_hybrid_direct(rng, cancelling: bool) -> GradCheckReport:
         return loss.item(), np.concatenate([f_s.grad, f_t.grad])
 
     label = "hybrid_direct_loss (near-cancelling)" if cancelling else "hybrid_direct_loss"
-    return grad_check(
-        f, np.concatenate([f_s0, f_t0]), h=STEP, tol=COMPOSITE_TOL, name=label
-    )
+    return grad_check(f, np.concatenate([f_s0, f_t0]), tol=COMPOSITE_TOL, name=label)
 
 
 def _toy_objective_setup(seed: int, batch: int, n_encoders: int, unequal_ranks: bool):
@@ -401,13 +389,8 @@ def _check_objective(
             [grads[name].ravel() for name in PARAM_FIELDS]
         )
 
-    return grad_check(
-        f,
-        flatten_generator(target0),
-        h=STEP,
-        tol=COMPOSITE_TOL,
-        name=f"hda_objective ({label}, batch {batch})",
-    )
+    name = f"hda_objective ({label}, batch {batch})"
+    return grad_check(f, flatten_generator(target0), tol=COMPOSITE_TOL, name=name)
 
 
 def _check_dist_through_encoder(seed: int) -> GradCheckReport:
@@ -434,13 +417,8 @@ def _check_dist_through_encoder(seed: int) -> GradCheckReport:
         grad = np.concatenate([param_vars[name].grad.ravel() for name in PARAM_FIELDS])
         return loss.item(), grad
 
-    return grad_check(
-        f,
-        flatten_generator(source),
-        h=STEP,
-        tol=COMPOSITE_TOL,
-        name="dist_loss through encoder and generator",
-    )
+    name = "dist_loss through encoder and generator"
+    return grad_check(f, flatten_generator(source), tol=COMPOSITE_TOL, name=name)
 
 
 def composite_suite(seed: int = 0) -> list[GradCheckReport]:

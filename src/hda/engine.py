@@ -51,6 +51,12 @@ SNAPSHOT_EVERY = 25
 #: Latent samples per metric snapshot.
 SNAPSHOT_SAMPLES = 128
 
+#: Adam's moment decay rates and denominator offset.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+#: The checkpoints of a run.
+_CHECKPOINTS = frozenset(("first", "best", "last"))
+
 #: The keys of a ``log.jsonl`` line and of each of its ``per_encoder`` entries.
 _LOG_KEYS = frozenset(("step", "total", "lambda", "per_encoder"))
 _TERM_KEYS = frozenset(("encoder_id", "dist", "direct"))
@@ -67,9 +73,6 @@ class AdaptationConfig:
     steps: int = 300
     batch_size: int = 4
     learning_rate: float = 2e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     grad_clip_norm: Optional[float] = 10.0
     seed: int = 0
     dist_only: bool = False
@@ -100,12 +103,6 @@ class AdaptationConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if not self.learning_rate > 0.0:
             raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
-        for name in ("adam_beta1", "adam_beta2"):
-            beta = getattr(self, name)
-            if not 0.0 <= beta < 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1), got {beta}")
-        if not self.adam_eps > 0.0:
-            raise ConfigError(f"adam_eps must be > 0, got {self.adam_eps}")
         if self.grad_clip_norm is not None and not self.grad_clip_norm > 0.0:
             raise ConfigError(
                 f"grad_clip_norm must be > 0 or None, got {self.grad_clip_norm}"
@@ -120,22 +117,22 @@ class AdaptationConfig:
         return tuple(by_id[d] for d in self.domain_ids)
 
 
-def default_adaptation_config(
-    world: World, alpha: float | None = None, **overrides
-) -> AdaptationConfig:
-    """Config over all training encoders and all domains, equal weights.
+def equal_weights(domain_ids) -> tuple[DomainWeight, ...]:
+    """Weight 1/N for each of N domains, none for none.
 
-    With ``alpha=None`` each domain gets weight 1/N, so a one-domain world
-    reduces to the unweighted single-domain objective and a two-domain
-    world gets the stock 0.5/0.5 blend.
+    One domain then gets the unweighted single-domain objective, and two
+    get the stock 0.5/0.5 blend.
     """
+    return tuple(DomainWeight(d, 1.0 / len(domain_ids)) for d in domain_ids)
+
+
+def default_adaptation_config(world: World, **overrides) -> AdaptationConfig:
+    """Config over all training encoders and all domains, :func:`equal_weights`."""
     domain_ids = tuple(d.domain_id for d in world.domains)
-    if alpha is None:
-        alpha = 1.0 / len(domain_ids)
     base = dict(
         encoder_ids=world.train_encoder_ids,
         domain_ids=domain_ids,
-        weights=tuple(DomainWeight(d, alpha) for d in domain_ids),
+        weights=equal_weights(domain_ids),
     )
     base.update(overrides)
     return AdaptationConfig(**base)
@@ -176,16 +173,15 @@ def adam_step(
         bad = np.flatnonzero(~np.isfinite(grads))
         name = next(name for name, end in state.layout if bad[0] < end)
         raise NumericalError(f"non-finite gradient for {name!r} at optimizer step {t}")
-    b1, b2 = config.adam_beta1, config.adam_beta2
     m, v = state.m, state.v
-    m *= b1
-    m += (1.0 - b1) * grads
-    v *= b2
-    v += (1.0 - b2) * (grads * grads)
-    m_hat = m / (1.0 - b1**t)
-    v_hat = v / (1.0 - b2**t)
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grads
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * (grads * grads)
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
     np.sqrt(v_hat, out=v_hat)
-    v_hat += config.adam_eps
+    v_hat += ADAM_EPS
     m_hat *= config.learning_rate
     m_hat /= v_hat
     params -= m_hat
@@ -221,7 +217,7 @@ class Checkpoint:
 
 @dataclass
 class RunRecord:
-    """Everything one adaptation run produced."""
+    """Everything one adaptation run produced; ``final_params`` are the last checkpoint's."""
 
     config: AdaptationConfig
     step_losses: list[LossBreakdown]  # index i holds step i + 1
@@ -238,13 +234,19 @@ class RunRecord:
 
 @dataclass(frozen=True)
 class _RunFile:
-    """What ``run_record.json`` holds: a :class:`RunRecord` less its losses, plus the world."""
+    """A :class:`RunRecord` as ``run_record.json`` holds it, with the world.
+
+    The losses live in ``log.jsonl``, and ``final_params`` are the last checkpoint's.
+    """
 
     config: AdaptationConfig
     world_dir: str
     snapshots: tuple[MetricSnapshot, ...]
-    final_params: GeneratorParams
     checkpoints: dict[str, Checkpoint]
+
+    def __post_init__(self):
+        if self.checkpoints.keys() != _CHECKPOINTS:
+            raise _keys_error(self.checkpoints, _CHECKPOINTS, "checkpoints")
 
 
 def training_chunks(config: AdaptationConfig, d_z: int) -> Iterator[Array]:
@@ -416,7 +418,6 @@ def save_run(record: RunRecord, out_dir, world_dir: str = "") -> None:
         config=record.config,
         world_dir=world_dir,
         snapshots=tuple(record.snapshots),
-        final_params=record.final_params,
         checkpoints=record.checkpoints,
     )
     # the log text is checked above; write_json checks the record before writing it
@@ -497,7 +498,7 @@ def load_run(run_dir) -> tuple[RunRecord, str]:
         config=doc.config,
         step_losses=step_losses,
         snapshots=list(doc.snapshots),
-        final_params=doc.final_params,
+        final_params=doc.checkpoints["last"].params,
         checkpoints=doc.checkpoints,
     )
     return record, doc.world_dir

@@ -188,25 +188,26 @@ def _diversity(embeddings: Array, reference_embeddings: Array) -> float:
     :data:`autodiff.SERIAL_GEMM_SIZE` distances (or one sample's partners,
     if they alone are more), so memory stays bounded at any cluster size.  Clusters with fewer than two members carry no
     pairwise distance and are skipped; a fully collapsed generator
-    therefore scores 0.  A non-finite sample makes its cluster's mean NaN.
+    therefore scores 0.  Any non-finite sample makes the diversity NaN.
     """
-    with np.errstate(invalid="ignore"):  # non-finite samples give NaN, quietly
-        assignment = _nearest_reference(embeddings, reference_embeddings)
-        samples = embeddings[np.argsort(assignment, kind="stable")]
-        sizes = np.bincount(assignment)
-        sizes = sizes[sizes > 0]
-        ends = np.cumsum(sizes)
-        means = np.add.reduceat(samples, ends - sizes, axis=0) / sizes[:, None]
-        left, right = _augmented(samples - np.repeat(means, sizes, axis=0))
-        cluster_means = []
-        for m, hi in zip(sizes[sizes >= 2], ends[sizes >= 2]):
-            total, start = 0.0, hi - m
-            while start < hi - 1:
-                stop = min(hi - 1, start + max(1, SERIAL_GEMM_SIZE // (hi - start - 1)))
-                block = _pair_block(samples, left, right, start, stop, hi)
-                total += np.add.reduce(block, axis=None)
-                start = stop
-            cluster_means.append(total / (m * (m - 1) // 2))
+    if not np.isfinite(embeddings).all():
+        return float("nan")
+    assignment = _nearest_reference(embeddings, reference_embeddings)
+    samples = embeddings[np.argsort(assignment, kind="stable")]
+    sizes = np.bincount(assignment)
+    sizes = sizes[sizes > 0]
+    ends = np.cumsum(sizes)
+    means = np.add.reduceat(samples, ends - sizes, axis=0) / sizes[:, None]
+    left, right = _augmented(samples - np.repeat(means, sizes, axis=0))
+    cluster_means = []
+    for m, hi in zip(sizes[sizes >= 2], ends[sizes >= 2]):
+        total, start = 0.0, hi - m
+        while start < hi - 1:
+            stop = min(hi - 1, start + max(1, SERIAL_GEMM_SIZE // (hi - start - 1)))
+            block = _pair_block(samples, left, right, start, stop, hi)
+            total += np.add.reduce(block, axis=None)
+            start = stop
+        cluster_means.append(total / (m * (m - 1) // 2))
     if not cluster_means:
         return 0.0
     return float(np.mean(cluster_means))

@@ -239,7 +239,6 @@ class GeneratorParams:
     b1: Array
     w2: Array
     b2: Array
-    trainable: bool = False
 
     def __post_init__(self):
         _lock_mlp(self, "")
@@ -271,11 +270,6 @@ class GeneratorParams:
         return {name: np.array(getattr(self, name)) for name in PARAM_FIELDS}
 
 
-def make_target_generator(source: GeneratorParams) -> GeneratorParams:
-    """Trainable deep copy of the source generator (bit-identical at step 0)."""
-    return replace(source, trainable=True)
-
-
 def flatten_generator(gen: GeneratorParams) -> Array:
     return np.concatenate([np.asarray(getattr(gen, name)).ravel() for name in PARAM_FIELDS])
 
@@ -296,12 +290,9 @@ def generator_views(flat: Array, like: GeneratorParams) -> dict[str, Array]:
     return views
 
 
-def unflatten_generator(
-    flat: Array, like: GeneratorParams, trainable: bool = True
-) -> GeneratorParams:
+def unflatten_generator(flat: Array, like: GeneratorParams) -> GeneratorParams:
     """A generator holding copies of ``flat``'s entries, shaped as ``like``'s."""
-    views = generator_views(np.asarray(flat, dtype=np.float64), like)
-    return GeneratorParams(trainable=trainable, **views)
+    return GeneratorParams(**generator_views(np.asarray(flat, dtype=np.float64), like))
 
 
 @dataclass(frozen=True)
@@ -504,7 +495,7 @@ def make_source_generator(
     b1 = np.zeros(d_h)
     w2 = rng.standard_normal((d_x, d_h)) * (output_gain / np.sqrt(d_h))
     b2 = np.zeros(d_x)
-    return GeneratorParams(w1=w1, b1=b1, w2=w2, b2=b2, trainable=False)
+    return GeneratorParams(w1=w1, b1=b1, w2=w2, b2=b2)
 
 
 def default_world_config(seed: int = DEFAULT_WORLD_SEED, n_domains: int = 2) -> WorldConfig:

@@ -197,7 +197,6 @@ def _target_domain_generator(world, domain_id):
         b1=source.b1,
         w2=t @ source.w2,
         b2=t @ source.b2 + domain.attribute_shift,
-        trainable=False,
     )
 
 

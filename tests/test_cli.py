@@ -347,16 +347,27 @@ def _drop_last(*keys):
          "report: semantic_similarity"),
         (_set("snapshots", 0, "report", "n_samples", value=1.5), "report: n_samples"),
         (_set("snapshots", 0, "bogus", value=1), "unknown MetricSnapshot key 'bogus'"),
-        (_set("final_params", "w1", 0, 0, value=float("nan")),
-         "final_params: w1 contains non-finite entries"),
-        (_drop_last("final_params", "b2"),
-         "final_params: GeneratorParams: b2 must have shape (32,), got (31,)"),
+        (_set("checkpoints", "last", "params", "w1", 0, 0, value=float("nan")),
+         "checkpoints['last']: params: w1 contains non-finite entries"),
+        (_drop_last("checkpoints", "last", "params", "b2"),
+         "checkpoints['last']: params: GeneratorParams: b2 must have shape (32,), got (31,)"),
         (_set("checkpoints", "best", "params", "b1", 0, value=float("inf")),
          "checkpoints['best']: params: b1 contains non-finite entries"),
+        # keys that run records held before they were removed
+        (lambda doc: doc.update(final_params=doc["checkpoints"]["last"]["params"]),
+         "unknown run record key 'final_params'"),
+        (_set("checkpoints", "last", "params", "trainable", value=True),
+         "checkpoints['last']: params: unknown GeneratorParams key 'trainable'"),
+        (lambda doc: doc["checkpoints"].pop("last"),
+         "checkpoints must be an object of exactly ['best', 'first', 'last'], "
+         "got ['best', 'first']"),
+        (lambda doc: doc["checkpoints"].update(extra=doc["checkpoints"]["first"]),
+         "checkpoints must be an object of exactly"),
     ],
     ids=["null-world-dir", "fractional-step", "string-step", "string-metric", "list-similarity",
          "fractional-n-samples", "unknown-key", "nan-final-w1", "short-final-b2",
-         "infinite-best-b1"],
+         "infinite-best-b1", "removed-final-params", "removed-trainable",
+         "no-last-checkpoint", "extra-checkpoint"],
 )
 def test_malformed_run_record_exits_2_naming_the_key(tmp_path, runner, stock_run, edit, named):
     run = tmp_path / "run"
@@ -383,6 +394,13 @@ def test_minimal_config_weights_the_named_domains_equally(tmp_path, runner, worl
     assert result.exit_code == 0, result.output
     record = json.loads((out / "run_record.json").read_text(encoding="utf8"))
     assert record["config"]["weights"] == [{"domain_id": "attr1", "alpha": 1.0}]
+    # no domains, no weights: the config is refused, not divided by zero
+    config.write_text(json.dumps({"domain_ids": []}), encoding="utf8")
+    result = runner.invoke(
+        main, ["adapt", "--config", str(config), "--world", str(world_dir), "--out", str(out)]
+    )
+    assert result.exit_code == 2, result.output
+    assert f"error: {config}: domain_ids is empty" in result.output
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -412,19 +430,22 @@ def test_string_boolean_in_config_exits_2(tmp_path, runner, world_dir):
     assert "dist_only" in result.output
 
 
+_ADAPT = ["adapt", "--config", "{config}", "--world", "{world}", "--out", "{out}"]
+
+
 @pytest.mark.parametrize(
-    "command, named",
+    "command, removed, named",
     [
-        (["adapt", "--config", "{config}", "--world", "{world}", "--out", "{out}"],
-         "'detach_projection'"),
+        (_ADAPT, {"detach_projection": False}, "'detach_projection'"),
+        (_ADAPT, {"adam_beta1": 0.9}, "'adam_beta1'"),
         (["build-subspaces", "--world", "{world}", "--out", "{out}", "--rank-tolerance", "1e-6"],
-         "--rank-tolerance"),
+         {}, "--rank-tolerance"),
     ],
-    ids=["config-key", "cli-option"],
+    ids=["config-key", "adam-config-key", "cli-option"],
 )
-def test_removed_settings_exit_2(tmp_path, runner, world_dir, command, named):
+def test_removed_settings_exit_2(tmp_path, runner, world_dir, command, removed, named):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"steps": 2, "detach_projection": False}), encoding="utf8")
+    config.write_text(json.dumps({"steps": 2, **removed}), encoding="utf8")
     paths = {"config": config, "world": world_dir, "out": tmp_path / "out"}
     result = runner.invoke(main, [arg.format(**paths) for arg in command])
     assert result.exit_code == 2, result.output

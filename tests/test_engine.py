@@ -9,6 +9,9 @@ import numpy as np
 import pytest
 
 from hda.engine import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     AdaptationConfig,
     adam_step,
     check_separability,
@@ -24,11 +27,11 @@ from hda.errors import ConfigError, DegenerateDomain, NumericalError
 from hda.losses import DomainWeight, ObjectivePlan, hda_objective
 from hda.seeding import stream_rng
 from hda.worlds import (
+    PARAM_FIELDS,
     build_world,
     build_world_subspaces,
     default_world_config,
     json_doc,
-    make_target_generator,
     read_object,
 )
 
@@ -76,12 +79,12 @@ def test_adam_zero_gradient_keeps_params():
 
 def _adam_reference(params, grads, m, v, t, config):
     """The out-of-place Adam formula: new params and moments after step ``t``."""
-    b1, b2 = config.adam_beta1, config.adam_beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     m = b1 * m + (1.0 - b1) * grads
     v = b2 * v + (1.0 - b2) * (grads * grads)
     m_hat = m / (1.0 - b1**t)
     v_hat = v / (1.0 - b2**t)
-    return params - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_eps), m, v
+    return params - config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS), m, v
 
 
 def test_adam_in_place_equals_the_out_of_place_formula_bit_for_bit():
@@ -392,6 +395,11 @@ def test_save_load_round_trip(tmp_path, world, subspaces):
     assert [s.step for s in back.snapshots] == [s.step for s in record.snapshots]
     # parameters survive the 12-digit rounding used on disk
     np.testing.assert_allclose(back.final_params.w1, record.final_params.w1, rtol=1e-11)
+    # the file holds them once, as the last checkpoint's
+    assert "final_params" not in json.loads((out / "run_record.json").read_text(encoding="utf8"))
+    last = back.checkpoints["last"].params
+    for name in PARAM_FIELDS:
+        assert getattr(back.final_params, name).tobytes() == getattr(last, name).tobytes()
     # a second save of the loaded record is byte-identical
     again = tmp_path / "run2"
     save_run(back, again, world_dir="some/world")
@@ -488,8 +496,6 @@ def test_config_flags_accept_only_json_booleans(world, field):
         dict(lam=-0.1),
         dict(seed=-1),
         dict(grad_clip_norm=0.0),
-        dict(adam_beta1=1.0),
-        dict(adam_eps=0.0),
         dict(dist_only=True, direct_only=True),
         dict(encoder_ids=("e", "e")),
         dict(domain_ids=("d", "d"), weights=(DomainWeight("d", 1.0),)),

@@ -17,7 +17,7 @@ from hda.losses import (
 )
 from hda.seeding import stream_rng
 from hda.subspace import DomainSubspace, FeatureSet, build_subspace, subspace_distance_sq
-from hda.worlds import json_doc, make_target_generator, read_object
+from hda.worlds import json_doc, read_object
 
 
 def _axis_subspace(d: int, axis: int, mean=None) -> DomainSubspace:
@@ -217,7 +217,7 @@ def test_objective_zero_when_on_subspace_without_direction_term(world, subspaces
     breakdown, grads = hda_objective(
         z,
         world.source_generator,
-        make_target_generator(world.source_generator),
+        world.source_generator,
         encoders,
         subspaces,
         weights,
@@ -234,7 +234,7 @@ def test_objective_additive_over_encoders(world, subspaces):
     rng = stream_rng(6, "loss-test")
     z = rng.standard_normal((2, world.config.d_z))
     weights = [DomainWeight("attr0", 0.5), DomainWeight("attr1", 0.5)]
-    target = make_target_generator(world.source_generator)
+    target = world.source_generator
     ids = list(world.train_encoder_ids)
 
     def total_for(encoder_ids):
@@ -258,7 +258,7 @@ def test_objective_variant_flags(world, subspaces):
     rng = stream_rng(7, "loss-test")
     z = rng.standard_normal((2, world.config.d_z))
     weights = [DomainWeight("attr0", 0.5), DomainWeight("attr1", 0.5)]
-    target = make_target_generator(world.source_generator)
+    target = world.source_generator
     encoders = [world.encoder(e) for e in world.train_encoder_ids]
 
     def run(**kw):
@@ -282,7 +282,7 @@ def test_objective_variant_flags(world, subspaces):
 
 def test_objective_weight_subset_and_unknown_domain(world, subspaces):
     z = stream_rng(8, "loss-test").standard_normal((2, world.config.d_z))
-    target = make_target_generator(world.source_generator)
+    target = world.source_generator
     encoders = [world.encoder(e) for e in world.train_encoder_ids]
     # weighting a subset of the built domains is how single-domain runs
     # on a multi-domain world work; it must not error

@@ -30,7 +30,6 @@ from hda.worlds import (
     load_world,
     make_encoder,
     make_source_generator,
-    make_target_generator,
     read_object,
     sample_domain_references,
     sample_source_points,
@@ -70,17 +69,6 @@ def test_generator_output_scale():
     assert stds.max() < 10.0
 
 
-def test_target_starts_as_trainable_copy():
-    source = make_source_generator(seed=3)
-    target = make_target_generator(source)
-    assert not source.trainable
-    assert target.trainable
-    np.testing.assert_array_equal(source.w1, target.w1)
-    np.testing.assert_array_equal(source.b2, target.b2)
-    assert not np.shares_memory(source.w1, target.w1)
-    assert not np.shares_memory(source.b2, target.b2)
-
-
 def test_flatten_round_trip():
     gen = make_source_generator(seed=5)
     flat = flatten_generator(gen)
@@ -93,6 +81,7 @@ def test_flatten_round_trip():
 
 def test_generator_json_round_trip():
     gen = make_source_generator(seed=6)
+    assert list(json_doc(gen)) == ["w1", "b1", "w2", "b2"]
     back = read_object(GeneratorParams, json_doc(gen), "generator")
     np.testing.assert_array_equal(back.w1, gen.w1)
     np.testing.assert_array_equal(back.b2, gen.b2)
@@ -202,7 +191,7 @@ def test_generator_forward_var_matches_forward(world):
     gen = world.source_generator
     z = stream_rng(2, "gen-probe").standard_normal((4, gen.d_z))
     tape = Tape()
-    params = generator_param_vars(tape, make_target_generator(gen))
+    params = generator_param_vars(tape, gen)
     out = generator_forward_var(tape, params, z)
     np.testing.assert_array_equal(out.value, gen.forward(z))
     np.testing.assert_array_equal(gen.forward(z[2]), gen.forward(z[2:3])[0])
@@ -213,16 +202,6 @@ def test_generator_forward_var_matches_forward(world):
         gen.forward(z[None, None])
     with pytest.raises(DimensionError, match="latent has length"):
         gen.forward(z[..., :-1][None])
-
-
-def test_generator_trainable_accepts_only_json_booleans(world):
-    doc = json_doc(world.source_generator)
-    doc["trainable"] = True
-    assert read_object(GeneratorParams, doc, "generator").trainable is True
-    for bad in ("false", 1):
-        doc["trainable"] = bad
-        with pytest.raises(ConfigError, match="trainable"):
-            read_object(GeneratorParams, doc, "generator")
 
 
 def test_encoders_are_genuinely_different(world):
