@@ -1,4 +1,4 @@
-"""Adaptation loop: Adam on the hybrid objective, with logging and snapshots.
+"""Adaptation loop: Adam on the hybrid objective, with per-step losses and snapshots.
 
 The loop is purely sequential and seeded: configuration plus seed fully
 determine every number in the resulting :class:`RunRecord`.  Latent
@@ -9,7 +9,6 @@ same batches as the prefix of a longer run.
 from __future__ import annotations
 
 import itertools
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
@@ -17,11 +16,10 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .errors import ConfigError, DegenerateDomain, NumericalError
-from .losses import DomainWeight, EncoderTerms, LossBreakdown, ObjectivePlan
-from .losses import loss_breakdowns, loss_total
+from .losses import DomainWeight, LossBreakdown, ObjectivePlan, loss_breakdowns, loss_total
 from .metrics import MetricsReport, SnapshotPlan
 from .seeding import derive_seed, stream_rng
-from .subspace import DomainSubspace, finite_json, separation_ratio, write_atomic, write_json
+from .subspace import DomainSubspace, locked_array, separation_ratio, write_json
 from .worlds import (
     GeneratorParams,
     World,
@@ -29,7 +27,6 @@ from .worlds import (
     generator_views,
     json_doc,
     read_document,
-    read_value,
     unflatten_generator,
 )
 
@@ -40,7 +37,6 @@ from .metrics import evaluate  # noqa: F401  (probe site)
 Array = np.ndarray
 
 RUN_RECORD_FILE = "run_record.json"
-LOG_FILE = "log.jsonl"
 
 #: Minimum inter-centroid distance over intra-set spread required before training.
 SEPARABILITY_THRESHOLD = 3.0
@@ -56,10 +52,6 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 #: The checkpoints of a run.
 _CHECKPOINTS = frozenset(("first", "best", "last"))
-
-#: The keys of a ``log.jsonl`` line and of each of its ``per_encoder`` entries.
-_LOG_KEYS = frozenset(("step", "total", "lambda", "per_encoder"))
-_TERM_KEYS = frozenset(("encoder_id", "dist", "direct"))
 
 
 @dataclass(frozen=True)
@@ -217,13 +209,23 @@ class Checkpoint:
 
 @dataclass
 class RunRecord:
-    """Everything one adaptation run produced; ``final_params`` are the last checkpoint's."""
+    """Everything one adaptation run produced; ``final_params`` are the last checkpoint's.
+
+    Row ``i`` of ``dist`` and ``direct`` holds step ``i + 1``'s per-encoder
+    batch means of the two losses, one column per ``config.encoder_ids``.
+    """
 
     config: AdaptationConfig
-    step_losses: list[LossBreakdown]  # index i holds step i + 1
+    dist: Array  # (steps, E)
+    direct: Array  # (steps, E)
     snapshots: list[MetricSnapshot]
     final_params: GeneratorParams
     checkpoints: dict[str, Checkpoint]  # "first", "best", "last"
+
+    @property
+    def step_losses(self) -> list[LossBreakdown]:
+        """One breakdown per step, built from ``dist`` and ``direct``; index i holds step i + 1."""
+        return loss_breakdowns(self.config.encoder_ids, self.dist, self.direct, 1, self.config.lam)
 
     def snapshot_at(self, step: int) -> MetricsReport:
         for snap in self.snapshots:
@@ -236,17 +238,25 @@ class RunRecord:
 class _RunFile:
     """A :class:`RunRecord` as ``run_record.json`` holds it, with the world.
 
-    The losses live in ``log.jsonl``, and ``final_params`` are the last checkpoint's.
+    ``final_params`` are the last checkpoint's.
     """
 
     config: AdaptationConfig
     world_dir: str
+    dist: Array
+    direct: Array
     snapshots: tuple[MetricSnapshot, ...]
     checkpoints: dict[str, Checkpoint]
 
     def __post_init__(self):
+        shape = (self.config.steps, len(self.config.encoder_ids))
+        for name in ("dist", "direct"):
+            object.__setattr__(self, name, locked_array(getattr(self, name), name, shape=shape))
         if self.checkpoints.keys() != _CHECKPOINTS:
-            raise _keys_error(self.checkpoints, _CHECKPOINTS, "checkpoints")
+            got = sorted(self.checkpoints)
+            raise ConfigError(
+                f"checkpoints must be an object of exactly {sorted(_CHECKPOINTS)}, got {got!r}"
+            )
 
 
 def training_chunks(config: AdaptationConfig, d_z: int) -> Iterator[Array]:
@@ -385,18 +395,17 @@ def run_adaptation(
                 raise
             if step == 1 or step % SNAPSHOT_EVERY == 0 or step == config.steps:
                 final = take_snapshot(step)
-    step_losses = loss_breakdowns(
-        objective.encoder_ids, dist_sums, direct_sums, config.batch_size, objective.lam
-    )
 
     checkpoints = {
         "first": first,
         "best": best if best is not None else Checkpoint(step=config.steps, params=final),
         "last": Checkpoint(step=config.steps, params=final),
     }
+    inv_batch = 1.0 / config.batch_size
     return RunRecord(
         config=config,
-        step_losses=step_losses,
+        dist=dist_sums * inv_batch,
+        direct=direct_sums * inv_batch,
         snapshots=snapshots,
         final_params=final,
         checkpoints=checkpoints,
@@ -404,99 +413,38 @@ def run_adaptation(
 
 
 def save_run(record: RunRecord, out_dir, world_dir: str = "") -> None:
-    """Write ``run_record.json`` plus the per-step ``log.jsonl``, each replaced whole.
+    """Write ``run_record.json``, replaced whole.
 
-    A non-finite value is a :class:`NumericalError` raised before either file is touched.
+    A non-finite value is a :class:`NumericalError` raised before the file is touched.
     """
+    path = os.path.join(out_dir, RUN_RECORD_FILE)
+    if not (np.isfinite(record.dist).all() and np.isfinite(record.direct).all()):
+        # ahead of _RunFile, whose check would call it a malformed record
+        raise NumericalError(f"{path}: refusing to write a non-finite loss")
     os.makedirs(out_dir, exist_ok=True)
-    log_path = os.path.join(out_dir, LOG_FILE)
-    log_text = "".join(
-        finite_json(log_path, {"step": i, **json_doc(breakdown)}) + "\n"
-        for i, breakdown in enumerate(record.step_losses, start=1)
-    )
     doc = _RunFile(
         config=record.config,
         world_dir=world_dir,
+        dist=record.dist,
+        direct=record.direct,
         snapshots=tuple(record.snapshots),
         checkpoints=record.checkpoints,
     )
-    # the log text is checked above; write_json checks the record before writing it
-    write_json(os.path.join(out_dir, RUN_RECORD_FILE), json_doc(doc))
-    write_atomic(log_path, log_text)
-
-
-def _keys_error(doc, keys: frozenset, kind: str) -> ConfigError:
-    got = sorted(doc) if isinstance(doc, dict) else doc
-    return ConfigError(f"{kind} must be an object of exactly {sorted(keys)}, got {got!r}")
-
-
-def _log_line(line: str, step: int, encoder_ids: tuple[str, ...]) -> LossBreakdown:
-    """The breakdown on line ``step`` of ``log.jsonl``, checked against :func:`save_run`'s layout.
-
-    Each value follows :func:`read_object`'s rules, but the layout is
-    checked here: ``read_object`` takes about twice as long per line.
-    The entries must name ``encoder_ids``, in order.
-    """
-    doc = json.loads(line)
-    if type(doc) is not dict or doc.keys() != _LOG_KEYS:
-        raise _keys_error(doc, _LOG_KEYS, "a log line")
-    if type(doc["step"]) is not int or doc["step"] != step:
-        raise ConfigError(f"step must be the JSON integer {step}, got {doc['step']!r}")
-    entries = doc["per_encoder"]
-    if type(entries) is not list or len(entries) != len(encoder_ids):
-        raise ConfigError(
-            f"per_encoder must be a list of {len(encoder_ids)} entries, one per encoder, "
-            f"got {entries!r}"
-        )
-    terms = []
-    for i, (entry, expected) in enumerate(zip(entries, encoder_ids)):
-        try:
-            if type(entry) is not dict or entry.keys() != _TERM_KEYS:
-                raise _keys_error(entry, _TERM_KEYS, "an entry")
-            if entry["encoder_id"] != expected:  # equal to a str, so a str
-                raise ConfigError(
-                    f"encoder_id must be {expected!r}, as in the run's encoder_ids, "
-                    f"got {entry['encoder_id']!r}"
-                )
-            dist = read_value(float, entry["dist"], "dist")
-            direct = read_value(float, entry["direct"], "direct")
-        except ConfigError as exc:
-            raise ConfigError(f"per_encoder[{i}]: {exc}") from exc
-        terms.append(EncoderTerms(expected, dist, direct))
-    return LossBreakdown(
-        read_value(float, doc["total"], "total"),
-        read_value(float, doc["lambda"], "lambda"),
-        tuple(terms),
-    )
+    write_json(path, json_doc(doc))
 
 
 def load_run(run_dir) -> tuple[RunRecord, str]:
     """Rebuild a :class:`RunRecord` and its world directory from a run directory.
 
     Every key of ``run_record.json`` is checked by the type of its field,
-    and ``log.jsonl`` must hold one line per step of the run's config,
-    each checked by :func:`_log_line`; a wrong one is a
-    :class:`ConfigError` naming the file and the key or line.
+    and ``dist`` and ``direct`` by the run config's steps and encoders; a
+    wrong one is a :class:`ConfigError` naming the file and the key.
     """
     doc = read_document(_RunFile, os.path.join(run_dir, RUN_RECORD_FILE), "run record")
-    log_path = os.path.join(run_dir, LOG_FILE)
-    if not os.path.isfile(log_path):
-        raise ConfigError(f"{log_path}: run log not found")
-    steps, encoder_ids = doc.config.steps, doc.config.encoder_ids
-    step_losses: list[LossBreakdown] = []
-    with open(log_path, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            try:  # undecodable bytes are a ValueError naming the line
-                step_losses.append(_log_line(line.decode("utf8"), lineno, encoder_ids))
-            except (ValueError, ConfigError) as exc:
-                raise ConfigError(f"{log_path}: line {lineno}: {exc}") from exc
-    if len(step_losses) > steps:
-        raise ConfigError(f"{log_path}: line {steps + 1}: the run has only {steps} steps")
-    if len(step_losses) < steps:
-        raise ConfigError(f"{log_path}: {len(step_losses)} lines for the run's {steps} steps")
     record = RunRecord(
         config=doc.config,
-        step_losses=step_losses,
+        dist=doc.dist,
+        direct=doc.direct,
         snapshots=list(doc.snapshots),
         final_params=doc.checkpoints["last"].params,
         checkpoints=doc.checkpoints,

@@ -27,7 +27,7 @@ tape expression, the oracle it is tested against.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -61,8 +61,8 @@ class DomainWeight:
 @dataclass(frozen=True)
 class EncoderTerms:
     encoder_id: str
-    dist_term: float = field(metadata={"json": "dist"})
-    direct_term: float = field(metadata={"json": "direct"})
+    dist_term: float
+    direct_term: float
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ class LossBreakdown:
     """
 
     total: float
-    lam: float = field(metadata={"json": "lambda"})
+    lam: float
     per_encoder: tuple[EncoderTerms, ...]
 
 

@@ -69,14 +69,6 @@ class FeatureSet:
         return self.features.shape[1]
 
 
-def finite_json(path: str, doc, indent: Optional[int] = None) -> str:
-    """``doc`` as JSON text; a NaN or infinity, which JSON cannot hold, is refused."""
-    try:
-        return json.dumps(doc, indent=indent, allow_nan=False)
-    except ValueError as exc:
-        raise NumericalError(f"{path}: refusing to write a non-finite value: {exc}") from exc
-
-
 def read_json(path, kind: str):
     """The JSON document in the file ``path``, parsed but not yet checked.
 
@@ -93,8 +85,15 @@ def read_json(path, kind: str):
 
 
 def write_json(path, doc) -> None:
-    """Replace ``path`` with ``doc`` as indented JSON; a non-finite value is refused first."""
-    write_atomic(path, finite_json(path, doc, indent=2) + "\n")
+    """Replace ``path`` with ``doc`` as indented JSON.
+
+    A NaN or infinity, which JSON cannot hold, is refused before ``path`` is touched.
+    """
+    try:
+        text = json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError(f"{path}: refusing to write a non-finite value: {exc}") from exc
+    write_atomic(path, text + "\n")
 
 
 def write_atomic(path: str, text: str) -> None:
@@ -128,9 +127,12 @@ def write_feature_csv(path, features: Array) -> None:
 
 
 def read_feature_csv(path) -> Array:
-    with open(path, "r", encoding="utf8") as fh:
-        # (file line number, text) of the non-blank lines, so errors name the file's line
-        lines = [(i, line.strip()) for i, line in enumerate(fh, start=1) if line.strip()]
+    try:
+        with open(path, "r", encoding="utf8") as fh:
+            # (file line number, text) of the non-blank lines, so errors name the file's line
+            lines = [(i, line.strip()) for i, line in enumerate(fh, start=1) if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     if not lines:
         raise ConfigError(f"{path}: empty feature file")
     header = lines[0][1].split(",")
@@ -140,6 +142,8 @@ def read_feature_csv(path) -> Array:
         d, k = int(header[0]), int(header[1])
     except ValueError as exc:
         raise ConfigError(f"{path}: non-integer header") from exc
+    if d < 0 or k < 0:
+        raise ConfigError(f"{path}: header counts must be non-negative, got '{d},{k}'")
     if len(lines) - 1 != k:
         raise ConfigError(f"{path}: header promises {k} rows, found {len(lines) - 1}")
     rows = []

@@ -130,13 +130,15 @@ def read_value(hint, value, key: str):
                 return float(value)
         raise ConfigError(f"{key} must be {what}, got {value!r}")
     if hint is np.ndarray:
-        try:
-            arr = np.array(value) if isinstance(value, list) else None
-        except ValueError:  # a ragged list
-            arr = None
-        if arr is None or arr.dtype.kind not in "iuf":
-            raise ConfigError(f"{key} must be a rectangular list of numbers")
-        return arr.astype(np.float64, copy=False)
+        # object cells keep each JSON value's type, so a boolean is not read as 1.0,
+        # and a ragged list leaves lists among them
+        cells = np.array(value if isinstance(value, list) else None, dtype=object)
+        if set(map(type, cells.flat)) <= {int, float}:
+            try:
+                return cells.astype(np.float64)
+            except OverflowError:  # an integer too large for a float
+                pass
+        raise ConfigError(f"{key} must be a rectangular list of numbers")
     origin = typing.get_origin(hint)
     if origin is typing.Union:  # Optional[X]
         return None if value is None else read_value(typing.get_args(hint)[0], value, key)

@@ -90,11 +90,11 @@ def test_build_subspaces_writes_one_file_per_pair(tmp_path, runner, world_dir):
 
 
 def test_adapt_writes_run_artifacts(tiny_run):
-    assert (tiny_run / "run_record.json").is_file()
-    log = (tiny_run / "log.jsonl").read_text(encoding="utf8").splitlines()
-    assert len(log) == 6
+    assert [p.name for p in tiny_run.iterdir()] == ["run_record.json"]
     record = json.loads((tiny_run / "run_record.json").read_text(encoding="utf8"))
     assert record["config"]["steps"] == 6
+    # one row of per-encoder losses per step
+    assert np.shape(record["dist"]) == np.shape(record["direct"]) == (6, 3)
     assert record["world_dir"]
 
 
@@ -110,7 +110,6 @@ def test_adapt_rerun_is_byte_identical(tmp_path, runner, world_dir, tiny_run):
     assert (again / "run_record.json").read_bytes() == (
         tiny_run / "run_record.json"
     ).read_bytes()
-    assert (again / "log.jsonl").read_bytes() == (tiny_run / "log.jsonl").read_bytes()
 
 
 def test_eval_round_trips_and_reruns_identically(tmp_path, runner, tiny_run):
@@ -196,87 +195,6 @@ def test_invalid_config_json_exits_2(tmp_path, runner, world_dir):
     assert result.exit_code == 2
 
 
-def _log_edit(change):
-    """An edit of a log line: ``change`` mutates the parsed line, which is written back."""
-
-    def edit(line):
-        doc = json.loads(line)
-        change(doc)
-        return json.dumps(doc)  # a NaN is written as the bare token NaN
-
-    return edit
-
-
-def _line_3(edit):
-    """An edit of the log's lines that applies ``edit`` to line 3."""
-    return lambda lines: [*lines[:2], edit(lines[2]), *lines[3:]]
-
-
-def _undecodable_line_3(lines):
-    """The log as bytes, with a byte that is not UTF-8 on line 3."""
-    raw = [line.encode("utf8") for line in lines]
-    raw[2] = raw[2].replace(b'"lambda"', b'"\xff"')
-    return b"\n".join(raw) + b"\n"
-
-
-def _extra_line(lines):
-    doc = json.loads(lines[-1])
-    doc["step"] += 1
-    return [*lines, json.dumps(doc)]
-
-
-@pytest.mark.parametrize(
-    "edit, where, named",
-    [
-        (_line_3(lambda line: line[:20]), "line 3: ", "Expecting value"),
-        (_line_3(_log_edit(lambda d: d.update(total="1.5"))), "line 3: ",
-         "total must be a finite number"),
-        (_line_3(_log_edit(lambda d: d.update(total=True))), "line 3: ",
-         "total must be a finite number"),
-        (_line_3(_log_edit(lambda d: d.update({"lambda": "nan"}))), "line 3: ",
-         "lambda must be a finite number"),
-        (_line_3(_log_edit(lambda d: d.update(total=float("nan")))), "line 3: ",
-         "total must be a finite number"),
-        (_line_3(_log_edit(lambda d: d.update(bogus=1))), "line 3: ", "'bogus'"),
-        (_line_3(_log_edit(lambda d: d.update(step=4))), "line 3: ",
-         "step must be the JSON integer 3, got 4"),
-        (_line_3(_log_edit(lambda d: d.pop("step"))), "line 3: ",
-         "['lambda', 'per_encoder', 'total']"),
-        (_line_3(_log_edit(lambda d: d["per_encoder"][0].update(extra=1))), "line 3: ",
-         "per_encoder[0]: "),
-        (lambda lines: None, "", "run log not found"),
-        (_undecodable_line_3, "line 3: ", "can't decode byte 0xff"),
-        (lambda lines: lines[:5], "", "5 lines for the run's 6 steps"),
-        (_extra_line, "line 7: ", "the run has only 6 steps"),
-        (_line_3(_log_edit(lambda d: d["per_encoder"][1].update(encoder_id="train0"))),
-         "line 3: ", "per_encoder[1]: encoder_id must be 'train1'"),
-        (_line_3(_log_edit(lambda d: d["per_encoder"].pop())), "line 3: ",
-         "per_encoder must be a list of 3 entries"),
-    ],
-    ids=["truncated", "string-total", "boolean-total", "string-nan-lambda", "bare-nan-total",
-         "unknown-key", "wrong-step", "missing-step", "extra-encoder-key", "missing-log",
-         "undecodable-bytes", "short-log", "long-log", "wrong-encoder-id", "missing-encoder"],
-)
-def test_malformed_run_log_exits_2_naming_the_line(tmp_path, runner, tiny_run, edit, where,
-                                                   named):
-    run = tmp_path / "run"
-    shutil.copytree(tiny_run, run)
-    log = run / "log.jsonl"
-    lines = edit(log.read_text(encoding="utf8").splitlines())
-    if lines is None:
-        log.unlink()
-    elif isinstance(lines, bytes):
-        log.write_bytes(lines)
-    else:
-        log.write_text("\n".join(lines) + "\n", encoding="utf8")
-    out = tmp_path / "r.json"
-    result = runner.invoke(main, ["eval", "--run", str(run), "--out", str(out)])
-    assert result.exit_code == 2, result.output
-    assert f"error: {log}: {where}" in result.output
-    assert named in result.output
-    assert not out.exists()
-
-
 def test_world_file_that_is_not_an_object_exits_2(tmp_path, runner, world_dir):
     # without the one key "config", the default world would meet these reference CSVs
     for i, text in enumerate(["[]", "{}", '{"confg": {"seed": 1}}']):
@@ -353,6 +271,8 @@ def _drop_last(*keys):
          "checkpoints['last']: params: GeneratorParams: b2 must have shape (32,), got (31,)"),
         (_set("checkpoints", "best", "params", "b1", 0, value=float("inf")),
          "checkpoints['best']: params: b1 contains non-finite entries"),
+        (_set("checkpoints", "first", "params", "b1", 0, value=True),
+         "checkpoints['first']: params: b1 must be a rectangular list of numbers"),
         # keys that run records held before they were removed
         (lambda doc: doc.update(final_params=doc["checkpoints"]["last"]["params"]),
          "unknown run record key 'final_params'"),
@@ -366,7 +286,7 @@ def _drop_last(*keys):
     ],
     ids=["null-world-dir", "fractional-step", "string-step", "string-metric", "list-similarity",
          "fractional-n-samples", "unknown-key", "nan-final-w1", "short-final-b2",
-         "infinite-best-b1", "removed-final-params", "removed-trainable",
+         "infinite-best-b1", "boolean-first-b1", "removed-final-params", "removed-trainable",
          "no-last-checkpoint", "extra-checkpoint"],
 )
 def test_malformed_run_record_exits_2_naming_the_key(tmp_path, runner, stock_run, edit, named):
@@ -380,6 +300,83 @@ def test_malformed_run_record_exits_2_naming_the_key(tmp_path, runner, stock_run
     result = runner.invoke(main, ["eval", "--run", str(run), "--out", str(out)])
     assert result.exit_code == 2, result.output
     assert f"error: {path}: " in result.output
+    assert named in result.output
+    assert not out.exists()
+
+
+def _in_record(change):
+    """An edit of a run directory: ``change`` mutates the parsed record, which is written back."""
+
+    def edit(run):
+        path = run / "run_record.json"
+        doc = json.loads(path.read_text(encoding="utf8"))
+        change(doc)
+        path.write_text(json.dumps(doc), encoding="utf8")  # a NaN is written as the bare token NaN
+
+    return edit
+
+
+def _written_before_the_columns(run):
+    """The run as stored before the losses were columns: a ``log.jsonl`` line per step."""
+
+    def to_lines(doc):
+        dist, direct = doc.pop("dist"), doc.pop("direct")
+        ids = doc["config"]["encoder_ids"]
+        lines = (
+            {"step": step, "total": sum(d) + sum(r), "lambda": 1.0, "per_encoder": [
+                {"encoder_id": e, "dist": a, "direct": b} for e, a, b in zip(ids, d, r)
+            ]}
+            for step, (d, r) in enumerate(zip(dist, direct), start=1)
+        )
+        text = "".join(json.dumps(line) + "\n" for line in lines)
+        (run / "log.jsonl").write_text(text, encoding="utf8")
+
+    _in_record(to_lines)(run)
+
+
+def _rewrite_record(change):
+    """An edit of a run directory that rewrites the record's bytes by ``change``."""
+
+    def edit(run):
+        path = run / "run_record.json"
+        path.write_bytes(change(path.read_bytes()))
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (_in_record(_drop_last("dist")), "dist must have shape (6, 3), got (5, 3)"),
+        (_in_record(lambda doc: doc["direct"].append(doc["direct"][-1])),
+         "direct must have shape (6, 3), got (7, 3)"),
+        (_in_record(lambda doc: [row.pop() for row in doc["dist"]]),
+         "dist must have shape (6, 3), got (6, 2)"),
+        (_in_record(_set("dist", 2, 1, value=float("nan"))), "dist contains non-finite entries"),
+        (_in_record(_set("direct", 2, 1, value=True)),
+         "direct must be a rectangular list of numbers"),
+        (_in_record(_set("dist", 2, 1, value="0.5")), "dist must be a rectangular list of numbers"),
+        (_in_record(_set("direct", 2, 1, value="nan")),
+         "direct must be a rectangular list of numbers"),
+        (_in_record(_drop_last("direct", 2)), "direct must be a rectangular list of numbers"),
+        (_in_record(lambda doc: doc.pop("dist")), "run record is missing 'dist'"),
+        (_written_before_the_columns, "run record is missing 'dist'"),
+        (_rewrite_record(lambda raw: raw[: raw.index(b'"direct"') + 40]), "invalid JSON"),
+        (_rewrite_record(lambda raw: raw.replace(b'"direct"', b'"\xff"')),
+         "can't decode byte 0xff"),
+    ],
+    ids=["short-rows", "long-rows", "short-columns", "bare-nan", "boolean", "string",
+         "string-nan", "ragged", "missing-dist", "written-before-the-columns", "truncated",
+         "undecodable-bytes"],
+)
+def test_malformed_loss_columns_exit_2_naming_the_key(tmp_path, runner, tiny_run, edit, named):
+    run = tmp_path / "run"
+    shutil.copytree(tiny_run, run)
+    edit(run)
+    out = tmp_path / "r.json"
+    result = runner.invoke(main, ["eval", "--run", str(run), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert f"error: {run / 'run_record.json'}: " in result.output
     assert named in result.output
     assert not out.exists()
 
@@ -417,6 +414,27 @@ def test_non_finite_reference_exits_2_naming_the_line(tmp_path, runner, world_di
     )
     assert result.exit_code == 2, result.output
     assert "references_attr0.csv: line 4 has a non-finite value" in result.output
+
+
+@pytest.mark.parametrize(
+    "rewrite, named",
+    [
+        (lambda raw: raw.replace(b"\n", b"\n\xff", 1), "not UTF-8 text"),
+        (lambda raw: b"-1,0\n", "header counts must be non-negative, got '-1,0'"),
+    ],
+    ids=["undecodable-bytes", "negative-width"],
+)
+def test_malformed_reference_file_exits_2_naming_the_file(tmp_path, runner, world_dir, rewrite,
+                                                          named):
+    world = tmp_path / "world"
+    shutil.copytree(world_dir, world)
+    refs = world / "references_attr0.csv"
+    refs.write_bytes(rewrite(refs.read_bytes()))
+    result = runner.invoke(
+        main, ["build-subspaces", "--world", str(world), "--out", str(tmp_path / "s")]
+    )
+    assert result.exit_code == 2, result.output
+    assert f"error: {refs}: {named}" in result.output
 
 
 def test_string_boolean_in_config_exits_2(tmp_path, runner, world_dir):

@@ -391,7 +391,12 @@ def test_save_load_round_trip(tmp_path, world, subspaces):
     back, world_dir = load_run(out)
     assert world_dir == "some/world"
     assert back.config == record.config
-    assert len(back.step_losses) == 5
+    # the loss columns come back bit for bit, and so does every step's total
+    for name in ("dist", "direct"):
+        assert getattr(back, name).tobytes() == getattr(record, name).tobytes()
+    totals = [b.total for b in record.step_losses]
+    assert len(totals) == 5
+    assert np.array(totals).tobytes() == np.array([b.total for b in back.step_losses]).tobytes()
     assert [s.step for s in back.snapshots] == [s.step for s in record.snapshots]
     # parameters survive the 12-digit rounding used on disk
     np.testing.assert_allclose(back.final_params.w1, record.final_params.w1, rtol=1e-11)
@@ -404,7 +409,8 @@ def test_save_load_round_trip(tmp_path, world, subspaces):
     again = tmp_path / "run2"
     save_run(back, again, world_dir="some/world")
     assert (out / "run_record.json").read_bytes() == (again / "run_record.json").read_bytes()
-    assert (out / "log.jsonl").read_bytes() == (again / "log.jsonl").read_bytes()
+    # one file per run
+    assert [p.name for p in out.iterdir()] == ["run_record.json"]
 
 
 def test_save_run_refuses_non_finite_values(tmp_path, world, subspaces):
@@ -412,11 +418,10 @@ def test_save_run_refuses_non_finite_values(tmp_path, world, subspaces):
     out = tmp_path / "run"
     save_run(record, out)
     before = {p.name: p.read_bytes() for p in out.iterdir()}
-    bad = record.step_losses[1]
-    record.step_losses[1] = replace(bad, total=float("nan"))
-    with pytest.raises(NumericalError, match="log.jsonl: refusing to write a non-finite"):
+    record.dist[1, 0] = float("nan")
+    with pytest.raises(NumericalError, match="run_record.json: refusing to write a non-finite"):
         save_run(record, out)
-    # neither file was touched, and no temporary file is left behind
+    # the file was not touched, and no temporary file is left behind
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
@@ -438,17 +443,6 @@ def test_save_run_replaces_files_atomically(tmp_path, world, subspaces, monkeypa
     assert renames == [(str(out), str(out))]
     # the previous files survive whole and the temporary file is removed
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
-
-
-def test_log_lines_are_valid_json(tmp_path, world, subspaces):
-    record = run_adaptation(_small_config(world, steps=4), world, subspaces)
-    out = tmp_path / "run"
-    save_run(record, out)
-    lines = (out / "log.jsonl").read_text(encoding="utf8").splitlines()
-    assert len(lines) == 4
-    first = json.loads(lines[0])
-    assert first["step"] == 1
-    assert "total" in first
 
 
 def test_config_json_round_trip_including_optional_clip(world):

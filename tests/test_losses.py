@@ -8,7 +8,6 @@ from hda.errors import ConfigError
 from hda.losses import (
     NORM_EPS,
     DomainWeight,
-    LossBreakdown,
     direct_loss,
     dist_loss,
     hda_objective,
@@ -17,7 +16,6 @@ from hda.losses import (
 )
 from hda.seeding import stream_rng
 from hda.subspace import DomainSubspace, FeatureSet, build_subspace, subspace_distance_sq
-from hda.worlds import json_doc, read_object
 
 
 def _axis_subspace(d: int, axis: int, mean=None) -> DomainSubspace:
@@ -313,22 +311,3 @@ def test_domain_weight_validation():
         DomainWeight("a", 0.0)
     with pytest.raises(ConfigError):
         DomainWeight("a", -1.0)
-
-
-def test_loss_breakdown_json_round_trip():
-    from hda.losses import EncoderTerms
-
-    breakdown = LossBreakdown(
-        total=1.25,
-        lam=1.0,
-        per_encoder=(EncoderTerms("train0", 0.5, 0.25), EncoderTerms("train1", 0.25, 0.25)),
-    )
-    doc = json_doc(breakdown)
-    # the keys of a log.jsonl line after its step, in the order save_run writes them
-    assert list(doc) == ["total", "lambda", "per_encoder"]
-    assert list(doc["per_encoder"][0]) == ["encoder_id", "dist", "direct"]
-    back = read_object(LossBreakdown, doc, "loss breakdown")
-    assert back.total == breakdown.total
-    assert back.lam == breakdown.lam
-    assert [t.encoder_id for t in back.per_encoder] == ["train0", "train1"]
-    assert back == breakdown

@@ -1,12 +1,15 @@
 """Affine subspace construction and projection against hand values and lstsq."""
 
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import hda
 from hda.errors import ConfigError, DegenerateDomain, NumericalError
 from hda.seeding import stream_rng
 from hda.subspace import (
@@ -142,6 +145,29 @@ def test_point_subspace_json_document():
     # a rank-0 subspace writes its basis as d empty rows
     doc = json.loads(json.dumps(json_doc(sub)))
     assert doc == {"mean": [1.0, 2.0], "basis": [[], []], "singular_values": []}
+
+
+def _json_uses(node, scope: str, uses: set) -> set:
+    """``scope`` names of the functions in ``node`` that use json's readers or writers."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        scope = f"{scope.split('.')[0]}.{node.name}"
+    if (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "json"
+        and node.attr in ("load", "loads", "dump", "dumps")
+    ) or (isinstance(node, ast.ImportFrom) and node.module == "json"):
+        uses.add(scope)
+    for child in ast.iter_child_nodes(node):
+        _json_uses(child, scope, uses)
+    return uses
+
+
+def test_json_is_read_and_written_only_by_read_json_and_write_json():
+    uses: set = set()
+    for path in sorted(Path(hda.__file__).parent.glob("*.py")):
+        _json_uses(ast.parse(path.read_text(encoding="utf8")), path.stem, uses)
+    assert uses == {"subspace.read_json", "subspace.write_json"}
 
 
 def test_feature_csv_round_trip(tmp_path):
