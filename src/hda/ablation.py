@@ -11,6 +11,7 @@ from dataclasses import dataclass, replace
 
 from .engine import AdaptationConfig, run_adaptation
 from .errors import ConfigError
+from .losses import loss_total
 from .metrics import EVAL_SAMPLES, EVAL_SEED, MetricsReport, SnapshotPlan, round12
 from .subspace import write_atomic, write_json
 from .worlds import World, build_world_subspaces
@@ -74,7 +75,7 @@ def ablation_suite(
                     variant=variant,
                     encoder_mode=mode,
                     encoder_ids=tuple(encoder_ids),
-                    final_total=record.step_losses[-1].total,
+                    final_total=loss_total(record.dist[-1], record.direct[-1], 1, config.lam),
                     report=snapshot(record.final_params),
                 )
             )

@@ -29,6 +29,7 @@ from .errors import (
     DimensionError,
     NumericalError,
 )
+from .losses import loss_total
 from .metrics import EVAL_SAMPLES, EVAL_SEED, evaluate, write_report
 from .subspace import pca2d_export, read_json, write_json, write_pca2d_csv
 from .worlds import (
@@ -154,7 +155,7 @@ def adapt(config_path, world_dir, out_dir, seed):
     record = run_adaptation(config, world, subspaces)
     # absolute, so `hda eval --run` finds the world from any directory
     save_run(record, out_dir, world_dir=os.path.abspath(world_dir))
-    final = record.step_losses[-1].total
+    final = loss_total(record.dist[-1], record.direct[-1], 1, config.lam)
     click.echo(
         f"adapted for {config.steps} steps; final loss {final:.6g}; "
         f"run written to {out_dir}"

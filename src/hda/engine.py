@@ -313,7 +313,9 @@ def run_adaptation(
 
     ``subspaces`` must hold one entry per (encoder, domain) for every
     configured training encoder and for the held-out encoder, which the
-    metric snapshots use.
+    metric snapshots use.  A subspace whose rank equals its embedding
+    width is the whole space, whose distances are rounding noise: it is
+    a :class:`DegenerateDomain`.
     """
     for encoder_id in config.encoder_ids:
         if encoder_id not in world.train_encoder_ids:
@@ -327,6 +329,13 @@ def run_adaptation(
         missing = [d for d in config.domain_ids if d not in subspaces.get(encoder_id, {})]
         if missing:
             raise ConfigError(f"missing subspaces for encoder {encoder_id!r}, domains {missing}")
+        for domain_id in config.domain_ids:
+            sub = subspaces[encoder_id][domain_id]
+            if sub.rank == sub.dim:
+                raise DegenerateDomain(
+                    f"subspace of domain {domain_id!r} under encoder {encoder_id!r} has rank "
+                    f"{sub.rank}, the full embedding width: its distances are rounding noise"
+                )
 
     check_separability(world, config.encoder_ids, config.domain_ids)
 

@@ -21,7 +21,7 @@ from math import isqrt
 
 import numpy as np
 
-from .autodiff import SERIAL_GEMM_SIZE, matmul_rows
+from .autodiff import matmul_rows
 from .errors import ConfigError, DimensionError
 from .seeding import stream_rng
 from .subspace import DomainSubspace, project, write_json
@@ -89,21 +89,26 @@ def _mean_subspace_distance(subspace: DomainSubspace, embeddings: Array) -> floa
 # are recomputed as direct norms.
 _GRAM_CANCELLATION = 1e-4
 
-# A block is at most SERIAL_GEMM_SIZE distances and no wider than it has
-# rows, so its (R, R) corner fits in this mask of the pairs it does not hold.
-_NON_PAIRS = np.triu(np.ones((isqrt(SERIAL_GEMM_SIZE),) * 2, dtype=bool), 1)
+# A diversity block holds at most _PAIR_BLOCK_SIZE distances (or one
+# sample's partners, if they alone are more), which bounds its memory at
+# any cluster size.  It is no wider than it has rows, so its (R, R) corner
+# fits in _NON_PAIRS, the mask of the pairs it does not hold.
+_PAIR_BLOCK_SIZE = 1 << 16
+_NON_PAIRS = np.triu(np.ones((isqrt(_PAIR_BLOCK_SIZE),) * 2, dtype=bool), 1)
 
 
 def _augmented(centred: Array) -> tuple[Array, Array]:
     """Rows ``[c, |c|², 1]`` and columns ``[-2c, 1, |c|²]`` of centred samples.
 
     Row ``i`` of the first times column ``j`` of the second is the
-    squared distance ``|ci|² + |cj|² - 2 ci·cj``.
+    squared distance ``|ci|² + |cj|² - 2 ci·cj``.  The columns are
+    C-ordered, so a block's column slice reaches BLAS with unit stride
+    along each row, the layout its kernel reads fastest.
     """
     sq = np.einsum("ij,ij->i", centred, centred)[:, None]
     ones = np.ones_like(sq)
     left = np.hstack([centred, sq, ones])
-    right = np.hstack([-2.0 * centred, ones, sq]).T
+    right = np.ascontiguousarray(np.hstack([-2.0 * centred, ones, sq]).T)
     return left, right
 
 
@@ -184,11 +189,12 @@ def _diversity(embeddings: Array, reference_embeddings: Array) -> float:
     (:func:`_nearest_reference`).  The samples are sorted by cluster once
     (stably, so each cluster keeps their order), centred on their
     cluster's mean, and each cluster's distances are summed block by block
-    (:func:`_pair_block`), each block at most
-    :data:`autodiff.SERIAL_GEMM_SIZE` distances (or one sample's partners,
-    if they alone are more), so memory stays bounded at any cluster size.  Clusters with fewer than two members carry no
-    pairwise distance and are skipped; a fully collapsed generator
-    therefore scores 0.  Any non-finite sample makes the diversity NaN.
+    (:func:`_pair_block`), each block at most ``_PAIR_BLOCK_SIZE``
+    distances (or one sample's partners, if they alone are more), so
+    memory stays bounded at any cluster size.  Clusters with fewer than
+    two members carry no pairwise distance and are skipped; a fully
+    collapsed generator therefore scores 0.  Any non-finite sample makes
+    the diversity NaN.
     """
     if not np.isfinite(embeddings).all():
         return float("nan")
@@ -203,7 +209,7 @@ def _diversity(embeddings: Array, reference_embeddings: Array) -> float:
     for m, hi in zip(sizes[sizes >= 2], ends[sizes >= 2]):
         total, start = 0.0, hi - m
         while start < hi - 1:
-            stop = min(hi - 1, start + max(1, SERIAL_GEMM_SIZE // (hi - start - 1)))
+            stop = min(hi - 1, start + max(1, _PAIR_BLOCK_SIZE // (hi - start - 1)))
             block = _pair_block(samples, left, right, start, stop, hi)
             total += np.add.reduce(block, axis=None)
             start = stop

@@ -89,7 +89,9 @@ def _lock_mlp(obj, prefix: str) -> None:
 
 
 def _relu(x: Array) -> Array:
-    return np.where(x > 0.0, x, 0.0)
+    """``np.where(x > 0.0, x, 0.0)``, bit for bit, written over ``x``: pass a fresh array."""
+    np.copyto(x, 0.0, where=~(x > 0.0))
+    return x
 
 
 def _rows(x, width: int, kind: str, max_ndim: int = 2) -> Array:

@@ -6,7 +6,10 @@ import pytest
 from hda import autodiff as ad
 from hda.autodiff import Tape, grad_check
 from hda.errors import DimensionError
+from hda.metrics import _augmented
 from hda.seeding import stream_rng
+from hda.subspace import project
+from hda.worlds import encode
 
 
 def test_sq_norm_gradient_hand_value():
@@ -255,3 +258,32 @@ def test_stacked_matmul_rows_is_each_slice_bit_for_bit():
         for i, j in np.ndindex(2, 3):
             xs = x if x.ndim == 2 else x[j]
             np.testing.assert_array_equal(out[i, j], ad.matmul_rows(xs, stack[i, j]))
+
+
+def test_stock_products_are_the_same_bits_under_either_cap(monkeypatch, world, subspaces):
+    # every stock product shape, row-blocked at 2^16 and at 2^18 multiply-adds
+    source, held_out = world.source_generator, world.held_out_encoder
+    rng = stream_rng(9, "autodiff-test")
+    centred = rng.standard_normal((1024, world.config.d_e))
+    left, right = _augmented(centred)
+    cases = {"diversity block, C-ordered": lambda: ad.matmul_rows(left[1:], right[:, :64])}
+    cases["diversity block, F-ordered"] = (
+        lambda: ad.matmul_rows(left[1:], np.asfortranarray(right)[:, :64])
+    )
+    for n in (128, 1024):
+        z = rng.standard_normal((n, source.d_z))
+        x = source.forward(z)
+        sub = subspaces[held_out.encoder_id]["attr0"]
+        cases[f"forward {n}"] = lambda z=z: source.forward(z)
+        cases[f"encode {n}"] = lambda x=x: encode(held_out, x)
+        cases[f"stacked encode {n}"] = lambda x=x: encode(world.train_encoders, x)
+        cases[f"project {n}"] = lambda x=x, sub=sub: project(sub, encode(held_out, x))
+    for name, product in cases.items():
+        monkeypatch.setattr(ad, "SERIAL_GEMM_SIZE", 1 << 16)
+        small = product()
+        monkeypatch.setattr(ad, "SERIAL_GEMM_SIZE", 1 << 18)
+        np.testing.assert_array_equal(product(), small, err_msg=name)
+    # the two column layouts of a diversity block agree too
+    np.testing.assert_array_equal(
+        cases["diversity block, C-ordered"](), cases["diversity block, F-ordered"]()
+    )

@@ -547,22 +547,35 @@ def test_gradcheck_passes_at_seeds(runner, seed):
     assert "[FAIL]" not in result.output
 
 
-def test_inseparable_world_exits_3(tmp_path, runner, world_dir):
-    # crank the domain noise until the separability precheck trips
+def _adapt_on_world_with_domains(tmp_path, runner, world_dir, **domain_values):
+    """``hda adapt`` on the stock world with ``domain_values`` set on every domain."""
     doc = json.loads((world_dir / "world.json").read_text(encoding="utf8"))
     for domain in doc["config"]["domains"]:
-        domain["noise_scale"] = 5.0
-    noisy_config = tmp_path / "noisy.json"
-    noisy_config.write_text(json.dumps(doc["config"]), encoding="utf8")
-    noisy_world = tmp_path / "noisy-world"
+        domain.update(domain_values)
+    config = tmp_path / "edited.json"
+    config.write_text(json.dumps(doc["config"]), encoding="utf8")
+    edited_world = tmp_path / "edited-world"
     result = runner.invoke(
-        main, ["gen-world", "--config", str(noisy_config), "--out", str(noisy_world)]
+        main, ["gen-world", "--config", str(config), "--out", str(edited_world)]
     )
     assert result.exit_code == 0, result.output
-    result = runner.invoke(
-        main, ["adapt", "--world", str(noisy_world), "--out", str(tmp_path / "r")]
+    return runner.invoke(
+        main, ["adapt", "--world", str(edited_world), "--out", str(tmp_path / "r")]
     )
+
+
+def test_inseparable_world_exits_3(tmp_path, runner, world_dir):
+    # crank the domain noise until the separability precheck trips
+    result = _adapt_on_world_with_domains(tmp_path, runner, world_dir, noise_scale=5.0)
     assert result.exit_code == 3
+
+
+def test_full_rank_subspace_world_exits_3(tmp_path, runner, world_dir):
+    # k = d_e + 1 = 17 references per domain: every subspace is the whole embedding space
+    result = _adapt_on_world_with_domains(tmp_path, runner, world_dir, k=17)
+    assert result.exit_code == 3
+    assert "domain 'attr0' under encoder 'train0' has rank 16" in result.output
+    assert not (tmp_path / "r").exists()
 
 
 def test_exploding_run_checkpoints_last_good_params_and_exits_3(tmp_path, runner, world_dir):

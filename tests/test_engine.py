@@ -26,6 +26,7 @@ from hda.engine import (
 from hda.errors import ConfigError, DegenerateDomain, NumericalError
 from hda.losses import DomainWeight, ObjectivePlan, hda_objective
 from hda.seeding import stream_rng
+from hda.subspace import DomainSubspace
 from hda.worlds import (
     PARAM_FIELDS,
     build_world,
@@ -361,6 +362,17 @@ def test_inseparable_domains_abort_before_training():
     config = default_adaptation_config(world, steps=5)
     with pytest.raises(DegenerateDomain):
         run_adaptation(config, world, subspaces)
+
+
+def test_full_rank_held_out_subspace_aborts_before_training(world, subspaces):
+    # a held-out subspace as wide as the embedding is refused like a training one
+    held_out = world.held_out_encoder.encoder_id
+    d_e = world.config.d_e
+    full = DomainSubspace(mean=np.zeros(d_e), basis=np.eye(d_e), singular_values=np.ones(d_e))
+    swapped = {**subspaces, held_out: {**subspaces[held_out], "attr1": full}}
+    named = f"'attr1' under encoder '{held_out}' has rank {d_e}"
+    with pytest.raises(DegenerateDomain, match=named):
+        run_adaptation(_small_config(world), world, swapped)
 
 
 def test_separability_report_values(world):

@@ -265,10 +265,18 @@ def test_diversity_of_singletons_is_zero():
     assert _diversity(singletons, refs) == _diversity_oracle(singletons, refs) == 0.0
 
 
-def test_diversity_memory_is_bounded_at_1024_samples():
+def test_diversity_memory_is_bounded_at_1024_samples(monkeypatch):
     rng = np.random.default_rng(1)
     refs = rng.standard_normal((20, 16))
     collapsed = refs[3] + 1e-3 * rng.standard_normal((1024, 16))
+    sizes = []
+
+    def spy(*args):
+        block = _pair_block(*args)
+        sizes.append(block.size)
+        return block
+
+    monkeypatch.setattr(metrics, "_pair_block", spy)
     tracemalloc.start()
     try:
         _diversity(collapsed, refs)
@@ -276,7 +284,9 @@ def test_diversity_memory_is_bounded_at_1024_samples():
     finally:
         tracemalloc.stop()
     # the full (1024, 1024, 16) difference tensor alone is 128 MiB, and
-    # the 1024 * 1023 / 2 distances 4 MiB; a block is at most 0.5 MiB
+    # the 1024 * 1023 / 2 distances 4 MiB; a block is at most 2^16
+    # distances, 0.5 MiB
+    assert len(sizes) > 1 and max(sizes) <= 1 << 16
     assert peak < 4 * 2**20
 
 

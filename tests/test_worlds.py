@@ -18,6 +18,7 @@ from hda.worlds import (
     GeneratorParams,
     SyntheticDomainSpec,
     WorldConfig,
+    _relu,
     build_world,
     build_world_subspaces,
     default_world_config,
@@ -352,3 +353,14 @@ def test_default_world_config_bounds():
         default_world_config(n_domains=0)
     with pytest.raises(ConfigError):
         default_world_config(n_domains=3)
+
+
+def test_relu_matches_where_bit_for_bit_in_place():
+    values = [np.nan, np.inf, -np.inf, 0.0, -0.0, -1.5, 2.5, 5e-324, -5e-324, 1e308, -1e308]
+    x = np.array([values, values[::-1]])
+    expected = np.where(x > 0.0, x, 0.0)
+    out = _relu(x)
+    assert out is x  # written over its fresh argument
+    np.testing.assert_array_equal(out, expected)
+    np.testing.assert_array_equal(np.signbit(out), np.signbit(expected))
+    assert not np.signbit(out).any() and not np.isnan(out).any()
