@@ -44,13 +44,7 @@ def _as_array(value) -> Array:
 
 
 #: Largest rows x inner x columns product (multiply-adds) handed to one
-#: BLAS call.  OpenBLAS may wake its worker threads for a larger GEMM,
-#: which for these small matrices is slower and, on a busy box, erratic
-#: from one call to the next.  Over 20,000 warm products on a 2-core Xeon
-#: with OpenBLAS 0.3.31, the worker thread ran 0 CPU ticks at 2^18 and
-#: 2^19 multiply-adds and 73-79 at 2^20, but a 512 x 32 x 32 (2^19)
-#: product once woke it on that box; the cap sits a factor of 2 under
-#: the smallest product seen to wake it.
+#: BLAS call by :func:`matmul_rows`, which says why it is 2^18.
 SERIAL_GEMM_SIZE = 1 << 18
 
 
@@ -61,11 +55,17 @@ def matmul_rows(x: Array, m: Array) -> Array:
     ``(d, k)`` matrix or a ``(..., d, k)`` stack; leading axes broadcast
     as in ``np.matmul``, which runs a stacked product as one BLAS call
     per matrix slice.  Each call's product stays at or below
-    :data:`SERIAL_GEMM_SIZE` = 2^18 multiply-adds, a factor of 2 under the
-    smallest product seen to wake OpenBLAS's worker thread, so every BLAS
-    call runs on one thread.  Each
-    slice of a stacked product equals the 2-D product of that slice bit
-    for bit.
+    :data:`SERIAL_GEMM_SIZE` = 2^18 multiply-adds, so every BLAS call runs
+    on one thread, and each slice of a stacked product equals the 2-D
+    product of that slice bit for bit.
+
+    OpenBLAS may wake its worker threads for a larger GEMM, which for
+    these small matrices is slower and, on a busy box, erratic from one
+    call to the next.  Over 20,000 warm products on a 2-core Xeon with
+    OpenBLAS 0.3.31, the worker thread ran 0 CPU ticks at 2^18 and 2^19
+    multiply-adds and 73-79 at 2^20.  A 512 x 32 x 32 (2^19) product once
+    woke it on that box, though, so the cap is 2^18, not 2^19: a factor
+    of 2 under the smallest product seen to wake it.
     """
     if x.ndim < 2 or x.shape[-2] * m.shape[-2] * m.shape[-1] <= SERIAL_GEMM_SIZE:
         return x @ m

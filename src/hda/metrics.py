@@ -102,8 +102,8 @@ def _augmented(centred: Array) -> tuple[Array, Array]:
 
     Row ``i`` of the first times column ``j`` of the second is the
     squared distance ``|ci|² + |cj|² - 2 ci·cj``.  The columns are
-    C-ordered, so a block's column slice reaches BLAS with unit stride
-    along each row, the layout its kernel reads fastest.
+    C-ordered: a block's product reads them faster than the transposed
+    view, with the same bits.
     """
     sq = np.einsum("ij,ij->i", centred, centred)[:, None]
     ones = np.ones_like(sq)
