@@ -263,6 +263,7 @@ def test_stacked_matmul_rows_is_each_slice_bit_for_bit():
 def test_stock_products_are_the_same_bits_under_either_cap(monkeypatch, world, subspaces):
     # every stock product shape, row-blocked at 2^16 and at 2^18 multiply-adds
     source, held_out = world.source_generator, world.held_out_encoder
+    sub = subspaces[held_out.encoder_id]["attr0"]
     rng = stream_rng(9, "autodiff-test")
     centred = rng.standard_normal((1024, world.config.d_e))
     left, right = _augmented(centred)
@@ -273,11 +274,10 @@ def test_stock_products_are_the_same_bits_under_either_cap(monkeypatch, world, s
     for n in (128, 1024):
         z = rng.standard_normal((n, source.d_z))
         x = source.forward(z)
-        sub = subspaces[held_out.encoder_id]["attr0"]
         cases[f"forward {n}"] = lambda z=z: source.forward(z)
         cases[f"encode {n}"] = lambda x=x: encode(held_out, x)
         cases[f"stacked encode {n}"] = lambda x=x: encode(world.train_encoders, x)
-        cases[f"project {n}"] = lambda x=x, sub=sub: project(sub, encode(held_out, x))
+        cases[f"project {n}"] = lambda x=x: project(sub, encode(held_out, x))
     for name, product in cases.items():
         monkeypatch.setattr(ad, "SERIAL_GEMM_SIZE", 1 << 16)
         small = product()
