@@ -19,10 +19,11 @@ from .errors import ConfigError, DegenerateDomain, NumericalError
 from .losses import DomainWeight, LossBreakdown, ObjectivePlan, loss_breakdowns, loss_total
 from .metrics import MetricsReport, SnapshotPlan
 from .seeding import derive_seed, stream_rng
-from .subspace import DomainSubspace, locked_array, separation_ratio, write_json
+from .subspace import DomainSubspace, FeatureSet, locked_array, separation_ratio, write_json
 from .worlds import (
     GeneratorParams,
     World,
+    encode,
     flatten_generator,
     generator_views,
     json_doc,
@@ -286,12 +287,13 @@ def check_separability(
     :data:`SEPARABILITY_THRESHOLD`, naming the worst offender.
     """
     ratios: dict[str, float] = {}
+    if len(domain_ids) < 2:  # one draw of the source cluster serves every encoder
+        source_points = world.source_points(max(world.domain(d).k for d in domain_ids))
     for encoder_id in encoder_ids:
         enc = world.encoder(encoder_id)
         sets = [world.feature_set(enc, d) for d in domain_ids]
         if len(sets) < 2:
-            k = max(world.domain(d).k for d in domain_ids)
-            sets.append(world.source_feature_set(enc, k))
+            sets.append(FeatureSet(encode(enc, source_points), domain_id="source"))
         ratios[encoder_id] = separation_ratio(sets)
     failing = {eid: r for eid, r in ratios.items() if not r > SEPARABILITY_THRESHOLD}
     if failing:

@@ -13,15 +13,23 @@ import numpy as np
 from .errors import ConfigError
 
 
-def _label_keys(labels) -> tuple[int, ...]:
-    return tuple(zlib.crc32(str(label).encode("utf8")) for label in labels)
-
-
 def _sequence(seed: int, labels) -> np.random.SeedSequence:
+    """``SeedSequence((seed,) + label CRCs)``, handed its entropy as the uint32 words it uses.
+
+    ``SeedSequence`` splits an integer into 32-bit words, low word first
+    (``0`` is one word); each CRC-32 is one word.  Passing those words as
+    one uint32 array skips its per-integer conversion and gives the same
+    pool, so the same streams.
+    """
     seed = int(seed)
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
-    return np.random.SeedSequence((seed,) + _label_keys(labels))
+    words = [seed & 0xFFFFFFFF]
+    while seed > 0xFFFFFFFF:
+        seed >>= 32
+        words.append(seed & 0xFFFFFFFF)
+    words.extend(zlib.crc32(str(label).encode("utf8")) for label in labels)
+    return np.random.SeedSequence(np.array(words, dtype=np.uint32))
 
 
 def stream_rng(seed: int, *labels) -> np.random.Generator:

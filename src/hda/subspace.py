@@ -2,9 +2,11 @@
 
 A domain with reference features ``f_1 .. f_k`` is summarised by the
 affine subspace ``{mean + basis @ c}`` where ``mean`` is the feature
-average and ``basis`` holds the orthonormal left singular vectors of the
-mean-centred feature matrix, taken from one thin singular value
-decomposition of the centred ``k x d`` matrix.
+average and ``basis`` holds the orthonormal right singular vectors of the
+mean-centred ``k x d`` feature matrix.  :func:`build_subspace` takes them
+from one stacked thin singular value decomposition of ``n`` such centred
+matrices of one shape (``n = 1`` for a single feature set); each slice of
+the stack equals its own decomposition bit for bit.
 
 Distances to a subspace are always measured to the orthogonal
 projection ``f* = basis @ basis.T @ (p - mean) + mean``, computed for a
@@ -15,7 +17,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -27,7 +29,7 @@ Array = np.ndarray
 #: Singular values below ``RANK_TOLERANCE * s_max`` are treated as zero.
 RANK_TOLERANCE = 1e-8
 
-_AXES = {1: "a vector", 2: "a matrix"}
+_AXES = {1: "a vector", 2: "a matrix", 3: "a stack of matrices"}
 
 
 def locked_array(
@@ -45,6 +47,24 @@ def locked_array(
     return arr
 
 
+def _mean(x: Array, axis: int = 0) -> Array:
+    """``np.mean(x, axis=axis)`` bit for bit: the same sum and division, without its wrapper."""
+    return np.add.reduce(x, axis=axis) / x.shape[axis]
+
+
+def assemble(cls, **values):
+    """A frozen ``cls`` holding ``values`` as given, without running its ``__post_init__``.
+
+    Only for slices of stacks that a stacked builder has already locked
+    with :func:`locked_array` and checked as a whole, which the
+    constructor would copy and check again slice by slice.
+    """
+    obj = object.__new__(cls)
+    for name, value in values.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @dataclass(frozen=True)
 class FeatureSet:
     """Reference features of one domain under one encoder; ``mean`` is their average."""
@@ -58,7 +78,23 @@ class FeatureSet:
         if feats.shape[0] < 1:
             raise DegenerateDomain("a feature set needs at least one vector")
         object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "mean", locked_array(feats.mean(axis=0), "mean"))
+        object.__setattr__(self, "mean", locked_array(_mean(feats), "mean"))
+
+    @classmethod
+    def stack(cls, features, domain_id: str = "") -> list[FeatureSet]:
+        """One set per slice of ``(n, k, d)`` features, each equal to
+        ``FeatureSet(features[i], domain_id)`` bit for bit.
+
+        The stack is copied, checked and averaged once, not once per set;
+        each set holds read-only views into it.
+        """
+        feats = locked_array(features, "features", ndim=3)
+        if feats.shape[1] < 1:
+            raise DegenerateDomain("a feature set needs at least one vector")
+        means = locked_array(_mean(feats, axis=1), "mean")
+        return [
+            assemble(cls, features=f, domain_id=domain_id, mean=m) for f, m in zip(feats, means)
+        ]
 
     @property
     def k(self) -> int:
@@ -166,7 +202,8 @@ class DomainSubspace:
 
     The constructor checks shapes and finiteness only: the orthonormal basis
     and the positive, non-increasing singular values come from
-    :func:`build_subspace`.
+    :func:`build_subspace`, which runs the same checks once per stack and
+    assembles its subspaces without the constructor.
     """
 
     mean: Array  # (d,)
@@ -195,27 +232,51 @@ class DomainSubspace:
         return self.mean.shape[0]
 
 
-def build_subspace(features: FeatureSet) -> DomainSubspace:
+def build_subspace(
+    features: FeatureSet | Sequence[FeatureSet],
+) -> DomainSubspace | list[DomainSubspace]:
     """Estimate the affine subspace spanned by a few-shot feature set.
 
-    The rank keeps every singular value above ``RANK_TOLERANCE`` times
-    the largest one, and never exceeds ``min(k - 1, d)``.  A single
-    reference (``k == 1``) defines no direction at all and is rejected.
+    ``features`` is one :class:`FeatureSet`, giving its
+    :class:`DomainSubspace`, or a sequence of sets of one ``(k, d)``,
+    giving a list of their subspaces in order.  Either way the centred
+    features go through one stacked SVD, and each subspace equals the
+    one its set gives alone bit for bit.  The rank keeps every singular
+    value above ``RANK_TOLERANCE`` times the largest one of its set, and
+    never exceeds ``min(k - 1, d)``.  A single reference (``k == 1``)
+    defines no direction at all and is rejected, as are all-zero centred
+    features; the error names the set's domain.
     """
-    k = features.k
+    sets = [features] if isinstance(features, FeatureSet) else list(features)
+    if not sets:
+        raise DegenerateDomain("no feature sets to build subspaces from")
+    shapes = {fs.features.shape for fs in sets}
+    if len(shapes) != 1:
+        raise DimensionError(f"stacked feature sets need one (k, d), got {sorted(shapes)}")
+    k = sets[0].k
     if k < 2:
         raise DegenerateDomain(
-            f"{features.domain_id or 'feature set'}: {k} reference(s) cannot span a subspace"
+            f"{sets[0].domain_id or 'feature set'}: {k} reference(s) cannot span a subspace"
         )
-    centered = features.features - features.mean
+    centered = np.array([fs.features for fs in sets]) - np.array([fs.mean for fs in sets])[:, None]
     _, svals, vt = np.linalg.svd(centered, full_matrices=False)
-    if svals[0] <= 0.0:
+    zero = np.flatnonzero(svals[:, 0] <= 0.0)
+    if zero.size:
         raise DegenerateDomain(
-            f"{features.domain_id or 'feature set'}: all centred features are zero"
+            f"{sets[zero[0]].domain_id or 'feature set'}: all centred features are zero"
         )
-    rank = int(np.count_nonzero(svals > RANK_TOLERANCE * svals[0]))
-    rank = min(rank, k - 1)
-    return DomainSubspace(mean=features.mean, basis=vt[:rank].T, singular_values=svals[:rank])
+    # DomainSubspace's checks, once for the stack: the shapes hold by construction
+    vt = locked_array(vt, "basis")
+    svals = locked_array(svals, "singular_values")
+    ranks = np.count_nonzero(svals > RANK_TOLERANCE * svals[:, :1], axis=1)
+    subspaces = []
+    for fs, s, v, rank in zip(sets, svals, vt, np.minimum(ranks, k - 1).tolist()):
+        basis = np.array(v[:rank].T)
+        basis.setflags(write=False)
+        subspaces.append(
+            assemble(DomainSubspace, mean=fs.mean, basis=basis, singular_values=s[:rank])
+        )
+    return subspaces[0] if isinstance(features, FeatureSet) else subspaces
 
 
 def project(subspace: DomainSubspace, point) -> Array:
@@ -253,17 +314,16 @@ def pca2d_export(feature_sets: list[FeatureSet]) -> list[tuple[str, float, float
         raise DegenerateDomain(
             f"need at least 3 pooled features for a 2D projection, got {pooled.shape[0]}"
         )
-    centered = pooled - pooled.mean(axis=0)
+    centered = pooled - _mean(pooled)
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
     directions = np.zeros((2, dim))
     directions[: min(2, vt.shape[0])] = vt[:2]
-    coords = centered @ directions.T
+    coords = (centered @ directions.T).tolist()
     rows: list[tuple[str, float, float]] = []
     offset = 0
     for i, fs in enumerate(feature_sets):
         label = fs.domain_id or f"set{i}"
-        for x, y in coords[offset : offset + fs.k]:
-            rows.append((label, float(x), float(y)))
+        rows.extend((label, x, y) for x, y in coords[offset : offset + fs.k])
         offset += fs.k
     return rows
 
@@ -277,7 +337,13 @@ def write_pca2d_csv(path, rows: list[tuple[str, float, float]]) -> None:
 
 
 def _spread(points: Array, centroid: Array) -> float:
-    return float(np.mean(np.linalg.norm(points - centroid, axis=1)))
+    """Mean distance from ``points`` to ``centroid``.
+
+    The bits of ``np.mean(np.linalg.norm(points - centroid, axis=1))``:
+    the same ufuncs, without the Python wrappers around them.
+    """
+    diff = points - centroid
+    return float(_mean(np.sqrt(np.add.reduce(diff * diff, axis=1))))
 
 
 def separation_ratio(feature_sets: list[FeatureSet]) -> float:
@@ -289,12 +355,11 @@ def separation_ratio(feature_sets: list[FeatureSet]) -> float:
         raise ConfigError("separation needs at least two feature sets")
     centroids = [fs.mean for fs in feature_sets]
     spreads = [_spread(fs.features, fs.mean) for fs in feature_sets]
-    min_gap = min(
-        float(np.linalg.norm(centroids[i] - centroids[j]))
-        for i in range(len(centroids))
-        for j in range(i + 1, len(centroids))
-    )
-    mean_spread = float(np.mean(spreads))
+    n = len(centroids)
+    gaps = (centroids[i] - centroids[j] for i in range(n) for j in range(i + 1, n))
+    # np.linalg.norm of a vector is sqrt(x.dot(x))
+    min_gap = min(float(np.sqrt(gap.dot(gap))) for gap in gaps)
+    mean_spread = float(_mean(np.array(spreads)))
     if mean_spread == 0.0:
         return float("inf")
     return min_gap / mean_spread
@@ -302,8 +367,8 @@ def separation_ratio(feature_sets: list[FeatureSet]) -> float:
 
 def separation_ratio_2d(rows: list[tuple[str, float, float]]) -> float:
     """Same ratio as :func:`separation_ratio`, on exported 2D coordinates."""
-    groups: dict[str, list[tuple[float, float]]] = {}
+    groups: dict[str, list[float]] = {}
     for label, x, y in rows:
-        groups.setdefault(label, []).append((x, y))
-    sets = [FeatureSet(points, domain_id=label) for label, points in groups.items()]
+        groups.setdefault(label, []).extend((x, y))
+    sets = [FeatureSet(np.reshape(xy, (-1, 2)), domain_id=label) for label, xy in groups.items()]
     return separation_ratio(sets)

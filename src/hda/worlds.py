@@ -21,7 +21,7 @@ import os
 import re
 import sys
 import typing
-from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from typing import Optional
 
 import numpy as np
@@ -32,6 +32,7 @@ from .seeding import derive_seed, stream_rng
 from .subspace import (
     DomainSubspace,
     FeatureSet,
+    assemble,
     build_subspace,
     locked_array,
     read_feature_csv,
@@ -324,15 +325,52 @@ class EncoderSpec:
 
 
 def make_encoder(encoder_id: str, seed: int, d_x: int, d_hidden: int, d_e: int) -> EncoderSpec:
-    """Encoder weights are a pure function of ``(seed, dims)``."""
+    """Encoder weights are a pure function of ``(seed, dims)``: :func:`make_encoders` of one."""
+    return make_encoders((encoder_id,), (seed,), d_x, d_hidden, d_e)[0]
+
+
+def make_encoders(
+    encoder_ids, seeds, d_x: int, d_hidden: int, d_e: int
+) -> tuple[EncoderSpec, ...]:
+    """One encoder per ``(encoder_id, seed)``, its weights a pure function of ``(seed, dims)``.
+
+    From the seed's ``"encoder-init"`` stream, in this order: ``w1`` is
+    ``N(0, 1)`` over ``sqrt(d_x)``, ``b1`` is ``N(0, 1)`` times 0.1 plus
+    :data:`ENCODER_BIAS_CENTER`, and ``w2`` is ``N(0, 1)`` over
+    ``sqrt(d_hidden)``; ``b2`` is zero.  Each encoder draws into weight
+    stacks along a leading encoder axis, which are scaled, locked and
+    checked once; each spec holds views into them.
+    """
     if min(d_x, d_hidden, d_e) < 1:
         raise ConfigError("encoder dimensions must be positive")
-    rng = stream_rng(seed, "encoder-init")
-    w1 = rng.standard_normal((d_hidden, d_x)) / np.sqrt(d_x)
-    b1 = rng.standard_normal(d_hidden) * 0.1 + ENCODER_BIAS_CENTER
-    w2 = rng.standard_normal((d_e, d_hidden)) / np.sqrt(d_hidden)
-    b2 = np.zeros(d_e)
-    return EncoderSpec(encoder_id=encoder_id, seed=int(seed), w1=w1, b1=b1, w2=w2, b2=b2)
+    ids = [_check_identifier(encoder_id, "encoder") for encoder_id in encoder_ids]
+    n = len(ids)
+    if len(seeds) != n:
+        raise ConfigError(f"{n} encoder ids but {len(seeds)} seeds")
+    w1 = np.empty((n, d_hidden, d_x))
+    b1 = np.empty((n, d_hidden))
+    w2 = np.empty((n, d_e, d_hidden))
+    for i, seed in enumerate(seeds):
+        rng = stream_rng(seed, "encoder-init")
+        for out in (w1[i], b1[i], w2[i]):
+            rng.standard_normal(out=out)
+    w1 /= np.sqrt(d_x)
+    b1 *= 0.1
+    b1 += ENCODER_BIAS_CENTER
+    w2 /= np.sqrt(d_hidden)
+    stacks = [
+        locked_array(arr, f"encoder {name}")
+        for name, arr in zip(PARAM_FIELDS, (w1, b1, w2, np.zeros((n, d_e))))
+    ]
+    return tuple(
+        assemble(
+            EncoderSpec,
+            encoder_id=encoder_id,
+            seed=int(seed),
+            **{name: stack[i] for name, stack in zip(PARAM_FIELDS, stacks)},
+        )
+        for i, (encoder_id, seed) in enumerate(zip(ids, seeds))
+    )
 
 
 def encode(encoders, x) -> Array:
@@ -504,10 +542,10 @@ def make_source_generator(
 
 def default_world_config(seed: int = DEFAULT_WORLD_SEED, n_domains: int = 2) -> WorldConfig:
     """Two orthogonal attribute shifts of size 5, noise 0.2, 10 shots."""
-    base = WorldConfig(seed=seed)
-    if not 1 <= n_domains <= len(base.domains):
-        raise ConfigError(f"n_domains must be in [1, {len(base.domains)}]")
-    return replace(base, domains=base.domains[:n_domains])
+    domains = _default_domains(WorldConfig.d_x)
+    if not 1 <= n_domains <= len(domains):
+        raise ConfigError(f"n_domains must be in [1, {len(domains)}]")
+    return WorldConfig(seed=seed, domains=domains[:n_domains])
 
 
 @dataclass(frozen=True)
@@ -559,24 +597,31 @@ class World:
 
     @functools.cached_property
     def _feature_sets(self) -> dict[str, dict[str, FeatureSet]]:
-        """``encoder_id -> domain_id ->`` features: every encoder on all references at once."""
+        """``encoder_id -> domain_id ->`` features: every encoder on all references at once.
+
+        Each domain's ``(encoders, k, d_e)`` block is checked and averaged
+        once, as one :meth:`FeatureSet.stack`.
+        """
         encoders = (*self.train_encoders, self.held_out_encoder)
         ids = tuple(self.references)
         stacked = encode(encoders, np.concatenate([self.references[d] for d in ids]))
         bounds = np.cumsum([self.references[d].shape[0] for d in ids])[:-1]
+        per_domain = [
+            FeatureSet.stack(block, domain_id=d)
+            for d, block in zip(ids, np.split(stacked, bounds, axis=1))
+        ]
         return {
-            enc.encoder_id: {
-                d: FeatureSet(f, domain_id=d)
-                for d, f in zip(ids, np.split(features, bounds))
-            }
-            for enc, features in zip(encoders, stacked)
+            enc.encoder_id: dict(zip(ids, sets)) for enc, sets in zip(encoders, zip(*per_domain))
         }
 
-    def source_feature_set(self, encoder: EncoderSpec, k: int) -> FeatureSet:
-        points = sample_source_points(
+    def source_points(self, k: int) -> Array:
+        """``k`` source samples, the cluster that stands in for the source domain.
+
+        They depend on the world seed alone, not on any encoder.
+        """
+        return sample_source_points(
             self.source_generator, k, derive_seed(self.config.seed, "source-cluster")
         )
-        return FeatureSet(encode(encoder, points), domain_id="source")
 
 
 def _world_models(
@@ -590,24 +635,16 @@ def _world_models(
         d_x=config.d_x,
         output_gain=config.output_gain,
     )
-    train = tuple(
-        make_encoder(
-            f"train{i}",
-            derive_seed(config.seed, "train-encoder", i),
-            d_x=config.d_x,
-            d_hidden=config.encoder_hidden,
-            d_e=config.d_e,
-        )
-        for i in range(config.n_train_encoders)
-    )
-    held_out = make_encoder(
-        "heldout",
-        derive_seed(config.seed, "held-out-encoder"),
+    n = config.n_train_encoders
+    *train, held_out = make_encoders(
+        [f"train{i}" for i in range(n)] + ["heldout"],
+        [derive_seed(config.seed, "train-encoder", i) for i in range(n)]
+        + [derive_seed(config.seed, "held-out-encoder")],
         d_x=config.d_x,
         d_hidden=config.encoder_hidden,
         d_e=config.d_e,
     )
-    return source, train, held_out
+    return source, tuple(train), held_out
 
 
 def build_world(config: WorldConfig) -> World:
@@ -656,11 +693,14 @@ def load_world(world_dir) -> World:
 
 
 def build_world_subspaces(world: World) -> dict[str, dict[str, DomainSubspace]]:
-    """Per-(encoder, domain) subspaces for all encoders incl. the held-out one."""
-    out: dict[str, dict[str, DomainSubspace]] = {}
-    for enc in list(world.train_encoders) + [world.held_out_encoder]:
-        per_domain = {}
-        for dom in world.domains:
-            per_domain[dom.domain_id] = build_subspace(world.feature_set(enc, dom.domain_id))
-        out[enc.encoder_id] = per_domain
+    """Per-(encoder, domain) subspaces for all encoders incl. the held-out one.
+
+    One :func:`build_subspace` call per domain covers every encoder.
+    """
+    encoders = (*world.train_encoders, world.held_out_encoder)
+    out: dict[str, dict[str, DomainSubspace]] = {enc.encoder_id: {} for enc in encoders}
+    for dom in world.domains:
+        subs = build_subspace([world.feature_set(enc, dom.domain_id) for enc in encoders])
+        for enc, sub in zip(encoders, subs):
+            out[enc.encoder_id][dom.domain_id] = sub
     return out

@@ -25,15 +25,18 @@ from hda.engine import (
 )
 from hda.errors import ConfigError, DegenerateDomain, NumericalError
 from hda.losses import DomainWeight, ObjectivePlan, hda_objective
-from hda.seeding import stream_rng
-from hda.subspace import DomainSubspace
+from hda import worlds
+from hda.seeding import derive_seed, stream_rng
+from hda.subspace import DomainSubspace, FeatureSet, separation_ratio
 from hda.worlds import (
     PARAM_FIELDS,
     build_world,
     build_world_subspaces,
     default_world_config,
+    encode,
     json_doc,
     read_object,
+    sample_source_points,
 )
 
 
@@ -382,6 +385,24 @@ def test_separability_report_values(world):
     assert set(ratios) == set(world.train_encoder_ids)
     for value in ratios.values():
         assert value > 3.0
+
+
+@pytest.mark.parametrize("domain_id", ["attr0", "attr1"])
+def test_single_domain_separability_draws_the_source_cluster_once(world, monkeypatch, domain_id):
+    # each encoder's ratio against its own draw of the source cluster, as before
+    k = world.domain(domain_id).k
+    seed = derive_seed(world.config.seed, "source-cluster")
+    want = {}
+    for enc in world.train_encoders:
+        points = sample_source_points(world.source_generator, k, seed)
+        source = FeatureSet(encode(enc, points), domain_id="source")
+        want[enc.encoder_id] = separation_ratio([world.feature_set(enc, domain_id), source])
+    draws = []
+    real = worlds.sample_source_points
+    monkeypatch.setattr(worlds, "sample_source_points", lambda *a: draws.append(a) or real(*a))
+    got = check_separability(world, world.train_encoder_ids, (domain_id,))
+    assert got == want  # exact float equality
+    assert len(draws) == 1
 
 
 def test_run_rejects_foreign_encoders(world, subspaces):

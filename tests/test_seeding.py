@@ -1,10 +1,12 @@
 """Labelled RNG streams: reproducible, label-separated, validated."""
 
+import zlib
+
 import numpy as np
 import pytest
 
 from hda.errors import ConfigError
-from hda.seeding import derive_seed, stream_rng
+from hda.seeding import _sequence, derive_seed, stream_rng
 
 
 def test_same_labels_same_stream():
@@ -50,7 +52,15 @@ def test_derived_stream_matches_derived_seed():
     np.testing.assert_array_equal(a, b)
 
 
-@pytest.mark.parametrize("bad", [-1, -100])
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 5])
+def test_sequence_is_the_seed_sequence_of_the_seed_and_label_crcs(seed):
+    labels = (7, "référence-ü")
+    keys = tuple(zlib.crc32(str(label).encode("utf8")) for label in labels)
+    want = np.random.SeedSequence((seed,) + keys).generate_state(8)
+    np.testing.assert_array_equal(_sequence(seed, labels).generate_state(8), want)
+
+
+@pytest.mark.parametrize("bad", [-1, -100, -(2**64)])
 def test_negative_seed_rejected(bad):
     with pytest.raises(ConfigError):
         stream_rng(bad, "train-z")

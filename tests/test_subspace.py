@@ -1,6 +1,7 @@
 """Affine subspace construction and projection against hand values and lstsq."""
 
 import ast
+import itertools
 import json
 from pathlib import Path
 
@@ -10,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hda
-from hda.errors import ConfigError, DegenerateDomain, NumericalError
+from hda.errors import ConfigError, DegenerateDomain, DimensionError, NumericalError
 from hda.seeding import stream_rng
 from hda.subspace import (
     DomainSubspace,
@@ -201,6 +202,43 @@ def test_separation_ratio_hand_value():
     a = FeatureSet(np.array([[0.0, 0.0], [0.0, 2.0]]), domain_id="a")
     b = FeatureSet(np.array([[10.0, 0.0], [10.0, 2.0]]), domain_id="b")
     assert separation_ratio([a, b]) == pytest.approx(10.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_means_and_ratios_equal_numpys_bit_for_bit(seed):
+    # FeatureSet and separation_ratio skip np.mean's and np.linalg.norm's wrappers
+    rng = stream_rng(seed, "reduction-oracle")
+    d = int(rng.integers(1, 40))
+    sets = [
+        FeatureSet(
+            rng.standard_normal((int(rng.integers(1, 300)), d)) * 10.0 ** rng.uniform(-3, 3)
+            + rng.standard_normal(d)
+        )
+        for _ in range(int(rng.integers(2, 5)))
+    ]
+    for fs in sets:
+        assert fs.mean.tobytes() == np.mean(fs.features, axis=0).tobytes()
+    stack = rng.standard_normal((3, int(rng.integers(1, 30)), d))
+    for fs, x in zip(FeatureSet.stack(stack), stack):
+        assert fs.features.tobytes() == x.tobytes()
+        assert fs.mean.tobytes() == np.mean(x, axis=0).tobytes()
+    spreads = [float(np.mean(np.linalg.norm(fs.features - fs.mean, axis=1))) for fs in sets]
+    gaps = [float(np.linalg.norm(a.mean - b.mean)) for a, b in itertools.combinations(sets, 2)]
+    assert separation_ratio(sets) == min(gaps) / float(np.mean(spreads))
+
+
+def test_a_stack_names_its_degenerate_domain():
+    rng = stream_rng(4, "degenerate-stack")
+    fine = FeatureSet(rng.standard_normal((3, 4)), domain_id="fine")
+    flat = FeatureSet(np.ones((3, 4)), domain_id="flat")
+    with pytest.raises(DegenerateDomain, match="^flat: all centred features are zero"):
+        build_subspace([fine, flat])
+    with pytest.raises(DegenerateDomain, match="^solo: 1 reference"):
+        build_subspace(FeatureSet.stack(rng.standard_normal((2, 1, 4)), domain_id="solo"))
+    with pytest.raises(DimensionError, match=r"one \(k, d\)"):
+        build_subspace([fine, FeatureSet(rng.standard_normal((4, 4)))])
+    with pytest.raises(DegenerateDomain, match="no feature sets"):
+        build_subspace([])
 
 
 def test_separation_ratio_needs_two_sets():

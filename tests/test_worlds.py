@@ -10,11 +10,13 @@ import pytest
 from hda import autodiff as ad
 from hda.autodiff import Tape, grad_check
 from hda.engine import AdaptationConfig, default_adaptation_config
-from hda.errors import ConfigError, DimensionError, NumericalError
+from hda.errors import ConfigError, DegenerateDomain, DimensionError, NumericalError
 from hda.losses import DomainWeight
 from hda.seeding import stream_rng
-from hda.subspace import FeatureSet, build_subspace
+from hda.subspace import RANK_TOLERANCE, FeatureSet, build_subspace
 from hda.worlds import (
+    ENCODER_BIAS_CENTER,
+    PARAM_FIELDS,
     GeneratorParams,
     SyntheticDomainSpec,
     WorldConfig,
@@ -30,6 +32,7 @@ from hda.worlds import (
     json_doc,
     load_world,
     make_encoder,
+    make_encoders,
     make_source_generator,
     read_object,
     sample_domain_references,
@@ -227,6 +230,25 @@ def test_make_encoder_is_seeded(world):
     assert not np.array_equal(a.w1, c.w1)
 
 
+def test_encoder_stack_draws_each_encoder_from_its_own_stream():
+    seeds = (9, 10, 2**64 - 1)
+    d_x, h, d_e = STOCK_ENCODER["d_x"], STOCK_ENCODER["d_hidden"], STOCK_ENCODER["d_e"]
+    for spec, seed in zip(make_encoders(("a", "b", "c"), seeds, **STOCK_ENCODER), seeds):
+        rng = stream_rng(seed, "encoder-init")
+        want = (
+            rng.standard_normal((h, d_x)) / np.sqrt(d_x),
+            rng.standard_normal(h) * 0.1 + ENCODER_BIAS_CENTER,
+            rng.standard_normal((d_e, h)) / np.sqrt(h),
+            np.zeros(d_e),
+        )
+        for name, expected in zip(PARAM_FIELDS, want):
+            got = getattr(spec, name)
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+            assert not got.flags.writeable
+    with pytest.raises(ConfigError, match="2 encoder ids but 1 seeds"):
+        make_encoders(("a", "b"), (9,), **STOCK_ENCODER)
+
+
 def test_save_load_world_round_trip(tmp_path, world):
     out = tmp_path / "world"
     save_world(world, out)
@@ -331,6 +353,41 @@ def test_cached_feature_sets_equal_the_per_slot_path(make_world):
             sub, per_slot = subspaces[enc.encoder_id][domain_id], build_subspace(want)
             for name in ("mean", "basis", "singular_values"):
                 np.testing.assert_array_equal(getattr(sub, name), getattr(per_slot, name))
+
+
+def _reference_subspace(fs: FeatureSet) -> dict:
+    """The per-set build: one 2-D thin SVD of the set's centred features."""
+    _, svals, vt = np.linalg.svd(fs.features - fs.mean, full_matrices=False)
+    rank = min(int(np.count_nonzero(svals > RANK_TOLERANCE * svals[0])), fs.k - 1)
+    return {"mean": fs.mean, "basis": np.array(vt[:rank].T), "singular_values": svals[:rank]}
+
+
+STACKED_WORLDS = {
+    "seeds 307-406": lambda: [build_world(default_world_config(s)) for s in range(307, 407)],
+    "k 3 and 10": lambda: [_unequal_k_world()],
+}
+
+
+@pytest.mark.parametrize("make_worlds", STACKED_WORLDS.values(), ids=list(STACKED_WORLDS))
+def test_stacked_subspaces_equal_per_set_builds(make_worlds):
+    """One stacked SVD per domain gives each subspace the bits and layout of its own 2-D SVD."""
+    for world in make_worlds():
+        subspaces = build_world_subspaces(world)
+        for enc in (*world.train_encoders, world.held_out_encoder):
+            for domain_id in world.references:
+                sub = subspaces[enc.encoder_id][domain_id]
+                for name, want in _reference_subspace(world.feature_set(enc, domain_id)).items():
+                    got = getattr(sub, name)
+                    assert got.shape == want.shape and got.strides == want.strides
+                    assert got.tobytes() == want.tobytes()
+                    assert not got.flags.writeable
+
+
+def test_world_subspaces_name_a_single_shot_domain():
+    base = default_world_config()
+    world = build_world(replace(base, domains=(base.domains[0], replace(base.domains[1], k=1))))
+    with pytest.raises(DegenerateDomain, match="^attr1: 1 reference"):
+        build_world_subspaces(world)
 
 
 def test_world_references_are_locked_copies_and_foreign_specs_refused(world):
