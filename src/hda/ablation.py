@@ -11,9 +11,9 @@ from dataclasses import dataclass, replace
 
 from .engine import AdaptationConfig, run_adaptation
 from .errors import ConfigError
+from .files import write_csv, write_json
 from .losses import loss_total
 from .metrics import EVAL_SAMPLES, EVAL_SEED, MetricsReport, SnapshotPlan, round12
-from .subspace import write_atomic, write_json
 from .worlds import World, build_world_subspaces
 
 VARIANTS = ("full", "dist_only", "direct_only")
@@ -51,12 +51,10 @@ def ablation_suite(
     ablated ingredient.
     """
     subspaces = build_world_subspaces(world)
-    held_out = world.held_out_encoder
     snapshot = SnapshotPlan(
         world.source_generator,
-        held_out,
-        {d: subspaces[held_out.encoder_id][d] for d in base_config.domain_ids},
-        {d: world.references[d] for d in base_config.domain_ids},
+        world.held_out_encoder,
+        *world.held_out_targets(subspaces, base_config.domain_ids),
         n_samples,
         eval_seed,
     )
@@ -100,22 +98,15 @@ def save_ablation(rows: list[AblationRow], out_dir) -> None:
 
     A non-finite value is a :class:`NumericalError` raised before either file is touched.
     """
-    os.makedirs(out_dir, exist_ok=True)
     domains = list(rows[0].report.semantic_similarity) if rows else []
     header = ["variant", "encoder_mode", "encoder_ids", "final_total", "consistency", "diversity"]
     header += [f"semantic_similarity_{d}" for d in domains]
-    lines = [",".join(header)]
-    for row in rows:
-        cells = [
-            row.variant,
-            row.encoder_mode,
-            "|".join(row.encoder_ids),
-            repr(round12(row.final_total)),
-            repr(round12(row.report.consistency)),
-            repr(round12(row.report.diversity)),
-        ]
-        cells += [repr(round12(row.report.semantic_similarity[d])) for d in domains]
-        lines.append(",".join(cells))
-    # the CSV holds the JSON's numbers, so the JSON's finiteness check, made first, covers it
+    cells = [
+        [row.variant, row.encoder_mode, "|".join(row.encoder_ids)]
+        + [round12(x) for x in (row.final_total, row.report.consistency, row.report.diversity)]
+        + [round12(row.report.semantic_similarity[d]) for d in domains]
+        for row in rows
+    ]
+    # the JSON, written first, holds every number of the CSV
     write_json(os.path.join(out_dir, ABLATION_JSON), rows_to_json_dict(rows))
-    write_atomic(os.path.join(out_dir, ABLATION_CSV), "\n".join(lines) + "\n")
+    write_csv(os.path.join(out_dir, ABLATION_CSV), header, cells)

@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 on success, 2 for missing or invalid files and
-configuration problems, 3 for numerical failures (non-finite values,
-degenerate feature sets, failed gradient checks).
+configuration problems (a world that lacks a run's domain or sizes
+included), 3 for numerical failures (non-finite values, degenerate
+feature sets, failed gradient checks).
 """
 from __future__ import annotations
 
@@ -29,19 +30,17 @@ from .errors import (
     DimensionError,
     NumericalError,
 )
+from .files import json_doc, read_document, read_json, read_object, write_csv, write_json
 from .losses import loss_total
-from .metrics import EVAL_SAMPLES, EVAL_SEED, evaluate, write_report
-from .subspace import pca2d_export, read_json, write_json, write_pca2d_csv
+from .metrics import EVAL_SAMPLES, EVAL_SEED, evaluate
+from .subspace import pca2d_export
 from .worlds import (
     World,
     WorldConfig,
     build_world,
     build_world_subspaces,
     default_world_config,
-    json_doc,
     load_world,
-    read_document,
-    read_object,
     save_world,
 )
 
@@ -69,7 +68,6 @@ def _write_last_good(exc, out_dir) -> None:
         return
     path = os.path.join(out_dir, "last_good_params.json")
     try:
-        os.makedirs(out_dir, exist_ok=True)
         write_json(path, {"step": exc.step, "params": json_doc(params)})
     except Exception as write_exc:  # the run has already failed; keep its exit code
         click.echo(f"warning: last good parameters not written: {write_exc}", err=True)
@@ -109,7 +107,6 @@ def build_subspaces(world_dir, out_dir):
     """Write one subspace JSON per (encoder, domain) pair."""
     world = load_world(world_dir)
     subspaces = build_world_subspaces(world)
-    os.makedirs(out_dir, exist_ok=True)
     count = 0
     for encoder_id, per_domain in subspaces.items():
         for domain_id, sub in per_domain.items():
@@ -177,19 +174,17 @@ def eval_cmd(run_dir, out_path, world_override, n_samples, seed):
     if not world_dir:
         raise ConfigError("run does not record a world directory; pass --world")
     world = load_world(world_dir)
-    subspaces = build_world_subspaces(world)
-    held_out = world.held_out_encoder
+    source, run = world.source_generator, record.final_params
+    if (source.d_z, source.d_x) != (run.d_z, run.d_x):
+        raise ConfigError(f"{world_dir}: generator (d_z, d_x) is {(source.d_z, source.d_x)}, "
+                          f"the run's is {(run.d_z, run.d_x)}")
     domain_ids = record.config.domain_ids
-    report = evaluate(
-        record.final_params,
-        world.source_generator,
-        held_out,
-        {d: subspaces[held_out.encoder_id][d] for d in domain_ids},
-        {d: world.references[d] for d in domain_ids},
-        n_samples,
-        seed,
-    )
-    write_report(report, out_path)
+    try:
+        targets = world.held_out_targets(build_world_subspaces(world), domain_ids)
+    except ConfigError as exc:
+        raise ConfigError(f"{world_dir}: {exc}; the run adapts toward {list(domain_ids)}") from exc
+    report = evaluate(run, source, world.held_out_encoder, *targets, n_samples, seed)
+    write_json(out_path, report.to_json_dict())
     click.echo(f"report written to {out_path}")
 
 
@@ -240,7 +235,7 @@ def export_viz(world_dir, out_path, encoder_id):
     enc = world.encoder(encoder_id) if encoder_id else world.held_out_encoder
     sets = [world.feature_set(enc, d.domain_id) for d in world.domains]
     rows = pca2d_export(sets)
-    write_pca2d_csv(out_path, rows)
+    write_csv(out_path, ("domain_id", "x", "y"), rows)
     click.echo(f"{len(rows)} coordinates written to {out_path}")
 
 

@@ -19,15 +19,14 @@ from .errors import ConfigError, DegenerateDomain, NumericalError
 from .losses import DomainWeight, LossBreakdown, ObjectivePlan, loss_breakdowns, loss_total
 from .metrics import MetricsReport, SnapshotPlan
 from .seeding import derive_seed, stream_rng
-from .subspace import DomainSubspace, FeatureSet, locked_array, separation_ratio, write_json
+from .files import json_doc, read_document, write_json
+from .subspace import DomainSubspace, FeatureSet, locked_array, separation_ratio
 from .worlds import (
     GeneratorParams,
     World,
     encode,
     flatten_generator,
     generator_views,
-    json_doc,
-    read_document,
     unflatten_generator,
 )
 
@@ -210,7 +209,7 @@ class Checkpoint:
 
 @dataclass
 class RunRecord:
-    """Everything one adaptation run produced; ``final_params`` are the last checkpoint's.
+    """Everything one adaptation run produced.
 
     Row ``i`` of ``dist`` and ``direct`` holds step ``i + 1``'s per-encoder
     batch means of the two losses, one column per ``config.encoder_ids``.
@@ -220,8 +219,12 @@ class RunRecord:
     dist: Array  # (steps, E)
     direct: Array  # (steps, E)
     snapshots: list[MetricSnapshot]
-    final_params: GeneratorParams
     checkpoints: dict[str, Checkpoint]  # "first", "best", "last"
+
+    @property
+    def final_params(self) -> GeneratorParams:
+        """The parameters of the last step: the ``last`` checkpoint's."""
+        return self.checkpoints["last"].params
 
     @property
     def step_losses(self) -> list[LossBreakdown]:
@@ -237,10 +240,7 @@ class RunRecord:
 
 @dataclass(frozen=True)
 class _RunFile:
-    """A :class:`RunRecord` as ``run_record.json`` holds it, with the world.
-
-    ``final_params`` are the last checkpoint's.
-    """
+    """A :class:`RunRecord` as ``run_record.json`` holds it, with the world."""
 
     config: AdaptationConfig
     world_dir: str
@@ -354,8 +354,7 @@ def run_adaptation(
     snapshot = SnapshotPlan(
         source,
         held_out,
-        {d: subspaces[held_out.encoder_id][d] for d in config.domain_ids},
-        {d: world.references[d] for d in config.domain_ids},
+        *world.held_out_targets(subspaces, config.domain_ids),
         SNAPSHOT_SAMPLES,
         derive_seed(config.seed, "snapshot-eval"),
     )
@@ -418,7 +417,6 @@ def run_adaptation(
         dist=dist_sums * inv_batch,
         direct=direct_sums * inv_batch,
         snapshots=snapshots,
-        final_params=final,
         checkpoints=checkpoints,
     )
 
@@ -432,7 +430,6 @@ def save_run(record: RunRecord, out_dir, world_dir: str = "") -> None:
     if not (np.isfinite(record.dist).all() and np.isfinite(record.direct).all()):
         # ahead of _RunFile, whose check would call it a malformed record
         raise NumericalError(f"{path}: refusing to write a non-finite loss")
-    os.makedirs(out_dir, exist_ok=True)
     doc = _RunFile(
         config=record.config,
         world_dir=world_dir,
@@ -457,7 +454,6 @@ def load_run(run_dir) -> tuple[RunRecord, str]:
         dist=doc.dist,
         direct=doc.direct,
         snapshots=list(doc.snapshots),
-        final_params=doc.checkpoints["last"].params,
         checkpoints=doc.checkpoints,
     )
     return record, doc.world_dir

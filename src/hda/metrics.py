@@ -24,7 +24,7 @@ import numpy as np
 from .autodiff import matmul_rows
 from .errors import ConfigError, DimensionError
 from .seeding import stream_rng
-from .subspace import DomainSubspace, project, write_json
+from .subspace import DomainSubspace, project
 from .worlds import EncoderSpec, GeneratorParams, encode
 
 Array = np.ndarray
@@ -59,11 +59,6 @@ class MetricsReport:
     def mean_distance(self, domain_id: str) -> float:
         """Positive mean subspace distance for one domain."""
         return -self.semantic_similarity[domain_id]
-
-
-def write_report(report: MetricsReport, path) -> None:
-    """Write the report as JSON, replacing ``path`` whole; a non-finite metric is refused."""
-    write_json(path, report.to_json_dict())
 
 
 def _pairwise_cosine(a: Array, b: Array) -> Array:

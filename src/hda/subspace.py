@@ -11,18 +11,19 @@ the stack equals its own decomposition bit for bit.
 Distances to a subspace are always measured to the orthogonal
 projection ``f* = basis @ basis.T @ (p - mean) + mean``, computed for a
 batch of row vectors as ``(P - mean) @ basis @ basis.T + mean``.
+
+This module holds the geometry only; feature CSVs and subspace JSONs
+go through :mod:`hda.files`.
 """
 from __future__ import annotations
 
-import json
-import os
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
 
 import numpy as np
 
 from .autodiff import matmul_rows
-from .errors import ConfigError, DegenerateDomain, DimensionError, NumericalError
+from .errors import ConfigError, DegenerateDomain, DimensionError
 
 Array = np.ndarray
 
@@ -33,7 +34,7 @@ _AXES = {1: "a vector", 2: "a matrix", 3: "a stack of matrices"}
 
 
 def locked_array(
-    value, name: str, *, ndim: Optional[int] = None, shape: Optional[tuple] = None
+    value, name: str, *, ndim: int | None = None, shape: tuple | None = None
 ) -> Array:
     """A read-only float64 copy of ``value`` with ``ndim`` axes or exactly ``shape``, all finite."""
     arr = np.array(value, dtype=np.float64)
@@ -103,97 +104,6 @@ class FeatureSet:
     @property
     def dim(self) -> int:
         return self.features.shape[1]
-
-
-def read_json(path, kind: str):
-    """The JSON document in the file ``path``, parsed but not yet checked.
-
-    A missing file, or text that is not JSON, is a :class:`ConfigError`
-    naming ``path``; ``kind`` says what the missing file should hold.
-    """
-    if not os.path.isfile(path):
-        raise ConfigError(f"{path}: {kind} not found")
-    with open(path, "r", encoding="utf8") as fh:
-        try:
-            return json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-
-
-def write_json(path, doc) -> None:
-    """Replace ``path`` with ``doc`` as indented JSON.
-
-    A NaN or infinity, which JSON cannot hold, is refused before ``path`` is touched.
-    """
-    try:
-        text = json.dumps(doc, indent=2, allow_nan=False)
-    except ValueError as exc:
-        raise NumericalError(f"{path}: refusing to write a non-finite value: {exc}") from exc
-    write_atomic(path, text + "\n")
-
-
-def write_atomic(path: str, text: str) -> None:
-    """Replace ``path`` through a temporary file beside it, never leaving a partial file."""
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-
-
-def _refuse_non_finite(path, values) -> None:
-    if not np.all(np.isfinite(values)):
-        raise NumericalError(f"{path}: refusing to write a non-finite value")
-
-
-def write_feature_csv(path, features: Array) -> None:
-    """Write a ``(k, d)`` feature matrix; first line is ``d,k``."""
-    feats = np.asarray(features, dtype=np.float64)
-    if feats.ndim != 2:
-        raise DimensionError(f"expected a (k, d) array, got shape {feats.shape}")
-    _refuse_non_finite(path, feats)
-    k, d = feats.shape
-    lines = [f"{d},{k}"]
-    for row in feats:
-        lines.append(",".join(repr(float(v)) for v in row))
-    write_atomic(path, "\n".join(lines) + "\n")
-
-
-def read_feature_csv(path) -> Array:
-    try:
-        with open(path, "r", encoding="utf8") as fh:
-            # (file line number, text) of the non-blank lines, so errors name the file's line
-            lines = [(i, line.strip()) for i, line in enumerate(fh, start=1) if line.strip()]
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
-    if not lines:
-        raise ConfigError(f"{path}: empty feature file")
-    header = lines[0][1].split(",")
-    if len(header) != 2:
-        raise ConfigError(f"{path}: header must be 'd,k'")
-    try:
-        d, k = int(header[0]), int(header[1])
-    except ValueError as exc:
-        raise ConfigError(f"{path}: non-integer header") from exc
-    if d < 0 or k < 0:
-        raise ConfigError(f"{path}: header counts must be non-negative, got '{d},{k}'")
-    if len(lines) - 1 != k:
-        raise ConfigError(f"{path}: header promises {k} rows, found {len(lines) - 1}")
-    rows = []
-    for i, line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != d:
-            raise ConfigError(f"{path}: line {i} has {len(parts)} values, expected {d}")
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError as exc:
-            raise ConfigError(f"{path}: line {i} has a non-numeric value") from exc
-        if not np.all(np.isfinite(rows[-1])):
-            raise ConfigError(f"{path}: line {i} has a non-finite value")
-    return np.array(rows, dtype=np.float64).reshape(k, d)
 
 
 @dataclass(frozen=True)
@@ -326,14 +236,6 @@ def pca2d_export(feature_sets: list[FeatureSet]) -> list[tuple[str, float, float
         rows.extend((label, x, y) for x, y in coords[offset : offset + fs.k])
         offset += fs.k
     return rows
-
-
-def write_pca2d_csv(path, rows: list[tuple[str, float, float]]) -> None:
-    _refuse_non_finite(path, [(x, y) for _, x, y in rows])
-    lines = ["domain_id,x,y"]
-    for label, x, y in rows:
-        lines.append(f"{label},{repr(x)},{repr(y)}")
-    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def _spread(points: Array, centroid: Array) -> float:

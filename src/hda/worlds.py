@@ -19,27 +19,15 @@ from __future__ import annotations
 import functools
 import os
 import re
-import sys
-import typing
-from dataclasses import MISSING, dataclass, fields, is_dataclass
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, DimensionError
+from .files import json_doc, read_document, read_feature_csv, write_csv, write_json
 from .seeding import derive_seed, stream_rng
-from .subspace import (
-    DomainSubspace,
-    FeatureSet,
-    assemble,
-    build_subspace,
-    locked_array,
-    read_feature_csv,
-    read_json,
-    write_feature_csv,
-    write_json,
-)
+from .subspace import DomainSubspace, FeatureSet, assemble, build_subspace, locked_array
 
 Array = np.ndarray
 
@@ -103,137 +91,6 @@ def _rows(x, width: int, kind: str, max_ndim: int = 2) -> Array:
     if x.shape[-1] != width:
         raise DimensionError(f"{kind} has length {x.shape[-1]}, expected {width}")
     return x
-
-
-#: ``type: (accepted Python types, what the error asks for)`` of a scalar field
-_SCALARS = {
-    bool: ((bool,), "true or false"),
-    int: ((int,), "a JSON integer"),
-    float: ((int, float), "a finite number"),
-    str: ((str,), "a string"),
-}
-
-_FLOAT_MAX = sys.float_info.max
-
-#: ``class -> {JSON key: (field name, default, annotated type)}``
-_FIELD_TABLES: dict[type, dict] = {}
-
-
-def read_value(hint, value, key: str):
-    """``value`` checked against the annotated type ``hint`` and converted to it."""
-    if type(value) is hint and (hint is not float or -_FLOAT_MAX <= value <= _FLOAT_MAX):
-        return value  # the common case, ahead of the general rules below
-    if hint in _SCALARS:
-        accepts, what = _SCALARS[hint]
-        if isinstance(value, accepts) and (hint is bool or not isinstance(value, bool)):
-            if hint is not float:
-                return value
-            # the bounds refuse NaN, infinities and integers too large for a float
-            if -_FLOAT_MAX <= value <= _FLOAT_MAX:
-                return float(value)
-        raise ConfigError(f"{key} must be {what}, got {value!r}")
-    if hint is np.ndarray:
-        # object cells keep each JSON value's type, so a boolean is not read as 1.0,
-        # and a ragged list leaves lists among them
-        cells = np.array(value if isinstance(value, list) else None, dtype=object)
-        if set(map(type, cells.flat)) <= {int, float}:
-            try:
-                return cells.astype(np.float64)
-            except OverflowError:  # an integer too large for a float
-                pass
-        raise ConfigError(f"{key} must be a rectangular list of numbers")
-    origin = typing.get_origin(hint)
-    if origin is typing.Union:  # Optional[X]
-        return None if value is None else read_value(typing.get_args(hint)[0], value, key)
-    if origin is tuple:
-        if not isinstance(value, list):
-            raise ConfigError(f"{key} must be a list, got {value!r}")
-        item = typing.get_args(hint)[0]
-        return tuple(read_value(item, v, f"{key}[{i}]") for i, v in enumerate(value))
-    if origin is dict:  # dict[str, X]; JSON object keys are strings
-        if not isinstance(value, dict):
-            raise ConfigError(f"{key} must be a JSON object, got {value!r}")
-        item = typing.get_args(hint)[1]
-        return {k: read_value(item, v, f"{key}[{k!r}]") for k, v in value.items()}
-    try:
-        return read_object(hint, value, hint.__name__)
-    except ConfigError as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
-
-
-def read_object(cls, data, kind: str):
-    """An instance of the dataclass ``cls`` built from a JSON object.
-
-    Each value is checked and converted by its field's annotated type:
-    ``bool`` takes only ``true``/``false``, ``int`` only a JSON integer,
-    ``float`` a finite number, ``str`` a string, ``tuple[X, ...]`` a
-    list, ``dict[str, X]`` an object, an array a rectangular list of
-    numbers, ``Optional`` also ``null``, and a nested dataclass this
-    reader again, with its class name as ``kind``.  A field's JSON key
-    is its ``"json"`` metadata, else its name.  An absent key takes the
-    field's default, so each default is written once, in the dataclass.
-    An unknown key (with a did-you-mean hint), a missing field without a
-    default, or a value of the wrong type is a :class:`ConfigError`
-    naming the key.  A :class:`DimensionError` from the constructor
-    (sizes that disagree) becomes a ``ConfigError`` naming ``kind``.
-    """
-    if not isinstance(data, dict):
-        raise ConfigError(f"{kind} must be a JSON object")
-    table = _FIELD_TABLES.get(cls)
-    if table is None:  # type hints are slow to resolve, so once per class
-        hints = typing.get_type_hints(cls)
-        table = _FIELD_TABLES[cls] = {
-            f.metadata.get("json", f.name): (f.name, f.default, hints[f.name]) for f in fields(cls)
-        }
-    for key in data:
-        if key not in table:
-            import difflib  # only to phrase the error
-
-            close = difflib.get_close_matches(str(key), table, n=1)
-            hint = f"; did you mean {close[0]!r}?" if close else ""
-            raise ConfigError(f"unknown {kind} key {key!r}{hint}")
-    values = {}
-    for key, (name, default, hint) in table.items():
-        if key in data:
-            values[name] = read_value(hint, data[key], key)
-        elif default is not MISSING:
-            values[name] = default
-        else:
-            raise ConfigError(f"{kind} is missing {key!r}")
-    try:
-        return cls(**values)
-    except DimensionError as exc:
-        raise ConfigError(f"{kind}: {exc}") from exc
-
-
-def read_document(cls, path, kind: str):
-    """``cls`` read by :func:`read_object` from the JSON file ``path``; errors name ``path``."""
-    doc = read_json(path, kind)
-    try:
-        return read_object(cls, doc, kind)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
-def json_doc(obj) -> dict:
-    """The JSON object :func:`read_object` reads back into ``obj``, keys in field order."""
-    return {
-        f.metadata.get("json", f.name): _json_value(getattr(obj, f.name)) for f in fields(obj)
-    }
-
-
-def _json_value(value):
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, tuple):
-        return [_json_value(item) for item in value]
-    if isinstance(value, dict):
-        return {key: _json_value(item) for key, item in value.items()}
-    if hasattr(value, "to_json_dict"):
-        return value.to_json_dict()
-    if is_dataclass(value):
-        return json_doc(value)
-    return value
 
 
 @dataclass(frozen=True)
@@ -433,7 +290,7 @@ class SyntheticDomainSpec:
 
     domain_id: str
     attribute_shift: Array  # (d_x,)
-    attribute_transform: Optional[Array] = None  # (d_x, d_x)
+    attribute_transform: Array | None = None  # (d_x, d_x)
     noise_scale: float = 0.2
     k: int = 10
 
@@ -595,6 +452,17 @@ class World:
             raise ConfigError(f"encoder {encoder.encoder_id!r} is not this world's own spec")
         return self._feature_sets[encoder.encoder_id][domain_id]
 
+    def held_out_targets(self, subspaces, domain_ids) -> tuple[dict, dict]:
+        """The held-out encoder's subspaces and the references of ``domain_ids``, by domain id.
+
+        ``subspaces`` is :func:`build_world_subspaces` of this world; a
+        domain the world lacks is a :class:`ConfigError`.
+        """
+        for domain_id in domain_ids:
+            self.domain(domain_id)
+        held_out = subspaces[self.held_out_encoder.encoder_id]
+        return {d: held_out[d] for d in domain_ids}, {d: self.references[d] for d in domain_ids}
+
     @functools.cached_property
     def _feature_sets(self) -> dict[str, dict[str, FeatureSet]]:
         """``encoder_id -> domain_id ->`` features: every encoder on all references at once.
@@ -670,10 +538,11 @@ class _WorldFile:
 
 
 def save_world(world: World, out_dir) -> None:
-    os.makedirs(out_dir, exist_ok=True)
+    """Write ``world.json`` and one ``references_<domain>.csv`` per domain, headed ``d,k``."""
     write_json(os.path.join(out_dir, WORLD_FILE), json_doc(_WorldFile(world.config)))
     for domain_id, refs in world.references.items():
-        write_feature_csv(os.path.join(out_dir, f"references_{domain_id}.csv"), refs)
+        k, d = refs.shape
+        write_csv(os.path.join(out_dir, f"references_{domain_id}.csv"), (str(d), str(k)), refs)
 
 
 def load_world(world_dir) -> World:

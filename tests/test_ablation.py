@@ -99,4 +99,4 @@ def test_save_ablation_refuses_a_nan_metric_and_writes_nothing(tmp_path, rows):
     out = tmp_path / "grid"
     with pytest.raises(NumericalError, match="ablation.json: refusing to write a non-finite"):
         save_ablation(broken, out)
-    assert list(out.iterdir()) == []
+    assert not out.exists()

@@ -134,6 +134,17 @@ def test_eval_seed_changes_report(tmp_path, runner, tiny_run):
     assert a.read_bytes() != b.read_bytes()
 
 
+def test_eval_and_export_viz_create_a_missing_parent_directory(
+    tmp_path, runner, tiny_run, world_dir
+):
+    report, viz = tmp_path / "a" / "report.json", tmp_path / "b" / "c" / "viz.csv"
+    for args in (["eval", "--run", str(tiny_run), "--out", str(report), "--n-samples", "16"],
+                 ["export-viz", "--world", str(world_dir), "--out", str(viz)]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+    assert report.is_file() and viz.is_file()
+
+
 def test_ablate_writes_grid(tmp_path, runner, world_dir):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"steps": 4, "learning_rate": 0.01}), encoding="utf8")
@@ -576,6 +587,45 @@ def test_full_rank_subspace_world_exits_3(tmp_path, runner, world_dir):
     assert result.exit_code == 3
     assert "domain 'attr0' under encoder 'train0' has rank 16" in result.output
     assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("command", ["adapt", "ablate"])
+def test_unknown_domain_in_config_exits_2(tmp_path, runner, world_dir, command):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"domain_ids": ["nope"], "steps": 2}), encoding="utf8")
+    out = tmp_path / "out"
+    result = runner.invoke(
+        main, [command, "--config", str(config), "--world", str(world_dir), "--out", str(out)]
+    )
+    assert result.exit_code == 2, result.output
+    assert "error: unknown domain id 'nope'" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "world_config, named",
+    [
+        ({"domains": [{"domain_id": "other", "attribute_shift": [5.0] + [0.0] * 31}]},
+         "unknown domain id 'attr0'; the run adapts toward ['attr0', 'attr1']"),
+        ({"d_x": 16}, "generator (d_z, d_x) is (8, 16), the run's is (8, 32)"),
+    ],
+    ids=["missing-domains", "other-sizes"],
+)
+def test_eval_on_a_world_that_does_not_match_the_run_exits_2(
+    tmp_path, runner, tiny_run, world_config, named
+):
+    config = tmp_path / "world.json"
+    config.write_text(json.dumps(world_config), encoding="utf8")
+    other = tmp_path / "other-world"
+    result = runner.invoke(main, ["gen-world", "--config", str(config), "--out", str(other)])
+    assert result.exit_code == 0, result.output
+    out = tmp_path / "report.json"
+    result = runner.invoke(
+        main, ["eval", "--run", str(tiny_run), "--world", str(other), "--out", str(out)]
+    )
+    assert result.exit_code == 2, result.output
+    assert f"error: {other}: {named}" in result.output
+    assert not out.exists()
 
 
 def test_exploding_run_checkpoints_last_good_params_and_exits_3(tmp_path, runner, world_dir):

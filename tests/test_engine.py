@@ -24,6 +24,7 @@ from hda.engine import (
     training_chunks,
 )
 from hda.errors import ConfigError, DegenerateDomain, NumericalError
+from hda.files import json_doc, read_object
 from hda.losses import DomainWeight, ObjectivePlan, hda_objective
 from hda import worlds
 from hda.seeding import derive_seed, stream_rng
@@ -34,8 +35,6 @@ from hda.worlds import (
     build_world_subspaces,
     default_world_config,
     encode,
-    json_doc,
-    read_object,
     sample_source_points,
 )
 
@@ -414,6 +413,17 @@ def test_run_rejects_foreign_encoders(world, subspaces):
             world,
             subspaces,
         )
+
+
+def test_final_params_are_the_last_checkpoints(tmp_path, world, subspaces):
+    record = run_adaptation(_small_config(world, steps=3), world, subspaces)
+    assert record.final_params is record.checkpoints["last"].params
+    save_run(record, tmp_path / "run")
+    back, _ = load_run(tmp_path / "run")
+    assert back.final_params is back.checkpoints["last"].params
+    # a view of the checkpoint, not a second copy to keep in step
+    with pytest.raises(AttributeError):
+        record.final_params = record.checkpoints["first"].params
 
 
 def test_save_load_round_trip(tmp_path, world, subspaces):

@@ -11,6 +11,7 @@ import pytest
 from hda import engine, metrics
 from hda.engine import default_adaptation_config, run_adaptation
 from hda.errors import ConfigError, DimensionError, NumericalError
+from hda.files import read_object, write_json
 from hda.metrics import (
     MetricsReport,
     SnapshotPlan,
@@ -20,10 +21,9 @@ from hda.metrics import (
     _pair_block,
     evaluate,
     round12,
-    write_report,
 )
 from hda.seeding import derive_seed
-from hda.worlds import make_source_generator, read_object
+from hda.worlds import make_source_generator
 
 
 def _held_out_inputs(world, subspaces):
@@ -100,8 +100,8 @@ def test_report_file_is_byte_stable(tmp_path, world, subspaces):
     target = world.source_generator
     report = evaluate(target, world.source_generator, enc, held_subs, refs, 32, seed=0)
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    write_report(report, a)
-    write_report(report, b)
+    write_json(a, report.to_json_dict())
+    write_json(b, report.to_json_dict())
     assert a.read_bytes() == b.read_bytes()
     assert json.loads(a.read_text(encoding="utf8")) == report.to_json_dict()
 
@@ -371,5 +371,5 @@ def test_report_with_a_nan_metric_is_refused_and_leaves_no_file(tmp_path):
     )
     path = tmp_path / "report.json"
     with pytest.raises(NumericalError, match=f"{path}: refusing to write a non-finite"):
-        write_report(report, path)
+        write_json(path, report.to_json_dict())
     assert list(tmp_path.iterdir()) == []

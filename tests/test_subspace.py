@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import hda
 from hda.errors import ConfigError, DegenerateDomain, DimensionError, NumericalError
+from hda.files import json_doc, read_feature_csv, write_atomic, write_csv
 from hda.seeding import stream_rng
 from hda.subspace import (
     DomainSubspace,
@@ -19,14 +20,10 @@ from hda.subspace import (
     build_subspace,
     pca2d_export,
     project,
-    read_feature_csv,
     separation_ratio,
     separation_ratio_2d,
     subspace_distance_sq,
-    write_feature_csv,
-    write_pca2d_csv,
 )
-from hda.worlds import json_doc
 
 
 def _sub_from(points) -> DomainSubspace:
@@ -148,8 +145,9 @@ def test_point_subspace_json_document():
     assert doc == {"mean": [1.0, 2.0], "basis": [[], []], "singular_values": []}
 
 
-def _json_uses(node, scope: str, uses: set) -> set:
-    """``scope`` names of the functions in ``node`` that use json's readers or writers."""
+def _file_uses(node, scope: str, uses: set) -> set:
+    """``(scope, what)`` for each function in ``node`` that uses json's readers or writers
+    (``what`` is ``"json"``) or calls builtin ``open``, ``os.replace`` or ``os.remove``."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
         scope = f"{scope.split('.')[0]}.{node.name}"
     if (
@@ -158,37 +156,87 @@ def _json_uses(node, scope: str, uses: set) -> set:
         and node.value.id == "json"
         and node.attr in ("load", "loads", "dump", "dumps")
     ) or (isinstance(node, ast.ImportFrom) and node.module == "json"):
-        uses.add(scope)
+        uses.add((scope, "json"))
+    if isinstance(node, ast.Call):
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "open":
+            uses.add((scope, "open"))
+        if (
+            isinstance(func, ast.Attribute)
+            and isinstance(func.value, ast.Name)
+            and func.value.id == "os"
+            and func.attr in ("replace", "remove")
+        ):
+            uses.add((scope, f"os.{func.attr}"))
     for child in ast.iter_child_nodes(node):
-        _json_uses(child, scope, uses)
+        _file_uses(child, scope, uses)
     return uses
 
 
 def test_json_is_read_and_written_only_by_read_json_and_write_json():
     uses: set = set()
     for path in sorted(Path(hda.__file__).parent.glob("*.py")):
-        _json_uses(ast.parse(path.read_text(encoding="utf8")), path.stem, uses)
-    assert uses == {"subspace.read_json", "subspace.write_json"}
+        _file_uses(ast.parse(path.read_text(encoding="utf8")), path.stem, uses)
+    assert {scope for scope, what in uses if what == "json"} == {
+        "files.read_json",
+        "files.write_json",
+    }
+    # every file is opened, replaced and removed in hda.files alone
+    assert {scope.split(".")[0] for scope, _ in uses} == {"files"}
+    assert {(scope, what) for scope, what in uses if what != "json"} == {
+        ("files.read_json", "open"),
+        ("files.write_atomic", "open"),
+        ("files.write_atomic", "os.replace"),
+        ("files.write_atomic", "os.remove"),
+        ("files.read_feature_csv", "open"),
+    }
 
 
 def test_feature_csv_round_trip(tmp_path):
     rng = stream_rng(5, "subspace-test")
     feats = rng.standard_normal((10, 16))
     path = tmp_path / "refs.csv"
-    write_feature_csv(path, feats)
+    write_csv(path, ("16", "10"), feats)
     np.testing.assert_array_equal(read_feature_csv(path), feats)
+
+
+#: ``(header, good row, index of a number in it)`` of each CSV the package writes:
+#: reference features, ``export-viz`` coordinates and the ablation grid
+_CSV_LAYOUTS = {
+    "refs.csv": (("4", "3"), [1.0, 2.0, 3.0, 4.0], 2),
+    "viz.csv": (("domain_id", "x", "y"), ("a", 0.5, 1.0), 1),
+    "ablation.csv": (
+        ("variant", "encoder_mode", "encoder_ids", "final_total", "consistency", "diversity"),
+        ("full", "ensemble", "train0|train1", 0.25, 0.5, 0.75),
+        5,
+    ),
+}
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_csv_writers_refuse_non_finite_values_and_leave_no_file(tmp_path, bad):
-    feats = np.ones((3, 4))
-    feats[1, 2] = bad
-    path = tmp_path / "refs.csv"
-    with pytest.raises(NumericalError, match="refs.csv: refusing to write a non-finite"):
-        write_feature_csv(path, feats)
-    with pytest.raises(NumericalError, match="viz.csv: refusing to write a non-finite"):
-        write_pca2d_csv(tmp_path / "viz.csv", [("a", 0.5, 1.0), ("b", bad, 2.0)])
-    assert list(tmp_path.iterdir()) == []
+    for name, (header, good, at) in _CSV_LAYOUTS.items():
+        broken = list(good)
+        broken[at] = bad
+        path = tmp_path / "out" / name
+        with pytest.raises(NumericalError, match=f"{name}: refusing to write a non-finite"):
+            write_csv(path, header, [good, broken])
+        # nothing is written, not even the missing directory
+        assert list(tmp_path.iterdir()) == []
+        write_csv(path, header, [good])
+        assert path.read_text(encoding="utf8").splitlines()[1] == ",".join(
+            v if isinstance(v, str) else repr(v) for v in good
+        )
+        path.unlink()
+        path.parent.rmdir()
+
+
+def test_write_atomic_creates_a_missing_parent_and_leaves_no_temporary_file(tmp_path):
+    path = tmp_path / "a" / "b" / "out.json"
+    write_atomic(path, "one\n")
+    write_atomic(path, "two\n")
+    assert path.read_text(encoding="utf8") == "two\n"
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["a", "b", "out.json"]
 
 
 def test_feature_csv_rejects_bad_header(tmp_path):
@@ -262,7 +310,7 @@ def test_pca2d_separates_distinct_clusters(tmp_path):
     assert separation_ratio_2d(rows) > 10.0
     # the CSV export carries the same rows
     path = tmp_path / "viz.csv"
-    write_pca2d_csv(path, rows)
+    write_csv(path, ("domain_id", "x", "y"), rows)
     assert path.read_text(encoding="utf8").count("\n") == 41
 
 

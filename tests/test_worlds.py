@@ -11,6 +11,7 @@ from hda import autodiff as ad
 from hda.autodiff import Tape, grad_check
 from hda.engine import AdaptationConfig, default_adaptation_config
 from hda.errors import ConfigError, DegenerateDomain, DimensionError, NumericalError
+from hda.files import json_doc, read_object
 from hda.losses import DomainWeight
 from hda.seeding import stream_rng
 from hda.subspace import RANK_TOLERANCE, FeatureSet, build_subspace
@@ -29,12 +30,10 @@ from hda.worlds import (
     flatten_generator,
     generator_forward_var,
     generator_param_vars,
-    json_doc,
     load_world,
     make_encoder,
     make_encoders,
     make_source_generator,
-    read_object,
     sample_domain_references,
     sample_source_points,
     save_world,
@@ -267,7 +266,7 @@ def test_save_world_refuses_a_nan_and_leaves_no_file(tmp_path, world):
     path = re.escape(str(out / "world.json"))
     with pytest.raises(NumericalError, match=f"{path}: refusing to write a non-finite"):
         save_world(bad, out)
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_world_config_json_round_trip():
@@ -279,6 +278,17 @@ def test_world_config_json_round_trip():
     np.testing.assert_array_equal(
         back.domains[1].attribute_shift, config.domains[1].attribute_shift
     )
+
+
+def test_optional_transform_reads_null_and_a_matrix():
+    doc = json_doc(default_world_config().domains[0])
+    assert doc["attribute_transform"] is None
+    assert read_object(SyntheticDomainSpec, doc, "domain").attribute_transform is None
+    eye = np.eye(len(doc["attribute_shift"]))
+    back = read_object(SyntheticDomainSpec, {**doc, "attribute_transform": eye.tolist()}, "domain")
+    np.testing.assert_array_equal(back.attribute_transform, eye)
+    with pytest.raises(ConfigError, match="attribute_transform must be a rectangular list"):
+        read_object(SyntheticDomainSpec, {**doc, "attribute_transform": "eye"}, "domain")
 
 
 @pytest.mark.parametrize(
