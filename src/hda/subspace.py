@@ -190,9 +190,12 @@ def build_subspace(
 
 
 def project(subspace: DomainSubspace, point) -> Array:
-    """Orthogonal projection of a ``(d,)`` point or ``(n, d)`` rows onto the subspace."""
+    """Orthogonal projection of a ``(d,)`` point, ``(n, d)`` rows or ``(S, n, d)`` stacked rows.
+
+    Each slice of a stack equals its own projection bit for bit.
+    """
     p = np.asarray(point, dtype=np.float64)
-    if p.ndim not in (1, 2) or p.shape[-1:] != subspace.mean.shape:
+    if not 1 <= p.ndim <= 3 or p.shape[-1:] != subspace.mean.shape:
         raise DimensionError(
             f"point has shape {p.shape}, subspace lives in {subspace.mean.shape}"
         )
@@ -268,9 +271,15 @@ def separation_ratio(feature_sets: list[FeatureSet]) -> float:
 
 
 def separation_ratio_2d(rows: list[tuple[str, float, float]]) -> float:
-    """Same ratio as :func:`separation_ratio`, on exported 2D coordinates."""
-    groups: dict[str, list[float]] = {}
-    for label, x, y in rows:
-        groups.setdefault(label, []).extend((x, y))
-    sets = [FeatureSet(np.reshape(xy, (-1, 2)), domain_id=label) for label, xy in groups.items()]
-    return separation_ratio(sets)
+    """Same ratio as :func:`separation_ratio`, on exported 2D coordinates.
+
+    The rows form one set per label, in order of first appearance, each
+    holding its rows in their order.
+    """
+    coords = np.array([row[1:] for row in rows], dtype=np.float64).reshape(-1, 2)
+    groups: dict[str, list[int]] = {}
+    for i, (label, _, _) in enumerate(rows):
+        groups.setdefault(label, []).append(i)
+    return separation_ratio(
+        [FeatureSet(coords[indices], domain_id=label) for label, indices in groups.items()]
+    )

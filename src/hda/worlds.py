@@ -17,6 +17,7 @@ bit for bit.
 from __future__ import annotations
 
 import functools
+import math
 import os
 import re
 from dataclasses import dataclass
@@ -124,12 +125,22 @@ class GeneratorParams:
         products run as one BLAS call per batch.
         """
         z = _rows(z, self.d_z, "latent", max_ndim=3)
-        hidden = np.tanh(ad.matmul_rows(np.atleast_2d(z), self.w1.T) + self.b1)
-        x = ad.matmul_rows(hidden, self.w2.T) + self.b2
+        x = _generator_forward(self.w1, self.b1, self.w2, self.b2, np.atleast_2d(z))
         return x[0] if z.ndim == 1 else x
 
     def to_dict(self) -> dict[str, Array]:
         return {name: np.array(getattr(self, name)) for name in PARAM_FIELDS}
+
+
+def _generator_forward(w1, b1, w2, b2, z: Array) -> Array:
+    """``tanh(z @ w1.T + b1) @ w2.T + b2`` for one generator's weights or ``(S, ...)`` stacks.
+
+    ``z`` is ``(n, d_z)`` rows or ``(S, n, d_z)`` stacked batches.  Each
+    product is one BLAS call per slice, so each slice equals the 2-D
+    expression of its own weights and batch bit for bit.
+    """
+    hidden = np.tanh(ad.matmul_rows(z, w1.swapaxes(-1, -2)) + b1[..., None, :])
+    return ad.matmul_rows(hidden, w2.swapaxes(-1, -2)) + b2[..., None, :]
 
 
 def flatten_generator(gen: GeneratorParams) -> Array:
@@ -139,17 +150,29 @@ def flatten_generator(gen: GeneratorParams) -> Array:
 def generator_views(flat: Array, like: GeneratorParams) -> dict[str, Array]:
     """Named views into ``flat``, in :func:`flatten_generator`'s layout, shaped as ``like``'s.
 
-    Writing into ``flat`` changes the views, so they are built once per vector.
+    ``flat`` is one vector or an ``(S, P)`` stack of them, whose views
+    then have a leading axis of ``S``.  Writing into ``flat`` changes the
+    views, so they are built once per vector.
     """
     views, offset = {}, 0
     for name in PARAM_FIELDS:
         shape = getattr(like, name).shape
-        size = int(np.prod(shape))
-        views[name] = flat[offset : offset + size].reshape(shape)
+        size = math.prod(shape)
+        views[name] = flat[..., offset : offset + size].reshape(*flat.shape[:-1], *shape)
         offset += size
-    if offset != flat.size:
-        raise DimensionError(f"flat vector has {flat.size} entries, expected {offset}")
+    if offset != flat.shape[-1]:
+        raise DimensionError(f"flat vector has {flat.shape[-1]} entries, expected {offset}")
     return views
+
+
+def forward_stack(stack: Array, like: GeneratorParams, z: Array) -> Array:
+    """``(S, n, d_x)`` outputs of ``(n, d_z)`` latents under each generator of an ``(S, P)`` stack.
+
+    Row ``s`` of ``stack`` is a :func:`flatten_generator` vector shaped as
+    ``like``'s, and slice ``s`` of the result equals
+    ``unflatten_generator(stack[s], like).forward(z)`` bit for bit.
+    """
+    return _generator_forward(**generator_views(stack, like), z=z)
 
 
 def unflatten_generator(flat: Array, like: GeneratorParams) -> GeneratorParams:
@@ -237,10 +260,12 @@ def encode(encoders, x) -> Array:
     sequence of specs of one shape.  A sequence runs as one expression
     over weights stacked along a leading ensemble axis, giving
     ``(E, d_e)`` or ``(E, n, d_e)``, and row ``e`` equals ``encode``
-    under encoder ``e`` bit for bit.
+    under encoder ``e`` bit for bit.  One spec also takes ``(S, n, d_x)``
+    stacked rows, giving ``(S, n, d_e)``, each slice equal to its own
+    ``encode`` bit for bit.
     """
     w1, b1, w2, b2 = _encoder_weights(encoders)
-    x = _rows(x, w1.shape[-1], "input")
+    x = _rows(x, w1.shape[-1], "input", max_ndim=3 if w1.ndim == 2 else 2)
     hidden = _relu(ad.matmul_rows(np.atleast_2d(x), np.swapaxes(w1, -1, -2)) + b1)
     f = ad.matmul_rows(hidden, np.swapaxes(w2, -1, -2)) + b2
     return f[..., 0, :] if x.ndim == 1 else f
@@ -455,12 +480,18 @@ class World:
     def held_out_targets(self, subspaces, domain_ids) -> tuple[dict, dict]:
         """The held-out encoder's subspaces and the references of ``domain_ids``, by domain id.
 
-        ``subspaces`` is :func:`build_world_subspaces` of this world; a
-        domain the world lacks is a :class:`ConfigError`.
+        ``subspaces`` maps encoder ids to their subspaces by domain id, as
+        :func:`build_world_subspaces` of this world does.  A domain the
+        world lacks is a :class:`ConfigError`, and so, after every domain
+        is checked, is a domain without a held-out subspace.
         """
         for domain_id in domain_ids:
             self.domain(domain_id)
-        held_out = subspaces[self.held_out_encoder.encoder_id]
+        encoder_id = self.held_out_encoder.encoder_id
+        held_out = subspaces.get(encoder_id, {})
+        missing = [d for d in domain_ids if d not in held_out]
+        if missing:
+            raise ConfigError(f"missing subspaces for encoder {encoder_id!r}, domains {missing}")
         return {d: held_out[d] for d in domain_ids}, {d: self.references[d] for d in domain_ids}
 
     @functools.cached_property

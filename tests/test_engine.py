@@ -3,11 +3,14 @@
 import itertools
 import json
 import os
+import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from hda import engine
 from hda.engine import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -17,6 +20,7 @@ from hda.engine import (
     check_separability,
     clip_gradients,
     default_adaptation_config,
+    equal_weights,
     init_optimizer_state,
     load_run,
     run_adaptation,
@@ -26,6 +30,7 @@ from hda.engine import (
 from hda.errors import ConfigError, DegenerateDomain, NumericalError
 from hda.files import json_doc, read_object
 from hda.losses import DomainWeight, ObjectivePlan, hda_objective
+from hda.metrics import SnapshotPlan
 from hda import worlds
 from hda.seeding import derive_seed, stream_rng
 from hda.subspace import DomainSubspace, FeatureSet, separation_ratio
@@ -35,7 +40,9 @@ from hda.worlds import (
     build_world_subspaces,
     default_world_config,
     encode,
+    flatten_generator,
     sample_source_points,
+    unflatten_generator,
 )
 
 
@@ -334,6 +341,86 @@ def test_snapshot_schedule_and_checkpoints(world, subspaces):
     adapted = {s.step: s.report.consistency for s in record.snapshots if s.step >= 1}
     assert best.step >= 1
     assert adapted[best.step] == max(adapted.values())
+
+
+@pytest.mark.parametrize(
+    "steps, snapshot_steps", [(1, [0, 1]), (60, [0, 1, 25, 50, 60])], ids=["steps1", "steps60"]
+)
+def test_snapshots_are_evaluated_in_bounded_stacks(
+    world, subspaces, monkeypatch, steps, snapshot_steps
+):
+    stacks = []
+
+    class RecordingPlan(SnapshotPlan):
+        def evaluate_stack(self, params, like):
+            reports = super().evaluate_stack(params, like)
+            stacks.append((np.array(params), reports))
+            return reports
+
+    monkeypatch.setattr(engine, "SnapshotPlan", RecordingPlan)
+    config = _small_config(world, steps=steps)
+    record = run_adaptation(config, world, subspaces)
+    n, per_stack = len(snapshot_steps), engine._SNAPSHOT_ROWS // engine.SNAPSHOT_SAMPLES
+    assert [len(p) for p, _ in stacks] == [min(per_stack, n - i) for i in range(0, n, per_stack)]
+    assert [s.step for s in record.snapshots] == snapshot_steps
+    params = np.concatenate([p for p, _ in stacks])
+    reports = [r for _, stack_reports in stacks for r in stack_reports]
+    assert reports == [s.report for s in record.snapshots]
+    # each report is its generator's alone, and each checkpoint holds its snapshot's parameters
+    source = world.source_generator
+    alone = SnapshotPlan(
+        source,
+        world.held_out_encoder,
+        *world.held_out_targets(subspaces, config.domain_ids),
+        engine.SNAPSHOT_SAMPLES,
+        derive_seed(config.seed, "snapshot-eval"),
+    )
+    assert reports == [alone(unflatten_generator(p, source)) for p in params]
+    by_step = dict(zip(snapshot_steps, params))
+    for ckpt in record.checkpoints.values():
+        np.testing.assert_array_equal(flatten_generator(ckpt.params), by_step[ckpt.step])
+    adapted = [(s.step, s.report.consistency) for s in record.snapshots if s.step >= 1]
+    assert record.checkpoints["best"].step == max(adapted, key=lambda sc: sc[1])[0]
+
+
+def test_snapshot_working_set_does_not_grow_with_steps(world, subspaces):
+    peaks = {}
+    for steps in (300, 3000):
+        config = default_adaptation_config(world, seed=0, steps=steps)
+        tracemalloc.start()
+        try:
+            run_adaptation(config, world, subspaces)
+            peaks[steps] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # the 3,000-step run's loss rows and 122 reports add about 0.3 MiB;
+    # its 122 snapshots held in one stack would add about 30 MiB
+    assert peaks[3000] < peaks[300] + 2**20
+
+
+def test_an_unknown_domain_is_named_before_missing_held_out_subspaces(world, subspaces):
+    held_out = world.held_out_encoder.encoder_id
+    without = {k: v for k, v in subspaces.items() if k != held_out}
+    domain_ids = ("attr0", "nope")
+    config = default_adaptation_config(
+        world, domain_ids=domain_ids, weights=equal_weights(domain_ids)
+    )
+    with pytest.raises(ConfigError, match="unknown domain id 'nope'"):
+        run_adaptation(config, world, without)
+    with pytest.raises(ConfigError, match="unknown domain id 'nope'"):
+        world.held_out_targets(without, domain_ids)
+
+
+def test_missing_held_out_subspaces_are_named(world, subspaces):
+    held_out = world.held_out_encoder.encoder_id
+    partial = {**subspaces, held_out: {"attr0": subspaces[held_out]["attr0"]}}
+    named = f"missing subspaces for encoder '{held_out}', domains ['attr1']"
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        run_adaptation(_small_config(world), world, partial)
+    without = {k: v for k, v in subspaces.items() if k != held_out}
+    named = f"missing subspaces for encoder '{held_out}', domains ['attr0', 'attr1']"
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        world.held_out_targets(without, ("attr0", "attr1"))
 
 
 def test_exploding_run_reports_last_good_step(world, subspaces):

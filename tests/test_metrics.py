@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from hda.metrics import (
     round12,
 )
 from hda.seeding import derive_seed
-from hda.worlds import make_source_generator
+from hda.worlds import make_source_generator, unflatten_generator
 
 
 def _held_out_inputs(world, subspaces):
@@ -141,6 +142,11 @@ def _diversity_oracle(embeddings, reference_embeddings):
     return float(np.mean(cluster_means))
 
 
+def _diversity_of(embeddings, reference_embeddings):
+    """:func:`_diversity` of one ``(n, d)`` set, as a stack of one."""
+    return float(_diversity(embeddings[None], reference_embeddings)[0])
+
+
 def _sub_groups(rng, n, d, spread):
     """Two sub-groups of ``spread`` at +-1 along the first axis."""
     groups = spread * rng.standard_normal((n, d))
@@ -174,10 +180,10 @@ def _oracle_cases(n):
 def test_diversity_matches_the_full_tensor_oracle_to_1e_12(n):
     cases, refs = _oracle_cases(n)
     for embeddings in cases.values():
-        assert _diversity(embeddings, refs) == pytest.approx(
+        assert _diversity_of(embeddings, refs) == pytest.approx(
             _diversity_oracle(embeddings, refs), rel=1e-12, abs=0.0
         )
-    assert _diversity(cases["collapsed"], refs) > 0.0
+    assert _diversity_of(cases["collapsed"], refs) > 0.0
 
 
 @pytest.mark.parametrize("n", [128, 1024])
@@ -190,7 +196,7 @@ def test_diversity_of_shuffled_rows_matches_the_oracle_to_1e_12(n, case):
         assignment = _nearest_reference(embeddings, refs)
         assert np.any(np.diff(assignment) < 0)
         assert n > 128 or np.any(np.bincount(assignment) == 1)
-    assert _diversity(embeddings, refs) == pytest.approx(
+    assert _diversity_of(embeddings, refs) == pytest.approx(
         _diversity_oracle(embeddings, refs), rel=1e-12, abs=0.0
     )
 
@@ -204,12 +210,12 @@ def test_non_finite_samples_make_their_cluster_nan_without_a_warning():
         bad = finite[:2].copy()
         bad[0, 3] = bad[1] = value
         # alone in its cluster, a non-finite row carries no pair, yet it counts
-        assert np.isnan(_diversity(np.vstack([finite[:40], bad[:1], finite[40:]]), refs))
+        assert np.isnan(_diversity_of(np.vstack([finite[:40], bad[:1], finite[40:]]), refs))
         # two in one cluster
-        assert np.isnan(_diversity(np.vstack([finite[:40], bad, finite[40:]]), refs))
+        assert np.isnan(_diversity_of(np.vstack([finite[:40], bad, finite[40:]]), refs))
         # with finite members beside it
         near_zero = refs[0] + 0.05 * rng.standard_normal((3, 16))
-        assert np.isnan(_diversity(np.vstack([finite, near_zero, bad[:1]]), refs))
+        assert np.isnan(_diversity_of(np.vstack([finite, near_zero, bad[:1]]), refs))
 
 
 def _whole_triangle(members):
@@ -246,9 +252,10 @@ def test_stock_run_snapshot_diversities_match_the_oracle(world, subspaces, monke
     seen = []
 
     def recording(embeddings, reference_embeddings):
-        value = _diversity(embeddings, reference_embeddings)
-        seen.append((value, _diversity_oracle(embeddings, reference_embeddings)))
-        return value
+        values = _diversity(embeddings, reference_embeddings)
+        for value, slice_ in zip(values, embeddings):
+            seen.append((value, _diversity_oracle(slice_, reference_embeddings)))
+        return values
 
     monkeypatch.setattr(metrics, "_diversity", recording)
     record = run_adaptation(default_adaptation_config(world, seed=0), world, subspaces)
@@ -262,7 +269,7 @@ def test_diversity_of_singletons_is_zero():
     rng = np.random.default_rng(0)
     refs = 10.0 * rng.standard_normal((12, 16))
     singletons = refs[:12] + 1e-3 * rng.standard_normal((12, 16))
-    assert _diversity(singletons, refs) == _diversity_oracle(singletons, refs) == 0.0
+    assert _diversity_of(singletons, refs) == _diversity_oracle(singletons, refs) == 0.0
 
 
 def test_diversity_memory_is_bounded_at_1024_samples(monkeypatch):
@@ -279,7 +286,7 @@ def test_diversity_memory_is_bounded_at_1024_samples(monkeypatch):
     monkeypatch.setattr(metrics, "_pair_block", spy)
     tracemalloc.start()
     try:
-        _diversity(collapsed, refs)
+        _diversity_of(collapsed, refs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -337,10 +344,10 @@ def test_snapshot_plan_matches_evaluate_on_every_snapshot(world, subspaces, monk
     seen = []
 
     class RecordingPlan(SnapshotPlan):
-        def __call__(self, target_gen):
-            report = super().__call__(target_gen)
-            seen.append((target_gen, report))
-            return report
+        def evaluate_stack(self, params, like):
+            reports = super().evaluate_stack(params, like)
+            seen.extend((unflatten_generator(p, like), r) for p, r in zip(params, reports))
+            return reports
 
     monkeypatch.setattr(engine, "SnapshotPlan", RecordingPlan)
     config = default_adaptation_config(world, seed=0)
@@ -353,6 +360,82 @@ def test_snapshot_plan_matches_evaluate_on_every_snapshot(world, subspaces, monk
         direct = evaluate(gen, world.source_generator, enc, held_subs, refs, 128, seed)
         assert direct.to_json_dict() == report.to_json_dict()
         assert direct == report
+
+
+@pytest.fixture(scope="module")
+def stock_snapshot_params(world, subspaces):
+    """The parameter vectors of a stock run's 14 snapshots, in step order."""
+    seen = []
+
+    class RecordingPlan(SnapshotPlan):
+        def evaluate_stack(self, params, like):
+            seen.extend(np.array(params))
+            return super().evaluate_stack(params, like)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "SnapshotPlan", RecordingPlan)
+        run_adaptation(default_adaptation_config(world, seed=0), world, subspaces)
+    return np.array(seen)
+
+
+def test_a_stack_equals_its_generators_evaluated_one_by_one(
+    world, subspaces, stock_snapshot_params
+):
+    enc, held_subs, refs = _held_out_inputs(world, subspaces)
+    source = world.source_generator
+    plan = SnapshotPlan(source, enc, held_subs, refs, 128, derive_seed(0, "snapshot-eval"))
+    params = stock_snapshot_params
+    assert len(params) == 14
+    alone = [plan(unflatten_generator(p, source)) for p in params]
+    for size in (1, 3, 4, 14):
+        stacks = [plan.evaluate_stack(params[i : i + size], source) for i in range(0, 14, size)]
+        stacked = [report for reports in stacks for report in reports]
+        assert stacked == alone
+        assert [r.to_json_dict() for r in stacked] == [r.to_json_dict() for r in alone]
+
+
+def _stack_equals_its_slices(stack, refs):
+    """``_diversity`` of ``stack``, checked slice by slice against stacks of one."""
+    values = _diversity(stack, refs)
+    alone = [_diversity(slice_[None], refs)[0] for slice_ in stack]
+    np.testing.assert_array_equal(values, alone)
+    return values
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_slice_alone_scores_nan_without_a_warning(value):
+    rng = np.random.default_rng(9)
+    refs = rng.standard_normal((20, 16))
+    stack = refs[rng.integers(0, 20, (3, 64))] + 0.05 * rng.standard_normal((3, 64, 16))
+    stack[1, 5, 2] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = _stack_equals_its_slices(stack, refs)
+        assert np.isnan(_diversity(stack[1:2].repeat(2, axis=0), refs)).all()
+    assert np.isnan(values[1])
+    for s in (0, 2):
+        assert values[s] == pytest.approx(_diversity_oracle(stack[s], refs), rel=1e-12, abs=0.0)
+
+
+def test_a_stack_with_a_duplicated_reference_equals_its_slices_alone():
+    embeddings, refs = _nearest_reference_cases()["duplicated-reference"]
+    stack = embeddings[np.random.default_rng(3).permutation(276)].reshape(4, 69, 16)
+    values = _stack_equals_its_slices(stack, refs)
+    for value, slice_ in zip(values, stack):
+        assert value == pytest.approx(_diversity_oracle(slice_, refs), rel=1e-12, abs=0.0)
+
+
+def test_a_stack_with_all_singleton_slices_equals_its_slices_alone():
+    rng = np.random.default_rng(0)
+    refs = 10.0 * rng.standard_normal((12, 16))
+    singletons = refs + 1e-3 * rng.standard_normal((3, 12, 16))
+    values = _stack_equals_its_slices(singletons, refs)
+    assert values.tolist() == [0.0, 0.0, 0.0]
+    # beside slices that do have pairs
+    clustered = refs[rng.integers(0, 3, (2, 12))] + 1e-3 * rng.standard_normal((2, 12, 16))
+    stack = np.concatenate([singletons[:1], clustered, singletons[1:]])
+    mixed = _stack_equals_its_slices(stack, refs)
+    assert mixed[0] == mixed[3] == mixed[4] == 0.0 and (mixed[1:3] > 0.0).all()
 
 
 def test_snapshot_plan_checks_target_dimensions(world, subspaces):

@@ -314,6 +314,27 @@ def test_pca2d_separates_distinct_clusters(tmp_path):
     assert path.read_text(encoding="utf8").count("\n") == 41
 
 
+def _separation_ratio_2d_by_lists(rows):
+    """The ratio over rows grouped through Python lists, as the module once did."""
+    groups = {}
+    for label, x, y in rows:
+        groups.setdefault(label, []).extend((x, y))
+    sets = [FeatureSet(np.reshape(xy, (-1, 2)), domain_id=label) for label, xy in groups.items()]
+    return separation_ratio(sets)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_separation_ratio_2d_of_interleaved_labels_equals_the_list_grouping(seed):
+    rng = stream_rng(seed, "subspace-test")
+    centres = {"c": (0.0, 0.0), "a": (3.0, 0.5), "b": (-1.0, 4.0)}
+    labels = rng.choice(list(centres), size=60).tolist()
+    rows = [
+        (label, *(np.add(centres[label], rng.standard_normal(2)) * 1.7).tolist())
+        for label in labels
+    ]
+    assert separation_ratio_2d(rows) == _separation_ratio_2d_by_lists(rows)
+
+
 def test_pca2d_needs_three_points():
     a = FeatureSet(np.zeros((2, 4)), domain_id="a")
     with pytest.raises(DegenerateDomain):

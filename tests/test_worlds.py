@@ -14,7 +14,7 @@ from hda.errors import ConfigError, DegenerateDomain, DimensionError, NumericalE
 from hda.files import json_doc, read_object
 from hda.losses import DomainWeight
 from hda.seeding import stream_rng
-from hda.subspace import RANK_TOLERANCE, FeatureSet, build_subspace
+from hda.subspace import RANK_TOLERANCE, FeatureSet, build_subspace, project
 from hda.worlds import (
     ENCODER_BIAS_CENTER,
     PARAM_FIELDS,
@@ -28,6 +28,7 @@ from hda.worlds import (
     encode,
     encode_var,
     flatten_generator,
+    forward_stack,
     generator_forward_var,
     generator_param_vars,
     load_world,
@@ -205,6 +206,29 @@ def test_generator_forward_var_matches_forward(world):
         gen.forward(z[None, None])
     with pytest.raises(DimensionError, match="latent has length"):
         gen.forward(z[..., :-1][None])
+
+
+def test_stacked_generators_encodings_and_projections_equal_their_slices(world, subspaces):
+    source = world.source_generator
+    rng = stream_rng(4, "gen-probe")
+    stack = flatten_generator(source) * (1.0 + 0.1 * rng.standard_normal((3, 1)))
+    z = rng.standard_normal((1024, source.d_z))  # the held-out products run in row blocks
+    x = forward_stack(stack, source, z)
+    assert x.shape == (3, 1024, source.d_x)
+    enc = world.held_out_encoder
+    f = encode(enc, x)
+    sub = subspaces[enc.encoder_id]["attr0"]
+    projected = project(sub, f)
+    for s, flat in enumerate(stack):
+        alone = unflatten_generator(flat, source).forward(z)
+        np.testing.assert_array_equal(x[s], alone)
+        np.testing.assert_array_equal(f[s], encode(enc, alone))
+        np.testing.assert_array_equal(projected[s], project(sub, f[s]))
+    # an ensemble takes no stacked rows: its own leading axis is the encoders'
+    with pytest.raises(DimensionError, match="inputs must have 1 to 2 axes"):
+        encode(world.train_encoders, x)
+    with pytest.raises(DimensionError):
+        project(sub, f[None])
 
 
 def test_encoders_are_genuinely_different(world):
