@@ -51,10 +51,10 @@ SNAPSHOT_SAMPLES = 128
 #: snapshots wait, in step order, until ``_SNAPSHOT_ROWS // SNAPSHOT_SAMPLES``
 #: of them (at least one) fill a stack, so the working set does not grow
 #: with the step count.  On a shared 2-core Xeon the 14 snapshots of a
-#: stock run took a median 7.7 ms one by one, 5.8 ms in stacks of 2,
-#: 5.0 ms in stacks of 4 and 4.9 ms in stacks of 8 or 14, and the run's
-#: ``tracemalloc`` peak read 0.66, 0.76 and 1.31 MiB at 256, 512 and
-#: 1,024 rows: 512 rows keep nearly all of the gain at a small peak.
+#: stock run took a median 6.2 ms one by one, 4.7 ms in stacks of 2,
+#: 4.1 ms in stacks of 4 and 3.8-4.1 ms in stacks of 8 or 14, and the
+#: run's ``tracemalloc`` peak read 0.62, 0.72 and 1.18 MiB at 256, 512
+#: and 1,024 rows: 512 rows keep nearly all of the gain at a small peak.
 _SNAPSHOT_ROWS = 512
 
 #: Adam's moment decay rates and denominator offset.
