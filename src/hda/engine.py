@@ -292,19 +292,19 @@ def check_separability(
 ) -> dict[str, float]:
     """Centroid-gap-over-spread ratio per training encoder.
 
-    With a single domain the source cluster stands in as the second
-    set.  Raises :class:`DegenerateDomain` if any encoder fails
-    :data:`SEPARABILITY_THRESHOLD`, naming the worst offender.
+    Every encoder's sets go through one stacked :func:`separation_ratio`,
+    which takes their means and spreads as the world's feature grid made
+    them.  With a single domain the source cluster, drawn once, stands in
+    as each encoder's second set.  Raises :class:`DegenerateDomain` if any
+    encoder fails :data:`SEPARABILITY_THRESHOLD`, naming the worst offender.
     """
-    ratios: dict[str, float] = {}
-    if len(domain_ids) < 2:  # one draw of the source cluster serves every encoder
+    encoders = [world.encoder(encoder_id) for encoder_id in encoder_ids]
+    rows = [[world.feature_set(enc, d) for d in domain_ids] for enc in encoders]
+    if len(domain_ids) < 2:
         source_points = world.source_points(max(world.domain(d).k for d in domain_ids))
-    for encoder_id in encoder_ids:
-        enc = world.encoder(encoder_id)
-        sets = [world.feature_set(enc, d) for d in domain_ids]
-        if len(sets) < 2:
-            sets.append(FeatureSet(encode(enc, source_points), domain_id="source"))
-        ratios[encoder_id] = separation_ratio(sets)
+        for enc, row in zip(encoders, rows):
+            row.append(FeatureSet(encode(enc, source_points), domain_id="source"))
+    ratios = dict(zip(encoder_ids, separation_ratio(rows)))
     failing = {eid: r for eid, r in ratios.items() if not r > SEPARABILITY_THRESHOLD}
     if failing:
         worst = min(failing, key=failing.get)
@@ -334,12 +334,11 @@ def run_adaptation(
             raise ConfigError(f"encoder {encoder_id!r} is not a training encoder")
     targets = world.held_out_targets(subspaces, config.domain_ids)
     held_out = world.held_out_encoder
-    if held_out.encoder_id in config.encoder_ids:
-        raise ConfigError("the held-out encoder cannot be used for training")
-    for encoder_id in (*config.encoder_ids, held_out.encoder_id):
+    for encoder_id in config.encoder_ids:
         missing = [d for d in config.domain_ids if d not in subspaces.get(encoder_id, {})]
         if missing:
             raise ConfigError(f"missing subspaces for encoder {encoder_id!r}, domains {missing}")
+    for encoder_id in (*config.encoder_ids, held_out.encoder_id):
         for domain_id in config.domain_ids:
             sub = subspaces[encoder_id][domain_id]
             if sub.rank == sub.dim:

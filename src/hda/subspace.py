@@ -61,41 +61,62 @@ def assemble(cls, **values):
     constructor would copy and check again slice by slice.
     """
     obj = object.__new__(cls)
-    for name, value in values.items():
-        object.__setattr__(obj, name, value)
+    obj.__dict__.update(values)
     return obj
 
 
 @dataclass(frozen=True)
 class FeatureSet:
-    """Reference features of one domain under one encoder; ``mean`` is their average."""
+    """Reference features of one domain under one encoder.
+
+    ``mean`` is their average and ``spread`` their mean distance to it.
+    """
 
     features: Array  # (k, d)
     domain_id: str = ""
     mean: Array = field(init=False)  # (d,)
+    spread: float = field(init=False)
 
     def __post_init__(self):
         feats = locked_array(self.features, "features", ndim=2)
         if feats.shape[0] < 1:
             raise DegenerateDomain("a feature set needs at least one vector")
+        mean = locked_array(_mean(feats), "mean")
         object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "mean", locked_array(_mean(feats), "mean"))
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "spread", float(_spread(feats, mean)))
 
     @classmethod
-    def stack(cls, features, domain_id: str = "") -> list[FeatureSet]:
-        """One set per slice of ``(n, k, d)`` features, each equal to
-        ``FeatureSet(features[i], domain_id)`` bit for bit.
+    def stack(cls, features, domain_id: str | Sequence[str] = "") -> list:
+        """The sets of ``(..., n, k, d)`` features, one per ``(k, d)`` slice,
+        each equal to ``FeatureSet(slice, domain_id)`` bit for bit.
 
-        The stack is copied, checked and averaged once, not once per set;
-        each set holds read-only views into it.
+        ``(n, k, d)`` gives a list of ``n`` sets, and each leading axis
+        before ``n`` nests the lists one level deeper.  ``domain_id`` names
+        every set, or holds one id per set of a list.  The stack is copied
+        and checked, and its means and spreads computed, once, not once
+        per set; each set holds read-only views into it.
         """
-        feats = locked_array(features, "features", ndim=3)
-        if feats.shape[1] < 1:
+        feats = locked_array(features, "features")
+        if feats.ndim < 3:
+            raise DimensionError(f"features must be a stack of matrices, got shape {feats.shape}")
+        if feats.shape[-2] < 1:
             raise DegenerateDomain("a feature set needs at least one vector")
-        means = locked_array(_mean(feats, axis=1), "mean")
-        return [
-            assemble(cls, features=f, domain_id=domain_id, mean=m) for f, m in zip(feats, means)
-        ]
+        n = feats.shape[-3]
+        ids = [domain_id] * n if isinstance(domain_id, str) else list(domain_id)
+        if len(ids) != n:
+            raise ConfigError(f"{len(ids)} domain ids for {n} feature sets")
+        means = locked_array(_mean(feats, axis=-2), "mean")
+
+        def sets(f, m, s):
+            if f.ndim > 3:
+                return list(map(sets, f, m, s))
+            return [
+                assemble(cls, features=x, domain_id=i, mean=y, spread=z)
+                for x, y, z, i in zip(f, m, s, ids)
+            ]
+
+        return sets(feats, means, _spread(feats, means).tolist())
 
     @property
     def k(self) -> int:
@@ -241,33 +262,41 @@ def pca2d_export(feature_sets: list[FeatureSet]) -> list[tuple[str, float, float
     return rows
 
 
-def _spread(points: Array, centroid: Array) -> float:
-    """Mean distance from ``points`` to ``centroid``.
+def _spread(points: Array, centroid: Array) -> Array:
+    """Mean distance from each ``(k, d)`` slice of ``points`` to its ``(d,)`` slice of ``centroid``.
 
-    The bits of ``np.mean(np.linalg.norm(points - centroid, axis=1))``:
-    the same ufuncs, without the Python wrappers around them.
+    Per slice, the bits of ``np.mean(np.linalg.norm(points - centroid,
+    axis=1))``: the same ufuncs, without the Python wrappers around them.
     """
-    diff = points - centroid
-    return float(_mean(np.sqrt(np.add.reduce(diff * diff, axis=1))))
+    diff = points - centroid[..., None, :]
+    diff *= diff
+    dist = np.add.reduce(diff, axis=-1)
+    return _mean(np.sqrt(dist, out=dist), axis=-1)
 
 
-def separation_ratio(feature_sets: list[FeatureSet]) -> float:
+def separation_ratio(feature_sets):
     """Minimum inter-centroid distance over mean intra-set spread.
 
-    Values above ~3 mean the sets form visibly distinct clusters.
+    ``feature_sets`` is a list of sets, giving their ratio, or a stack of
+    such lists, all of one length, giving the list of their ratios; each
+    ratio equals its list's alone bit for bit.  The sets bring their
+    spreads, so a grid of sets made by one :meth:`FeatureSet.stack` had
+    them computed in one expression.  Values above ~3 mean the sets form
+    visibly distinct clusters.
     """
-    if len(feature_sets) < 2:
-        raise ConfigError("separation needs at least two feature sets")
-    centroids = [fs.mean for fs in feature_sets]
-    spreads = [_spread(fs.features, fs.mean) for fs in feature_sets]
-    n = len(centroids)
-    gaps = (centroids[i] - centroids[j] for i in range(n) for j in range(i + 1, n))
-    # np.linalg.norm of a vector is sqrt(x.dot(x))
-    min_gap = min(float(np.sqrt(gap.dot(gap))) for gap in gaps)
-    mean_spread = float(_mean(np.array(spreads)))
-    if mean_spread == 0.0:
-        return float("inf")
-    return min_gap / mean_spread
+    single = bool(feature_sets) and isinstance(feature_sets[0], FeatureSet)
+    rows = [feature_sets] if single else feature_sets
+    if len({len(row) for row in rows}) != 1 or len(rows[0]) < 2:
+        raise ConfigError("separation needs lists of at least two feature sets, all of one length")
+    n = len(rows[0])
+    mean_spreads = _mean(np.array([[fs.spread for fs in row] for row in rows]), axis=1)
+    ratios = []
+    for row, mean_spread in zip(rows, mean_spreads.tolist()):
+        gaps = (row[i].mean - row[j].mean for i in range(n) for j in range(i + 1, n))
+        # np.linalg.norm of a vector is sqrt(x.dot(x)); a stacked reduction may round otherwise
+        min_gap = min(float(np.sqrt(gap.dot(gap))) for gap in gaps)
+        ratios.append(float("inf") if mean_spread == 0.0 else min_gap / mean_spread)
+    return ratios[0] if single else ratios
 
 
 def separation_ratio_2d(rows: list[tuple[str, float, float]]) -> float:

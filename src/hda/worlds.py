@@ -446,6 +446,11 @@ class World:
             d: locked_array(refs, f"references {d}", ndim=2) for d, refs in self.references.items()
         }
         object.__setattr__(self, "references", references)
+        encoders = (*self.train_encoders, self.held_out_encoder)
+        by_id = {enc.encoder_id: enc for enc in encoders}
+        if len(by_id) != len(encoders):
+            raise ConfigError(f"duplicate encoder ids: {[enc.encoder_id for enc in encoders]}")
+        object.__setattr__(self, "_encoders", by_id)
 
     @property
     def domains(self) -> tuple[SyntheticDomainSpec, ...]:
@@ -458,12 +463,10 @@ class World:
         raise ConfigError(f"unknown domain id {domain_id!r}")
 
     def encoder(self, encoder_id: str) -> EncoderSpec:
-        for enc in self.train_encoders:
-            if enc.encoder_id == encoder_id:
-                return enc
-        if encoder_id == self.held_out_encoder.encoder_id:
-            return self.held_out_encoder
-        raise ConfigError(f"unknown encoder id {encoder_id!r}")
+        try:
+            return self._encoders[encoder_id]
+        except KeyError:
+            raise ConfigError(f"unknown encoder id {encoder_id!r}") from None
 
     @property
     def train_encoder_ids(self) -> tuple[str, ...]:
@@ -494,24 +497,34 @@ class World:
             raise ConfigError(f"missing subspaces for encoder {encoder_id!r}, domains {missing}")
         return {d: held_out[d] for d in domain_ids}, {d: self.references[d] for d in domain_ids}
 
+    @property
+    def _k_groups(self) -> dict[int, list[str]]:
+        """Reference count ``k`` -> the ids of the domains with ``k`` references, in order."""
+        groups: dict[int, list[str]] = {}
+        for domain_id, refs in self.references.items():
+            groups.setdefault(refs.shape[0], []).append(domain_id)
+        return groups
+
     @functools.cached_property
     def _feature_sets(self) -> dict[str, dict[str, FeatureSet]]:
         """``encoder_id -> domain_id ->`` features: every encoder on all references at once.
 
-        Each domain's ``(encoders, k, d_e)`` block is checked and averaged
-        once, as one :meth:`FeatureSet.stack`.
+        One stacked :func:`encode` takes the references in :attr:`_k_groups`
+        order, and each group's ``(encoders, domains, k, d_e)`` block of it
+        is checked, averaged and spread once, as one :meth:`FeatureSet.stack`.
         """
         encoders = (*self.train_encoders, self.held_out_encoder)
-        ids = tuple(self.references)
-        stacked = encode(encoders, np.concatenate([self.references[d] for d in ids]))
-        bounds = np.cumsum([self.references[d].shape[0] for d in ids])[:-1]
-        per_domain = [
-            FeatureSet.stack(block, domain_id=d)
-            for d, block in zip(ids, np.split(stacked, bounds, axis=1))
-        ]
-        return {
-            enc.encoder_id: dict(zip(ids, sets)) for enc, sets in zip(encoders, zip(*per_domain))
-        }
+        groups = self._k_groups
+        refs = [self.references[d] for ids in groups.values() for d in ids]
+        stacked = encode(encoders, np.concatenate(refs))
+        out: dict[str, dict[str, FeatureSet]] = {enc.encoder_id: {} for enc in encoders}
+        start = 0
+        for k, ids in groups.items():
+            block = stacked[:, start : start + len(ids) * k].reshape(len(encoders), len(ids), k, -1)
+            start += len(ids) * k
+            for enc, row in zip(encoders, FeatureSet.stack(block, ids)):
+                out[enc.encoder_id].update(zip(ids, row))
+        return out
 
     def source_points(self, k: int) -> Array:
         """``k`` source samples, the cluster that stands in for the source domain.
@@ -595,12 +608,16 @@ def load_world(world_dir) -> World:
 def build_world_subspaces(world: World) -> dict[str, dict[str, DomainSubspace]]:
     """Per-(encoder, domain) subspaces for all encoders incl. the held-out one.
 
-    One :func:`build_subspace` call per domain covers every encoder.
+    One :func:`build_subspace` call per reference count covers every
+    (encoder, domain) set of that count, so a world whose domains share
+    ``k`` takes one stacked SVD.  A degenerate domain is named from the
+    first such group that has one.
     """
     encoders = (*world.train_encoders, world.held_out_encoder)
-    out: dict[str, dict[str, DomainSubspace]] = {enc.encoder_id: {} for enc in encoders}
-    for dom in world.domains:
-        subs = build_subspace([world.feature_set(enc, dom.domain_id) for enc in encoders])
-        for enc, sub in zip(encoders, subs):
-            out[enc.encoder_id][dom.domain_id] = sub
+    out = {enc.encoder_id: dict.fromkeys(world.references) for enc in encoders}
+    for ids in world._k_groups.values():
+        cells = [(enc, domain_id) for domain_id in ids for enc in encoders]
+        subs = build_subspace([world.feature_set(enc, domain_id) for enc, domain_id in cells])
+        for (enc, domain_id), sub in zip(cells, subs):
+            out[enc.encoder_id][domain_id] = sub
     return out

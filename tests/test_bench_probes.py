@@ -21,3 +21,44 @@ def test_every_probe_site_resolves(monkeypatch):
         if not callable(getattr(owner, attr, None))
     ]
     assert not missing, f"probe sites with nothing to wrap: {missing}"
+
+
+#: The probe sites a ``world_sweep`` pass must reach, as ``(module, attribute)`` names.
+WORLD_SITES = (
+    ("worlds", "build_world"),
+    ("worlds", "build_world_subspaces"),
+    ("worlds", "build_subspace"),
+    ("worlds", "encode"),
+    ("worlds", "stream_rng"),
+    ("engine", "check_separability"),
+    ("engine", "separation_ratio"),
+    ("subspace", "pca2d_export"),
+    ("subspace", "separation_ratio"),
+)
+
+
+def test_a_world_sweep_world_calls_every_world_side_probe_site(monkeypatch, tmp_path):
+    """A restructure that stops calling a site through its module would read 0 in its row."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    probes = importlib.import_module("probes")
+    workloads = importlib.import_module("workloads")
+    owners = {owner.__name__.rsplit(".", 1)[-1]: owner for owner, _, _, _ in probes.SITES}
+    probed = {(owners[name], attr) for name, attr in WORLD_SITES}
+    assert probed <= {(owner, attr) for owner, attr, _, _ in probes.SITES}
+    calls = dict.fromkeys(WORLD_SITES, 0)
+
+    def counted(site, real):
+        def wrapper(*args, **kwargs):
+            calls[site] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name, attr in WORLD_SITES:
+        owner = owners[name]
+        monkeypatch.setattr(owner, attr, counted((name, attr), getattr(owner, attr)))
+    sweep = workloads.WorldSweep(0, str(tmp_path), str(BENCH.parent))
+    sweep.world_seeds = sweep.world_seeds[:1]
+    (result,) = sweep.run_pass(None)
+    assert result[2] is not None  # the stock world passes the precheck
+    assert not [site for site, n in calls.items() if n == 0], calls

@@ -494,7 +494,7 @@ def test_single_domain_separability_draws_the_source_cluster_once(world, monkeyp
 def test_run_rejects_foreign_encoders(world, subspaces):
     held_out = world.held_out_encoder.encoder_id
     config = default_adaptation_config(world)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=f"encoder '{held_out}' is not a training encoder"):
         run_adaptation(
             replace(config, encoder_ids=config.encoder_ids + (held_out,)),
             world,

@@ -271,8 +271,25 @@ def test_means_and_ratios_equal_numpys_bit_for_bit(seed):
         assert fs.features.tobytes() == x.tobytes()
         assert fs.mean.tobytes() == np.mean(x, axis=0).tobytes()
     spreads = [float(np.mean(np.linalg.norm(fs.features - fs.mean, axis=1))) for fs in sets]
+    assert [fs.spread for fs in sets] == spreads
     gaps = [float(np.linalg.norm(a.mean - b.mean)) for a, b in itertools.combinations(sets, 2)]
     assert separation_ratio(sets) == min(gaps) / float(np.mean(spreads))
+    # a (E, n, k, d) grid: nested lists of sets, each equal to its slice's own set
+    n = int(rng.integers(2, 12))
+    grid = rng.standard_normal((3, n, int(rng.integers(1, 30)), d)) * 10.0 ** rng.uniform(-3, 3)
+    ids = [f"d{j}" for j in range(n)]
+    rows = FeatureSet.stack(grid, ids)
+    for row, block in zip(rows, grid):
+        for fs, x, domain_id in zip(row, block, ids):
+            alone = FeatureSet(x, domain_id=domain_id)
+            assert fs.domain_id == domain_id and fs.features.tobytes() == x.tobytes()
+            assert fs.mean.tobytes() == np.mean(x, axis=0).tobytes() == alone.mean.tobytes()
+            assert fs.spread == alone.spread
+    assert [fs.domain_id for fs in FeatureSet.stack(grid[0], "one")] == ["one"] * n
+    # a stack of rows gives each row's ratio alone
+    assert separation_ratio(rows) == [
+        separation_ratio([FeatureSet(fs.features) for fs in row]) for row in rows
+    ]
 
 
 def test_a_stack_names_its_degenerate_domain():
@@ -293,6 +310,8 @@ def test_separation_ratio_needs_two_sets():
     a = FeatureSet(np.zeros((2, 2)), domain_id="a")
     with pytest.raises(ConfigError):
         separation_ratio([a])
+    with pytest.raises(ConfigError, match="all of one length"):
+        separation_ratio([[a, a], [a]])
 
 
 def test_pca2d_separates_distinct_clusters(tmp_path):

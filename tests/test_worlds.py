@@ -8,13 +8,19 @@ import numpy as np
 import pytest
 
 from hda import autodiff as ad
+from hda import subspace
 from hda.autodiff import Tape, grad_check
-from hda.engine import AdaptationConfig, default_adaptation_config
+from hda.engine import (
+    SEPARABILITY_THRESHOLD,
+    AdaptationConfig,
+    check_separability,
+    default_adaptation_config,
+)
 from hda.errors import ConfigError, DegenerateDomain, DimensionError, NumericalError
 from hda.files import json_doc, read_object
 from hda.losses import DomainWeight
 from hda.seeding import stream_rng
-from hda.subspace import RANK_TOLERANCE, FeatureSet, build_subspace, project
+from hda.subspace import RANK_TOLERANCE, FeatureSet, build_subspace, project, separation_ratio
 from hda.worlds import (
     ENCODER_BIAS_CENTER,
     PARAM_FIELDS,
@@ -415,6 +421,73 @@ def test_stacked_subspaces_equal_per_set_builds(make_worlds):
                     assert got.shape == want.shape and got.strides == want.strides
                     assert got.tobytes() == want.tobytes()
                     assert not got.flags.writeable
+
+
+def _per_encoder_separability(world, encoder_ids, domain_ids) -> dict[str, float]:
+    """The precheck one encoder at a time, each set encoded and built on its own."""
+    ratios = {}
+    for encoder_id in encoder_ids:
+        enc = world.encoder(encoder_id)
+        sets = [FeatureSet(encode(enc, world.references[d]), domain_id=d) for d in domain_ids]
+        ratios[encoder_id] = separation_ratio(sets)
+    failing = {eid: r for eid, r in ratios.items() if not r > SEPARABILITY_THRESHOLD}
+    if failing:
+        worst = min(failing, key=failing.get)
+        raise DegenerateDomain(
+            f"domains are not separable under encoder {worst!r}: "
+            f"ratio {failing[worst]:.3f} <= {SEPARABILITY_THRESHOLD} "
+            f"(all ratios: { {k: round(v, 3) for k, v in ratios.items()} })"
+        )
+    return ratios
+
+
+@pytest.mark.parametrize("make_worlds", STACKED_WORLDS.values(), ids=list(STACKED_WORLDS))
+def test_stacked_precheck_equals_the_per_encoder_ratios(make_worlds):
+    """One stacked ratio call gives each encoder's ratio, or the refusal, of its own call."""
+    worlds = make_worlds()
+    refused = 0
+    for world in worlds:
+        domain_ids = tuple(world.references)
+        for encoder_ids in (world.train_encoder_ids, world.train_encoder_ids[::-2]):
+            try:
+                want = _per_encoder_separability(world, encoder_ids, domain_ids)
+            except DegenerateDomain as exc:
+                refused += 1
+                with pytest.raises(DegenerateDomain) as got:
+                    check_separability(world, encoder_ids, domain_ids)
+                assert str(got.value) == str(exc)
+            else:
+                got = check_separability(world, encoder_ids, domain_ids)
+                assert got == want  # exact float equality
+                assert list(got) == list(encoder_ids)
+    assert refused or len(worlds) == 1  # the block holds worlds that fail the threshold
+
+
+@pytest.mark.parametrize("make_world, svd_calls", [(WORLDS["stock"], 1), (_unequal_k_world, 2)],
+                         ids=["stock", "k 3 and 10"])
+def test_world_subspaces_take_one_svd_per_reference_count(make_world, svd_calls, monkeypatch):
+    """Every (encoder, domain) set of one k goes through one stacked SVD."""
+    world = make_world()
+    calls = []
+    real = subspace.np.linalg.svd
+    monkeypatch.setattr(
+        subspace.np.linalg, "svd", lambda a, **kw: calls.append(a.shape) or real(a, **kw)
+    )
+    build_world_subspaces(world)
+    n_sets = 4 * len(world.references)
+    assert len(calls) == svd_calls
+    assert sum(shape[0] for shape in calls) == n_sets
+
+
+def test_world_refuses_duplicate_encoder_ids(world):
+    train = world.train_encoders
+    # two training encoders with one id, and a training encoder named like the held-out one
+    twins = (train[0], replace(train[1], encoder_id="train0"))
+    with pytest.raises(ConfigError, match=re.escape("ids: ['train0', 'train0', 'heldout']")):
+        replace(world, train_encoders=twins)
+    for held_out in (train[2], replace(world.held_out_encoder, encoder_id="train2")):
+        with pytest.raises(ConfigError, match="duplicate encoder ids"):
+            replace(world, held_out_encoder=held_out)
 
 
 def test_world_subspaces_name_a_single_shot_domain():
