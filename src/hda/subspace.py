@@ -61,7 +61,8 @@ def assemble(cls, **values):
     constructor would copy and check again slice by slice.
     """
     obj = object.__new__(cls)
-    obj.__dict__.update(values)
+    for name, value in values.items():
+        object.__setattr__(obj, name, value)
     return obj
 
 
@@ -88,24 +89,19 @@ class FeatureSet:
 
     @classmethod
     def stack(cls, features, domain_id: str | Sequence[str] = "") -> list:
-        """The sets of ``(..., n, k, d)`` features, one per ``(k, d)`` slice,
-        each equal to ``FeatureSet(slice, domain_id)`` bit for bit.
+        """The sets of ``(..., n, k, d)`` features, each equal to its slice's own set bit for bit.
 
-        ``(n, k, d)`` gives a list of ``n`` sets, and each leading axis
-        before ``n`` nests the lists one level deeper.  ``domain_id`` names
-        every set, or holds one id per set of a list.  The stack is copied
-        and checked, and its means and spreads computed, once, not once
-        per set; each set holds read-only views into it.
+        ``(n, k, d)`` gives a list of ``n`` sets, and each axis before ``n``
+        nests the lists once more.  ``domain_id`` names every set, or each
+        set of a list in turn.  The stack is copied, checked, averaged and
+        spread once; each set holds read-only views into it.
         """
         feats = locked_array(features, "features")
         if feats.ndim < 3:
             raise DimensionError(f"features must be a stack of matrices, got shape {feats.shape}")
         if feats.shape[-2] < 1:
             raise DegenerateDomain("a feature set needs at least one vector")
-        n = feats.shape[-3]
-        ids = [domain_id] * n if isinstance(domain_id, str) else list(domain_id)
-        if len(ids) != n:
-            raise ConfigError(f"{len(ids)} domain ids for {n} feature sets")
+        ids = [domain_id] * feats.shape[-3] if isinstance(domain_id, str) else domain_id
         means = locked_array(_mean(feats, axis=-2), "mean")
 
         def sets(f, m, s):
@@ -113,7 +109,7 @@ class FeatureSet:
                 return list(map(sets, f, m, s))
             return [
                 assemble(cls, features=x, domain_id=i, mean=y, spread=z)
-                for x, y, z, i in zip(f, m, s, ids)
+                for x, y, z, i in zip(f, m, s, ids, strict=True)
             ]
 
         return sets(feats, means, _spread(feats, means).tolist())
@@ -278,11 +274,9 @@ def separation_ratio(feature_sets):
     """Minimum inter-centroid distance over mean intra-set spread.
 
     ``feature_sets`` is a list of sets, giving their ratio, or a stack of
-    such lists, all of one length, giving the list of their ratios; each
-    ratio equals its list's alone bit for bit.  The sets bring their
-    spreads, so a grid of sets made by one :meth:`FeatureSet.stack` had
-    them computed in one expression.  Values above ~3 mean the sets form
-    visibly distinct clusters.
+    such lists of one length, giving one ratio per list, equal to the
+    list's own bit for bit.  Values above ~3 mean the sets form visibly
+    distinct clusters.
     """
     single = bool(feature_sets) and isinstance(feature_sets[0], FeatureSet)
     rows = [feature_sets] if single else feature_sets

@@ -509,9 +509,8 @@ class World:
     def _feature_sets(self) -> dict[str, dict[str, FeatureSet]]:
         """``encoder_id -> domain_id ->`` features: every encoder on all references at once.
 
-        One stacked :func:`encode` takes the references in :attr:`_k_groups`
-        order, and each group's ``(encoders, domains, k, d_e)`` block of it
-        is checked, averaged and spread once, as one :meth:`FeatureSet.stack`.
+        Each :attr:`_k_groups` group's ``(encoders, domains, k, d_e)`` block
+        of one stacked encode is one :meth:`FeatureSet.stack`.
         """
         encoders = (*self.train_encoders, self.held_out_encoder)
         groups = self._k_groups
@@ -608,10 +607,8 @@ def load_world(world_dir) -> World:
 def build_world_subspaces(world: World) -> dict[str, dict[str, DomainSubspace]]:
     """Per-(encoder, domain) subspaces for all encoders incl. the held-out one.
 
-    One :func:`build_subspace` call per reference count covers every
-    (encoder, domain) set of that count, so a world whose domains share
-    ``k`` takes one stacked SVD.  A degenerate domain is named from the
-    first such group that has one.
+    One :func:`build_subspace` call per :attr:`World._k_groups` group covers
+    its every (encoder, domain) set: one stacked SVD when all domains share k.
     """
     encoders = (*world.train_encoders, world.held_out_encoder)
     out = {enc.encoder_id: dict.fromkeys(world.references) for enc in encoders}
