@@ -13,6 +13,14 @@ contributed a training gradient:
 Reports are pure functions of (inputs, seed) and serialize to 12
 significant digits with a fixed key order, so repeated evaluations are
 byte-identical.
+
+The diversity sums each cluster's pair distances in bounded blocks of
+one Gram-form product.  A block makes one masked write: only its
+self-distances are set to +inf before the cancellation test, whose
+``min`` may also see the mirrored non-pairs, since each is a pair of
+the same block taken the other way round; the non-pairs are zeroed once
+at the end.  Norms and means are the ufuncs ``np.linalg.norm`` and
+``np.mean`` run, without their wrappers, so every report keeps its bits.
 """
 from __future__ import annotations
 
@@ -24,7 +32,7 @@ import numpy as np
 from .autodiff import matmul_rows
 from .errors import ConfigError, DimensionError
 from .seeding import stream_rng
-from .subspace import DomainSubspace, project
+from .subspace import DomainSubspace, _mean, project
 from .worlds import EncoderSpec, GeneratorParams, encode, flatten_generator, forward_stack
 
 Array = np.ndarray
@@ -61,20 +69,30 @@ class MetricsReport:
         return -self.semantic_similarity[domain_id]
 
 
-def _pairwise_cosine(a: Array, b: Array) -> Array:
-    """Cosine of each ``(n, d)`` row of ``a`` with that row of each ``(S, n, d)`` slice of ``b``."""
+def _row_norms(x: Array) -> Array:
+    """``np.linalg.norm(x, axis=-1)`` bit for bit: its ufuncs, without its wrapper and copies."""
+    sq = np.add.reduce(x * x, axis=-1)
+    return np.sqrt(sq, out=sq)
+
+
+def _pairwise_cosine(a: Array, a_norms: Array, b: Array) -> Array:
+    """Cosine of each ``(n, d)`` row of ``a`` with that row of each ``(S, n, d)`` slice of ``b``.
+
+    ``a_norms`` is :func:`_row_norms` of ``a``.  A pair with a zero norm
+    scores 0.
+    """
     dots = np.einsum("ij,...ij->...i", a, b)
-    norms = np.linalg.norm(a, axis=-1) * np.linalg.norm(b, axis=-1)
+    norms = a_norms * _row_norms(b)
     out = np.zeros(norms.shape)
-    nonzero = norms > 0.0
-    out[nonzero] = dots[nonzero] / norms[nonzero]
-    return np.clip(out, -1.0, 1.0)
+    np.divide(dots, norms, out=out, where=norms > 0.0)
+    return np.clip(out, -1.0, 1.0, out=out)
 
 
 def _mean_subspace_distance(subspace: DomainSubspace, embeddings: Array) -> Array:
     """Mean distance of each ``(S, n, d)`` slice's rows to their projection, ``(S,)``."""
-    residuals = project(subspace, embeddings) - embeddings
-    return np.mean(np.linalg.norm(residuals, axis=-1), axis=-1)
+    residuals = project(subspace, embeddings)
+    residuals -= embeddings
+    return _mean(_row_norms(residuals), axis=-1)
 
 
 # The squared distance |xi|² + |xj|² - 2 xi·xj of centred rows comes from
@@ -98,15 +116,32 @@ def _augmented(centred: Array) -> tuple[Array, Array]:
     """Rows ``[c, |c|², 1]`` and columns ``[-2c, 1, |c|²]`` of centred samples.
 
     Row ``i`` of the first times column ``j`` of the second is the
-    squared distance ``|ci|² + |cj|² - 2 ci·cj``.  The columns are
-    C-ordered: a block's product reads them faster than the transposed
-    view, with the same bits.
+    squared distance ``|ci|² + |cj|² - 2 ci·cj``.  Both are filled in
+    place, and the columns are C-ordered: a block's product reads them
+    faster than a transposed view, with the same bits.
     """
-    sq = np.einsum("ij,ij->i", centred, centred)[:, None]
-    ones = np.ones_like(sq)
-    left = np.hstack([centred, sq, ones])
-    right = np.ascontiguousarray(np.hstack([-2.0 * centred, ones, sq]).T)
+    n, d = centred.shape
+    left, right = np.empty((n, d + 2)), np.empty((d + 2, n))
+    sq = np.einsum("ij,ij->i", centred, centred, out=right[d + 1])
+    left[:, :d] = centred
+    left[:, d] = sq
+    left[:, d + 1] = 1.0
+    np.multiply(centred.T, -2.0, out=right[:d])
+    right[d] = 1.0
     return left, right
+
+
+def _recompute_cancellations(
+    block: Array, rows: Array, cols: Array, rows_sq: Array, cols_sq: Array
+) -> None:
+    """Overwrite each entry of ``block`` at or below the cancellation share with its direct ``d²``.
+
+    Entry ``(q, p)`` at most ``_GRAM_CANCELLATION`` times ``rows_sq[q] +
+    cols_sq[p]`` becomes ``|rows[q] - cols[p]|²``.
+    """
+    q, p = np.nonzero(block <= _GRAM_CANCELLATION * np.add.outer(rows_sq, cols_sq))
+    diff = rows[q] - cols[p]
+    block[q, p] = np.einsum("ij,ij->i", diff, diff)
 
 
 def _pair_block(samples: Array, left: Array, right: Array, start: int, stop: int, hi: int) -> Array:
@@ -120,20 +155,26 @@ def _pair_block(samples: Array, left: Array, right: Array, start: int, stop: int
     and the block is one :func:`autodiff.matmul_rows` product of them.
     When some squared distance may be at most ``_GRAM_CANCELLATION``
     times ``|ci|² + |cj|²``, each such pair is recomputed from the raw
-    samples, so every distance is within about 2e-12 relative of the
-    direct norm and duplicate rows are exactly 0 apart.
+    samples (:func:`_recompute_cancellations`), so every distance is
+    within about 2e-12 relative of the direct norm and duplicate rows are
+    exactly 0 apart.
+
+    Only the corner's self-distances ``(p - 1, p)`` are masked (+inf)
+    before that test; the mirrored non-pairs above them stay in its
+    ``min`` and are zeroed with the self-distances in one masked write
+    at the end.  A mirrored entry is a pair of this block taken the other
+    way round, so it can only send the block to the recomputation, which
+    selects entry by entry and so picks no pair that the masked block
+    would not have picked.
     """
     block = matmul_rows(left[start + 1 : hi], right[:, start:stop])  # squared distances
-    d = left.shape[1] - 2
-    non_pairs = _NON_PAIRS[: stop - start, : stop - start]
-    corner = block[: stop - start]
-    np.copyto(corner, np.inf, where=non_pairs)
+    width, d = stop - start, left.shape[1] - 2
+    np.fill_diagonal(block[: width - 1, 1:width], np.inf)
     rows_sq, cols_sq = left[start + 1 : hi, d], right[d + 1, start:stop]
     if not block.min() > _GRAM_CANCELLATION * (rows_sq.max() + cols_sq.max()):
-        q, p = np.nonzero(block <= _GRAM_CANCELLATION * np.add.outer(rows_sq, cols_sq))
-        diff = samples[start + 1 + q] - samples[start + p]
-        block[q, p] = np.einsum("ij,ij->i", diff, diff)
-    np.copyto(corner, 0.0, where=non_pairs)
+        rows, cols = samples[start + 1 : hi], samples[start:stop]
+        _recompute_cancellations(block, rows, cols, rows_sq, cols_sq)
+    np.copyto(block[:width], 0.0, where=_NON_PAIRS[:width, :width])
     return np.sqrt(block, out=block)
 
 
@@ -156,9 +197,12 @@ def _nearest_reference(embeddings: Array, reference_embeddings: Array) -> Array:
     more than ``_NEAREST_MARGIN`` times ``|e|² + max |r|²`` apart (a tie,
     a near tie or a non-finite value) is recomputed as the ``argmin`` of
     the norms of its differences, so the result equals that expression's
-    element for element, first index on exact ties included.
+    element for element, first index on exact ties included.  Those rows
+    run in blocks whose ``(rows, R, d)`` difference tensor holds at most
+    ``_PAIR_BLOCK_SIZE`` entries (or one row's, if they alone are more),
+    so the fallback's memory stays bounded at any reference count.
     """
-    centre = np.mean(reference_embeddings, axis=0)
+    centre = _mean(reference_embeddings, axis=0)
     centred = embeddings - centre
     refs = reference_embeddings - centre
     sq = np.einsum("ij,ij->i", centred, centred)
@@ -171,10 +215,12 @@ def _nearest_reference(embeddings: Array, reference_embeddings: Array) -> Array:
     if refs.shape[0] > 1:
         d2.partition(1, axis=1)
         gap = d2[:, 1] - d2[:, 0]
-        rows = np.flatnonzero(~(gap > _NEAREST_MARGIN * (sq + np.max(ref_sq))))
-        if rows.size:
-            diffs = embeddings[rows, None, :] - reference_embeddings[None, :, :]
-            assignment[rows] = np.argmin(np.linalg.norm(diffs, axis=2), axis=1)
+        rows = np.flatnonzero(~(gap > _NEAREST_MARGIN * (sq + ref_sq.max())))
+        step = max(1, _PAIR_BLOCK_SIZE // reference_embeddings.size)
+        for i in range(0, rows.size, step):
+            block = rows[i : i + step]
+            diffs = embeddings[block, None, :] - reference_embeddings
+            assignment[block] = np.argmin(np.linalg.norm(diffs, axis=2), axis=1)
     return assignment
 
 
@@ -232,8 +278,8 @@ class SnapshotPlan:
     """The fixed inputs of repeated held-out evaluations, checked once.
 
     A plan holds the ``eval-z`` latents of ``seed``, the source
-    generator's held-out embeddings of them and the held-out embeddings
-    of the references.  :meth:`evaluate_stack` evaluates a stack of
+    generator's held-out embeddings of them with their norms, and the
+    held-out embeddings of the references.  :meth:`evaluate_stack` evaluates a stack of
     target generators against them in one pass; a call evaluates one
     generator as a stack of one.  ``held_out_subspaces`` and
     ``references`` are keyed by domain id; references are x-space
@@ -262,6 +308,7 @@ class SnapshotPlan:
         self.subspaces = held_out_subspaces
         self.z = stream_rng(seed, "eval-z").standard_normal((int(n_samples), source_gen.d_z))
         self.f_source = encode(held_out_encoder, source_gen.forward(self.z))
+        self.source_norms = _row_norms(self.f_source)
         self.reference_embeddings = np.vstack(
             [encode(held_out_encoder, references[d]) for d in references]
         )
@@ -278,6 +325,10 @@ class SnapshotPlan:
         diversity clusters every slice's rows at once, so each report
         equals the one its generator gets alone bit for bit.
         """
+        if np.ndim(params) != 2:
+            raise DimensionError(
+                f"params must be an (S, P) stack of generator vectors, got shape {np.shape(params)}"
+            )
         if like.d_z != self.source.d_z or like.d_x != self.source.d_x:
             raise DimensionError("target and source generators have mismatched dimensions")
         f_target = encode(self.encoder, forward_stack(params, like, self.z))
@@ -285,7 +336,7 @@ class SnapshotPlan:
             domain_id: _mean_subspace_distance(subspace, f_target)
             for domain_id, subspace in self.subspaces.items()
         }
-        consistency = np.mean(_pairwise_cosine(self.f_source, f_target), axis=-1)
+        consistency = _mean(_pairwise_cosine(self.f_source, self.source_norms, f_target), axis=-1)
         diversity = _diversity(f_target, self.reference_embeddings)
         return [
             MetricsReport(

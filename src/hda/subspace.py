@@ -10,7 +10,8 @@ the stack equals its own decomposition bit for bit.
 
 Distances to a subspace are always measured to the orthogonal
 projection ``f* = basis @ basis.T @ (p - mean) + mean``, computed for a
-batch of row vectors as ``(P - mean) @ basis @ basis.T + mean``.
+batch of row vectors as ``(P - mean) @ basis @ basis.T + mean``, with the
+mean added in place on the product.
 
 This module holds the geometry only; feature CSVs and subspace JSONs
 go through :mod:`hda.files`.
@@ -216,8 +217,9 @@ def project(subspace: DomainSubspace, point) -> Array:
         raise DimensionError(
             f"point has shape {p.shape}, subspace lives in {subspace.mean.shape}"
         )
-    coords = matmul_rows(p - subspace.mean, subspace.basis)
-    return matmul_rows(coords, subspace.basis.T) + subspace.mean
+    out = matmul_rows(matmul_rows(p - subspace.mean, subspace.basis), subspace.basis.T)
+    out += subspace.mean
+    return out
 
 
 def subspace_distance_sq(subspace: DomainSubspace, point) -> float:

@@ -8,8 +8,10 @@ so reference sets can be sampled without any real data.
 
 The generator and encoders evaluate a ``(n, d)`` batch as one matrix
 expression, ``act(x @ w1.T + b1) @ w2.T + b2``, whose products run in
-row blocks (:func:`autodiff.matmul_rows`); a single vector goes through
-the same expression as a one-row batch.  The tape versions
+row blocks (:func:`autodiff.matmul_rows`); each bias and activation is
+applied in place on the product just allocated, with the bits of the
+out-of-place expression.  A single vector goes through the same
+expression as a one-row batch.  The tape versions
 (:func:`generator_forward_var`, :func:`encode_var`) build the identical
 expression, so on the same batch they agree with the numpy functions
 bit for bit.
@@ -139,8 +141,11 @@ def _generator_forward(w1, b1, w2, b2, z: Array) -> Array:
     product is one BLAS call per slice, so each slice equals the 2-D
     expression of its own weights and batch bit for bit.
     """
-    hidden = np.tanh(ad.matmul_rows(z, w1.swapaxes(-1, -2)) + b1[..., None, :])
-    return ad.matmul_rows(hidden, w2.swapaxes(-1, -2)) + b2[..., None, :]
+    hidden = ad.matmul_rows(z, w1.swapaxes(-1, -2))
+    hidden += b1[..., None, :]
+    x = ad.matmul_rows(np.tanh(hidden, out=hidden), w2.swapaxes(-1, -2))
+    x += b2[..., None, :]
+    return x
 
 
 def flatten_generator(gen: GeneratorParams) -> Array:
@@ -266,8 +271,10 @@ def encode(encoders, x) -> Array:
     """
     w1, b1, w2, b2 = _encoder_weights(encoders)
     x = _rows(x, w1.shape[-1], "input", max_ndim=3 if w1.ndim == 2 else 2)
-    hidden = _relu(ad.matmul_rows(np.atleast_2d(x), np.swapaxes(w1, -1, -2)) + b1)
-    f = ad.matmul_rows(hidden, np.swapaxes(w2, -1, -2)) + b2
+    hidden = ad.matmul_rows(np.atleast_2d(x), np.swapaxes(w1, -1, -2))
+    hidden += b1
+    f = ad.matmul_rows(_relu(hidden), np.swapaxes(w2, -1, -2))
+    f += b2
     return f[..., 0, :] if x.ndim == 1 else f
 
 

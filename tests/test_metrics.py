@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import re
 import tracemalloc
 import warnings
 
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from hda import engine, metrics
+from hda.autodiff import matmul_rows
 from hda.engine import default_adaptation_config, run_adaptation
 from hda.errors import ConfigError, DimensionError, NumericalError
 from hda.files import read_object, write_json
@@ -20,11 +22,13 @@ from hda.metrics import (
     _diversity,
     _nearest_reference,
     _pair_block,
+    _pairwise_cosine,
+    _row_norms,
     evaluate,
     round12,
 )
 from hda.seeding import derive_seed
-from hda.worlds import make_source_generator, unflatten_generator
+from hda.worlds import flatten_generator, make_source_generator, unflatten_generator
 
 
 def _held_out_inputs(world, subspaces):
@@ -248,6 +252,86 @@ def test_duplicate_rows_are_exactly_zero_apart():
     assert np.count_nonzero(distances[np.tril_indices(39)] == 0.0) == 1
 
 
+def _augmented_by_hstack(centred):
+    """The augmented rows and columns built by ``hstack`` and a transposed copy."""
+    sq = np.einsum("ij,ij->i", centred, centred)[:, None]
+    ones = np.ones_like(sq)
+    left = np.hstack([centred, sq, ones])
+    right = np.ascontiguousarray(np.hstack([-2.0 * centred, ones, sq]).T)
+    return left, right
+
+
+def _pair_block_two_pass(samples, left, right, start, stop, hi):
+    """The pair block with every non-pair masked to +inf before the test, then zeroed."""
+    block = matmul_rows(left[start + 1 : hi], right[:, start:stop])
+    d = left.shape[1] - 2
+    non_pairs = np.triu(np.ones((stop - start,) * 2, dtype=bool), 1)
+    corner = block[: stop - start]
+    np.copyto(corner, np.inf, where=non_pairs)
+    rows_sq, cols_sq = left[start + 1 : hi, d], right[d + 1, start:stop]
+    if not block.min() > metrics._GRAM_CANCELLATION * (rows_sq.max() + cols_sq.max()):
+        q, p = np.nonzero(block <= metrics._GRAM_CANCELLATION * np.add.outer(rows_sq, cols_sq))
+        diff = samples[start + 1 + q] - samples[start + p]
+        block[q, p] = np.einsum("ij,ij->i", diff, diff)
+    np.copyto(corner, 0.0, where=non_pairs)
+    return np.sqrt(block, out=block)
+
+
+@pytest.mark.parametrize("n", [2, 3, 128, 1024])
+def test_pair_blocks_and_augmented_rows_equal_their_two_pass_oracles_bit_for_bit(n, monkeypatch):
+    seen = {"augmented": 0, "blocks": 0, "recomputed": 0}
+
+    def augmented(centred):
+        left, right = _augmented(centred)
+        want_left, want_right = _augmented_by_hstack(centred)
+        assert left.tobytes() == want_left.tobytes() and right.tobytes() == want_right.tobytes()
+        assert right.flags.c_contiguous
+        seen["augmented"] += 1
+        return left, right
+
+    def pair_block(*args):
+        block = _pair_block(*args)
+        assert block.tobytes() == _pair_block_two_pass(*args).tobytes()
+        seen["blocks"] += 1
+        return block
+
+    def recompute(*args):
+        seen["recomputed"] += 1
+        return recompute_cancellations(*args)
+
+    recompute_cancellations = metrics._recompute_cancellations
+    monkeypatch.setattr(metrics, "_augmented", augmented)
+    monkeypatch.setattr(metrics, "_pair_block", pair_block)
+    monkeypatch.setattr(metrics, "_recompute_cancellations", recompute)
+    cases, refs = _oracle_cases(n)
+    for embeddings in cases.values():
+        _diversity_of(embeddings, refs)
+    assert seen["augmented"] == len(cases) and seen["blocks"] > 0
+    # the sub-group cases send blocks to the recomputation
+    assert n < 128 or seen["recomputed"] > 0
+
+
+def test_the_stock_last_checkpoint_recomputes_no_block_at_1024_samples(
+    world, subspaces, stock_last_params, monkeypatch
+):
+    blocks, recomputed = [], []
+
+    def pair_block(*args):
+        blocks.append(args[3:])
+        return _pair_block(*args)
+
+    monkeypatch.setattr(metrics, "_pair_block", pair_block)
+    monkeypatch.setattr(metrics, "_recompute_cancellations", lambda *a: recomputed.append(a))
+    enc, held_subs, refs = _held_out_inputs(world, subspaces)
+    for seed in range(3):  # the eval_sweep benchmark's seeds at workload seed 0
+        blocks.clear()
+        SnapshotPlan(world.source_generator, enc, held_subs, refs, 1024, seed)(stock_last_params)
+        # one cluster of nearly all samples, summed in 10 blocks
+        assert len(blocks) == 10 and len({hi for _, _, hi in blocks}) == 1
+        assert blocks[-1][2] - blocks[0][0] > 1000
+    assert recomputed == []
+
+
 def test_stock_run_snapshot_diversities_match_the_oracle(world, subspaces, monkeypatch):
     seen = []
 
@@ -309,12 +393,17 @@ def _nearest_reference_cases():
     duplicated[13] = duplicated[4]
     near_duplicate = refs[4] + 0.5 * rng.standard_normal((256, 16))
     single = rng.standard_normal((64, 16))
+    # every row ties between two copies of one of 512 references
+    many = rng.standard_normal((512, 16))
+    many[300] = many[11]
+    on_duplicate = many[11] + 1e-3 * rng.standard_normal((1024, 16))
     return {
         "midpoints": (midpoints, refs),
         "near-midpoint": (near_midpoint, refs),
         "far-offset": (far_cluster, far_refs),
         "duplicated-reference": (np.vstack([near_duplicate, duplicated]), duplicated),
         "single-reference": (single, refs[:1]),
+        "duplicated-of-512": (on_duplicate, many),
     }
 
 
@@ -326,17 +415,40 @@ def test_nearest_reference_equals_the_full_tensor_argmin(case):
     assert np.array_equal(_nearest_reference(embeddings, refs), expected)
 
 
-def test_nearest_reference_memory_is_bounded():
-    rng = np.random.default_rng(2)
-    refs = rng.standard_normal((512, 16))
-    embeddings = rng.standard_normal((1024, 16))
+def _fallback_rows_and_peak(embeddings, refs, monkeypatch):
+    """The row counts of :func:`_nearest_reference`'s direct-norm blocks and its traced peak."""
+    blocks = []
+    norm = np.linalg.norm
+
+    def spy(x, *args, **kwargs):
+        blocks.append(x.shape[0])
+        return norm(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", spy)
     tracemalloc.start()
     try:
         _nearest_reference(embeddings, refs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return blocks, peak
+
+
+def test_nearest_reference_memory_is_bounded(monkeypatch):
+    rng = np.random.default_rng(2)
+    refs = rng.standard_normal((512, 16))
+    embeddings = rng.standard_normal((1024, 16))
+    blocks, peak = _fallback_rows_and_peak(embeddings, refs, monkeypatch)
     # the (1024, 512, 16) difference tensor alone is 64 MiB
+    assert blocks == [] and peak < 16 * 2**20
+
+
+def test_nearest_reference_fallback_memory_is_bounded(monkeypatch):
+    embeddings, refs = _nearest_reference_cases()["duplicated-of-512"]
+    blocks, peak = _fallback_rows_and_peak(embeddings, refs, monkeypatch)
+    # every row takes the direct-norm fallback, in blocks of at most
+    # _PAIR_BLOCK_SIZE difference entries (8 rows of 512 x 16)
+    assert sum(blocks) == 1024 and max(blocks) * refs.size <= metrics._PAIR_BLOCK_SIZE
     assert peak < 16 * 2**20
 
 
@@ -376,6 +488,13 @@ def stock_snapshot_params(world, subspaces):
         patch.setattr(engine, "SnapshotPlan", RecordingPlan)
         run_adaptation(default_adaptation_config(world, seed=0), world, subspaces)
     return np.array(seen)
+
+
+@pytest.fixture(scope="module")
+def stock_last_params(world, subspaces):
+    """The stock run's ``last`` checkpoint."""
+    record = run_adaptation(default_adaptation_config(world, seed=0), world, subspaces)
+    return record.checkpoints["last"].params
 
 
 def test_a_stack_equals_its_generators_evaluated_one_by_one(
@@ -445,6 +564,36 @@ def test_snapshot_plan_checks_target_dimensions(world, subspaces):
     wider = make_source_generator(0, d_z=source.d_z + 1, d_h=source.d_h, d_x=source.d_x)
     with pytest.raises(DimensionError):
         plan(wider)
+
+
+def test_snapshot_plan_refuses_a_params_array_that_is_not_a_stack(world, subspaces):
+    enc, held_subs, refs = _held_out_inputs(world, subspaces)
+    source = world.source_generator
+    plan = SnapshotPlan(source, enc, held_subs, refs, 16, 0)
+    flat = flatten_generator(source)
+    for params in (flat, flat[None, None]):
+        shape = re.escape(str(params.shape))
+        with pytest.raises(DimensionError, match=rf"\(S, P\) stack .*got shape {shape}$"):
+            plan.evaluate_stack(params, source)
+    assert plan.evaluate_stack(flat[None], source) == [plan(source)]
+
+
+def test_zero_norm_rows_score_cosine_zero():
+    rng = np.random.default_rng(8)
+    a, b = rng.standard_normal((6, 16)), rng.standard_normal((2, 6, 16))
+    a[1] = 0.0
+    b[0, 4] = b[1, 1] = 0.0
+    assert _row_norms(a).tobytes() == np.linalg.norm(a, axis=-1).tobytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cosine = _pairwise_cosine(a, _row_norms(a), b)
+    zero = np.zeros((2, 6), dtype=bool)
+    zero[:, 1] = zero[0, 4] = True
+    assert (cosine[zero] == 0.0).all() and not np.signbit(cosine[zero]).any()
+    dots = np.einsum("ij,sij->si", a, b)
+    norms = np.linalg.norm(a, axis=-1) * np.linalg.norm(b, axis=-1)
+    expected = np.clip(dots[~zero] / norms[~zero], -1.0, 1.0)
+    assert cosine[~zero].tobytes() == expected.tobytes()
 
 
 def test_report_with_a_nan_metric_is_refused_and_leaves_no_file(tmp_path):

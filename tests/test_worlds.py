@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hda import autodiff as ad
-from hda import subspace
+from hda import subspace, worlds
 from hda.autodiff import Tape, grad_check
 from hda.engine import (
     SEPARABILITY_THRESHOLD,
@@ -44,6 +44,7 @@ from hda.worlds import (
     sample_domain_references,
     sample_source_points,
     save_world,
+    stack_encoders,
     unflatten_generator,
 )
 
@@ -235,6 +236,65 @@ def test_stacked_generators_encodings_and_projections_equal_their_slices(world, 
         encode(world.train_encoders, x)
     with pytest.raises(DimensionError):
         project(sub, f[None])
+
+
+def _mlp_out_of_place(w1, b1, w2, b2, x, act):
+    """``act(x @ w1.T + b1) @ w2.T + b2`` with every step on a new array."""
+    hidden = act(ad.matmul_rows(x, np.swapaxes(w1, -1, -2)) + b1)
+    return ad.matmul_rows(hidden, np.swapaxes(w2, -1, -2)) + b2
+
+
+def _split_rows(*weights):
+    """Row counts either side of ``matmul_rows``' row-block split for products with each weight."""
+    splits = {ad.SERIAL_GEMM_SIZE // w.size for w in weights}
+    return sorted(splits | {n + 1 for n in splits})
+
+
+def test_in_place_forward_encode_and_project_equal_their_out_of_place_forms(
+    world, subspaces, monkeypatch
+):
+    source, enc = world.source_generator, world.held_out_encoder
+    sub = subspaces[enc.encoder_id]["attr0"]
+    rng = stream_rng(6, "gen-probe")
+    stack = flatten_generator(source) * (1.0 + 0.1 * rng.standard_normal((2, 1)))
+    views = worlds.generator_views(stack, source)
+    ensemble = stack_encoders(world.train_encoders)
+    fresh = []
+
+    def spy(x):
+        fresh.append(x.flags.owndata)
+        return _relu(x)
+
+    def relu(x):
+        return np.where(x > 0.0, x, 0.0)
+
+    def same(got, want):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    monkeypatch.setattr(worlds, "_relu", spy)
+    rows = _split_rows(source.w1, source.w2, enc.w1, enc.w2, sub.basis)
+    assert rows[0] <= 256 and rows[-1] > 1024
+    gen = (source.w1, source.b1[None], source.w2, source.b2[None])
+    stacked_gen = (views["w1"], views["b1"][:, None], views["w2"], views["b2"][:, None])
+    weights = (enc.w1, enc.b1, enc.w2, enc.b2)
+    for n in rows:
+        z = rng.standard_normal((n, source.d_z))
+        # a vector runs as a one-row batch
+        for z_in in (z[:1], z, np.stack([z, z[::-1]])):
+            same(source.forward(z_in), _mlp_out_of_place(*gen, z_in, np.tanh))
+        same(source.forward(z[0]), _mlp_out_of_place(*gen, z[:1], np.tanh)[0])
+        x = forward_stack(stack, source, z)
+        same(x, _mlp_out_of_place(*stacked_gen, z, np.tanh))
+        for x_in in (x[0], x):
+            same(encode(enc, x_in), _mlp_out_of_place(*weights, x_in, relu))
+        same(encode(enc, x[0, 0]), _mlp_out_of_place(*weights, x[0, :1], relu)[0])
+        same(encode(world.train_encoders, x[0]), _mlp_out_of_place(*ensemble, x[0], relu))
+        f = encode(enc, x)
+        for p in (f[0, 0], f[0], f):
+            out_of_place = ad.matmul_rows(ad.matmul_rows(p - sub.mean, sub.basis), sub.basis.T)
+            same(project(sub, p), out_of_place + sub.mean)
+    # _relu writes over its argument, so each caller passes one it allocated
+    assert len(fresh) == 5 * len(rows) and all(fresh)
 
 
 def test_encoders_are_genuinely_different(world):
