@@ -295,11 +295,12 @@ def test_pair_blocks_and_augmented_rows_equal_their_two_pass_oracles_bit_for_bit
         seen["blocks"] += 1
         return block
 
+    recompute_cancellations = metrics._recompute_cancellations
+
     def recompute(*args):
         seen["recomputed"] += 1
         return recompute_cancellations(*args)
 
-    recompute_cancellations = metrics._recompute_cancellations
     monkeypatch.setattr(metrics, "_augmented", augmented)
     monkeypatch.setattr(metrics, "_pair_block", pair_block)
     monkeypatch.setattr(metrics, "_recompute_cancellations", recompute)
@@ -312,7 +313,7 @@ def test_pair_blocks_and_augmented_rows_equal_their_two_pass_oracles_bit_for_bit
 
 
 def test_the_stock_last_checkpoint_recomputes_no_block_at_1024_samples(
-    world, subspaces, stock_last_params, monkeypatch
+    world, subspaces, stock_snapshot_params, monkeypatch
 ):
     blocks, recomputed = [], []
 
@@ -323,9 +324,11 @@ def test_the_stock_last_checkpoint_recomputes_no_block_at_1024_samples(
     monkeypatch.setattr(metrics, "_pair_block", pair_block)
     monkeypatch.setattr(metrics, "_recompute_cancellations", lambda *a: recomputed.append(a))
     enc, held_subs, refs = _held_out_inputs(world, subspaces)
+    source = world.source_generator
+    last = stock_snapshot_params[-1:]  # the step-300 snapshot: the `last` checkpoint
     for seed in range(3):  # the eval_sweep benchmark's seeds at workload seed 0
         blocks.clear()
-        SnapshotPlan(world.source_generator, enc, held_subs, refs, 1024, seed)(stock_last_params)
+        SnapshotPlan(source, enc, held_subs, refs, 1024, seed).evaluate_stack(last, source)
         # one cluster of nearly all samples, summed in 10 blocks
         assert len(blocks) == 10 and len({hi for _, _, hi in blocks}) == 1
         assert blocks[-1][2] - blocks[0][0] > 1000
@@ -488,13 +491,6 @@ def stock_snapshot_params(world, subspaces):
         patch.setattr(engine, "SnapshotPlan", RecordingPlan)
         run_adaptation(default_adaptation_config(world, seed=0), world, subspaces)
     return np.array(seen)
-
-
-@pytest.fixture(scope="module")
-def stock_last_params(world, subspaces):
-    """The stock run's ``last`` checkpoint."""
-    record = run_adaptation(default_adaptation_config(world, seed=0), world, subspaces)
-    return record.checkpoints["last"].params
 
 
 def test_a_stack_equals_its_generators_evaluated_one_by_one(

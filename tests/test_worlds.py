@@ -279,9 +279,9 @@ def test_in_place_forward_encode_and_project_equal_their_out_of_place_forms(
     weights = (enc.w1, enc.b1, enc.w2, enc.b2)
     for n in rows:
         z = rng.standard_normal((n, source.d_z))
-        # a vector runs as a one-row batch
         for z_in in (z[:1], z, np.stack([z, z[::-1]])):
             same(source.forward(z_in), _mlp_out_of_place(*gen, z_in, np.tanh))
+        # a vector runs as a one-row batch
         same(source.forward(z[0]), _mlp_out_of_place(*gen, z[:1], np.tanh)[0])
         x = forward_stack(stack, source, z)
         same(x, _mlp_out_of_place(*stacked_gen, z, np.tanh))
