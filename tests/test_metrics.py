@@ -3,7 +3,10 @@
 import dataclasses
 import itertools
 import json
+import platform
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -400,6 +403,10 @@ def _nearest_reference_cases():
     many = rng.standard_normal((512, 16))
     many[300] = many[11]
     on_duplicate = many[11] + 1e-3 * rng.standard_normal((1024, 16))
+    # every row ties between two distinct, nearby ones of 512 references
+    pair = many.copy()
+    pair[300] = pair[11] + 1e-3 * rng.standard_normal(16)
+    on_midpoint = (pair[11] + pair[300]) / 2 + 1e-15 * rng.standard_normal((1024, 16))
     return {
         "midpoints": (midpoints, refs),
         "near-midpoint": (near_midpoint, refs),
@@ -407,6 +414,7 @@ def _nearest_reference_cases():
         "duplicated-reference": (np.vstack([near_duplicate, duplicated]), duplicated),
         "single-reference": (single, refs[:1]),
         "duplicated-of-512": (on_duplicate, many),
+        "midpoint-of-512": (on_midpoint, pair),
     }
 
 
@@ -447,12 +455,39 @@ def test_nearest_reference_memory_is_bounded(monkeypatch):
 
 
 def test_nearest_reference_fallback_memory_is_bounded(monkeypatch):
-    embeddings, refs = _nearest_reference_cases()["duplicated-of-512"]
+    embeddings, refs = _nearest_reference_cases()["midpoint-of-512"]
     blocks, peak = _fallback_rows_and_peak(embeddings, refs, monkeypatch)
     # every row takes the direct-norm fallback, in blocks of at most
     # _PAIR_BLOCK_SIZE difference entries (8 rows of 512 x 16)
     assert sum(blocks) == 1024 and max(blocks) * refs.size <= metrics._PAIR_BLOCK_SIZE
     assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("case", ["duplicated-reference", "duplicated-of-512"])
+def test_duplicate_references_send_no_row_to_the_fallback(case, monkeypatch):
+    # ties between copies of one reference once sent 258 of the 276
+    # duplicated-reference rows and all 1,024 duplicated-of-512 rows
+    # through the direct norms; the copies are dropped before the Gram step
+    embeddings, refs = _nearest_reference_cases()[case]
+    blocks, _ = _fallback_rows_and_peak(embeddings, refs, monkeypatch)
+    assert blocks == []
+
+
+def test_nearest_reference_gram_memory_is_bounded(monkeypatch):
+    rng = np.random.default_rng(3)
+    refs = rng.standard_normal((4096, 16))
+    embeddings = rng.standard_normal((1024, 16))
+    products = []
+
+    def spy(x, m):
+        products.append(x.shape[0] * m.shape[1])
+        return matmul_rows(x, m)
+
+    monkeypatch.setattr(metrics, "matmul_rows", spy)
+    _, peak = _fallback_rows_and_peak(embeddings, refs, monkeypatch)
+    # the whole (1024, 4096) matrix of squared distances alone is 32 MiB
+    assert len(products) == 64 and max(products) <= metrics._PAIR_BLOCK_SIZE
+    assert peak < 4 * 2**20
 
 
 def test_snapshot_plan_matches_evaluate_on_every_snapshot(world, subspaces, monkeypatch):
@@ -491,6 +526,45 @@ def stock_snapshot_params(world, subspaces):
         patch.setattr(engine, "SnapshotPlan", RecordingPlan)
         run_adaptation(default_adaptation_config(world, seed=0), world, subspaces)
     return np.array(seen)
+
+
+_FAULTS_OF_FIVE_WARM_CALLS = """
+import resource, sys
+import numpy as np
+from hda import build_world, build_world_subspaces, default_world_config, evaluate
+from hda.worlds import unflatten_generator
+
+world = build_world(default_world_config())
+enc = world.held_out_encoder
+subs = {d: build_world_subspaces(world)[enc.encoder_id][d] for d in world.references}
+source = world.source_generator
+last = unflatten_generator(np.load(sys.argv[1]), source)
+
+def five_calls():
+    for seed in range(5):
+        evaluate(last, source, enc, subs, dict(world.references), 1024, seed)
+
+five_calls()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+five_calls()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="counts glibc's page faults")
+def test_warm_evaluations_fault_in_no_new_pages(tmp_path, stock_snapshot_params):
+    # With glibc's thresholds left dynamic, each 1,024-sample call unmapped
+    # or trimmed its temporaries on free and faulted them back in: about
+    # 3,400 minor faults over these five calls.  A fresh process counts
+    # them, since any earlier free of 32 MiB or more in this one would
+    # have raised the thresholds as far as the package pins them.
+    params = tmp_path / "last.npy"
+    np.save(params, stock_snapshot_params[-1])  # the step-300 snapshot: the `last` checkpoint
+    done = subprocess.run(
+        [sys.executable, "-c", _FAULTS_OF_FIVE_WARM_CALLS, str(params)],
+        capture_output=True, text=True, check=True,
+    )
+    assert int(done.stdout) < 50
 
 
 def test_a_stack_equals_its_generators_evaluated_one_by_one(
