@@ -294,8 +294,8 @@ def _diversity(embeddings: Array, reference_embeddings: Array) -> Array:
         total, start = 0.0, hi - m
         while start < hi - 1:
             stop = min(hi - 1, start + max(1, _PAIR_BLOCK_SIZE // (hi - start - 1)))
-            block = _pair_block(samples, left, right, start, stop, hi)
-            total += np.add.reduce(block, axis=None)
+            # summed as made, so no block is still alive while the next one is built
+            total += np.add.reduce(_pair_block(samples, left, right, start, stop, hi), axis=None)
             start = stop
         cluster_means[owner].append(total / (m * (m - 1) // 2))
     out[finite] = [float(np.mean(c)) if c else 0.0 for c in cluster_means]

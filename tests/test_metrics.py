@@ -382,9 +382,10 @@ def test_diversity_memory_is_bounded_at_1024_samples(monkeypatch):
         tracemalloc.stop()
     # the full (1024, 1024, 16) difference tensor alone is 128 MiB, and
     # the 1024 * 1023 / 2 distances 4 MiB; a block is at most 2^16
-    # distances, 0.5 MiB
+    # distances, 0.5 MiB, and one block alive at a time peaks at 0.92 MiB
+    # (1.42 MiB while each block outlived the making of the next)
     assert len(sizes) > 1 and max(sizes) <= 1 << 16
-    assert peak < 4 * 2**20
+    assert peak < 1.2 * 2**20
 
 
 def _nearest_reference_cases():
