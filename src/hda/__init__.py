@@ -83,8 +83,6 @@ from .errors import (
 )
 from .losses import (
     DomainWeight,
-    EncoderTerms,
-    LossBreakdown,
     direct_loss,
     dist_loss,
     hda_objective,

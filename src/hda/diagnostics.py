@@ -26,10 +26,10 @@ from .losses import (
     hda_objective,
     hybrid_direct_loss,
     hybrid_dist_loss,
-    loss_breakdowns,
+    loss_total,
 )
 from .seeding import stream_rng
-from .subspace import DomainSubspace
+from .subspace import DomainSubspace, FeatureSet, build_subspace, project
 from .worlds import (
     PARAM_FIELDS,
     encode,
@@ -54,9 +54,9 @@ def tape_objective(
 ):
     """:func:`hda.losses.hda_objective` as one tape expression: the closed form's oracle.
 
-    Takes the same arguments, unchecked, and returns the same breakdown
-    and gradients, computed by :mod:`hda.autodiff` from the tape losses'
-    building blocks.
+    Takes the same arguments, unchecked, and returns the same per-encoder
+    batch sums and flat gradient, computed by :mod:`hda.autodiff` from the
+    tape losses' building blocks.
     """
     inv_batch = 1.0 / z_batch.shape[0]
     tape = Tape()
@@ -69,18 +69,15 @@ def tape_objective(
     if not direct_only:
         dist = rows = _hybrid_dist(perps, weights)
     if not dist_only:
-        x_source = source_gen.forward(z_batch)
-        f_s = tape.constant(np.array([encode(enc, x_source) for enc in encoders]))
+        f_s = tape.constant(encode(encoders, source_gen.forward(z_batch)))
         direct = _hybrid_direct(f_s, f_t, perps, weights, NORM_EPS)
         weighted = ad.smul(lam, direct)
         rows = weighted if rows is None else ad.add(rows, weighted)
     tape.backward(ad.vsum(rows), seed=inv_batch)
-    grads = {name: np.array(var.grad) for name, var in param_vars.items()}
+    grads = np.concatenate([param_vars[name].grad.ravel() for name in PARAM_FIELDS])
     absent = np.zeros(f_t.shape[:-1])
     dist, direct = (absent if t is None else t.value for t in (dist, direct))
-    ids = [e.encoder_id for e in encoders]
-    breakdown = loss_breakdowns(ids, dist.sum(-1)[None], direct.sum(-1)[None], len(z_batch), lam)
-    return breakdown[0], grads
+    return dist.sum(-1), direct.sum(-1), grads
 
 
 def _merge(name: str, tol: float, reports: list[GradCheckReport]) -> GradCheckReport:
@@ -250,8 +247,6 @@ def _check_direct(rng, collinear: bool) -> GradCheckReport:
         # place f_s so that f_t - f_s is exactly parallel to f* - f_t;
         # the cosine sits at its maximum and most gradient coordinates
         # vanish, exercising the skipped-coordinate path
-        from .subspace import project
-
         delta_tp = project(sub, f_t0) - f_t0
         f_s0 = f_t0 - 2.0 * delta_tp
     else:
@@ -329,8 +324,6 @@ def _toy_objective_setup(seed: int, batch: int, n_encoders: int, unequal_ranks: 
     and domain ``j`` get rank ``1 + (i + j) % 3``, so the stacked bases
     need zero padding.
     """
-    from .subspace import FeatureSet, build_subspace
-
     rng = stream_rng(seed, "gradcheck", "objective")
     source = make_source_generator(seed, d_z=3, d_h=5, d_x=6, output_gain=0.5)
     encoders = [
@@ -384,18 +377,14 @@ def _check_objective(
     def f(p):
         target = unflatten_generator(p, like=source)
         args = (z_batch, source, target, encoders)
-        breakdown, grads = hda_objective(*args, subspaces, weights, lam=lam, **flags)
-        return breakdown.total, np.concatenate(
-            [grads[name].ravel() for name in PARAM_FIELDS]
-        )
+        dist, direct, grads = hda_objective(*args, subspaces, weights, lam=lam, **flags)
+        return loss_total(dist, direct, batch, lam), grads
 
     name = f"hda_objective ({label}, batch {batch})"
     return grad_check(f, flatten_generator(target0), tol=COMPOSITE_TOL, name=name)
 
 
 def _check_dist_through_encoder(seed: int) -> GradCheckReport:
-    from .subspace import FeatureSet, build_subspace
-
     rng = stream_rng(seed, "gradcheck", "dist-encoder")
     source = make_source_generator(seed + 17, d_z=3, d_h=5, d_x=6, output_gain=0.5)
     enc = make_encoder("enc", seed + 23, d_x=6, d_hidden=5, d_e=4)

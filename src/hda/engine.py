@@ -16,7 +16,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .errors import ConfigError, DegenerateDomain, NumericalError
-from .losses import DomainWeight, LossBreakdown, ObjectivePlan, loss_breakdowns, loss_total
+from .losses import DomainWeight, ObjectivePlan, loss_total
 from .metrics import MetricsReport, SnapshotPlan
 from .seeding import derive_seed, stream_rng
 from .files import json_doc, read_document, write_json
@@ -217,6 +217,27 @@ class Checkpoint:
     params: GeneratorParams
 
 
+# only bench/workloads.py reads these (via step_losses); ROADMAP item 7 deletes them after item 1
+@dataclass(frozen=True)
+class EncoderTerms:
+    encoder_id: str
+    dist_term: float
+    direct_term: float
+
+
+@dataclass(frozen=True)
+class LossBreakdown:
+    """One step's objective value with its per-encoder decomposition.
+
+    ``total == sum(dist_term + lam * direct_term)`` over the encoders;
+    terms an ablation removed from the objective are recorded as 0.
+    """
+
+    total: float
+    lam: float
+    per_encoder: tuple[EncoderTerms, ...]
+
+
 @dataclass
 class RunRecord:
     """Everything one adaptation run produced.
@@ -239,7 +260,17 @@ class RunRecord:
     @property
     def step_losses(self) -> list[LossBreakdown]:
         """One breakdown per step, built from ``dist`` and ``direct``; index i holds step i + 1."""
-        return loss_breakdowns(self.config.encoder_ids, self.dist, self.direct, 1, self.config.lam)
+        ids, lam = self.config.encoder_ids, self.config.lam
+        return [
+            LossBreakdown(
+                total=loss_total(dist, direct, 1, lam),
+                lam=lam,
+                per_encoder=tuple(map(EncoderTerms, ids, dists, directs)),
+            )
+            for dist, direct, dists, directs in zip(
+                self.dist, self.direct, self.dist.tolist(), self.direct.tolist()
+            )
+        ]
 
     def snapshot_at(self, step: int) -> MetricsReport:
         for snap in self.snapshots:

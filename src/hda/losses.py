@@ -36,7 +36,7 @@ from . import autodiff as ad
 from .autodiff import Var
 from .errors import ConfigError, DimensionError
 from .subspace import DomainSubspace
-from .worlds import PARAM_FIELDS, EncoderSpec, GeneratorParams, generator_views, stack_encoders
+from .worlds import PARAM_FIELDS, EncoderSpec, GeneratorParams, stack_encoders
 
 # bench/probes.py times these names in this module; nothing here calls them
 from .subspace import project  # noqa: F401  (probe site)
@@ -56,26 +56,6 @@ class DomainWeight:
     def __post_init__(self):
         if not self.alpha > 0.0:
             raise ConfigError(f"weight for {self.domain_id!r} must be positive")
-
-
-@dataclass(frozen=True)
-class EncoderTerms:
-    encoder_id: str
-    dist_term: float
-    direct_term: float
-
-
-@dataclass(frozen=True)
-class LossBreakdown:
-    """Objective value with its per-encoder decomposition.
-
-    ``total == sum(dist_term + lam * direct_term)`` over the encoders;
-    terms an ablation removed from the objective are recorded as 0.
-    """
-
-    total: float
-    lam: float
-    per_encoder: tuple[EncoderTerms, ...]
 
 
 def _stacked_subspaces(subspaces, lead: tuple[int, ...], d: int) -> tuple[Array, Array]:
@@ -193,31 +173,13 @@ def loss_total(dist_sums: Array, direct_sums: Array, batch_size: int, lam: float
     """Objective total of one step's ``(E,)`` per-encoder batch sums of the two losses.
 
     Each encoder's batch means give ``dist + lam * direct``, and these
-    add in encoder order, as :class:`LossBreakdown` records them.
+    add in encoder order.
     """
     inv_batch = 1.0 / batch_size
     return sum(
         d * inv_batch + lam * (r * inv_batch)
         for d, r in zip(dist_sums.tolist(), direct_sums.tolist())
     )
-
-
-def loss_breakdowns(
-    encoder_ids, dist_sums: Array, direct_sums: Array, batch_size: int, lam: float
-) -> list[LossBreakdown]:
-    """One breakdown per row of ``(steps, E)`` per-encoder batch sums."""
-    inv_batch = 1.0 / batch_size
-    dist_terms, direct_terms = (dist_sums * inv_batch).tolist(), (direct_sums * inv_batch).tolist()
-    return [
-        LossBreakdown(
-            total=loss_total(dist_row, direct_row, batch_size, lam),
-            per_encoder=tuple(map(EncoderTerms, encoder_ids, dists, directs)),
-            lam=lam,
-        )
-        for dist_row, direct_row, dists, directs in zip(
-            dist_sums, direct_sums, dist_terms, direct_terms
-        )
-    ]
 
 
 class ObjectivePlan:
@@ -253,7 +215,8 @@ class ObjectivePlan:
             raise ConfigError(f"lambda must be >= 0, got {lam}")
         if dist_only and direct_only:
             raise ConfigError("dist_only and direct_only are mutually exclusive")
-        _check_hybrid_args([None] * len(weights), weights)
+        if not weights:
+            raise ConfigError("hybrid losses need at least one domain weight")
         try:
             grid = [
                 subspaces_per_encoder[e.encoder_id][w.domain_id] for w in weights for e in encoders
@@ -364,11 +327,13 @@ def hda_objective(
     *,
     dist_only: bool = False,
     direct_only: bool = False,
-) -> tuple[LossBreakdown, dict[str, Array]]:
+) -> tuple[Array, Array, Array]:
     """Full objective over a latent batch, with target-generator gradients.
 
-    Returns the batch-mean loss breakdown and the gradient of the total
-    with respect to each target generator parameter array.  Source
+    Returns what an :class:`ObjectivePlan` call returns: the ``(E,)``
+    per-encoder batch sums of the distance and direction losses (their
+    total is :func:`loss_total`), and the gradient of the total as one
+    :func:`hda.worlds.flatten_generator` vector of the target.  Source
     generator and encoders enter as constants: their weights receive no
     gradient and are never modified.  Builds an :class:`ObjectivePlan`
     for this one call, a chunk of one step.
@@ -388,8 +353,4 @@ def hda_objective(
     )
     f_s = None if dist_only else plan.source_embeddings(z_batch[None])[0]
     params = {name: getattr(target_gen, name) for name in PARAM_FIELDS}
-    dist_sums, direct_sums, grads = plan(z_batch, params, f_s)
-    breakdown = loss_breakdowns(
-        plan.encoder_ids, dist_sums[None], direct_sums[None], len(z_batch), plan.lam
-    )[0]
-    return breakdown, generator_views(grads, target_gen)
+    return plan(z_batch, params, f_s)

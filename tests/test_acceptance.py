@@ -38,6 +38,7 @@ from hda.losses import (
     dist_loss,
     hybrid_direct_loss,
     hybrid_dist_loss,
+    loss_total,
 )
 from hda.metrics import evaluate
 from hda.seeding import derive_seed, stream_rng
@@ -251,7 +252,8 @@ def test_criterion_4_single_domain_adaptation(world, subspaces, baselines):
         "final_consistency": consistency,
         "lambda0_final_consistency": consistency_lam0,
         "final_to_step1_loss_ratio": (
-            record.step_losses[-1].total / record.step_losses[0].total
+            loss_total(record.dist[-1], record.direct[-1], 1, config.lam)
+            / loss_total(record.dist[0], record.direct[0], 1, config.lam)
         ),
     }
     drifted = sorted(

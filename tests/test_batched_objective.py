@@ -17,6 +17,7 @@ from hda.losses import (
     hda_objective,
     hybrid_direct_loss,
     hybrid_dist_loss,
+    loss_total,
 )
 from hda.seeding import stream_rng
 from hda.worlds import (
@@ -26,6 +27,7 @@ from hda.worlds import (
     flatten_generator,
     generator_forward_var,
     generator_param_vars,
+    generator_views,
     unflatten_generator,
 )
 
@@ -102,22 +104,23 @@ def test_batched_objective_matches_per_sample_reference(
     z = rng.standard_normal((batch, source.d_z))
     flags = {} if variant == "full" else {variant: True}
 
-    breakdown, grads = hda_objective(
+    dist, direct, grads = hda_objective(
         z, source, target, encoders, subspaces, weights, lam, **flags
     )
     value, terms, want_grads = _per_sample_objective(
         z, source, target, encoders, subspaces, weights, lam, **flags
     )
 
-    assert _close(breakdown.total, value)
-    assert [t.encoder_id for t in breakdown.per_encoder] == [e.encoder_id for e in encoders]
-    for t in breakdown.per_encoder:
-        want_dist, want_direct = terms[t.encoder_id]
-        assert _close(t.dist_term, want_dist)
-        assert _close(t.direct_term, want_direct)
-    for name in PARAM_FIELDS:
+    assert _close(loss_total(dist, direct, batch, lam), value)
+    # one entry per encoder, in the order the encoders were given
+    assert dist.shape == direct.shape == (len(encoders),)
+    for enc, d, r in zip(encoders, dist / batch, direct / batch):
+        want_dist, want_direct = terms[enc.encoder_id]
+        assert _close(d, want_dist)
+        assert _close(r, want_direct)
+    for name, got in generator_views(grads, target).items():
         scale = np.max(np.abs(want_grads[name]))
-        assert np.max(np.abs(grads[name] - want_grads[name])) <= REL * scale, name
+        assert np.max(np.abs(got - want_grads[name])) <= REL * scale, name
 
 
 def test_objective_matches_tape_oracle():
@@ -135,16 +138,18 @@ def test_objective_matches_tape_oracle():
     for start, encs in itertools.product((target, source), (encoders, half_dead)):
         for n_enc, n_dom, flags in itertools.product((1, 3), (1, 2), variants):
             args = (z, source, start, encs[:n_enc], subspaces, weights[:n_dom], 0.8)
-            got, grads = hda_objective(*args, **flags)
-            want, want_grads = tape_objective(*args, **flags)
-            assert abs(got.total - want.total) <= ORACLE_REL * abs(want.total)
-            for t, w in zip(got.per_encoder, want.per_encoder, strict=True):
-                assert t.encoder_id == w.encoder_id
-                assert abs(t.dist_term - w.dist_term) <= ORACLE_REL * abs(w.dist_term)
-                assert abs(t.direct_term - w.direct_term) <= ORACLE_REL * abs(w.direct_term)
-            for name in PARAM_FIELDS:
-                scale = np.max(np.abs(want_grads[name]))
-                assert np.max(np.abs(grads[name] - want_grads[name])) <= ORACLE_REL * scale
+            dist, direct, grads = hda_objective(*args, **flags)
+            want_dist, want_direct, want_grads = tape_objective(*args, **flags)
+            total = loss_total(dist, direct, len(z), 0.8)
+            want_total = loss_total(want_dist, want_direct, len(z), 0.8)
+            assert abs(total - want_total) <= ORACLE_REL * abs(want_total)
+            assert dist.shape == want_dist.shape == direct.shape == (n_enc,)
+            assert np.all(np.abs(dist - want_dist) <= ORACLE_REL * np.abs(want_dist))
+            assert np.all(np.abs(direct - want_direct) <= ORACLE_REL * np.abs(want_direct))
+            got_views = generator_views(grads, start)
+            for name, want_view in generator_views(want_grads, start).items():
+                scale = np.max(np.abs(want_view))
+                assert np.max(np.abs(got_views[name] - want_view)) <= ORACLE_REL * scale
 
 
 @pytest.mark.parametrize("steps, batch", [(25, 4), (3, 48), (1, 200), (7, 1)])

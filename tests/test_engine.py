@@ -29,7 +29,7 @@ from hda.engine import (
 )
 from hda.errors import ConfigError, DegenerateDomain, NumericalError
 from hda.files import json_doc, read_object
-from hda.losses import DomainWeight, ObjectivePlan, hda_objective
+from hda.losses import DomainWeight, ObjectivePlan, hda_objective, loss_total
 from hda.metrics import SnapshotPlan
 from hda import worlds
 from hda.seeding import derive_seed, stream_rng
@@ -202,14 +202,16 @@ def test_run_is_deterministic(world, subspaces):
     b = run_adaptation(config, world, subspaces)
     np.testing.assert_array_equal(a.final_params.w1, b.final_params.w1)
     np.testing.assert_array_equal(a.final_params.b2, b.final_params.b2)
-    assert [s.total for s in a.step_losses] == [s.total for s in b.step_losses]
+    assert a.dist.tobytes() == b.dist.tobytes()
+    assert a.direct.tobytes() == b.direct.tobytes()
 
 
 def test_longer_run_extends_shorter_one(world, subspaces):
     # 25 steps per chunk at the stock batch of 4: the longer run crosses two chunk edges
     short = run_adaptation(_small_config(world, steps=30), world, subspaces)
     longer = run_adaptation(_small_config(world, steps=60), world, subspaces)
-    assert short.step_losses == longer.step_losses[:30]
+    assert short.dist.tobytes() == longer.dist[:30].tobytes()
+    assert short.direct.tobytes() == longer.direct[:30].tobytes()
 
 
 def test_run_leaves_frozen_assets_untouched(world, subspaces):
@@ -228,7 +230,7 @@ def test_first_step_loss_is_reproducible_from_checkpoint(world, subspaces):
     assert first.step == 0
     batch = next(iter(training_batches(config, world.config.d_z)))
     encoders = [world.encoder(e) for e in config.encoder_ids]
-    breakdown, _ = hda_objective(
+    dist, direct, _ = hda_objective(
         batch,
         world.source_generator,
         first.params,
@@ -237,7 +239,18 @@ def test_first_step_loss_is_reproducible_from_checkpoint(world, subspaces):
         list(config.ordered_weights()),
         config.lam,
     )
-    assert breakdown == record.step_losses[0]
+    _assert_logged_step(record, 1, dist, direct)
+
+
+def _assert_logged_step(record, step, dist_sums, direct_sums):
+    """``record``'s row for ``step`` is these batch sums as batch means, bit for bit."""
+    batch, lam = record.config.batch_size, record.config.lam
+    inv_batch = 1.0 / batch
+    dist, direct = record.dist[step - 1], record.direct[step - 1]
+    assert (dist_sums * inv_batch).tobytes() == dist.tobytes(), f"step {step}"
+    assert (direct_sums * inv_batch).tobytes() == direct.tobytes(), f"step {step}"
+    want = loss_total(dist, direct, 1, lam)
+    assert loss_total(dist_sums, direct_sums, batch, lam) == want, f"step {step}"
 
 
 @pytest.fixture(scope="module")
@@ -246,14 +259,14 @@ def stock_record(world, subspaces):
 
 
 def _recomputed_loss(config, world, subspaces, step, first_params):
-    """``hda_objective`` at ``step`` of a run, from the params that enter that step."""
+    """``hda_objective``'s batch sums at ``step`` of a run, from the params entering that step."""
     if step == 1:
         params = first_params
     else:
         # params entering step s are the final params of an s-1 step run
         params = run_adaptation(replace(config, steps=step - 1), world, subspaces).final_params
     batch = next(itertools.islice(training_batches(config, world.config.d_z), step - 1, step))
-    breakdown, _ = hda_objective(
+    dist, direct, _ = hda_objective(
         batch,
         world.source_generator,
         params,
@@ -262,7 +275,7 @@ def _recomputed_loss(config, world, subspaces, step, first_params):
         list(config.ordered_weights()),
         config.lam,
     )
-    return breakdown
+    return dist, direct
 
 
 def test_logged_losses_match_recomputation_at_spot_steps(world, subspaces, stock_record):
@@ -270,8 +283,9 @@ def test_logged_losses_match_recomputation_at_spot_steps(world, subspaces, stock
     first = stock_record.checkpoints["first"].params
     # 25 and 26 sit either side of the first chunk edge, 37 inside the second chunk
     for step in (1, 25, 26, 37, 150, 300):
-        breakdown = _recomputed_loss(config, world, subspaces, step, first)
-        assert breakdown == stock_record.step_losses[step - 1], f"step {step}"
+        _assert_logged_step(
+            stock_record, step, *_recomputed_loss(config, world, subspaces, step, first)
+        )
 
 
 @pytest.mark.parametrize(
@@ -288,8 +302,9 @@ def test_logged_losses_match_recomputation_at_other_chunk_sizes(
     record = run_adaptation(config, world, subspaces)
     first = record.checkpoints["first"].params
     for step in range(1, steps + 1):
-        breakdown = _recomputed_loss(config, world, subspaces, step, first)
-        assert breakdown == record.step_losses[step - 1], f"step {step}"
+        _assert_logged_step(
+            record, step, *_recomputed_loss(config, world, subspaces, step, first)
+        )
 
 
 def _count_source_calls(monkeypatch) -> list:
@@ -317,10 +332,23 @@ def test_distance_only_run_computes_no_source_side(world, subspaces, monkeypatch
     assert calls == []
 
 
+def test_step_losses_view_follows_the_loss_columns(world, subspaces):
+    """``RunRecord.step_losses``, which the benchmark fingerprints, is ``dist`` and ``direct``."""
+    config = default_adaptation_config(world, steps=30)
+    record = run_adaptation(config, world, subspaces)
+    breakdowns = record.step_losses
+    assert len(breakdowns) == config.steps
+    for i, b in enumerate(breakdowns):
+        want = loss_total(record.dist[i], record.direct[i], 1, config.lam)
+        assert np.float64(b.total).tobytes() == np.float64(want).tobytes(), f"step {i + 1}"
+        assert b.lam == config.lam
+        assert tuple(t.encoder_id for t in b.per_encoder) == config.encoder_ids
+        assert [t.dist_term for t in b.per_encoder] == record.dist[i].tolist()
+        assert [t.direct_term for t in b.per_encoder] == record.direct[i].tolist()
+
+
 def test_dist_term_trend_nonincreasing_in_25_step_blocks(stock_record):
-    per_step = [
-        sum(t.dist_term for t in bd.per_encoder) for bd in stock_record.step_losses
-    ]
+    per_step = [sum(row) for row in stock_record.dist.tolist()]
     blocks = [
         float(np.mean(per_step[i : i + 25])) for i in range(0, len(per_step), 25)
     ]
@@ -524,9 +552,11 @@ def test_save_load_round_trip(tmp_path, world, subspaces):
     # the loss columns come back bit for bit, and so does every step's total
     for name in ("dist", "direct"):
         assert getattr(back, name).tobytes() == getattr(record, name).tobytes()
-    totals = [b.total for b in record.step_losses]
+    lam = record.config.lam
+    totals = [loss_total(d, r, 1, lam) for d, r in zip(record.dist, record.direct)]
+    back_totals = [loss_total(d, r, 1, lam) for d, r in zip(back.dist, back.direct)]
     assert len(totals) == 5
-    assert np.array(totals).tobytes() == np.array([b.total for b in back.step_losses]).tobytes()
+    assert np.array(totals).tobytes() == np.array(back_totals).tobytes()
     assert [s.step for s in back.snapshots] == [s.step for s in record.snapshots]
     # parameters survive the 12-digit rounding used on disk
     np.testing.assert_allclose(back.final_params.w1, record.final_params.w1, rtol=1e-11)

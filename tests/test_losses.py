@@ -8,14 +8,17 @@ from hda.errors import ConfigError
 from hda.losses import (
     NORM_EPS,
     DomainWeight,
+    ObjectivePlan,
     direct_loss,
     dist_loss,
     hda_objective,
     hybrid_direct_loss,
     hybrid_dist_loss,
+    loss_total,
 )
 from hda.seeding import stream_rng
 from hda.subspace import DomainSubspace, FeatureSet, build_subspace, subspace_distance_sq
+from hda.worlds import flatten_generator
 
 
 def _axis_subspace(d: int, axis: int, mean=None) -> DomainSubspace:
@@ -212,7 +215,7 @@ def test_objective_zero_when_on_subspace_without_direction_term(world, subspaces
     z = rng.standard_normal((3, world.config.d_z))
     weights = [DomainWeight("attr0", 0.5), DomainWeight("attr1", 0.5)]
     encoders = [world.encoder(e) for e in world.train_encoder_ids]
-    breakdown, grads = hda_objective(
+    dist, direct, grads = hda_objective(
         z,
         world.source_generator,
         world.source_generator,
@@ -221,11 +224,11 @@ def test_objective_zero_when_on_subspace_without_direction_term(world, subspaces
         weights,
         lam=1.0,
     )
-    want = sum(t.dist_term + 1.0 * t.direct_term for t in breakdown.per_encoder)
-    assert breakdown.total == pytest.approx(want, rel=1e-10)
-    assert set(grads) == {"w1", "b1", "w2", "b2"}
-    for g in grads.values():
-        assert np.all(np.isfinite(g))
+    assert dist.shape == direct.shape == (len(encoders),)
+    want = sum(d / len(z) + 1.0 * r / len(z) for d, r in zip(dist, direct))
+    assert loss_total(dist, direct, len(z), 1.0) == pytest.approx(want, rel=1e-10)
+    assert grads.shape == flatten_generator(world.source_generator).shape
+    assert np.all(np.isfinite(grads))
 
 
 def test_objective_additive_over_encoders(world, subspaces):
@@ -236,7 +239,7 @@ def test_objective_additive_over_encoders(world, subspaces):
     ids = list(world.train_encoder_ids)
 
     def total_for(encoder_ids):
-        breakdown, _ = hda_objective(
+        dist, direct, _ = hda_objective(
             z,
             world.source_generator,
             target,
@@ -245,7 +248,7 @@ def test_objective_additive_over_encoders(world, subspaces):
             weights,
             lam=1.0,
         )
-        return breakdown.total
+        return loss_total(dist, direct, len(z), 1.0)
 
     together = total_for(ids)
     separate = sum(total_for([e]) for e in ids)
@@ -260,20 +263,16 @@ def test_objective_variant_flags(world, subspaces):
     encoders = [world.encoder(e) for e in world.train_encoder_ids]
 
     def run(**kw):
-        breakdown, _ = hda_objective(
+        dist, direct, _ = hda_objective(
             z, world.source_generator, target, encoders, subspaces, weights, 1.0, **kw
         )
-        return breakdown
+        return dist, direct, loss_total(dist, direct, len(z), 1.0)
 
-    full = run()
-    dist_only = run(dist_only=True)
-    direct_only = run(direct_only=True)
-    assert dist_only.total == pytest.approx(
-        sum(t.dist_term for t in full.per_encoder), rel=1e-10
-    )
-    assert direct_only.total == pytest.approx(
-        sum(t.direct_term for t in full.per_encoder), rel=1e-10
-    )
+    full_dist, full_direct, _ = run()
+    *_, dist_only = run(dist_only=True)
+    *_, direct_only = run(direct_only=True)
+    assert dist_only == pytest.approx(sum(full_dist / len(z)), rel=1e-10)
+    assert direct_only == pytest.approx(sum(full_direct / len(z)), rel=1e-10)
     with pytest.raises(ConfigError):
         run(dist_only=True, direct_only=True)
 
@@ -284,7 +283,7 @@ def test_objective_weight_subset_and_unknown_domain(world, subspaces):
     encoders = [world.encoder(e) for e in world.train_encoder_ids]
     # weighting a subset of the built domains is how single-domain runs
     # on a multi-domain world work; it must not error
-    breakdown, _ = hda_objective(
+    dist, direct, _ = hda_objective(
         z,
         world.source_generator,
         target,
@@ -293,7 +292,7 @@ def test_objective_weight_subset_and_unknown_domain(world, subspaces):
         [DomainWeight("attr0", 1.0)],
         lam=1.0,
     )
-    assert np.isfinite(breakdown.total)
+    assert np.isfinite(loss_total(dist, direct, len(z), 1.0))
     with pytest.raises(ConfigError):
         hda_objective(
             z,
@@ -304,6 +303,12 @@ def test_objective_weight_subset_and_unknown_domain(world, subspaces):
             [DomainWeight("missing", 1.0)],
             lam=1.0,
         )
+
+
+def test_objective_plan_refuses_empty_weights(world, subspaces):
+    encoders = [world.encoder(e) for e in world.train_encoder_ids]
+    with pytest.raises(ConfigError, match="at least one domain weight"):
+        ObjectivePlan(world.source_generator, encoders, subspaces, [], 1.0)
 
 
 def test_domain_weight_validation():

@@ -9,6 +9,7 @@ baselines deliberately and say so in the commit.
 import pytest
 
 from hda.engine import default_adaptation_config, run_adaptation
+from hda.losses import loss_total
 from hda.subspace import separation_ratio
 from hda.worlds import DEFAULT_WORLD_SEED
 
@@ -24,7 +25,8 @@ def test_short_stock_run_losses_frozen(world, subspaces, baselines):
     config = default_adaptation_config(world, steps=ref["steps"])
     record = run_adaptation(config, world, subspaces)
     for step_str, want in ref["step_totals"].items():
-        got = record.step_losses[int(step_str) - 1].total
+        i = int(step_str) - 1
+        got = loss_total(record.dist[i], record.direct[i], 1, config.lam)
         assert got == pytest.approx(want, rel=REL), f"step {step_str}"
     final = record.snapshots[-1].report
     assert final.consistency == pytest.approx(ref["final_consistency"], rel=REL)
