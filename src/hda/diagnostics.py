@@ -2,7 +2,8 @@
 
 Every check compares a gradient, the tape's or the closed-form
 objective's, against central finite differences through
-:func:`hda.autodiff.grad_check`.  Primitive checks run many random
+:func:`hda.autodiff.grad_check`, and every tape check builds its tape
+through :func:`_tape_gradient`.  Primitive checks run many random
 instances at a tight tolerance; composite checks push gradients through
 the actual loss programs, including deliberately degenerate
 configurations whose near-zero coordinates are reported as skipped
@@ -113,8 +114,34 @@ def _draw(rng, shape, batched: bool = False) -> Array:
     return magnitude * rng.choice((-1.0, 1.0), shape)
 
 
-def _scalarized(tape: Tape, out, weight: Array):
-    return ad.vsum(ad.mul(out, tape.constant(weight)))
+def _tape_gradient(program, shapes):
+    """``f(p) -> (value, gradient)`` for :func:`grad_check`: one fresh tape per call.
+
+    ``p`` is cut into one variable per shape, in order, and ``program``
+    maps those variables to a scalar loss on their tape; the gradient is
+    the variables' gradients, flattened and concatenated in the same order.
+    """
+    bounds = np.cumsum([0] + [int(np.prod(shape)) for shape in shapes])
+    cuts = list(zip(bounds[:-1], bounds[1:], shapes))
+
+    def f(p):
+        tape = Tape()
+        args = [tape.variable(p[lo:hi].reshape(shape)) for lo, hi, shape in cuts]
+        loss = program(*args)
+        tape.backward(loss)
+        return loss.item(), np.concatenate([a.grad.ravel() for a in args])
+
+    return f
+
+
+def _scalarized(op, weight: Array):
+    """The program ``sum(op(*args) * weight)``: a primitive weighted to a scalar."""
+
+    def program(*args):
+        out = op(*args)
+        return ad.vsum(ad.mul(out, out.tape.constant(weight)))
+
+    return program
 
 
 def _build_smul(rng):
@@ -122,37 +149,16 @@ def _build_smul(rng):
     a0 = _draw(rng, n)
     c = float(_draw(rng, ()))
     w = _draw(rng, n)
-
-    def f(p):
-        tape = Tape()
-        a = tape.variable(p)
-        loss = _scalarized(tape, ad.smul(c, a), w)
-        tape.backward(loss)
-        return loss.item(), np.asarray(a.grad)
-
-    return f, a0
+    return _tape_gradient(_scalarized(lambda a: ad.smul(c, a), w), [(n,)]), a0
 
 
 def _shaped_builder(op, in_shapes, out_shape, batched: bool = False):
     """Operands of the given shapes, all differentiated, weighted to a scalar."""
-    sizes = [int(np.prod(shape)) for shape in in_shapes]
-    offsets = np.cumsum([0] + sizes)
 
     def build(rng):
-        p0 = np.concatenate([_draw(rng, n, batched) for n in sizes])
+        p0 = np.concatenate([_draw(rng, shape, batched).ravel() for shape in in_shapes])
         w = _draw(rng, out_shape, batched)
-
-        def f(p):
-            tape = Tape()
-            args = [
-                tape.variable(p[lo:hi].reshape(shape))
-                for lo, hi, shape in zip(offsets[:-1], offsets[1:], in_shapes)
-            ]
-            loss = _scalarized(tape, op(*args), w)
-            tape.backward(loss)
-            return loss.item(), np.concatenate([a.grad.ravel() for a in args])
-
-        return f, p0
+        return _tape_gradient(_scalarized(op, w), in_shapes), p0
 
     return build
 
@@ -228,14 +234,7 @@ def _check_dist(rng) -> GradCheckReport:
     d = 6
     sub = _random_subspace(rng, d, 3)
     f_t0 = rng.standard_normal(d)
-
-    def f(p):
-        tape = Tape()
-        f_t = tape.variable(p)
-        loss = dist_loss(f_t, sub)
-        tape.backward(loss)
-        return loss.item(), np.asarray(f_t.grad)
-
+    f = _tape_gradient(lambda f_t: dist_loss(f_t, sub), [(d,)])
     return grad_check(f, f_t0, tol=COMPOSITE_TOL, name="dist_loss")
 
 
@@ -251,15 +250,7 @@ def _check_direct(rng, collinear: bool) -> GradCheckReport:
         f_s0 = f_t0 - 2.0 * delta_tp
     else:
         f_s0 = rng.standard_normal(d)
-
-    def f(p):
-        tape = Tape()
-        f_s = tape.variable(p[:d])
-        f_t = tape.variable(p[d:])
-        loss = direct_loss(f_s, f_t, sub)
-        tape.backward(loss)
-        return loss.item(), np.concatenate([f_s.grad, f_t.grad])
-
+    f = _tape_gradient(lambda f_s, f_t: direct_loss(f_s, f_t, sub), [(d,), (d,)])
     label = "direct_loss (collinear)" if collinear else "direct_loss"
     return grad_check(f, np.concatenate([f_s0, f_t0]), tol=COMPOSITE_TOL, name=label)
 
@@ -269,14 +260,7 @@ def _check_hybrid_dist(rng) -> GradCheckReport:
     subs = [_random_subspace(rng, d, r) for r in (1, 2, 3)]
     weights = [DomainWeight(f"dom{i}", a) for i, a in enumerate((0.7, 0.4, 0.3))]
     f_t0 = rng.standard_normal(d)
-
-    def f(p):
-        tape = Tape()
-        f_t = tape.variable(p)
-        loss = hybrid_dist_loss(f_t, subs, weights)
-        tape.backward(loss)
-        return loss.item(), np.asarray(f_t.grad)
-
+    f = _tape_gradient(lambda f_t: hybrid_dist_loss(f_t, subs, weights), [(d,)])
     return grad_check(f, f_t0, tol=COMPOSITE_TOL, name="hybrid_dist_loss")
 
 
@@ -304,15 +288,7 @@ def _check_hybrid_direct(rng, cancelling: bool) -> GradCheckReport:
         weights = [DomainWeight("dom0", 0.6), DomainWeight("dom1", 0.4)]
         f_t0 = rng.standard_normal(d)
         f_s0 = rng.standard_normal(d)
-
-    def f(p):
-        tape = Tape()
-        f_s = tape.variable(p[:d])
-        f_t = tape.variable(p[d:])
-        loss = hybrid_direct_loss(f_s, f_t, subs, weights)
-        tape.backward(loss)
-        return loss.item(), np.concatenate([f_s.grad, f_t.grad])
-
+    f = _tape_gradient(lambda s, t: hybrid_direct_loss(s, t, subs, weights), [(d,), (d,)])
     label = "hybrid_direct_loss (near-cancelling)" if cancelling else "hybrid_direct_loss"
     return grad_check(f, np.concatenate([f_s0, f_t0]), tol=COMPOSITE_TOL, name=label)
 
@@ -340,10 +316,8 @@ def _toy_objective_setup(seed: int, batch: int, n_encoders: int, unequal_ranks: 
             per_domain[w.domain_id] = build_subspace(feats)
         subspaces[enc.encoder_id] = per_domain
     # perturb the target so the source-to-target displacement is nonzero
-    target0 = unflatten_generator(
-        flatten_generator(source) + 0.05 * rng.standard_normal(flatten_generator(source).size),
-        like=source,
-    )
+    flat = flatten_generator(source)
+    target0 = unflatten_generator(flat + 0.05 * rng.standard_normal(flat.size), like=source)
     z_batch = rng.standard_normal((batch, 3))
     return source, target0, encoders, subspaces, weights, z_batch
 
@@ -395,17 +369,12 @@ def _check_dist_through_encoder(seed: int) -> GradCheckReport:
     # central differences' rounding noise at some seeds
     sub = build_subspace(FeatureSet(encode(enc, source.forward(z)) + offsets))
 
-    def f(p):
-        target = unflatten_generator(p, like=source)
-        tape = Tape()
-        param_vars = generator_param_vars(tape, target)
-        x = generator_forward_var(tape, param_vars, z)
-        f_t = encode_var(tape, enc, x)
-        loss = dist_loss(f_t, sub)
-        tape.backward(loss)
-        grad = np.concatenate([param_vars[name].grad.ravel() for name in PARAM_FIELDS])
-        return loss.item(), grad
+    def program(*params):
+        tape = params[0].tape
+        x = generator_forward_var(tape, dict(zip(PARAM_FIELDS, params)), z)
+        return dist_loss(encode_var(tape, enc, x), sub)
 
+    f = _tape_gradient(program, [getattr(source, name).shape for name in PARAM_FIELDS])
     name = "dist_loss through encoder and generator"
     return grad_check(f, flatten_generator(source), tol=COMPOSITE_TOL, name=name)
 

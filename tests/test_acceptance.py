@@ -92,6 +92,55 @@ def test_criterion_1_projection_oracle():
     assert elapsed < 10.0
 
 
+#: ``hda gradcheck --full`` at seed 0, check by check: label, coordinates
+#: compared and coordinates skipped.  A refactor of the battery that drops
+#: a check or an operand's gradient changes a row here even when every
+#: remaining check still passes.
+CRITERION_2_BATTERY = [
+    ("primitive add (100 instances)", 1000, 0),
+    ("primitive sub (100 instances)", 1000, 0),
+    ("primitive smul (100 instances)", 600, 0),
+    ("primitive mul (100 instances)", 1000, 0),
+    ("primitive div (100 instances)", 1000, 0),
+    ("primitive linear (100 instances)", 1600, 0),
+    ("primitive linear_rows (100 instances)", 3000, 0),
+    ("primitive add_bias_rows (100 instances)", 2000, 0),
+    ("primitive sub_broadcast (100 instances)", 2100, 0),
+    ("primitive mul_broadcast (100 instances)", 2000, 0),
+    ("primitive div_broadcast (100 instances)", 1500, 0),
+    ("primitive linear_stacked (100 instances)", 4500, 0),
+    ("primitive tanh (100 instances)", 600, 0),
+    ("primitive relu (100 instances)", 287, 313),
+    ("primitive sum (100 instances)", 600, 0),
+    ("primitive sum_axis (100 instances)", 1800, 0),
+    ("primitive reshape (100 instances)", 1800, 0),
+    ("primitive sq_norm (100 instances)", 600, 0),
+    ("primitive sq_norm_rows (100 instances)", 1500, 0),
+    ("primitive dot (100 instances)", 1000, 0),
+    ("primitive dot_rows (100 instances)", 3000, 0),
+    ("primitive dot_broadcast (100 instances)", 2500, 0),
+    ("primitive norm_eps (100 instances)", 600, 0),
+    ("primitive norm_eps_rows (100 instances)", 1500, 0),
+    ("dist_loss", 6, 0),
+    ("direct_loss", 12, 0),
+    ("direct_loss (collinear)", 0, 12),
+    ("hybrid_dist_loss", 6, 0),
+    ("hybrid_direct_loss", 12, 0),
+    ("hybrid_direct_loss (near-cancelling)", 12, 0),
+    ("dist_loss through encoder and generator", 56, 0),
+    ("hda_objective (2 encoders, 2 domains, batch 2)", 56, 0),
+    ("hda_objective (2 encoders, 2 domains, batch 5)", 56, 0),
+    ("hda_objective (3 encoders, 2 domains, ranks 1/2/3, batch 4)", 56, 0),
+    ("hda_objective (3 encoders, 2 domains, dist_only, ranks 1/2/3, batch 4)", 56, 0),
+    ("hda_objective (3 encoders, 2 domains, direct_only, ranks 1/2/3, batch 4)", 56, 0),
+    (
+        "hda_objective (3 encoders, 2 domains, ranks 1/2/3, degenerate start, lambda 0.0, batch 4)",
+        56,
+        0,
+    ),
+]
+
+
 def test_criterion_2_gradient_checks():
     t0 = time.perf_counter()
     reports = run_suite(full=True, seed=0)
@@ -107,10 +156,11 @@ def test_criterion_2_gradient_checks():
         f"{skipped} degenerate coordinates reported separately, {elapsed:.1f}s",
     )
     assert not failed, failed
-    # the collinear direction check exists and flags its degenerate
-    # denominator coordinates instead of comparing them
-    collinear = [r for r in reports if "collinear" in r.name]
-    assert collinear and len(collinear[0].skipped) > 0
+    # every check and operand is present, and the collinear direction
+    # check flags its degenerate denominator coordinates instead of
+    # comparing them
+    battery = [(r.name, r.n_checked, len(r.skipped)) for r in reports]
+    assert battery == CRITERION_2_BATTERY
     assert elapsed < 30.0
 
 

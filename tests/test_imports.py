@@ -1,9 +1,13 @@
-"""No module of the package imports a name at module level that it never uses.
+"""No module of the package imports a name at module level that it never uses,
+and no module defines a private module-level name that no module reads.
 
 A scan of the syntax tree, since no linter ships with the package's
 dependencies.  ``hda/__init__.py`` imports in order to re-export, and a
 line marked ``# noqa: F401  (probe site)`` imports a name only so that
-the benchmark's probes find it in that module; both are exempt.
+the benchmark's probes find it in that module; both are exempt.  A
+private name is a ``_name`` (not a ``__dunder__``) bound at module level
+by a function, a class or an assignment; it counts as read when any
+module of the package loads it, takes it as an attribute or imports it.
 """
 
 import ast
@@ -63,7 +67,90 @@ def test_package_scan_covers_every_module():
     assert {"engine.py", "losses.py", "diagnostics.py", "worlds.py"} <= set(_modules())
 
 
+def _source(module: str) -> str:
+    with open(os.path.join(PACKAGE_DIR, module), encoding="utf8") as fh:
+        return fh.read()
+
+
 @pytest.mark.parametrize("module", _modules())
 def test_module_has_no_unused_import(module):
-    with open(os.path.join(PACKAGE_DIR, module), encoding="utf8") as fh:
-        assert _unused_imports(fh.read()) == []
+    assert _unused_imports(_source(module)) == []
+
+
+def _private_definitions(source: str) -> dict[str, int]:
+    """Private module-level functions, classes and assigned names of ``source``, with their lines."""
+    defined = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                defined[name] = node.lineno
+    return defined
+
+
+def _reads(source: str) -> set[str]:
+    """Every name ``source`` loads, takes as an attribute or imports."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def _unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Private module-level names of ``sources`` (module name to text) that none of them reads."""
+    read = set().union(*map(_reads, sources.values()))
+    return [
+        f"{module}: {name} (line {line})"
+        for module, source in sources.items()
+        for name, line in _private_definitions(source).items()
+        if name not in read
+    ]
+
+
+def test_private_name_scan_finds_unread_names_and_spares_read_ones():
+    sources = {
+        "a.py": (
+            "__all__ = ['f']\n"
+            "_B, _D = 3, 5\n"
+            "_SIZE: int = 4\n"
+            "_UNUSED = 1\n"
+            "def _helper(x):\n"
+            "    return x * _B\n"
+            "def _orphan():\n"
+            "    pass\n"
+            "class _Box:\n"
+            "    pass\n"
+            "class _Spare:\n"
+            "    pass\n"
+            "def f(x):\n"
+            "    return _helper(x) + _Box()\n"
+        ),
+        "b.py": (
+            "from . import a\n"
+            "from .a import _Spare\n"
+            "def g():\n"
+            "    _UNUSED = 2\n"
+            "    return a._D, _Spare\n"
+        ),
+    }
+    assert _unread_private_names(sources) == [
+        "a.py: _SIZE (line 3)",
+        "a.py: _UNUSED (line 4)",
+        "a.py: _orphan (line 7)",
+    ]
+
+
+def test_no_private_module_level_name_goes_unread():
+    sources = {module: _source(module) for module in ["__init__.py", *_modules()]}
+    assert _unread_private_names(sources) == []
