@@ -19,7 +19,8 @@ The engine is a classic Wengert list.  Every primitive appends one
 the cached forward value.  Nodes are appended in evaluation order, so
 parent indices are always strictly smaller than a node's own index and
 the backward sweep is a single pass over the nodes in decreasing index
-order: each node is touched exactly once.
+order: each node is touched exactly once.  A tape gets one sweep, which
+sets its nodes' gradients.
 
 Nodes created through :meth:`Tape.constant` are excluded from gradient
 propagation, which keeps frozen weights (source generator, encoders,
@@ -121,24 +122,8 @@ class Var:
     def __add__(self, other: "Var") -> "Var":
         return add(self, other)
 
-    def __sub__(self, other: "Var") -> "Var":
-        return sub(self, other)
-
-    def __neg__(self) -> "Var":
-        return smul(-1.0, self)
-
-    def __mul__(self, other):
-        if isinstance(other, Var):
-            return mul(self, other)
-        return smul(float(other), self)
-
     def __rmul__(self, other):
         return smul(float(other), self)
-
-    def __truediv__(self, other):
-        if isinstance(other, Var):
-            return div(self, other)
-        return smul(1.0 / float(other), self)
 
     def __repr__(self) -> str:
         return f"Var(op={self.node.op!r}, shape={self.shape})"
@@ -166,15 +151,11 @@ class Tape:
         """Leaf excluded from gradient propagation."""
         return self._append("const", _as_array(value), (), None, False)
 
-    def zero_grad(self) -> None:
-        for node in self.nodes:
-            node.grad = None
-
     def backward(self, out: Var, seed: float = 1.0) -> None:
-        """Accumulate d(out)/d(node) into ``node.grad`` for every node.
+        """Set ``node.grad`` to d(out)/d(node) for every node ``out`` reaches.
 
-        ``out`` must be a scalar on this tape.  Gradients add up across
-        calls; use :meth:`zero_grad` to reset them.
+        ``out`` must be a scalar on this tape.  A tape is built for one
+        ``backward``: a second call overwrites the gradients it reaches.
         """
         if out.tape is not self:
             raise ValueError("output belongs to a different tape")
@@ -190,7 +171,7 @@ class Tape:
                 continue
             pending[i] = None
             node = self.nodes[i]
-            node.grad = g if node.grad is None else node.grad + g
+            node.grad = g
             if node.vjp is None:
                 continue
             parent_grads = node.vjp(g)

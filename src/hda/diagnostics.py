@@ -17,7 +17,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import GradCheckReport, Tape, grad_check
 from .losses import (
-    NORM_EPS,
     DomainWeight,
     _hybrid_direct,
     _hybrid_dist,
@@ -71,7 +70,7 @@ def tape_objective(
         dist = rows = _hybrid_dist(perps, weights)
     if not dist_only:
         f_s = tape.constant(encode(encoders, source_gen.forward(z_batch)))
-        direct = _hybrid_direct(f_s, f_t, perps, weights, NORM_EPS)
+        direct = _hybrid_direct(f_s, f_t, perps, weights)
         weighted = ad.smul(lam, direct)
         rows = weighted if rows is None else ad.add(rows, weighted)
     tape.backward(ad.vsum(rows), seed=inv_batch)
@@ -209,7 +208,7 @@ _PRIMITIVE_BUILDERS = {
 }
 
 
-def primitive_suite(n_instances: int = 100, seed: int = 0) -> list[GradCheckReport]:
+def primitive_suite(n_instances: int, seed: int) -> list[GradCheckReport]:
     """One aggregated report per primitive over ``n_instances`` instances."""
     out = []
     for name, build in _PRIMITIVE_BUILDERS.items():
@@ -379,7 +378,7 @@ def _check_dist_through_encoder(seed: int) -> GradCheckReport:
     return grad_check(f, flatten_generator(source), tol=COMPOSITE_TOL, name=name)
 
 
-def composite_suite(seed: int = 0) -> list[GradCheckReport]:
+def composite_suite(seed: int) -> list[GradCheckReport]:
     """Gradient checks through the actual loss programs."""
     rng = stream_rng(seed, "gradcheck", "composite")
     return [

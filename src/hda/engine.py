@@ -217,7 +217,7 @@ class Checkpoint:
     params: GeneratorParams
 
 
-# only bench/workloads.py reads these (via step_losses); ROADMAP item 7 deletes them after item 1
+# only bench/workloads.py reads these (via step_losses); ROADMAP item 1 deletes them in its src half
 @dataclass(frozen=True)
 class EncoderTerms:
     encoder_id: str

@@ -5,8 +5,8 @@ For a target embedding ``f_t`` and a domain subspace with projection
 
 * distance loss: ``|f* - f_t|^2``;
 * direction loss: ``1 - cos(f_t - f_s, f* - f_t)``, with both norms
-  smoothed as ``sqrt(|v|^2 + eps^2)`` so the loss stays finite when a
-  displacement vanishes.
+  smoothed as ``sqrt(|v|^2 + eps^2)`` (``eps`` is :data:`NORM_EPS`) so
+  the loss stays finite when a displacement vanishes.
 
 The hybrid forms weight several domains: distance terms add with
 weights ``alpha_i``; the direction loss compares the source-to-target
@@ -97,9 +97,9 @@ def _domain_weights(weights, ndim: int) -> Array:
     return np.array([w.alpha for w in weights]).reshape((-1,) + (1,) * (ndim - 1))
 
 
-def _one_minus_cosine(u: Var, v: Var, eps: float) -> Var:
+def _one_minus_cosine(u: Var, v: Var) -> Var:
     tape = u.tape
-    cos = ad.div(ad.dot(u, v), ad.mul(ad.norm_eps(u, eps), ad.norm_eps(v, eps)))
+    cos = ad.div(ad.dot(u, v), ad.mul(ad.norm_eps(u, NORM_EPS), ad.norm_eps(v, NORM_EPS)))
     return ad.sub(tape.constant(np.ones(cos.shape)), cos)
 
 
@@ -109,10 +109,10 @@ def _hybrid_dist(perps: Var, weights) -> Var:
     return ad.vsum(ad.mul(sq, perps.tape.constant(_domain_weights(weights, sq.value.ndim))), 0)
 
 
-def _hybrid_direct(f_s: Var, f_t: Var, perps: Var, weights, eps: float) -> Var:
+def _hybrid_direct(f_s: Var, f_t: Var, perps: Var, weights) -> Var:
     """Direction loss against the alpha-weighted sum of the perpendiculars."""
     alpha = perps.tape.constant(_domain_weights(weights, perps.value.ndim))
-    return _one_minus_cosine(ad.sub(f_t, f_s), ad.vsum(ad.mul(perps, alpha), 0), eps)
+    return _one_minus_cosine(ad.sub(f_t, f_s), ad.vsum(ad.mul(perps, alpha), 0))
 
 
 def _per_row(loss: Var, f_t: Var) -> Var:
@@ -130,11 +130,9 @@ def dist_loss(f_t: Var, subspace: DomainSubspace) -> Var:
     return hybrid_dist_loss(f_t, [subspace], [DomainWeight("domain", 1.0)])
 
 
-def direct_loss(
-    f_s: Var, f_t: Var, subspace: DomainSubspace, *, eps: float = NORM_EPS
-) -> Var:
+def direct_loss(f_s: Var, f_t: Var, subspace: DomainSubspace) -> Var:
     """One minus the cosine between ``f_t - f_s`` and ``f* - f_t``."""
-    return hybrid_direct_loss(f_s, f_t, [subspace], [DomainWeight("domain", 1.0)], eps=eps)
+    return hybrid_direct_loss(f_s, f_t, [subspace], [DomainWeight("domain", 1.0)])
 
 
 def _check_hybrid_args(subspaces, weights) -> None:
@@ -156,17 +154,12 @@ def hybrid_dist_loss(
 
 
 def hybrid_direct_loss(
-    f_s: Var,
-    f_t: Var,
-    subspaces: list[DomainSubspace],
-    weights: list[DomainWeight],
-    *,
-    eps: float = NORM_EPS,
+    f_s: Var, f_t: Var, subspaces: list[DomainSubspace], weights: list[DomainWeight]
 ) -> Var:
     """Direction loss against the weighted sum of per-domain perpendiculars."""
     _check_hybrid_args(subspaces, weights)
     perps = _perpendiculars(f_t, subspaces, (len(subspaces),))
-    return _per_row(_hybrid_direct(f_s, f_t, perps, weights, eps), f_t)
+    return _per_row(_hybrid_direct(f_s, f_t, perps, weights), f_t)
 
 
 def loss_total(dist_sums: Array, direct_sums: Array, batch_size: int, lam: float) -> float:

@@ -187,44 +187,23 @@ def _pair_block(samples: Array, left: Array, right: Array, start: int, stop: int
 _NEAREST_MARGIN = 1e-8
 
 
-def _first_rows(rows: Array) -> Array:
-    """Ascending indices of the first occurrence of each distinct row of ``rows``.
-
-    About 12 µs for 20 references, where ``np.unique(rows, axis=0,
-    return_index=True)`` takes 55 µs (2-vCPU Xeon).
-    """
-    order = np.lexsort(rows.T)  # stable, so equal rows keep their index order
-    ranked = rows[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    return np.sort(order[first])
-
-
 def _nearest_reference(embeddings: Array, reference_embeddings: Array) -> Array:
     """Each embedding's nearest reference: ``argmin`` of the direct norms, exactly.
 
-    When every reference is finite, exact duplicate rows are dropped
-    first, keeping each row's first occurrence in index order, and each
-    result maps back to that lowest index, as the full ``argmin`` breaks
-    the ties duplicates make.  Both sets are then centred on the
-    references' mean and each squared distance is taken as ``|e|² +
-    |r|² - 2 e·r``, with the products through :func:`autodiff.matmul_rows`,
-    so no ``(n, R, d)`` difference tensor is built.  A row whose two
-    smallest squared distances are not more than ``_NEAREST_MARGIN``
-    times ``|e|² + max |r|²`` apart (a tie, a near tie or a non-finite
-    value) is recomputed as the ``argmin`` of the norms of its
-    differences, so the result equals that expression's element for
-    element, first index on exact ties included.  The ``(rows, R)``
-    squared distances are taken in row blocks of at most
-    ``_PAIR_BLOCK_SIZE`` entries, and the recomputed rows in blocks whose
-    ``(rows, R, d)`` difference tensor holds at most as many (or one
-    row's, if they alone are more), so memory stays bounded at any
-    reference count.
+    Both sets are centred on the references' mean and each squared
+    distance is taken as ``|e|² + |r|² - 2 e·r``, with the products
+    through :func:`autodiff.matmul_rows`, so no ``(n, R, d)`` difference
+    tensor is built.  A row whose two smallest squared distances are not
+    more than ``_NEAREST_MARGIN`` times ``|e|² + max |r|²`` apart (a tie,
+    duplicate references included, a near tie or a non-finite value) is
+    recomputed as the ``argmin`` of the norms of its differences, so the
+    result equals that expression's element for element, first index on
+    exact ties included.  The ``(rows, R)`` squared distances are taken
+    in row blocks of at most ``_PAIR_BLOCK_SIZE`` entries, and the
+    recomputed rows in blocks whose ``(rows, R, d)`` difference tensor
+    holds at most as many (or one row's, if they alone are more), so
+    memory stays bounded at any reference count.
     """
-    firsts = None
-    if np.isfinite(reference_embeddings).all():
-        firsts = _first_rows(reference_embeddings)
-        reference_embeddings = reference_embeddings[firsts]
     r = reference_embeddings.shape[0]
     centre = _mean(reference_embeddings, axis=0)
     refs = reference_embeddings - centre
@@ -249,7 +228,7 @@ def _nearest_reference(embeddings: Array, reference_embeddings: Array) -> Array:
             block = rows[i : i + norm_rows]
             diffs = embeddings[block, None, :] - reference_embeddings
             assignment[block] = np.argmin(np.linalg.norm(diffs, axis=2), axis=1)
-    return assignment if firsts is None else firsts[assignment]
+    return assignment
 
 
 def _diversity(embeddings: Array, reference_embeddings: Array) -> Array:

@@ -68,19 +68,6 @@ def test_reused_node_accumulates_both_paths():
     np.testing.assert_allclose(x.grad, [2.0], rtol=1e-12)
 
 
-def test_gradients_accumulate_until_zero_grad():
-    tape = Tape()
-    x = tape.variable(np.array([1.0, 2.0]))
-    loss = ad.sq_norm(x)
-    tape.backward(loss)
-    first = x.grad.copy()
-    tape.backward(loss)
-    np.testing.assert_array_equal(x.grad, 2.0 * first)
-    tape.zero_grad()
-    tape.backward(loss)
-    np.testing.assert_array_equal(x.grad, first)
-
-
 def test_backward_requires_scalar():
     tape = Tape()
     x = tape.variable(np.array([1.0, 2.0]))

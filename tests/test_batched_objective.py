@@ -22,6 +22,10 @@ from hda.losses import (
 from hda.seeding import stream_rng
 from hda.worlds import (
     PARAM_FIELDS,
+    SyntheticDomainSpec,
+    WorldConfig,
+    build_world,
+    build_world_subspaces,
     encode,
     encode_var,
     flatten_generator,
@@ -70,6 +74,67 @@ def _per_sample_objective(
     }
     value = sum(d + lam * r for d, r in terms.values())
     return value, terms, grads
+
+
+def _written_out_objective(z_batch, source, target, encoders, subspaces, weights, lam):
+    """The objective total from the formulas of :mod:`hda.losses`, one scalar at a time.
+
+    For each encoder, latent and domain ``i``: ``perp_i = f*_i - f_t``, the
+    projection's coordinates solved by least squares; the distance loss is
+    ``sum_i alpha_i |perp_i|^2``, and the direction loss ``1 - cos(f_t - f_s,
+    sum_i alpha_i perp_i)`` with both norms ``sqrt(|v|^2 + eps^2)``.  Each
+    encoder adds ``mean dist + lam * mean direct`` over the latents.
+    """
+    eps = 1e-8
+    total = 0.0
+    for enc in encoders:
+        dist = direct = 0.0
+        for z in z_batch:
+            f_t = encode(enc, target.forward(z))
+            f_s = encode(enc, source.forward(z))
+            v = np.zeros_like(f_t)
+            for w in weights:
+                sub = subspaces[enc.encoder_id][w.domain_id]
+                alpha = float(w.alpha)
+                coords = np.linalg.lstsq(sub.basis, f_t - sub.mean, rcond=None)[0]
+                perp = sub.mean + sub.basis @ coords - f_t
+                dist += alpha * float(perp @ perp)
+                v += alpha * perp
+            u = f_t - f_s
+            cos = float(u @ v) / (np.sqrt(u @ u + eps**2) * np.sqrt(v @ v + eps**2))
+            direct += 1.0 - cos
+        total += dist / len(z_batch) + lam * (direct / len(z_batch))
+    return total
+
+
+def _three_domain_world():
+    domains = []
+    for axis in range(3):
+        shift = np.zeros(WorldConfig.d_x)
+        shift[axis] = 5.0
+        domains.append(SyntheticDomainSpec(domain_id=f"attr{axis}", attribute_shift=shift))
+    return build_world(WorldConfig(domains=tuple(domains)))
+
+
+@pytest.mark.parametrize("case", ["stock", "three-domain"])
+def test_objective_matches_the_written_out_formulas(world, subspaces, case):
+    """Unequal alphas, each applied to its own domain: the weights' order is checked."""
+    if case == "stock":
+        alphas = {"attr0": 0.9, "attr1": 0.1}
+    else:
+        world = _three_domain_world()
+        subspaces = build_world_subspaces(world)
+        alphas = {"attr0": 0.6, "attr1": 0.3, "attr2": 0.1}
+    weights = [DomainWeight(d, a) for d, a in alphas.items()]
+    rng = stream_rng(0, "written-out-objective")
+    source = world.source_generator
+    flat = flatten_generator(source)
+    target = unflatten_generator(flat + 0.02 * rng.standard_normal(flat.size), like=source)
+    z = rng.standard_normal((6, source.d_z))
+    args = (z, source, target, list(world.train_encoders), subspaces, weights, 0.7)
+    dist, direct, _ = hda_objective(*args)
+    want = _written_out_objective(*args)
+    assert abs(loss_total(dist, direct, len(z), 0.7) - want) <= ORACLE_REL * abs(want)
 
 
 def _close(got: float, want: float) -> bool:

@@ -456,22 +456,16 @@ def test_nearest_reference_memory_is_bounded(monkeypatch):
 
 
 def test_nearest_reference_fallback_memory_is_bounded(monkeypatch):
-    embeddings, refs = _nearest_reference_cases()["midpoint-of-512"]
-    blocks, peak = _fallback_rows_and_peak(embeddings, refs, monkeypatch)
-    # every row takes the direct-norm fallback, in blocks of at most
-    # _PAIR_BLOCK_SIZE difference entries (8 rows of 512 x 16)
-    assert sum(blocks) == 1024 and max(blocks) * refs.size <= metrics._PAIR_BLOCK_SIZE
-    assert peak < 16 * 2**20
-
-
-@pytest.mark.parametrize("case", ["duplicated-reference", "duplicated-of-512"])
-def test_duplicate_references_send_no_row_to_the_fallback(case, monkeypatch):
-    # ties between copies of one reference once sent 258 of the 276
-    # duplicated-reference rows and all 1,024 duplicated-of-512 rows
-    # through the direct norms; the copies are dropped before the Gram step
-    embeddings, refs = _nearest_reference_cases()[case]
-    blocks, _ = _fallback_rows_and_peak(embeddings, refs, monkeypatch)
-    assert blocks == []
+    cases = _nearest_reference_cases()
+    # a tie between two nearby references, and one between two copies of a reference
+    for case in ["midpoint-of-512", "duplicated-of-512"]:
+        embeddings, refs = cases[case]
+        with monkeypatch.context() as patch:
+            blocks, peak = _fallback_rows_and_peak(embeddings, refs, patch)
+        # every row takes the direct-norm fallback, in blocks of at most
+        # _PAIR_BLOCK_SIZE difference entries (8 rows of 512 x 16)
+        assert sum(blocks) == 1024 and max(blocks) * refs.size <= metrics._PAIR_BLOCK_SIZE
+        assert peak < 16 * 2**20
 
 
 def test_nearest_reference_gram_memory_is_bounded(monkeypatch):
