@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 from .engine import AdaptationConfig, run_adaptation
 from .errors import ConfigError
-from .files import write_csv, write_json
+from .files import json_doc, write_csv, write_json
 from .losses import loss_total
 from .metrics import EVAL_SAMPLES, EVAL_SEED, MetricsReport, SnapshotPlan, round12
 from .worlds import World, build_world_subspaces
@@ -25,6 +25,11 @@ ABLATION_CSV = "ablation.csv"
 
 @dataclass(frozen=True)
 class AblationRow:
+    """One cell of the grid, as a row of ``ablation.json`` holds it.
+
+    ``final_total`` is the last step's loss total rounded by :func:`round12`.
+    """
+
     variant: str
     encoder_mode: str
     encoder_ids: tuple[str, ...]
@@ -38,25 +43,20 @@ def _variant_flags(variant: str) -> dict:
     return {"dist_only": variant == "dist_only", "direct_only": variant == "direct_only"}
 
 
-def ablation_suite(
-    base_config: AdaptationConfig,
-    world: World,
-    *,
-    n_samples: int = EVAL_SAMPLES,
-    eval_seed: int = EVAL_SEED,
-) -> list[AblationRow]:
+def ablation_suite(base_config: AdaptationConfig, world: World) -> list[AblationRow]:
     """Run {full, dist_only, direct_only} x {single encoder, ensemble}.
 
     Every run shares ``base_config.seed``, so rows differ only in the
-    ablated ingredient.
+    ablated ingredient; each row's report evaluates :data:`EVAL_SAMPLES`
+    latents drawn from :data:`EVAL_SEED`.
     """
     subspaces = build_world_subspaces(world)
     snapshot = SnapshotPlan(
         world.source_generator,
         world.held_out_encoder,
         *world.held_out_targets(subspaces, base_config.domain_ids),
-        n_samples,
-        eval_seed,
+        EVAL_SAMPLES,
+        EVAL_SEED,
     )
     rows: list[AblationRow] = []
     for mode in ENCODER_MODES:
@@ -73,24 +73,13 @@ def ablation_suite(
                     variant=variant,
                     encoder_mode=mode,
                     encoder_ids=tuple(encoder_ids),
-                    final_total=loss_total(record.dist[-1], record.direct[-1], 1, config.lam),
+                    final_total=round12(
+                        loss_total(record.dist[-1], record.direct[-1], 1, config.lam)
+                    ),
                     report=snapshot(record.final_params),
                 )
             )
     return rows
-
-
-def rows_to_json_dict(rows: list[AblationRow]) -> list[dict]:
-    return [
-        {
-            "variant": row.variant,
-            "encoder_mode": row.encoder_mode,
-            "encoder_ids": list(row.encoder_ids),
-            "final_total": round12(row.final_total),
-            "report": row.report.to_json_dict(),
-        }
-        for row in rows
-    ]
 
 
 def save_ablation(rows: list[AblationRow], out_dir) -> None:
@@ -108,5 +97,5 @@ def save_ablation(rows: list[AblationRow], out_dir) -> None:
         for row in rows
     ]
     # the JSON, written first, holds every number of the CSV
-    write_json(os.path.join(out_dir, ABLATION_JSON), rows_to_json_dict(rows))
+    write_json(os.path.join(out_dir, ABLATION_JSON), [json_doc(row) for row in rows])
     write_csv(os.path.join(out_dir, ABLATION_CSV), header, cells)

@@ -381,7 +381,6 @@ class GradCheckReport:
     max_rel_error: float
     n_checked: int
     skipped: list[tuple[int, float, float]]
-    value: float
 
     @property
     def passed(self) -> bool:
@@ -412,9 +411,8 @@ def grad_check(
     if params.ndim != 1:
         raise DimensionError("grad_check expects a flat parameter vector")
     value, analytic = f(params)
-    value = float(value)
     analytic = np.asarray(analytic, dtype=np.float64)
-    if not np.isfinite(value):
+    if not np.isfinite(float(value)):
         raise NumericalError(f"{name}: non-finite value at the base point")
     if analytic.shape != params.shape:
         raise DimensionError(
@@ -449,5 +447,4 @@ def grad_check(
         max_rel_error=max_rel,
         n_checked=n_checked,
         skipped=skipped,
-        value=value,
     )

@@ -87,7 +87,6 @@ def _merge(name: str, tol: float, reports: list[GradCheckReport]) -> GradCheckRe
         max_rel_error=max(r.max_rel_error for r in reports),
         n_checked=sum(r.n_checked for r in reports),
         skipped=[s for r in reports for s in r.skipped],
-        value=reports[-1].value,
     )
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional
 
 import numpy as np
@@ -238,19 +238,33 @@ class LossBreakdown:
     per_encoder: tuple[EncoderTerms, ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunRecord:
-    """Everything one adaptation run produced.
+    """Everything one adaptation run produced, as ``run_record.json`` holds it.
 
     Row ``i`` of ``dist`` and ``direct`` holds step ``i + 1``'s per-encoder
-    batch means of the two losses, one column per ``config.encoder_ids``.
+    batch means of the two losses, one column per ``config.encoder_ids``;
+    both are read-only and finite.  ``world_dir`` names the run's world
+    directory once the record is saved.
     """
 
     config: AdaptationConfig
+    world_dir: str = field(default="", kw_only=True)
     dist: Array  # (steps, E)
     direct: Array  # (steps, E)
-    snapshots: list[MetricSnapshot]
+    snapshots: tuple[MetricSnapshot, ...]
     checkpoints: dict[str, Checkpoint]  # "first", "best", "last"
+
+    def __post_init__(self):
+        shape = (self.config.steps, len(self.config.encoder_ids))
+        for name in ("dist", "direct"):
+            object.__setattr__(self, name, locked_array(getattr(self, name), name, shape=shape))
+        object.__setattr__(self, "snapshots", tuple(self.snapshots))
+        if self.checkpoints.keys() != _CHECKPOINTS:
+            got = sorted(self.checkpoints)
+            raise ConfigError(
+                f"checkpoints must be an object of exactly {sorted(_CHECKPOINTS)}, got {got!r}"
+            )
 
     @property
     def final_params(self) -> GeneratorParams:
@@ -277,28 +291,6 @@ class RunRecord:
             if snap.step == step:
                 return snap.report
         raise KeyError(f"no snapshot at step {step}")
-
-
-@dataclass(frozen=True)
-class _RunFile:
-    """A :class:`RunRecord` as ``run_record.json`` holds it, with the world."""
-
-    config: AdaptationConfig
-    world_dir: str
-    dist: Array
-    direct: Array
-    snapshots: tuple[MetricSnapshot, ...]
-    checkpoints: dict[str, Checkpoint]
-
-    def __post_init__(self):
-        shape = (self.config.steps, len(self.config.encoder_ids))
-        for name in ("dist", "direct"):
-            object.__setattr__(self, name, locked_array(getattr(self, name), name, shape=shape))
-        if self.checkpoints.keys() != _CHECKPOINTS:
-            got = sorted(self.checkpoints)
-            raise ConfigError(
-                f"checkpoints must be an object of exactly {sorted(_CHECKPOINTS)}, got {got!r}"
-            )
 
 
 def training_chunks(config: AdaptationConfig, d_z: int) -> Iterator[Array]:
@@ -475,23 +467,12 @@ def run_adaptation(
 
 
 def save_run(record: RunRecord, out_dir, world_dir: str = "") -> None:
-    """Write ``run_record.json``, replaced whole.
+    """Write ``run_record.json`` with ``world_dir``, replaced whole.
 
     A non-finite value is a :class:`NumericalError` raised before the file is touched.
     """
     path = os.path.join(out_dir, RUN_RECORD_FILE)
-    if not (np.isfinite(record.dist).all() and np.isfinite(record.direct).all()):
-        # ahead of _RunFile, whose check would call it a malformed record
-        raise NumericalError(f"{path}: refusing to write a non-finite loss")
-    doc = _RunFile(
-        config=record.config,
-        world_dir=world_dir,
-        dist=record.dist,
-        direct=record.direct,
-        snapshots=tuple(record.snapshots),
-        checkpoints=record.checkpoints,
-    )
-    write_json(path, json_doc(doc))
+    write_json(path, json_doc(replace(record, world_dir=world_dir)))
 
 
 def load_run(run_dir) -> tuple[RunRecord, str]:
@@ -501,12 +482,5 @@ def load_run(run_dir) -> tuple[RunRecord, str]:
     and ``dist`` and ``direct`` by the run config's steps and encoders; a
     wrong one is a :class:`ConfigError` naming the file and the key.
     """
-    doc = read_document(_RunFile, os.path.join(run_dir, RUN_RECORD_FILE), "run record")
-    record = RunRecord(
-        config=doc.config,
-        dist=doc.dist,
-        direct=doc.direct,
-        snapshots=list(doc.snapshots),
-        checkpoints=doc.checkpoints,
-    )
-    return record, doc.world_dir
+    record = read_document(RunRecord, os.path.join(run_dir, RUN_RECORD_FILE), "run record")
+    return record, record.world_dir

@@ -190,7 +190,6 @@ class EncoderSpec:
     """Frozen random MLP ``f = w2 @ relu(w1 @ x + b1) + b2``."""
 
     encoder_id: str
-    seed: int
     w1: Array
     b1: Array
     w2: Array
@@ -251,10 +250,9 @@ def make_encoders(
         assemble(
             EncoderSpec,
             encoder_id=encoder_id,
-            seed=int(seed),
             **{name: stack[i] for name, stack in zip(PARAM_FIELDS, stacks)},
         )
-        for i, (encoder_id, seed) in enumerate(zip(ids, seeds))
+        for i, encoder_id in enumerate(ids)
     )
 
 
@@ -429,12 +427,9 @@ def make_source_generator(
     return GeneratorParams(w1=w1, b1=b1, w2=w2, b2=b2)
 
 
-def default_world_config(seed: int = DEFAULT_WORLD_SEED, n_domains: int = 2) -> WorldConfig:
+def default_world_config(seed: int = DEFAULT_WORLD_SEED) -> WorldConfig:
     """Two orthogonal attribute shifts of size 5, noise 0.2, 10 shots."""
-    domains = _default_domains(WorldConfig.d_x)
-    if not 1 <= n_domains <= len(domains):
-        raise ConfigError(f"n_domains must be in [1, {len(domains)}]")
-    return WorldConfig(seed=seed, domains=domains[:n_domains])
+    return WorldConfig(seed=seed)
 
 
 @dataclass(frozen=True)

@@ -9,12 +9,13 @@ import pytest
 from hda.ablation import ENCODER_MODES, VARIANTS, ablation_suite, save_ablation
 from hda.engine import default_adaptation_config
 from hda.errors import NumericalError
+from hda.metrics import EVAL_SAMPLES
 
 
 @pytest.fixture(scope="module")
 def rows(world, subspaces):
     config = default_adaptation_config(world, steps=12, learning_rate=0.01, seed=3)
-    return ablation_suite(config, world, n_samples=32, eval_seed=1)
+    return ablation_suite(config, world)
 
 
 def test_grid_is_complete(rows):
@@ -35,7 +36,7 @@ def test_encoder_modes_differ_in_ids(rows, world):
 def test_rows_carry_final_losses_and_reports(rows):
     for row in rows:
         assert row.final_total >= 0.0
-        assert row.report.n_samples == 32
+        assert row.report.n_samples == EVAL_SAMPLES
         assert set(row.report.semantic_similarity) == {"attr0", "attr1"}
 
 
@@ -47,8 +48,8 @@ def test_variants_actually_change_the_run(rows):
 
 def test_suite_is_deterministic(world, subspaces):
     config = default_adaptation_config(world, steps=6, learning_rate=0.01, seed=3)
-    a = ablation_suite(config, world, n_samples=16, eval_seed=1)
-    b = ablation_suite(config, world, n_samples=16, eval_seed=1)
+    a = ablation_suite(config, world)
+    b = ablation_suite(config, world)
     assert [(r.variant, r.final_total) for r in a] == [
         (r.variant, r.final_total) for r in b
     ]
@@ -86,8 +87,8 @@ def test_base_config_variant_flags_are_overridden(world):
     dirty = default_adaptation_config(
         world, steps=2, learning_rate=0.01, seed=5, dist_only=True
     )
-    a = ablation_suite(clean, world, n_samples=16, eval_seed=0)
-    b = ablation_suite(dirty, world, n_samples=16, eval_seed=0)
+    a = ablation_suite(clean, world)
+    b = ablation_suite(dirty, world)
     assert [(r.variant, r.final_total) for r in a] == [
         (r.variant, r.final_total) for r in b
     ]

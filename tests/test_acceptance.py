@@ -363,7 +363,7 @@ def test_criterion_6_collapse_ablation(world, baselines):
     )
     rows = {
         (r.variant, r.encoder_mode): r
-        for r in ablation_suite(config, world, n_samples=256, eval_seed=0)
+        for r in ablation_suite(config, world)
     }
     full = rows[("full", "ensemble")].report
     dist_only = rows[("dist_only", "ensemble")].report

@@ -27,7 +27,7 @@ from hda.engine import (
     save_run,
     training_chunks,
 )
-from hda.errors import ConfigError, DegenerateDomain, NumericalError
+from hda.errors import ConfigError, DegenerateDomain, DimensionError, NumericalError
 from hda.files import json_doc, read_object
 from hda.losses import DomainWeight, ObjectivePlan, hda_objective, loss_total
 from hda.metrics import SnapshotPlan
@@ -347,6 +347,24 @@ def test_step_losses_view_follows_the_loss_columns(world, subspaces):
         assert [t.direct_term for t in b.per_encoder] == record.direct[i].tolist()
 
 
+def test_weighting_a_domain_up_drops_its_held_out_distance_more(world, subspaces):
+    """The domain weights checked by behaviour alone, with no second objective as oracle.
+
+    Two stock runs weight one domain 0.9 and the other 0.1, then swap.
+    Each domain's held-out subspace distance, first snapshot to last,
+    must drop more in the run that weights it 0.9.
+    """
+    domains = ("attr0", "attr1")
+    drops = {}  # heavy domain -> {domain: held-out distance drop}
+    for heavy in domains:
+        weights = tuple(DomainWeight(d, 0.9 if d == heavy else 0.1) for d in domains)
+        record = run_adaptation(default_adaptation_config(world, weights=weights), world, subspaces)
+        start, end = record.snapshot_at(0), record.snapshots[-1].report
+        drops[heavy] = {d: start.mean_distance(d) - end.mean_distance(d) for d in domains}
+    for domain, other in (domains, domains[::-1]):
+        assert drops[domain][domain] > drops[other][domain], drops
+
+
 def test_dist_term_trend_nonincreasing_in_25_step_blocks(stock_record):
     per_step = [sum(row) for row in stock_record.dist.tolist()]
     blocks = [
@@ -578,11 +596,27 @@ def test_save_run_refuses_non_finite_values(tmp_path, world, subspaces):
     out = tmp_path / "run"
     save_run(record, out)
     before = {p.name: p.read_bytes() for p in out.iterdir()}
-    record.dist[1, 0] = float("nan")
+    snap = record.snapshots[1]
+    bad = replace(snap, report=replace(snap.report, consistency=float("nan")))
+    broken = replace(record, snapshots=(record.snapshots[0], bad, *record.snapshots[2:]))
     with pytest.raises(NumericalError, match="run_record.json: refusing to write a non-finite"):
-        save_run(record, out)
+        save_run(broken, out)
     # the file was not touched, and no temporary file is left behind
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_run_record_locks_and_checks_its_loss_columns(world, subspaces):
+    record = run_adaptation(_small_config(world, steps=3), world, subspaces)
+    with pytest.raises(ValueError):
+        record.dist[1, 0] = 0.0
+    assert isinstance(record.snapshots, tuple)
+    nan = np.array(record.dist)
+    nan[1, 0] = float("nan")
+    with pytest.raises(ConfigError, match="dist contains non-finite entries"):
+        replace(record, dist=nan)
+    # a DimensionError, which the file reader reports as a ConfigError (tests/test_cli.py)
+    with pytest.raises(DimensionError, match=r"dist must have shape \(3, 3\), got \(2, 3\)"):
+        replace(record, dist=record.dist[:2])
 
 
 def test_save_run_replaces_files_atomically(tmp_path, world, subspaces, monkeypatch):

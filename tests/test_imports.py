@@ -1,5 +1,6 @@
 """No module of the package imports a name at module level that it never uses,
-and no module defines a private module-level name that no module reads.
+no module defines a private module-level name that no module reads, and
+no function but ``MetricsReport.to_json_dict`` builds a JSON object by hand.
 
 A scan of the syntax tree, since no linter ships with the package's
 dependencies.  ``hda/__init__.py`` imports in order to re-export, and a
@@ -8,15 +9,20 @@ the benchmark's probes find it in that module; both are exempt.  A
 private name is a ``_name`` (not a ``__dunder__``) bound at module level
 by a function, a class or an assignment; it counts as read when any
 module of the package loads it, takes it as an attribute or imports it.
+Every other dataclass is written by ``files.json_doc``, which gives a
+stored record its keys in field order.
 """
 
 import ast
+import json
 import os
 import re
 
 import pytest
 
 import hda
+from hda.ablation import AblationRow, save_ablation
+from hda.engine import default_adaptation_config, run_adaptation, save_run
 
 PACKAGE_DIR = os.path.dirname(hda.__file__)
 PROBE_SITE = re.compile(r"#\s*noqa:\s*F401\s+\(probe sites?\)")
@@ -154,3 +160,60 @@ def test_private_name_scan_finds_unread_names_and_spares_read_ones():
 def test_no_private_module_level_name_goes_unread():
     sources = {module: _source(module) for module in ["__init__.py", *_modules()]}
     assert _unread_private_names(sources) == []
+
+
+#: The one hand-built JSON object: ``json_doc`` calls it for a report's rounded numbers.
+HAND_BUILT_JSON = ["metrics.py: MetricsReport.to_json_dict"]
+
+
+def _json_dict_functions(module: str, source: str) -> list[str]:
+    """Functions and methods of ``source`` whose name contains ``json_dict``, qualified."""
+    found = []
+
+    def visit(body, prefix):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, f"{prefix}{node.name}.")
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if "json_dict" in node.name:
+                    found.append(f"{module}: {prefix}{node.name}")
+                visit(node.body, f"{prefix}{node.name}.")
+
+    visit(ast.parse(source).body, "")
+    return found
+
+
+def test_json_dict_scan_finds_functions_and_methods():
+    source = (
+        "def rows_to_json_dict(rows):\n"
+        "    return []\n"
+        "class Row:\n"
+        "    def to_json_dict(self):\n"
+        "        def _json_dict_part():\n"
+        "            pass\n"
+        "    def as_json(self):\n"
+        "        pass\n"
+    )
+    assert _json_dict_functions("m.py", source) == [
+        "m.py: rows_to_json_dict",
+        "m.py: Row.to_json_dict",
+        "m.py: Row.to_json_dict._json_dict_part",
+    ]
+
+
+def test_only_the_metrics_report_builds_json_by_hand():
+    found = [f for module in _modules() for f in _json_dict_functions(module, _source(module))]
+    assert found == HAND_BUILT_JSON
+
+
+def test_stored_records_keep_their_key_order(tmp_path, world, subspaces):
+    record = run_adaptation(default_adaptation_config(world, steps=1), world, subspaces)
+    save_run(record, tmp_path, world_dir="w")
+    with open(tmp_path / "run_record.json", encoding="utf8") as fh:
+        run_keys = list(json.load(fh))
+    assert run_keys == ["config", "world_dir", "dist", "direct", "snapshots", "checkpoints"]
+    row = AblationRow("full", "ensemble", record.config.encoder_ids, 0.5, record.snapshot_at(1))
+    save_ablation([row], tmp_path)
+    with open(tmp_path / "ablation.json", encoding="utf8") as fh:
+        (row_doc,) = json.load(fh)
+    assert list(row_doc) == ["variant", "encoder_mode", "encoder_ids", "final_total", "report"]

@@ -572,13 +572,6 @@ def test_world_references_are_locked_copies_and_foreign_specs_refused(world):
         world.feature_set(make_encoder("stranger", seed=1, **STOCK_ENCODER), "attr0")
 
 
-def test_default_world_config_bounds():
-    with pytest.raises(ConfigError):
-        default_world_config(n_domains=0)
-    with pytest.raises(ConfigError):
-        default_world_config(n_domains=3)
-
-
 def test_relu_matches_where_bit_for_bit_in_place():
     values = [np.nan, np.inf, -np.inf, 0.0, -0.0, -1.5, 2.5, 5e-324, -5e-324, 1e308, -1e308]
     x = np.array([values, values[::-1]])
