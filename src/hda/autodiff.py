@@ -9,10 +9,11 @@ scales ``(D, E, B)`` terms.  :func:`linear` multiplies over the last
 two axes and broadcasts the leading ones, so one node applies a stack
 of ``E`` weight matrices to a batch.  :func:`dot`, :func:`sq_norm`
 and :func:`norm_eps` reduce the last axis, and :func:`vsum` sums
-everything or one axis.  The hybrid objective uses this to keep a
-whole step in one fixed-size expression: a latent batch ``B``, the
-encoder ensemble ``E`` and the target domains ``D`` are axes of
-``(D, E, B, d)`` values, not Python loops that add nodes.
+everything or one axis.  The tape losses use this to take a latent
+batch ``B`` as the rows of ``(B, d)`` values; the target domains and
+the encoder ensemble stay Python loops of per-domain terms, so the
+tape oracle shares none of the closed-form objective's ``(D, E, B, d)``
+stacking (:class:`hda.losses.ObjectivePlan`).
 
 The engine is a classic Wengert list.  Every primitive appends one
 ``TapeNode`` holding the operation kind, the indices of its parents and

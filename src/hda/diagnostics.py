@@ -12,15 +12,14 @@ objective's tape oracle.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import GradCheckReport, Tape, grad_check
 from .losses import (
     DomainWeight,
-    _hybrid_direct,
-    _hybrid_dist,
-    _perpendiculars,
     dist_loss,
     direct_loss,
     hda_objective,
@@ -52,32 +51,32 @@ def tape_objective(
     z_batch, source_gen, target_gen, encoders, subspaces_per_encoder, weights, lam, *,
     dist_only=False, direct_only=False,
 ):
-    """:func:`hda.losses.hda_objective` as one tape expression: the closed form's oracle.
+    """:func:`hda.losses.hda_objective` as a tape expression: the closed form's oracle.
 
     Takes the same arguments, unchecked, and returns the same per-encoder
-    batch sums and flat gradient, computed by :mod:`hda.autodiff` from the
-    tape losses' building blocks.
+    batch sums and flat gradient, computed by :mod:`hda.autodiff` through
+    the public hybrid losses on each encoder's ``(B, d_e)`` rows in turn.
     """
-    inv_batch = 1.0 / z_batch.shape[0]
     tape = Tape()
     param_vars = generator_param_vars(tape, target_gen)
     x_target = generator_forward_var(tape, param_vars, z_batch)
-    f_t = encode_var(tape, encoders, x_target)  # (E, B, d_e)
-    grid = [subspaces_per_encoder[e.encoder_id][w.domain_id] for w in weights for e in encoders]
-    perps = _perpendiculars(f_t, grid, (len(weights), len(encoders)))
-    dist = direct = rows = None  # (E, B): per encoder and latent
-    if not direct_only:
-        dist = rows = _hybrid_dist(perps, weights)
-    if not dist_only:
-        f_s = tape.constant(encode(encoders, source_gen.forward(z_batch)))
-        direct = _hybrid_direct(f_s, f_t, perps, weights)
-        weighted = ad.smul(lam, direct)
-        rows = weighted if rows is None else ad.add(rows, weighted)
-    tape.backward(ad.vsum(rows), seed=inv_batch)
+    x_source = None if dist_only else source_gen.forward(z_batch)
+    dist, direct = np.zeros(len(encoders)), np.zeros(len(encoders))
+    terms = []  # (B,) per latent: each encoder's distance and lambda-weighted direction losses
+    for e, enc in enumerate(encoders):
+        f_t = encode_var(tape, enc, x_target)
+        subspaces = [subspaces_per_encoder[enc.encoder_id][w.domain_id] for w in weights]
+        if not direct_only:
+            terms.append(hybrid_dist_loss(f_t, subspaces, weights))
+            dist[e] = terms[-1].value.sum()
+        if not dist_only:
+            f_s = tape.constant(encode(enc, x_source))
+            r = hybrid_direct_loss(f_s, f_t, subspaces, weights)
+            direct[e] = r.value.sum()
+            terms.append(ad.smul(lam, r))
+    tape.backward(functools.reduce(ad.add, map(ad.vsum, terms)), seed=1.0 / z_batch.shape[0])
     grads = np.concatenate([param_vars[name].grad.ravel() for name in PARAM_FIELDS])
-    absent = np.zeros(f_t.shape[:-1])
-    dist, direct = (absent if t is None else t.value for t in (dist, direct))
-    return dist.sum(-1), direct.sum(-1), grads
+    return dist, direct, grads
 
 
 def _merge(name: str, tol: float, reports: list[GradCheckReport]) -> GradCheckReport:

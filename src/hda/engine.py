@@ -9,6 +9,7 @@ same batches as the prefix of a longer run.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional
@@ -97,14 +98,14 @@ class AdaptationConfig:
             raise ConfigError(
                 f"weights cover domains {sorted(weight_ids)}, expected {sorted(self.domain_ids)}"
             )
-        if self.lam < 0.0:
-            raise ConfigError(f"lambda must be >= 0, got {self.lam}")
+        if not (self.lam >= 0.0 and math.isfinite(self.lam)):
+            raise ConfigError(f"lambda must be >= 0 and finite, got {self.lam}")
         if self.steps < 1:
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not self.learning_rate > 0.0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not (self.learning_rate > 0.0 and math.isfinite(self.learning_rate)):
+            raise ConfigError(f"learning_rate must be > 0 and finite, got {self.learning_rate}")
         if self.grad_clip_norm is not None and not self.grad_clip_norm > 0.0:
             raise ConfigError(
                 f"grad_clip_norm must be > 0 or None, got {self.grad_clip_norm}"
@@ -202,6 +203,8 @@ def clip_gradients(grads: Array, max_norm: Optional[float]) -> tuple[Array, floa
     norm = float(np.sqrt(grads @ grads))
     if max_norm is None or norm <= max_norm or norm == 0.0:
         return grads, norm
+    if not math.isfinite(norm):
+        raise NumericalError(f"gradient norm {norm} cannot be clipped")
     return grads * (max_norm / norm), norm
 
 

@@ -15,18 +15,23 @@ The full objective sums ``dist + lambda * direct`` over the encoder
 ensemble and averages over a latent batch.  Gradients flow through the
 projection.
 
-The ``D`` domain subspaces (zero-padded to one rank) and the ``E``
-encoders are leading axes of ``(D, E, B, d)`` perpendiculars, and the
-alpha-weighted sums reduce the domain axis.  The public losses
-(:func:`dist_loss`, :func:`hybrid_dist_loss` and the direction forms)
-are tape expressions over these arrays, without the ensemble axis.  The
-full objective (:class:`ObjectivePlan`, :func:`hda_objective`) is closed
-form: numpy computes its value and its hand-written gradient, and
-:func:`hda.diagnostics.tape_objective` keeps the same objective as one
-tape expression, the oracle it is tested against.
+The public losses (:func:`dist_loss`, :func:`hybrid_dist_loss` and the
+direction forms) are tape expressions over ``(d,)`` or ``(B, d)`` rows,
+built one domain at a time: each subspace projects with its own mean
+and basis, and each domain's term is scaled by its alpha and added in
+domain order.  The full objective (:class:`ObjectivePlan`,
+:func:`hda_objective`) is closed form: it stacks the ``D`` domain
+subspaces (zero-padded to one rank) and the ``E`` encoders as leading
+axes of ``(D, E, B, d)`` perpendiculars, and numpy computes its value
+and its hand-written gradient.  :func:`hda.diagnostics.tape_objective`
+builds the same objective from the tape losses, encoder by encoder,
+and shares none of that stacking: it is the oracle the closed form is
+tested against.
 """
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -54,8 +59,8 @@ class DomainWeight:
     alpha: float
 
     def __post_init__(self):
-        if not self.alpha > 0.0:
-            raise ConfigError(f"weight for {self.domain_id!r} must be positive")
+        if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
+            raise ConfigError(f"weight for {self.domain_id!r} must be positive and finite")
 
 
 def _stacked_subspaces(subspaces, lead: tuple[int, ...], d: int) -> tuple[Array, Array]:
@@ -74,27 +79,18 @@ def _stacked_subspaces(subspaces, lead: tuple[int, ...], d: int) -> tuple[Array,
     return means, bases.reshape(lead + bases.shape[1:])
 
 
-def _perpendiculars(f_t: Var, subspaces, lead: tuple[int, ...]) -> Var:
-    """``f* - f_t`` for every subspace, as one expression.
-
-    ``subspaces`` lists a grid of shape ``lead`` in row-major order, and
-    ``lead`` leads the result: ``(D,)`` subspaces against ``(B, d)`` rows
-    give ``(D, B, d)``, and a ``(D, E)`` grid against ``(E, B, d)``
-    ensemble rows gives ``(D, E, B, d)``.  The projection keeps
-    :func:`subspace.project`'s order, ``((f - mu) U) Uᵀ + mu``.
-    """
+def _perpendicular(f_t: Var, subspace: DomainSubspace) -> Var:
+    """``f* - f_t``, projected in :func:`subspace.project`'s order, ``((f - mu) U) Uᵀ + mu``."""
     tape = f_t.tape
-    means, bases = _stacked_subspaces(subspaces, lead, f_t.shape[-1])
-    mean = tape.constant(means)
-    centered = ad.sub(f_t, mean)
-    coords = ad.linear(centered, tape.constant(np.swapaxes(bases, -1, -2)))
-    lifted = ad.linear(coords, tape.constant(bases))
+    mean = tape.constant(subspace.mean)
+    coords = ad.linear(ad.sub(f_t, mean), tape.constant(subspace.basis.T))
+    lifted = ad.linear(coords, tape.constant(subspace.basis))
     return ad.sub(ad.add(lifted, mean), f_t)
 
 
-def _domain_weights(weights, ndim: int) -> Array:
-    """The alphas shaped to scale the leading domain axis of an ``ndim`` array."""
-    return np.array([w.alpha for w in weights]).reshape((-1,) + (1,) * (ndim - 1))
+def _weighted_sum(terms: list[Var], weights) -> Var:
+    """``sum_i alpha_i * term_i``, added in domain order."""
+    return functools.reduce(ad.add, [ad.smul(w.alpha, t) for t, w in zip(terms, weights)])
 
 
 def _one_minus_cosine(u: Var, v: Var) -> Var:
@@ -103,36 +99,18 @@ def _one_minus_cosine(u: Var, v: Var) -> Var:
     return ad.sub(tape.constant(np.ones(cos.shape)), cos)
 
 
-def _hybrid_dist(perps: Var, weights) -> Var:
-    """Alpha-weighted squared distances, summed over the domain axis."""
-    sq = ad.sq_norm(perps)
-    return ad.vsum(ad.mul(sq, perps.tape.constant(_domain_weights(weights, sq.value.ndim))), 0)
-
-
-def _hybrid_direct(f_s: Var, f_t: Var, perps: Var, weights) -> Var:
-    """Direction loss against the alpha-weighted sum of the perpendiculars."""
-    alpha = perps.tape.constant(_domain_weights(weights, perps.value.ndim))
-    return _one_minus_cosine(ad.sub(f_t, f_s), ad.vsum(ad.mul(perps, alpha), 0))
-
-
-def _per_row(loss: Var, f_t: Var) -> Var:
-    """``loss`` shaped like the rows of ``f_t``: a scalar for one vector."""
-    rows = f_t.shape[:-1]
-    return loss if loss.shape == rows else ad.reshape(loss, rows)
-
-
 def dist_loss(f_t: Var, subspace: DomainSubspace) -> Var:
     """Squared distance from ``f_t`` to its projection onto the subspace.
 
     ``f_t`` is one embedding ``(d,)`` (scalar loss) or a batch ``(B, d)``
     (one loss per row); the same holds for every loss below.
     """
-    return hybrid_dist_loss(f_t, [subspace], [DomainWeight("domain", 1.0)])
+    return ad.sq_norm(_perpendicular(f_t, subspace))
 
 
 def direct_loss(f_s: Var, f_t: Var, subspace: DomainSubspace) -> Var:
     """One minus the cosine between ``f_t - f_s`` and ``f* - f_t``."""
-    return hybrid_direct_loss(f_s, f_t, [subspace], [DomainWeight("domain", 1.0)])
+    return _one_minus_cosine(ad.sub(f_t, f_s), _perpendicular(f_t, subspace))
 
 
 def _check_hybrid_args(subspaces, weights) -> None:
@@ -149,8 +127,7 @@ def hybrid_dist_loss(
 ) -> Var:
     """Weighted sum of per-domain distance losses."""
     _check_hybrid_args(subspaces, weights)
-    perps = _perpendiculars(f_t, subspaces, (len(subspaces),))
-    return _per_row(_hybrid_dist(perps, weights), f_t)
+    return _weighted_sum([dist_loss(f_t, s) for s in subspaces], weights)
 
 
 def hybrid_direct_loss(
@@ -158,8 +135,8 @@ def hybrid_direct_loss(
 ) -> Var:
     """Direction loss against the weighted sum of per-domain perpendiculars."""
     _check_hybrid_args(subspaces, weights)
-    perps = _perpendiculars(f_t, subspaces, (len(subspaces),))
-    return _per_row(_hybrid_direct(f_s, f_t, perps, weights), f_t)
+    target = _weighted_sum([_perpendicular(f_t, s) for s in subspaces], weights)
+    return _one_minus_cosine(ad.sub(f_t, f_s), target)
 
 
 def loss_total(dist_sums: Array, direct_sums: Array, batch_size: int, lam: float) -> float:
@@ -178,10 +155,11 @@ def loss_total(dist_sums: Array, direct_sums: Array, batch_size: int, lam: float
 class ObjectivePlan:
     """The full objective's run constants, checked once; a call gives value and gradient.
 
-    The plan stacks the encoder weights along the ensemble axis and the
-    ``(D, E)`` grid of subspaces to zero-padded bases, as the tape losses
-    do.  The source side does not depend on the trained parameters, so
-    :meth:`source_embeddings` computes it for a chunk of steps at once.
+    The plan stacks the encoder weights along the ensemble axis, the
+    ``(D, E)`` grid of subspaces to zero-padded bases and the alphas to
+    scale the domain axis.  The source side does not depend on the
+    trained parameters, so :meth:`source_embeddings` computes it for a
+    chunk of steps at once.
     A call takes a ``(B, d_z)`` latent batch, the target generator's
     arrays by name and the batch's ``(E, B, d_e)`` source embeddings
     (``None`` when only the distance loss is on), computes the objective
@@ -204,8 +182,8 @@ class ObjectivePlan:
     ):
         if not encoders:
             raise ConfigError("need at least one encoder")
-        if lam < 0.0:
-            raise ConfigError(f"lambda must be >= 0, got {lam}")
+        if not (lam >= 0.0 and math.isfinite(lam)):
+            raise ConfigError(f"lambda must be >= 0 and finite, got {lam}")
         if dist_only and direct_only:
             raise ConfigError("dist_only and direct_only are mutually exclusive")
         if not weights:
@@ -225,7 +203,7 @@ class ObjectivePlan:
         lead = (len(weights), len(encoders))
         self.means, self.bases = _stacked_subspaces(grid, lead, self.w2.shape[1])
         self.bases_t = np.swapaxes(self.bases, -1, -2)
-        self.alpha = _domain_weights(weights, 4)  # (D, 1, 1, 1)
+        self.alpha = np.array([w.alpha for w in weights]).reshape(-1, 1, 1, 1)
         self.source, self.lam = source_gen, float(lam)
         self.encoder_ids = tuple(e.encoder_id for e in encoders)
         self.dist_only, self.direct_only = dist_only, direct_only

@@ -311,6 +311,9 @@ class SnapshotPlan:
                 f"subspace domains {sorted(held_out_subspaces)} do not match "
                 f"reference domains {sorted(references)}"
             )
+        for domain_id, rows in references.items():
+            if len(rows) == 0:
+                raise ConfigError(f"no reference rows for domain {domain_id!r}")
         self.source, self.encoder = source_gen, held_out_encoder
         self.subspaces = held_out_subspaces
         self.z = stream_rng(seed, "eval-z").standard_normal((int(n_samples), source_gen.d_z))

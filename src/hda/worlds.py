@@ -307,11 +307,10 @@ def _encoder_weights(encoders) -> tuple[Array, Array, Array, Array]:
     return stack_encoders(encoders)
 
 
-def encode_var(tape, encoders, x):
-    """Tape version of :func:`encode`, for one spec or a sequence; bit-identical on a batch."""
-    w1, b1, w2, b2 = _encoder_weights(encoders)
-    hidden = ad.relu(ad.add(ad.linear(x, tape.constant(w1)), tape.constant(b1)))
-    return ad.add(ad.linear(hidden, tape.constant(w2)), tape.constant(b2))
+def encode_var(tape, encoder: EncoderSpec, x):
+    """Tape version of :func:`encode` for one spec; bit-identical on a batch."""
+    hidden = ad.relu(ad.add(ad.linear(x, tape.constant(encoder.w1)), tape.constant(encoder.b1)))
+    return ad.add(ad.linear(hidden, tape.constant(encoder.w2)), tape.constant(encoder.b2))
 
 
 @dataclass(frozen=True)

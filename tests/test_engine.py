@@ -162,6 +162,7 @@ def test_clip_gradients_behavior():
     clipped, norm = clip_gradients(grads, 1.0)
     assert norm == pytest.approx(5.0)
     assert np.sqrt(clipped @ clipped) == pytest.approx(1.0, rel=1e-12)
+    assert clipped.tobytes() == (grads * (1.0 / 5.0)).tobytes()  # one rescale, its bits kept
     # direction preserved
     assert clipped[0] / clipped[1] == pytest.approx(3.0 / 4.0, rel=1e-12)
     # disabled and degenerate cases pass through
@@ -171,6 +172,38 @@ def test_clip_gradients_behavior():
     same, norm = clip_gradients(zeros, 1.0)
     assert norm == 0.0
     np.testing.assert_array_equal(same, zeros)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "grads", [[1e200, -1e200], [1.0, np.nan], [np.inf, 0.0]], ids=["overflow", "nan", "inf"]
+)
+def test_clip_gradients_refuses_a_non_finite_norm(grads):
+    # a rescale by max_norm / inf would zero the direction it promises to keep
+    with pytest.raises(NumericalError, match="gradient norm"):
+        clip_gradients(np.array(grads), 10.0)
+
+
+def test_unclippable_gradient_reports_step_and_last_good_params(world, subspaces, monkeypatch):
+    config = _small_config(world, steps=6)
+    call = ObjectivePlan.__call__
+    steps = itertools.count(1)
+
+    def overflowing_at_step_4(plan, z_batch, params, f_s):
+        dist, direct, grads = call(plan, z_batch, params, f_s)
+        return dist, direct, np.full_like(grads, 1e200) if next(steps) == 4 else grads
+
+    monkeypatch.setattr(ObjectivePlan, "__call__", overflowing_at_step_4)
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericalError, match="gradient norm") as excinfo:
+            run_adaptation(config, world, subspaces)
+    assert excinfo.value.step == 4
+    monkeypatch.undo()
+    prefix = run_adaptation(replace(config, steps=3), world, subspaces)
+    for name in PARAM_FIELDS:
+        np.testing.assert_array_equal(
+            getattr(excinfo.value.last_good_params, name), getattr(prefix.final_params, name)
+        )
 
 
 def test_training_batches_deterministic_prefix():
@@ -700,3 +733,30 @@ def test_config_validation_rejects(overrides):
     base.update(overrides)
     with pytest.raises(ConfigError):
         AdaptationConfig(**base)
+
+
+def _config_with(**overrides):
+    return AdaptationConfig(("e",), ("d",), (DomainWeight("d", 1.0),), **overrides)
+
+
+def _plan_with_lambda(world, subspaces, lam):
+    encoders = [world.encoder(e) for e in world.train_encoder_ids]
+    weights = [DomainWeight(d.domain_id, 0.5) for d in world.domains]
+    return ObjectivePlan(world.source_generator, encoders, subspaces, weights, lam)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda world, subspaces, v: _config_with(lam=v), "lambda must be >= 0"),
+        (lambda world, subspaces, v: _config_with(learning_rate=v), "learning_rate must be > 0"),
+        (lambda world, subspaces, v: DomainWeight("d", v), "weight for 'd' must be positive"),
+        (_plan_with_lambda, "lambda must be >= 0"),
+    ],
+    ids=["config lambda", "config learning_rate", "domain weight", "plan lambda"],
+)
+def test_non_finite_numbers_fail_when_the_config_is_built(world, subspaces, build, message, value):
+    """JSON input refuses these in ``files.read_value``; the Python API does too."""
+    with pytest.raises(ConfigError, match=message):
+        build(world, subspaces, value)

@@ -1,6 +1,7 @@
 """No module of the package imports a name at module level that it never uses,
-no module defines a private module-level name that no module reads, and
-no function but ``MetricsReport.to_json_dict`` builds a JSON object by hand.
+no module defines a private module-level name that no module reads, no
+function but ``MetricsReport.to_json_dict`` builds a JSON object by hand,
+and the objective's tape oracle reads nothing of its closed form.
 
 A scan of the syntax tree, since no linter ships with the package's
 dependencies.  ``hda/__init__.py`` imports in order to re-export, and a
@@ -10,7 +11,9 @@ private name is a ``_name`` (not a ``__dunder__``) bound at module level
 by a function, a class or an assignment; it counts as read when any
 module of the package loads it, takes it as an attribute or imports it.
 Every other dataclass is written by ``files.json_doc``, which gives a
-stored record its keys in field order.
+stored record its keys in field order.  The tape oracle of the objective
+shares none of the closed form's stacking: neither it nor a function of
+its own module that it reaches loads the stacking helpers.
 """
 
 import ast
@@ -217,3 +220,67 @@ def test_stored_records_keep_their_key_order(tmp_path, world, subspaces):
     with open(tmp_path / "ablation.json", encoding="utf8") as fh:
         (row_doc,) = json.load(fh)
     assert list(row_doc) == ["variant", "encoder_mode", "encoder_ids", "final_total", "report"]
+
+
+#: The tape side of the objective, by module: the tape losses, the oracle
+#: and the tape encoder.
+ORACLE_ROOTS = {
+    "losses.py": ("dist_loss", "direct_loss", "hybrid_dist_loss", "hybrid_direct_loss"),
+    "diagnostics.py": ("tape_objective",),
+    "worlds.py": ("encode_var",),
+}
+#: What stacks the domains and encoders for the closed form alone.
+CLOSED_FORM_ONLY = {"_stacked_subspaces", "ObjectivePlan", "stack_encoders"}
+
+
+def _closed_form_reads(sources: dict[str, str], roots: dict[str, tuple]) -> list[str]:
+    """Names of :data:`CLOSED_FORM_ONLY` loaded by ``roots`` or the functions
+    of their own module that they reach, as ``"module: function loads name"``."""
+    found = []
+    for module, names in roots.items():
+        functions = {
+            node.name: node for node in ast.parse(sources[module]).body
+            if isinstance(node, ast.FunctionDef)
+        }
+        todo, seen = list(names), set()
+        while todo:
+            function = todo.pop()
+            if function in seen:
+                continue
+            seen.add(function)
+            for node in ast.walk(functions[function]):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if name in CLOSED_FORM_ONLY:
+                    found.append(f"{module}: {function} loads {name}")
+                elif name in functions:
+                    todo.append(name)
+    return sorted(found)
+
+
+def test_closed_form_scan_follows_helpers_and_spares_unreached_functions():
+    source = (
+        "from .losses import ObjectivePlan, _stacked_subspaces\n"
+        "from . import worlds\n"
+        "def _helper(x):\n"
+        "    return _stacked_subspaces(x)\n"
+        "def tape_loss(x):\n"
+        "    return _helper(x) + _helper(x)\n"
+        "def oracle(x):\n"
+        "    return tape_loss(x) + worlds.stack_encoders(x)\n"
+        "def closed_form(x):\n"
+        "    return ObjectivePlan(x)\n"
+    )
+    assert _closed_form_reads({"m.py": source}, {"m.py": ("oracle",)}) == [
+        "m.py: _helper loads _stacked_subspaces",
+        "m.py: oracle loads stack_encoders",
+    ]
+
+
+def test_the_tape_oracle_reads_nothing_of_the_closed_form():
+    sources = {module: _source(module) for module in ORACLE_ROOTS}
+    assert _closed_form_reads(sources, ORACLE_ROOTS) == []

@@ -631,6 +631,17 @@ def test_snapshot_plan_checks_target_dimensions(world, subspaces):
         plan(wider)
 
 
+@pytest.mark.parametrize("others", [False, True], ids=["alone", "beside a full domain"])
+def test_snapshot_plan_refuses_a_domain_without_reference_rows(world, subspaces, others):
+    enc, held_subs, refs = _held_out_inputs(world, subspaces)
+    refs["attr0"] = np.zeros((0, world.config.d_x))
+    if not others:
+        held_subs, refs = {"attr0": held_subs["attr0"]}, {"attr0": refs["attr0"]}
+    source = world.source_generator
+    with pytest.raises(ConfigError, match="no reference rows for domain 'attr0'"):
+        evaluate(source, source, enc, held_subs, refs, 16, 0)
+
+
 def test_snapshot_plan_refuses_a_params_array_that_is_not_a_stack(world, subspaces):
     enc, held_subs, refs = _held_out_inputs(world, subspaces)
     source = world.source_generator

@@ -159,24 +159,19 @@ def test_encode_deterministic_and_matches_var(world):
     np.testing.assert_array_equal(encode(enc, x[1]), encode(enc, x[1:2])[0])
 
 
-def test_stacked_encode_var_matches_each_encoder(world):
+def test_stacked_encode_matches_each_encoder(world):
     # the ensemble is one expression; row e is encoder e bit for bit
     encoders = list(world.train_encoders)
     x = stream_rng(2, "encode-probe").standard_normal((5, world.config.d_x))
-    tape = Tape()
-    got = encode_var(tape, encoders, tape.constant(x))
-    assert got.shape == (len(encoders), 5, world.config.d_e)
     stacked = encode(encoders, x)
+    assert stacked.shape == (len(encoders), 5, world.config.d_e)
     for e, enc in enumerate(encoders):
-        np.testing.assert_array_equal(got.value[e], encode(enc, x))
         np.testing.assert_array_equal(stacked[e], encode(enc, x))
         np.testing.assert_array_equal(encode(encoders, x[1])[e], encode(enc, x[1]))
     odd = make_encoder(
         "odd", seed=1, d_x=world.config.d_x, d_hidden=world.config.encoder_hidden,
         d_e=world.config.d_e + 1,
     )
-    with pytest.raises(DimensionError):
-        encode_var(tape, [encoders[0], odd], tape.constant(x))
     with pytest.raises(DimensionError):
         encode([encoders[0], odd], x)
 
