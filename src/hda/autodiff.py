@@ -1,19 +1,19 @@
 """Reverse-mode automatic differentiation over dense arrays.
 
-Node values are arrays of any rank.  The elementwise primitives
-(:func:`add`, :func:`sub`, :func:`mul`, :func:`div`) and :func:`dot`
-broadcast their operands the way numpy does, and their vjps sum each
-gradient back over the axes its operand was broadcast along, so a
-``(d,)`` bias adds to ``(B, d)`` rows and a ``(D, 1, 1)`` weight
-scales ``(D, E, B)`` terms.  :func:`linear` multiplies over the last
-two axes and broadcasts the leading ones, so one node applies a stack
-of ``E`` weight matrices to a batch.  :func:`dot`, :func:`sq_norm`
-and :func:`norm_eps` reduce the last axis, and :func:`vsum` sums
-everything or one axis.  The tape losses use this to take a latent
-batch ``B`` as the rows of ``(B, d)`` values; the target domains and
-the encoder ensemble stay Python loops of per-domain terms, so the
-tape oracle shares none of the closed-form objective's ``(D, E, B, d)``
-stacking (:class:`hda.losses.ObjectivePlan`).
+Node values are dense arrays; the tape losses build scalars, ``(d,)``
+vectors and ``(B, d)`` rows.  The elementwise primitives (:func:`add`,
+:func:`sub`, :func:`mul`, :func:`div`) and :func:`dot` take operands of
+one shape, or one that lacks the other's leading axes, so a ``(d,)``
+bias adds to ``(B, d)`` rows; their vjps sum each gradient back over
+the axes its operand lacks.  Any other pair of shapes is a
+:class:`DimensionError`.  :func:`linear` applies one ``(m, n)`` weight
+to a vector or to rows.  :func:`dot`, :func:`sq_norm` and
+:func:`norm_eps` reduce the last axis, and :func:`vsum` sums
+everything.  The tape losses take a latent batch ``B`` as the rows of
+``(B, d)`` values; the target domains and the encoder ensemble stay
+Python loops of per-domain terms, so the tape oracle shares none of the
+closed-form objective's ``(D, E, B, d)`` stacking
+(:class:`hda.losses.ObjectivePlan`).
 
 The engine is a classic Wengert list.  Every primitive appends one
 ``TapeNode`` holding the operation kind, the indices of its parents and
@@ -191,26 +191,27 @@ def _same_tape(a: Var, b: Var) -> Tape:
 
 
 def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
-    """Sum ``g`` over the axes along which an operand of ``shape`` was broadcast."""
-    if g.shape == shape:
+    """Sum ``g`` over the leading axes that an operand of ``shape`` lacks."""
+    if g.ndim == len(shape):
         return g
-    g = g.sum(axis=tuple(range(g.ndim - len(shape))))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
-    return g.sum(axis=axes, keepdims=True) if axes else g
+    return g.sum(axis=tuple(range(g.ndim - len(shape))))
 
 
 def _binary(op: str, a: Var, b: Var, forward, grads) -> Var:
-    """Append a broadcasting two-operand node.
+    """Append a two-operand node.
 
-    ``forward(va, vb)`` gives the value and ``grads(g, va, vb)`` the two
-    vjps at the broadcast shape; each is summed back to its operand's shape.
+    The operands have one shape, or one lacks leading axes of the other,
+    as a ``(d,)`` bias on ``(B, d)`` rows does; any other pair of shapes
+    is a :class:`DimensionError`.  ``forward(va, vb)`` gives the value
+    and ``grads(g, va, vb)`` the two vjps at the longer shape; each is
+    summed back over the leading axes its operand lacks.
     """
     tape = _same_tape(a, b)
     va, vb = a.value, b.value
-    try:
-        value = forward(va, vb)
-    except ValueError:
-        raise DimensionError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from None
+    short, long = sorted((va.shape, vb.shape), key=len)
+    if long[len(long) - len(short):] != short:
+        raise DimensionError(f"{op}: shapes {a.shape} and {b.shape} do not match")
+    value = forward(va, vb)
     need_a, need_b = a.node.requires_grad, b.node.requires_grad
 
     def vjp(g: Array):
@@ -251,31 +252,20 @@ def div(a: Var, b: Var) -> Var:
 
 
 def linear(x: Var, w: Var) -> Var:
-    """``x @ wᵀ`` over the last two axes.
-
-    ``x`` is a ``(n,)`` vector or ``(..., B, n)`` rows and ``w`` an
-    ``(m, n)`` weight or an ``(..., m, n)`` stack of them; the leading
-    axes broadcast, so ``(B, n)`` rows against ``(E, m, n)`` weights
-    give ``(E, B, m)``.
-    """
+    """``x @ wᵀ``: a ``(n,)`` vector or ``(B, n)`` rows times one ``(m, n)`` weight."""
     tape = _same_tape(x, w)
     vx, vw = x.value, w.value
-    if vw.ndim < 2 or vx.ndim < (1 if vw.ndim == 2 else 2):
-        raise DimensionError(f"linear needs rows and a matrix, got {x.shape}, {w.shape}")
-    if x.shape[-1] != w.shape[-1]:
+    if vw.ndim != 2 or vx.ndim not in (1, 2) or vx.shape[-1] != vw.shape[1]:
         raise DimensionError(f"linear: {x.shape} does not fit weight {w.shape}")
     need_x, need_w = x.node.requires_grad, w.node.requires_grad
 
     def vjp(g: Array):
         # frozen weights and inputs get no gradient, so skip their products
-        gx = _unbroadcast(matmul_rows(g, vw), vx.shape) if need_x else None
-        gw = None
-        if need_w:
-            g2, x2 = (g[None], vx[None]) if vx.ndim == 1 else (g, vx)
-            gw = _unbroadcast(matmul_rows(np.swapaxes(g2, -1, -2), x2), vw.shape)
+        gx = matmul_rows(g, vw) if need_x else None
+        gw = matmul_rows(np.atleast_2d(g).T, np.atleast_2d(vx)) if need_w else None
         return gx, gw
 
-    out = matmul_rows(vx, np.swapaxes(vw, -1, -2))
+    out = matmul_rows(vx, vw.T)
     return tape._append("linear", out, (x.index, w.index), vjp, need_x or need_w)
 
 
@@ -299,28 +289,14 @@ def relu(a: Var) -> Var:
     return a.tape._append("relu", out, (a.index,), vjp, a.node.requires_grad)
 
 
-def vsum(a: Var, axis: Optional[int] = None) -> Var:
-    """Sum of all entries, or over one ``axis``, which the result drops."""
-    va = a.value
-    out = np.asarray(va.sum(axis=axis))
-    kept = out.shape  # the gradient's shape before it broadcasts back over ``va``
-    if axis is not None:
-        axis %= va.ndim
-        kept = va.shape[:axis] + (1,) + va.shape[axis + 1:]
-
-    def vjp(g: Array):
-        return (np.reshape(g, kept) * np.ones_like(va),)
-
-    return a.tape._append("sum", out, (a.index,), vjp, a.node.requires_grad)
-
-
-def reshape(a: Var, shape: tuple[int, ...]) -> Var:
+def vsum(a: Var) -> Var:
+    """Sum of all entries."""
     va = a.value
 
     def vjp(g: Array):
-        return (np.reshape(g, va.shape),)
+        return (np.full_like(va, g),)
 
-    return a.tape._append("reshape", va.reshape(shape), (a.index,), vjp, a.node.requires_grad)
+    return a.tape._append("sum", np.asarray(va.sum()), (a.index,), vjp, a.node.requires_grad)
 
 
 def sq_norm(a: Var) -> Var:
@@ -336,7 +312,7 @@ def sq_norm(a: Var) -> Var:
 
 
 def dot(a: Var, b: Var) -> Var:
-    """Inner product over the last axis; the other axes broadcast."""
+    """Inner product over the last axis."""
     if a.value.ndim < 1 or b.value.ndim < 1 or a.shape[-1] != b.shape[-1]:
         raise DimensionError(f"dot: shapes {a.shape} and {b.shape} differ in the last axis")
 
@@ -399,8 +375,8 @@ class GradCheckReport:
 def grad_check(
     f,
     params: Array,
-    tol: float = 1e-5,
-    name: str = "gradcheck",
+    tol: float,
+    name: str,
 ) -> GradCheckReport:
     """Compare a program's gradient against central finite differences.
 

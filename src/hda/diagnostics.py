@@ -164,18 +164,6 @@ def _norm_eps(a):
     return ad.norm_eps(a, 1e-8)
 
 
-def _sum_axis0(a):
-    return ad.vsum(a, 0)
-
-
-def _flipped(a):
-    return ad.reshape(a, a.shape[::-1])
-
-
-#: Domain, ensemble and batch axes of the stacked (broadcast) cases.
-_STACK = (2, 3, _B)
-
-
 _PRIMITIVE_BUILDERS = {
     "add": _shaped_builder(ad.add, [(5,), (5,)], (5,)),
     "sub": _shaped_builder(ad.sub, [(5,), (5,)], (5,)),
@@ -185,22 +173,13 @@ _PRIMITIVE_BUILDERS = {
     "linear": _shaped_builder(ad.linear, [(4,), (3, 4)], (3,)),
     "linear_rows": _shaped_builder(ad.linear, [_ROWS, (3, _D)], (_B, 3), batched=True),
     "add_bias_rows": _shaped_builder(ad.add, [_ROWS, (_D,)], _ROWS, batched=True),
-    "sub_broadcast": _shaped_builder(ad.sub, [_STACK, (3, 1)], _STACK, batched=True),
-    "mul_broadcast": _shaped_builder(ad.mul, [_STACK, (2, 1, 1)], _STACK, batched=True),
-    "div_broadcast": _shaped_builder(ad.div, [(1, 3, _B), (2, 1, _B)], _STACK, batched=True),
-    "linear_stacked": _shaped_builder(
-        ad.linear, [_ROWS, (2, 3, _D)], (2, _B, 3), batched=True
-    ),
     "tanh": _shaped_builder(ad.tanh, [(6,)], (6,)),
     "relu": _shaped_builder(ad.relu, [(6,)], (6,)),
     "sum": _shaped_builder(ad.vsum, [(6,)], ()),
-    "sum_axis": _shaped_builder(_sum_axis0, [_STACK], _STACK[1:], batched=True),
-    "reshape": _shaped_builder(_flipped, [_STACK], _STACK[::-1]),
     "sq_norm": _shaped_builder(ad.sq_norm, [(6,)], ()),
     "sq_norm_rows": _shaped_builder(ad.sq_norm, [_ROWS], (_B,), batched=True),
     "dot": _shaped_builder(ad.dot, [(5,), (5,)], ()),
     "dot_rows": _shaped_builder(ad.dot, [_ROWS, _ROWS], (_B,), batched=True),
-    "dot_broadcast": _shaped_builder(ad.dot, [(2, 1, _D), _ROWS], (2, _B), batched=True),
     "norm_eps": _shaped_builder(_norm_eps, [(6,)], ()),
     "norm_eps_rows": _shaped_builder(_norm_eps, [_ROWS], (_B,), batched=True),
 }

@@ -167,7 +167,8 @@ def adam_step(
     """One bias-corrected Adam update of a parameter vector and of ``state``, in place.
 
     A non-finite gradient raises :class:`NumericalError` naming its
-    parameter before anything is written.
+    parameter before anything is written; a non-finite update, such as a
+    huge learning rate's overflow, raises one before ``params`` is written.
     """
     t = state.step + 1
     if grads.shape != params.shape:
@@ -187,6 +188,8 @@ def adam_step(
     v_hat += ADAM_EPS
     m_hat *= config.learning_rate
     m_hat /= v_hat
+    if not np.isfinite(m_hat).all():
+        raise NumericalError(f"non-finite update at optimizer step {t}")
     params -= m_hat
     state.step = t
 

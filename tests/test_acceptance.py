@@ -105,20 +105,13 @@ CRITERION_2_BATTERY = [
     ("primitive linear (100 instances)", 1600, 0),
     ("primitive linear_rows (100 instances)", 3000, 0),
     ("primitive add_bias_rows (100 instances)", 2000, 0),
-    ("primitive sub_broadcast (100 instances)", 2100, 0),
-    ("primitive mul_broadcast (100 instances)", 2000, 0),
-    ("primitive div_broadcast (100 instances)", 1500, 0),
-    ("primitive linear_stacked (100 instances)", 4500, 0),
     ("primitive tanh (100 instances)", 600, 0),
     ("primitive relu (100 instances)", 287, 313),
     ("primitive sum (100 instances)", 600, 0),
-    ("primitive sum_axis (100 instances)", 1800, 0),
-    ("primitive reshape (100 instances)", 1800, 0),
     ("primitive sq_norm (100 instances)", 600, 0),
     ("primitive sq_norm_rows (100 instances)", 1500, 0),
     ("primitive dot (100 instances)", 1000, 0),
     ("primitive dot_rows (100 instances)", 3000, 0),
-    ("primitive dot_broadcast (100 instances)", 2500, 0),
     ("primitive norm_eps (100 instances)", 600, 0),
     ("primitive norm_eps_rows (100 instances)", 1500, 0),
     ("dist_loss", 6, 0),

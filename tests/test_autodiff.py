@@ -85,10 +85,16 @@ def test_backward_rejects_foreign_tape():
 
 def test_shape_mismatch_raises():
     tape = Tape()
-    a = tape.variable(np.zeros(3))
-    b = tape.variable(np.zeros(4))
-    with pytest.raises(DimensionError):
-        ad.add(a, b)
+    for op, a_shape, b_shape in (
+        (ad.add, (3,), (4,)),
+        # a size-1 axis does not broadcast: only missing leading axes do
+        (ad.mul, (2, 1, 1), (2, 3, 4)),
+        # one weight, not a stack of them
+        (ad.linear, (4, 6), (3, 5, 6)),
+    ):
+        a, b = tape.variable(np.zeros(a_shape)), tape.variable(np.zeros(b_shape))
+        with pytest.raises(DimensionError):
+            op(a, b)
 
 
 def test_norm_eps_guards_zero_vector():
@@ -139,7 +145,7 @@ def test_grad_check_reports_degenerate_coordinates():
         tape.backward(out)
         return out.item(), x.grad
 
-    report = grad_check(f, np.ones(3), name="flat")
+    report = grad_check(f, np.ones(3), tol=1e-5, name="flat")
     assert report.passed
     assert len(report.skipped) == 3
     assert report.n_checked == 0
@@ -167,52 +173,6 @@ def test_add_broadcasts_bias_and_sums_gradient_over_rows():
     np.testing.assert_array_equal(x.grad, np.ones((3, 2)))
     with pytest.raises(DimensionError):
         ad.add(x, tape.constant(np.zeros(3)))
-
-
-def test_broadcast_gradients_sum_over_broadcast_axes():
-    # a (D, 1, 1) weight against (D, E, B) terms and (E, B) rows against them
-    rng = stream_rng(4, "autodiff-test")
-    terms0, alpha0, rows0 = (
-        rng.standard_normal(s) for s in ((2, 3, 4), (2, 1, 1), (3, 4))
-    )
-    tape = Tape()
-    terms, alpha, rows = (tape.variable(v) for v in (terms0, alpha0, rows0))
-    out = ad.vsum(ad.sub(ad.mul(terms, alpha), rows))
-    tape.backward(out)
-    assert out.item() == pytest.approx((terms0 * alpha0 - rows0).sum(), rel=1e-13)
-    np.testing.assert_allclose(terms.grad, np.broadcast_to(alpha0, (2, 3, 4)), rtol=0)
-    np.testing.assert_allclose(alpha.grad, terms0.sum(axis=(1, 2), keepdims=True), rtol=1e-13)
-    np.testing.assert_allclose(rows.grad, np.full((3, 4), -2.0), rtol=0)
-
-
-def test_axis_sum_and_reshape_route_gradients_back():
-    tape = Tape()
-    x = tape.variable(np.arange(6.0).reshape(2, 3))
-    per_column = ad.vsum(x, 0)
-    np.testing.assert_array_equal(per_column.value, [3.0, 5.0, 7.0])
-    flat = ad.reshape(per_column, (3, 1))
-    assert flat.shape == (3, 1)
-    tape.backward(ad.vsum(ad.mul(flat, tape.constant(np.array([[1.0], [2.0], [3.0]])))))
-    np.testing.assert_array_equal(x.grad, [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
-
-
-def test_stacked_linear_matches_each_slice():
-    rng = stream_rng(5, "autodiff-test")
-    x0 = rng.standard_normal((4, 6))
-    w0 = rng.standard_normal((3, 5, 6))
-    g0 = rng.standard_normal((3, 4, 5))
-    tape = Tape()
-    x, w = tape.variable(x0), tape.variable(w0)
-    out = ad.linear(x, w)
-    assert out.shape == (3, 4, 5)
-    for e in range(3):
-        np.testing.assert_array_equal(out.value[e], ad.matmul_rows(x0, w0[e].T))
-    tape.backward(ad.vsum(ad.mul(out, tape.constant(g0))))
-    np.testing.assert_allclose(x.grad, sum(g0[e] @ w0[e] for e in range(3)), rtol=1e-13)
-    for e in range(3):
-        np.testing.assert_allclose(w.grad[e], g0[e].T @ x0, rtol=1e-13)
-    with pytest.raises(DimensionError):
-        ad.linear(tape.constant(x0[0]), w)
 
 
 def test_matmul_rows_blocks_match_one_product():

@@ -629,22 +629,28 @@ def test_eval_on_a_world_that_does_not_match_the_run_exits_2(
 
 
 def test_exploding_run_checkpoints_last_good_params_and_exits_3(tmp_path, runner, world_dir):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"steps": 20, "learning_rate": 1e200}), encoding="utf8")
-    args = ["adapt", "--config", str(config), "--world", str(world_dir), "--out"]
-    with np.errstate(over="ignore", invalid="ignore"):
-        result = runner.invoke(main, args + [str(tmp_path / "run")])
-    assert result.exit_code == 3
-    doc = json.loads((tmp_path / "run" / "last_good_params.json").read_text(encoding="utf8"))
-    assert doc["step"] >= 1
-    # a directory where the checkpoint should go: the write fails, the exit code stays 3
-    blocked = tmp_path / "blocked"
-    (blocked / "last_good_params.json").mkdir(parents=True)
-    with np.errstate(over="ignore", invalid="ignore"):
-        result = runner.invoke(main, args + [str(blocked)])
-    assert result.exit_code == 3
-    assert "warning: last good parameters not written" in result.output
-    assert sorted(p.name for p in blocked.iterdir()) == ["last_good_params.json"]
+    # 1e200 poisons step 2's loss; 1.7e308 overflows step 1's Adam update
+    for learning_rate in (1e200, 1.7e308):
+        case = tmp_path / f"lr{learning_rate:g}"
+        config = case / "config.json"
+        case.mkdir()
+        config.write_text(
+            json.dumps({"steps": 20, "learning_rate": learning_rate}), encoding="utf8"
+        )
+        args = ["adapt", "--config", str(config), "--world", str(world_dir), "--out"]
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = runner.invoke(main, args + [str(case / "run")])
+        assert result.exit_code == 3
+        doc = json.loads((case / "run" / "last_good_params.json").read_text(encoding="utf8"))
+        assert doc["step"] >= 1
+        # a directory where the checkpoint should go: the write fails, the exit code stays 3
+        blocked = case / "blocked"
+        (blocked / "last_good_params.json").mkdir(parents=True)
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = runner.invoke(main, args + [str(blocked)])
+        assert result.exit_code == 3
+        assert "warning: last good parameters not written" in result.output
+        assert sorted(p.name for p in blocked.iterdir()) == ["last_good_params.json"]
 
 
 def test_entry_point_is_installed(tmp_path):

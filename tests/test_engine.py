@@ -503,20 +503,26 @@ def test_missing_held_out_subspaces_are_named(world, subspaces):
 
 
 def test_exploding_run_reports_last_good_step(world, subspaces):
-    config = _small_config(world, steps=20, learning_rate=1e200)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NumericalError) as excinfo:
-            run_adaptation(config, world, subspaces)
-    exc = excinfo.value
-    assert exc.step is not None and exc.step >= 2
-    assert f"step {exc.step}" in str(exc)
-    # the params it reports are those entering the failing step
-    with np.errstate(over="ignore", invalid="ignore"):
-        prefix = run_adaptation(replace(config, steps=exc.step - 1), world, subspaces)
-    for name in ("w1", "b1", "w2", "b2"):
-        np.testing.assert_array_equal(
-            getattr(exc.last_good_params, name), getattr(prefix.final_params, name)
-        )
+    # 1e200 poisons step 2's loss; 1.7e308 overflows step 1's Adam update
+    for learning_rate, first_bad_step in ((1e200, 2), (1.7e308, 1)):
+        config = _small_config(world, steps=20, learning_rate=learning_rate)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError) as excinfo:
+                run_adaptation(config, world, subspaces)
+        exc = excinfo.value
+        assert exc.step == first_bad_step
+        assert f"step {exc.step}" in str(exc)
+        # the params it reports are those entering the failing step
+        if exc.step == 1:
+            want = world.source_generator
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = run_adaptation(replace(config, steps=exc.step - 1), world, subspaces)
+            want = want.final_params
+        for name in ("w1", "b1", "w2", "b2"):
+            np.testing.assert_array_equal(
+                getattr(exc.last_good_params, name), getattr(want, name)
+            )
 
 
 def test_inseparable_domains_abort_before_training():

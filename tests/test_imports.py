@@ -1,7 +1,8 @@
 """No module of the package imports a name at module level that it never uses,
 no module defines a private module-level name that no module reads, no
 function but ``MetricsReport.to_json_dict`` builds a JSON object by hand,
-and the objective's tape oracle reads nothing of its closed form.
+the objective's tape oracle reads nothing of its closed form, and the tape
+has no primitive that the tape side never builds.
 
 A scan of the syntax tree, since no linter ships with the package's
 dependencies.  ``hda/__init__.py`` imports in order to re-export, and a
@@ -13,7 +14,9 @@ module of the package loads it, takes it as an attribute or imports it.
 Every other dataclass is written by ``files.json_doc``, which gives a
 stored record its keys in field order.  The tape oracle of the objective
 shares none of the closed form's stacking: neither it nor a function of
-its own module that it reaches loads the stacking helpers.
+its own module that it reaches loads the stacking helpers.  Every public
+``autodiff`` function that appends a tape node is called from that tape
+side, directly or through a helper.
 """
 
 import ast
@@ -223,42 +226,49 @@ def test_stored_records_keep_their_key_order(tmp_path, world, subspaces):
 
 
 #: The tape side of the objective, by module: the tape losses, the oracle
-#: and the tape encoder.
+#: and the tape generator and encoder.
 ORACLE_ROOTS = {
     "losses.py": ("dist_loss", "direct_loss", "hybrid_dist_loss", "hybrid_direct_loss"),
     "diagnostics.py": ("tape_objective",),
-    "worlds.py": ("encode_var",),
+    "worlds.py": ("encode_var", "generator_forward_var"),
 }
 #: What stacks the domains and encoders for the closed form alone.
 CLOSED_FORM_ONLY = {"_stacked_subspaces", "ObjectivePlan", "stack_encoders"}
 
 
+def _functions(source: str) -> dict[str, ast.FunctionDef]:
+    """The module-level functions of ``source`` by name."""
+    return {
+        node.name: node for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)
+    }
+
+
+def _reach(functions: dict[str, ast.FunctionDef], names) -> dict[str, ast.FunctionDef]:
+    """``names`` and the functions of their module that they reach by calls."""
+    reached, todo = {}, list(names)
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached[name] = functions[name]
+        todo.extend(
+            node.id for node in ast.walk(functions[name])
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            and node.id in functions
+        )
+    return reached
+
+
 def _closed_form_reads(sources: dict[str, str], roots: dict[str, tuple]) -> list[str]:
     """Names of :data:`CLOSED_FORM_ONLY` loaded by ``roots`` or the functions
     of their own module that they reach, as ``"module: function loads name"``."""
-    found = []
+    found = set()
     for module, names in roots.items():
-        functions = {
-            node.name: node for node in ast.parse(sources[module]).body
-            if isinstance(node, ast.FunctionDef)
-        }
-        todo, seen = list(names), set()
-        while todo:
-            function = todo.pop()
-            if function in seen:
-                continue
-            seen.add(function)
-            for node in ast.walk(functions[function]):
-                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                    name = node.id
-                elif isinstance(node, ast.Attribute):
-                    name = node.attr
-                else:
-                    continue
+        for function, tree in _reach(_functions(sources[module]), names).items():
+            for node in ast.walk(tree):
+                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
                 if name in CLOSED_FORM_ONLY:
-                    found.append(f"{module}: {function} loads {name}")
-                elif name in functions:
-                    todo.append(name)
+                    found.add(f"{module}: {function} loads {name}")
     return sorted(found)
 
 
@@ -284,3 +294,66 @@ def test_closed_form_scan_follows_helpers_and_spares_unreached_functions():
 def test_the_tape_oracle_reads_nothing_of_the_closed_form():
     sources = {module: _source(module) for module in ORACLE_ROOTS}
     assert _closed_form_reads(sources, ORACLE_ROOTS) == []
+
+
+def _appends(tree: ast.FunctionDef) -> bool:
+    """Whether the function ``tree`` appends a tape node itself."""
+    return any(isinstance(n, ast.Attribute) and n.attr == "_append" for n in ast.walk(tree))
+
+
+def _unbuilt_primitives(sources: dict[str, str], roots: dict[str, tuple]) -> list[str]:
+    """Public functions of ``autodiff.py`` that append a tape node and that
+    neither ``roots`` nor the functions they reach call, as ``ad.name`` or
+    through the ``autodiff.py`` functions those calls reach."""
+    tape = _functions(sources["autodiff.py"])
+    called = {
+        node.attr
+        for module, names in roots.items()
+        for tree in _reach(_functions(sources[module]), names).values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id == "ad"
+    }
+    built = _reach(tape, called & tape.keys())
+    return sorted(
+        name for name in tape
+        if not name.startswith("_") and name not in built
+        and any(map(_appends, _reach(tape, [name]).values()))
+    )
+
+
+def test_primitive_scan_follows_helpers_and_spares_functions_without_nodes():
+    # numpy's flip and negative share names with primitives but build neither
+    sources = {
+        "autodiff.py": (
+            "def _binary(a, b):\n"
+            "    return a.tape._append('op', a, b)\n"
+            "def add(a, b):\n"
+            "    return _binary(a, b)\n"
+            "def mul(a, b):\n"
+            "    return _binary(a, b)\n"
+            "def twice(a):\n"
+            "    return add(a, np.negative(-a))\n"
+            "def negative(a):\n"
+            "    return a.tape._append('negative', a)\n"
+            "def flip(a):\n"
+            "    return a.tape._append('flip', a)\n"
+            "def rows(x):\n"
+            "    return x\n"
+        ),
+        "losses.py": (
+            "from . import autodiff as ad\n"
+            "def _square(x):\n"
+            "    return ad.mul(x, x)\n"
+            "def loss(x):\n"
+            "    return ad.twice(_square(np.flip(x)))\n"
+            "def closed_form(x):\n"
+            "    return ad.negative(ad.flip(x))\n"
+        ),
+    }
+    assert _unbuilt_primitives(sources, {"losses.py": ("loss",)}) == ["flip", "negative"]
+
+
+def test_every_tape_primitive_is_built_by_the_tape_side():
+    sources = {module: _source(module) for module in ["autodiff.py", *ORACLE_ROOTS]}
+    assert _unbuilt_primitives(sources, ORACLE_ROOTS) == []
