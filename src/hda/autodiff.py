@@ -8,12 +8,11 @@ bias adds to ``(B, d)`` rows; their vjps sum each gradient back over
 the axes its operand lacks.  Any other pair of shapes is a
 :class:`DimensionError`.  :func:`linear` applies one ``(m, n)`` weight
 to a vector or to rows.  :func:`dot`, :func:`sq_norm` and
-:func:`norm_eps` reduce the last axis, and :func:`vsum` sums
-everything.  The tape losses take a latent batch ``B`` as the rows of
-``(B, d)`` values; the target domains and the encoder ensemble stay
-Python loops of per-domain terms, so the tape oracle shares none of the
-closed-form objective's ``(D, E, B, d)`` stacking
-(:class:`hda.losses.ObjectivePlan`).
+:func:`norm_eps` reduce the last axis.  The tape losses take a latent
+batch ``B`` as the rows of ``(B, d)`` values, one domain at a time.
+Training builds no tape: it runs the closed-form objective
+(:class:`hda.losses.ObjectivePlan`).  The tape and its losses are
+checked against central differences (:mod:`hda.diagnostics`).
 
 The engine is a classic Wengert list.  Every primitive appends one
 ``TapeNode`` holding the operation kind, the indices of its parents and
@@ -119,12 +118,6 @@ class Var:
 
     def item(self) -> float:
         return float(self.node.value)
-
-    def __add__(self, other: "Var") -> "Var":
-        return add(self, other)
-
-    def __rmul__(self, other):
-        return smul(float(other), self)
 
     def __repr__(self) -> str:
         return f"Var(op={self.node.op!r}, shape={self.shape})"
@@ -287,16 +280,6 @@ def relu(a: Var) -> Var:
         return (np.where(va > 0.0, g, 0.0),)
 
     return a.tape._append("relu", out, (a.index,), vjp, a.node.requires_grad)
-
-
-def vsum(a: Var) -> Var:
-    """Sum of all entries."""
-    va = a.value
-
-    def vjp(g: Array):
-        return (np.full_like(va, g),)
-
-    return a.tape._append("sum", np.asarray(va.sum()), (a.index,), vjp, a.node.requires_grad)
 
 
 def sq_norm(a: Var) -> Var:

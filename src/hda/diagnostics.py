@@ -7,12 +7,11 @@ through :func:`_tape_gradient`.  Primitive checks run many random
 instances at a tight tolerance; composite checks push gradients through
 the actual loss programs, including deliberately degenerate
 configurations whose near-zero coordinates are reported as skipped
-rather than compared.  :func:`tape_objective` is the closed-form
-objective's tape oracle.
+rather than compared.  The closed-form objective's reference, a complex
+step through its written-out formulas, lives with its tests
+(``tests/test_batched_objective.py``).
 """
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -35,7 +34,6 @@ from .worlds import (
     encode_var,
     flatten_generator,
     generator_forward_var,
-    generator_param_vars,
     make_encoder,
     make_source_generator,
     unflatten_generator,
@@ -45,38 +43,6 @@ Array = np.ndarray
 
 PRIMITIVE_TOL = 1e-6
 COMPOSITE_TOL = 1e-5
-
-
-def tape_objective(
-    z_batch, source_gen, target_gen, encoders, subspaces_per_encoder, weights, lam, *,
-    dist_only=False, direct_only=False,
-):
-    """:func:`hda.losses.hda_objective` as a tape expression: the closed form's oracle.
-
-    Takes the same arguments, unchecked, and returns the same per-encoder
-    batch sums and flat gradient, computed by :mod:`hda.autodiff` through
-    the public hybrid losses on each encoder's ``(B, d_e)`` rows in turn.
-    """
-    tape = Tape()
-    param_vars = generator_param_vars(tape, target_gen)
-    x_target = generator_forward_var(tape, param_vars, z_batch)
-    x_source = None if dist_only else source_gen.forward(z_batch)
-    dist, direct = np.zeros(len(encoders)), np.zeros(len(encoders))
-    terms = []  # (B,) per latent: each encoder's distance and lambda-weighted direction losses
-    for e, enc in enumerate(encoders):
-        f_t = encode_var(tape, enc, x_target)
-        subspaces = [subspaces_per_encoder[enc.encoder_id][w.domain_id] for w in weights]
-        if not direct_only:
-            terms.append(hybrid_dist_loss(f_t, subspaces, weights))
-            dist[e] = terms[-1].value.sum()
-        if not dist_only:
-            f_s = tape.constant(encode(enc, x_source))
-            r = hybrid_direct_loss(f_s, f_t, subspaces, weights)
-            direct[e] = r.value.sum()
-            terms.append(ad.smul(lam, r))
-    tape.backward(functools.reduce(ad.add, map(ad.vsum, terms)), seed=1.0 / z_batch.shape[0])
-    grads = np.concatenate([param_vars[name].grad.ravel() for name in PARAM_FIELDS])
-    return dist, direct, grads
 
 
 def _merge(name: str, tol: float, reports: list[GradCheckReport]) -> GradCheckReport:
@@ -132,11 +98,19 @@ def _tape_gradient(program, shapes):
 
 
 def _scalarized(op, weight: Array):
-    """The program ``sum(op(*args) * weight)``: a primitive weighted to a scalar."""
+    """The program ``sum(op(*args) * weight)``: a primitive weighted to a scalar.
+
+    A scalar output is multiplied by its weight, a vector dotted with it,
+    and the ``(B,)`` dot products of ``(B, m)`` rows are then dotted with ones.
+    """
 
     def program(*args):
         out = op(*args)
-        return ad.vsum(ad.mul(out, out.tape.constant(weight)))
+        tape = out.tape
+        if out.shape == ():
+            return ad.mul(out, tape.constant(weight))
+        loss = ad.dot(out, tape.constant(weight))
+        return loss if loss.shape == () else ad.dot(loss, tape.constant(np.ones(loss.shape)))
 
     return program
 
@@ -175,7 +149,6 @@ _PRIMITIVE_BUILDERS = {
     "add_bias_rows": _shaped_builder(ad.add, [_ROWS, (_D,)], _ROWS, batched=True),
     "tanh": _shaped_builder(ad.tanh, [(6,)], (6,)),
     "relu": _shaped_builder(ad.relu, [(6,)], (6,)),
-    "sum": _shaped_builder(ad.vsum, [(6,)], ()),
     "sq_norm": _shaped_builder(ad.sq_norm, [(6,)], ()),
     "sq_norm_rows": _shaped_builder(ad.sq_norm, [_ROWS], (_B,), batched=True),
     "dot": _shaped_builder(ad.dot, [(5,), (5,)], ()),
@@ -311,7 +284,8 @@ def _check_objective(
 
     At ``f_t == f_s`` the direction loss turns within ``NORM_EPS`` while
     ``f_t - f_s`` rounds at ~1e-15, so no difference step resolves it:
-    that case runs at ``lam=0``, and the tape oracle checks the rest.
+    that case runs at ``lam=0``; the complex-step reference checks it at
+    ``lam > 0``.
     """
     source, target0, encoders, subspaces, weights, z_batch = _toy_objective_setup(
         seed, batch, n_encoders, unequal_ranks

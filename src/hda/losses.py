@@ -23,10 +23,9 @@ domain order.  The full objective (:class:`ObjectivePlan`,
 :func:`hda_objective`) is closed form: it stacks the ``D`` domain
 subspaces (zero-padded to one rank) and the ``E`` encoders as leading
 axes of ``(D, E, B, d)`` perpendiculars, and numpy computes its value
-and its hand-written gradient.  :func:`hda.diagnostics.tape_objective`
-builds the same objective from the tape losses, encoder by encoder,
-and shares none of that stacking: it is the oracle the closed form is
-tested against.
+and its hand-written gradient.  Its reference, in
+``tests/test_batched_objective.py``, writes the same formulas out one
+latent, encoder and domain at a time, with a complex-step gradient.
 """
 from __future__ import annotations
 

@@ -276,11 +276,6 @@ def encode(encoders, x) -> Array:
     return f[..., 0, :] if x.ndim == 1 else f
 
 
-def generator_param_vars(tape, gen: GeneratorParams) -> dict:
-    """Gradient leaves for the four generator parameter arrays."""
-    return {name: tape.variable(getattr(gen, name)) for name in PARAM_FIELDS}
-
-
 def generator_forward_var(tape, param_vars: dict, z):
     """Tape version of :meth:`GeneratorParams.forward`; bit-identical on a batch."""
     zc = tape.constant(z)

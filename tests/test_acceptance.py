@@ -107,7 +107,6 @@ CRITERION_2_BATTERY = [
     ("primitive add_bias_rows (100 instances)", 2000, 0),
     ("primitive tanh (100 instances)", 600, 0),
     ("primitive relu (100 instances)", 287, 313),
-    ("primitive sum (100 instances)", 600, 0),
     ("primitive sq_norm (100 instances)", 600, 0),
     ("primitive sq_norm_rows (100 instances)", 1500, 0),
     ("primitive dot (100 instances)", 1000, 0),

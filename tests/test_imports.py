@@ -1,7 +1,7 @@
 """No module of the package imports a name at module level that it never uses,
 no module defines a private module-level name that no module reads, no
 function but ``MetricsReport.to_json_dict`` builds a JSON object by hand,
-the objective's tape oracle reads nothing of its closed form, and the tape
+the tape losses read nothing of the closed-form objective, and the tape
 has no primitive that the tape side never builds.
 
 A scan of the syntax tree, since no linter ships with the package's
@@ -12,11 +12,12 @@ private name is a ``_name`` (not a ``__dunder__``) bound at module level
 by a function, a class or an assignment; it counts as read when any
 module of the package loads it, takes it as an attribute or imports it.
 Every other dataclass is written by ``files.json_doc``, which gives a
-stored record its keys in field order.  The tape oracle of the objective
-shares none of the closed form's stacking: neither it nor a function of
-its own module that it reaches loads the stacking helpers.  Every public
-``autodiff`` function that appends a tape node is called from that tape
-side, directly or through a helper.
+stored record its keys in field order.  The tape side (the tape losses,
+the tape generator and encoder) shares none of the closed form's
+stacking: neither it nor a function of its own module that it reaches
+loads the stacking helpers, so criterion 3's loss checks test formulas
+of their own.  Every public ``autodiff`` function that appends a tape
+node is called from that tape side, directly or through a helper.
 """
 
 import ast
@@ -225,11 +226,9 @@ def test_stored_records_keep_their_key_order(tmp_path, world, subspaces):
     assert list(row_doc) == ["variant", "encoder_mode", "encoder_ids", "final_total", "report"]
 
 
-#: The tape side of the objective, by module: the tape losses, the oracle
-#: and the tape generator and encoder.
-ORACLE_ROOTS = {
+#: The tape side, by module: the tape losses and the tape generator and encoder.
+TAPE_ROOTS = {
     "losses.py": ("dist_loss", "direct_loss", "hybrid_dist_loss", "hybrid_direct_loss"),
-    "diagnostics.py": ("tape_objective",),
     "worlds.py": ("encode_var", "generator_forward_var"),
 }
 #: What stacks the domains and encoders for the closed form alone.
@@ -291,9 +290,9 @@ def test_closed_form_scan_follows_helpers_and_spares_unreached_functions():
     ]
 
 
-def test_the_tape_oracle_reads_nothing_of_the_closed_form():
-    sources = {module: _source(module) for module in ORACLE_ROOTS}
-    assert _closed_form_reads(sources, ORACLE_ROOTS) == []
+def test_the_tape_losses_read_nothing_of_the_closed_form():
+    sources = {module: _source(module) for module in TAPE_ROOTS}
+    assert _closed_form_reads(sources, TAPE_ROOTS) == []
 
 
 def _appends(tree: ast.FunctionDef) -> bool:
@@ -355,5 +354,5 @@ def test_primitive_scan_follows_helpers_and_spares_functions_without_nodes():
 
 
 def test_every_tape_primitive_is_built_by_the_tape_side():
-    sources = {module: _source(module) for module in ["autodiff.py", *ORACLE_ROOTS]}
-    assert _unbuilt_primitives(sources, ORACLE_ROOTS) == []
+    sources = {module: _source(module) for module in ["autodiff.py", *TAPE_ROOTS]}
+    assert _unbuilt_primitives(sources, TAPE_ROOTS) == []

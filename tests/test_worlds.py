@@ -36,7 +36,6 @@ from hda.worlds import (
     flatten_generator,
     forward_stack,
     generator_forward_var,
-    generator_param_vars,
     load_world,
     make_encoder,
     make_encoders,
@@ -197,7 +196,7 @@ def test_generator_forward_var_matches_forward(world):
     gen = world.source_generator
     z = stream_rng(2, "gen-probe").standard_normal((4, gen.d_z))
     tape = Tape()
-    params = generator_param_vars(tape, gen)
+    params = {name: tape.variable(getattr(gen, name)) for name in PARAM_FIELDS}
     out = generator_forward_var(tape, params, z)
     np.testing.assert_array_equal(out.value, gen.forward(z))
     np.testing.assert_array_equal(gen.forward(z[2]), gen.forward(z[2:3])[0])
