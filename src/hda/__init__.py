@@ -81,14 +81,7 @@ from .errors import (
     DimensionError,
     NumericalError,
 )
-from .losses import (
-    DomainWeight,
-    direct_loss,
-    dist_loss,
-    hda_objective,
-    hybrid_direct_loss,
-    hybrid_dist_loss,
-)
+from .losses import DomainWeight, hda_objective
 from .metrics import MetricsReport, SnapshotPlan, evaluate
 from .subspace import (
     DomainSubspace,

@@ -1,18 +1,17 @@
 """Reverse-mode automatic differentiation over dense arrays.
 
-Node values are dense arrays; the tape losses build scalars, ``(d,)``
-vectors and ``(B, d)`` rows.  The elementwise primitives (:func:`add`,
-:func:`sub`, :func:`mul`, :func:`div`) and :func:`dot` take operands of
-one shape, or one that lacks the other's leading axes, so a ``(d,)``
-bias adds to ``(B, d)`` rows; their vjps sum each gradient back over
-the axes its operand lacks.  Any other pair of shapes is a
-:class:`DimensionError`.  :func:`linear` applies one ``(m, n)`` weight
-to a vector or to rows.  :func:`dot`, :func:`sq_norm` and
-:func:`norm_eps` reduce the last axis.  The tape losses take a latent
-batch ``B`` as the rows of ``(B, d)`` values, one domain at a time.
-Training builds no tape: it runs the closed-form objective
-(:class:`hda.losses.ObjectivePlan`).  The tape and its losses are
-checked against central differences (:mod:`hda.diagnostics`).
+Node values are dense arrays: ``(d,)`` vectors and ``(B, d)`` rows.
+:func:`add` takes operands of one shape, or one that lacks the other's
+leading axes, so a ``(d,)`` bias adds to ``(B, d)`` rows; its vjp sums
+each gradient back over the axes its operand lacks.  :func:`linear`
+applies one ``(m, n)`` weight to a vector or to rows.  These and
+:func:`tanh` and :func:`relu` are what the tape generator and encoder
+(:func:`hda.worlds.generator_forward_var`, :func:`hda.worlds.encode_var`)
+build, and :meth:`Tape.backward` takes a cotangent of its output's
+shape, so no primitive reduces.  Training builds no tape: it runs the
+closed-form objective (:class:`hda.losses.ObjectivePlan`).  The
+primitives are checked against central differences
+(:mod:`hda.diagnostics`).
 
 The engine is a classic Wengert list.  Every primitive appends one
 ``TapeNode`` holding the operation kind, the indices of its parents and
@@ -23,8 +22,8 @@ order: each node is touched exactly once.  A tape gets one sweep, which
 sets its nodes' gradients.
 
 Nodes created through :meth:`Tape.constant` are excluded from gradient
-propagation, which keeps frozen weights (source generator, encoders,
-subspace matrices) out of the backward sweep entirely.
+propagation, which keeps frozen weights (the encoders') out of the
+backward sweep entirely.
 """
 from __future__ import annotations
 
@@ -116,9 +115,6 @@ class Var:
             return np.zeros_like(self.node.value)
         return np.asarray(g)
 
-    def item(self) -> float:
-        return float(self.node.value)
-
     def __repr__(self) -> str:
         return f"Var(op={self.node.op!r}, shape={self.shape})"
 
@@ -145,18 +141,22 @@ class Tape:
         """Leaf excluded from gradient propagation."""
         return self._append("const", _as_array(value), (), None, False)
 
-    def backward(self, out: Var, seed: float = 1.0) -> None:
-        """Set ``node.grad`` to d(out)/d(node) for every node ``out`` reaches.
+    def backward(self, out: Var, seed=1.0) -> None:
+        """Set ``node.grad`` to ``seed``'s vector-Jacobian product with d(out)/d(node).
 
-        ``out`` must be a scalar on this tape.  A tape is built for one
-        ``backward``: a second call overwrites the gradients it reaches.
+        ``seed`` is a cotangent of ``out``'s shape, so a scalar output
+        keeps the default 1.0 and a weight ``w`` seeds the gradient of
+        ``sum(out * w)``.  Every node ``out`` reaches gets a gradient.  A
+        tape is built for one ``backward``: a second call overwrites the
+        gradients it reaches.
         """
         if out.tape is not self:
             raise ValueError("output belongs to a different tape")
-        if out.node.value.shape != ():
-            raise DimensionError("backward requires a scalar output")
+        seed = _as_array(seed)
+        if seed.shape != out.shape:
+            raise DimensionError(f"backward: a cotangent of shape {seed.shape} for {out.shape}")
         pending: list[Optional[Array]] = [None] * (out.index + 1)
-        pending[out.index] = np.asarray(float(seed), dtype=np.float64)
+        pending[out.index] = seed
         visits = 0
         for i in range(out.index, -1, -1):
             visits += 1
@@ -190,58 +190,27 @@ def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
     return g.sum(axis=tuple(range(g.ndim - len(shape))))
 
 
-def _binary(op: str, a: Var, b: Var, forward, grads) -> Var:
-    """Append a two-operand node.
+def add(a: Var, b: Var) -> Var:
+    """``a + b``: one shape, or one lacking leading axes of the other.
 
-    The operands have one shape, or one lacks leading axes of the other,
-    as a ``(d,)`` bias on ``(B, d)`` rows does; any other pair of shapes
-    is a :class:`DimensionError`.  ``forward(va, vb)`` gives the value
-    and ``grads(g, va, vb)`` the two vjps at the longer shape; each is
-    summed back over the leading axes its operand lacks.
+    A ``(d,)`` bias adds to ``(B, d)`` rows, and its gradient is summed
+    back over the rows; any other pair of shapes is a
+    :class:`DimensionError`.
     """
     tape = _same_tape(a, b)
     va, vb = a.value, b.value
     short, long = sorted((va.shape, vb.shape), key=len)
     if long[len(long) - len(short):] != short:
-        raise DimensionError(f"{op}: shapes {a.shape} and {b.shape} do not match")
-    value = forward(va, vb)
+        raise DimensionError(f"add: shapes {a.shape} and {b.shape} do not match")
     need_a, need_b = a.node.requires_grad, b.node.requires_grad
 
     def vjp(g: Array):
-        ga, gb = grads(g, va, vb)
         return (
-            _unbroadcast(ga, va.shape) if need_a else None,
-            _unbroadcast(gb, vb.shape) if need_b else None,
+            _unbroadcast(g, va.shape) if need_a else None,
+            _unbroadcast(g, vb.shape) if need_b else None,
         )
 
-    return tape._append(op, value, (a.index, b.index), vjp, need_a or need_b)
-
-
-def add(a: Var, b: Var) -> Var:
-    return _binary("add", a, b, np.add, lambda g, va, vb: (g, g))
-
-
-def sub(a: Var, b: Var) -> Var:
-    return _binary("sub", a, b, np.subtract, lambda g, va, vb: (g, -g))
-
-
-def smul(c: float, a: Var) -> Var:
-    c = float(c)
-
-    def vjp(g: Array):
-        return (c * g,)
-
-    return a.tape._append("smul", c * a.value, (a.index,), vjp, a.node.requires_grad)
-
-
-def mul(a: Var, b: Var) -> Var:
-    return _binary("mul", a, b, np.multiply, lambda g, va, vb: (g * vb, g * va))
-
-
-def div(a: Var, b: Var) -> Var:
-    return _binary(
-        "div", a, b, np.divide, lambda g, va, vb: (g / vb, -g * va / (vb * vb))
-    )
+    return tape._append("add", va + vb, (a.index, b.index), vjp, need_a or need_b)
 
 
 def linear(x: Var, w: Var) -> Var:
@@ -280,44 +249,6 @@ def relu(a: Var) -> Var:
         return (np.where(va > 0.0, g, 0.0),)
 
     return a.tape._append("relu", out, (a.index,), vjp, a.node.requires_grad)
-
-
-def sq_norm(a: Var) -> Var:
-    """Sum of squared entries over the last axis."""
-    va = a.value
-
-    def vjp(g: Array):
-        return ((2.0 * g)[..., None] * va,)
-
-    return a.tape._append(
-        "sqnorm", np.asarray((va * va).sum(axis=-1)), (a.index,), vjp, a.node.requires_grad
-    )
-
-
-def dot(a: Var, b: Var) -> Var:
-    """Inner product over the last axis."""
-    if a.value.ndim < 1 or b.value.ndim < 1 or a.shape[-1] != b.shape[-1]:
-        raise DimensionError(f"dot: shapes {a.shape} and {b.shape} differ in the last axis")
-
-    def grads(g, va, vb):
-        g = g[..., None]
-        return g * vb, g * va
-
-    return _binary("dot", a, b, lambda va, vb: np.asarray((va * vb).sum(axis=-1)), grads)
-
-
-def norm_eps(a: Var, eps: float) -> Var:
-    """``sqrt(|a|^2 + eps^2)`` over the last axis: a strictly positive, smooth norm."""
-    eps = float(eps)
-    if eps <= 0.0:
-        raise ValueError("norm_eps requires eps > 0")
-    va = a.value
-    n = np.asarray(np.sqrt((va * va).sum(axis=-1) + eps * eps))
-
-    def vjp(g: Array):
-        return ((g / n)[..., None] * va,)
-
-    return a.tape._append("norm_eps", n, (a.index,), vjp, a.node.requires_grad)
 
 
 #: The central-difference step of :func:`grad_check`.

@@ -211,7 +211,7 @@ def ablate(config_path, world_dir, out_dir, seed):
 @click.option("--seed", type=int, default=0, show_default=True)
 @_guarded
 def gradcheck(full, seed):
-    """Check tape and closed-form objective gradients against central finite differences."""
+    """Check the tape primitives' and the objective's gradients against central differences."""
     reports = run_suite(full=full, seed=seed)
     failed = 0
     for report in reports:

@@ -8,28 +8,23 @@ For a target embedding ``f_t`` and a domain subspace with projection
   smoothed as ``sqrt(|v|^2 + eps^2)`` (``eps`` is :data:`NORM_EPS`) so
   the loss stays finite when a displacement vanishes.
 
-The hybrid forms weight several domains: distance terms add with
+The hybrid form weights several domains: distance terms add with
 weights ``alpha_i``; the direction loss compares the source-to-target
 displacement against the weighted sum of per-domain perpendiculars.
 The full objective sums ``dist + lambda * direct`` over the encoder
 ensemble and averages over a latent batch.  Gradients flow through the
 projection.
 
-The public losses (:func:`dist_loss`, :func:`hybrid_dist_loss` and the
-direction forms) are tape expressions over ``(d,)`` or ``(B, d)`` rows,
-built one domain at a time: each subspace projects with its own mean
-and basis, and each domain's term is scaled by its alpha and added in
-domain order.  The full objective (:class:`ObjectivePlan`,
-:func:`hda_objective`) is closed form: it stacks the ``D`` domain
-subspaces (zero-padded to one rank) and the ``E`` encoders as leading
-axes of ``(D, E, B, d)`` perpendiculars, and numpy computes its value
-and its hand-written gradient.  Its reference, in
+The objective (:class:`ObjectivePlan`, :func:`hda_objective`) is closed
+form: it stacks the ``D`` domain subspaces (zero-padded to one rank) and
+the ``E`` encoders as leading axes of ``(D, E, B, d)`` perpendiculars,
+and numpy computes its value and its hand-written gradient.  A single
+domain is the hybrid form at one weight of 1.  Its reference, in
 ``tests/test_batched_objective.py``, writes the same formulas out one
 latent, encoder and domain at a time, with a complex-step gradient.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -37,7 +32,6 @@ from typing import Optional
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Var
 from .errors import ConfigError, DimensionError
 from .subspace import DomainSubspace
 from .worlds import PARAM_FIELDS, EncoderSpec, GeneratorParams, stack_encoders
@@ -76,66 +70,6 @@ def _stacked_subspaces(subspaces, lead: tuple[int, ...], d: int) -> tuple[Array,
     for padded, s in zip(bases, subspaces):
         padded[:, : s.rank] = s.basis
     return means, bases.reshape(lead + bases.shape[1:])
-
-
-def _perpendicular(f_t: Var, subspace: DomainSubspace) -> Var:
-    """``f* - f_t``, projected in :func:`subspace.project`'s order, ``((f - mu) U) Uᵀ + mu``."""
-    tape = f_t.tape
-    mean = tape.constant(subspace.mean)
-    coords = ad.linear(ad.sub(f_t, mean), tape.constant(subspace.basis.T))
-    lifted = ad.linear(coords, tape.constant(subspace.basis))
-    return ad.sub(ad.add(lifted, mean), f_t)
-
-
-def _weighted_sum(terms: list[Var], weights) -> Var:
-    """``sum_i alpha_i * term_i``, added in domain order."""
-    return functools.reduce(ad.add, [ad.smul(w.alpha, t) for t, w in zip(terms, weights)])
-
-
-def _one_minus_cosine(u: Var, v: Var) -> Var:
-    tape = u.tape
-    cos = ad.div(ad.dot(u, v), ad.mul(ad.norm_eps(u, NORM_EPS), ad.norm_eps(v, NORM_EPS)))
-    return ad.sub(tape.constant(np.ones(cos.shape)), cos)
-
-
-def dist_loss(f_t: Var, subspace: DomainSubspace) -> Var:
-    """Squared distance from ``f_t`` to its projection onto the subspace.
-
-    ``f_t`` is one embedding ``(d,)`` (scalar loss) or a batch ``(B, d)``
-    (one loss per row); the same holds for every loss below.
-    """
-    return ad.sq_norm(_perpendicular(f_t, subspace))
-
-
-def direct_loss(f_s: Var, f_t: Var, subspace: DomainSubspace) -> Var:
-    """One minus the cosine between ``f_t - f_s`` and ``f* - f_t``."""
-    return _one_minus_cosine(ad.sub(f_t, f_s), _perpendicular(f_t, subspace))
-
-
-def _check_hybrid_args(subspaces, weights) -> None:
-    if not weights:
-        raise ConfigError("hybrid losses need at least one domain weight")
-    if len(subspaces) != len(weights):
-        raise ConfigError(
-            f"{len(subspaces)} subspaces paired with {len(weights)} weights"
-        )
-
-
-def hybrid_dist_loss(
-    f_t: Var, subspaces: list[DomainSubspace], weights: list[DomainWeight]
-) -> Var:
-    """Weighted sum of per-domain distance losses."""
-    _check_hybrid_args(subspaces, weights)
-    return _weighted_sum([dist_loss(f_t, s) for s in subspaces], weights)
-
-
-def hybrid_direct_loss(
-    f_s: Var, f_t: Var, subspaces: list[DomainSubspace], weights: list[DomainWeight]
-) -> Var:
-    """Direction loss against the weighted sum of per-domain perpendiculars."""
-    _check_hybrid_args(subspaces, weights)
-    target = _weighted_sum([_perpendicular(f_t, s) for s in subspaces], weights)
-    return _one_minus_cosine(ad.sub(f_t, f_s), target)
 
 
 def loss_total(dist_sums: Array, direct_sums: Array, batch_size: int, lam: float) -> float:
@@ -261,8 +195,7 @@ class ObjectivePlan:
             direct = dot / den
             np.subtract(1.0, direct, out=direct)
             direct_sums = add(direct, -1)
-            # the tape's reverse steps in its order, so that a subnormal
-            # lambda rounds the same way in both
+            # the reverse steps of dot / den, with -lambda / B folded in first
             g_cos = -(self.lam * inv_batch)
             g_dot, g_den = (g_cos / den)[..., None], -g_cos * dot
             g_den /= den * den

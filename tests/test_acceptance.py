@@ -25,26 +25,17 @@ import numpy as np
 import pytest
 
 from hda.ablation import ablation_suite
-from hda.autodiff import Tape
 from hda.diagnostics import run_suite
 from hda.engine import (
     AdaptationConfig,
     default_adaptation_config,
     run_adaptation,
 )
-from hda.losses import (
-    DomainWeight,
-    direct_loss,
-    dist_loss,
-    hybrid_direct_loss,
-    hybrid_dist_loss,
-    loss_total,
-)
+from hda.losses import DomainWeight, loss_total
 from hda.metrics import evaluate
 from hda.seeding import derive_seed, stream_rng
 from hda.worlds import GeneratorParams, save_world
 from hda.subspace import (
-    DomainSubspace,
     FeatureSet,
     build_subspace,
     separation_ratio,
@@ -98,28 +89,11 @@ def test_criterion_1_projection_oracle():
 #: remaining check still passes.
 CRITERION_2_BATTERY = [
     ("primitive add (100 instances)", 1000, 0),
-    ("primitive sub (100 instances)", 1000, 0),
-    ("primitive smul (100 instances)", 600, 0),
-    ("primitive mul (100 instances)", 1000, 0),
-    ("primitive div (100 instances)", 1000, 0),
     ("primitive linear (100 instances)", 1600, 0),
     ("primitive linear_rows (100 instances)", 3000, 0),
     ("primitive add_bias_rows (100 instances)", 2000, 0),
     ("primitive tanh (100 instances)", 600, 0),
     ("primitive relu (100 instances)", 287, 313),
-    ("primitive sq_norm (100 instances)", 600, 0),
-    ("primitive sq_norm_rows (100 instances)", 1500, 0),
-    ("primitive dot (100 instances)", 1000, 0),
-    ("primitive dot_rows (100 instances)", 3000, 0),
-    ("primitive norm_eps (100 instances)", 600, 0),
-    ("primitive norm_eps_rows (100 instances)", 1500, 0),
-    ("dist_loss", 6, 0),
-    ("direct_loss", 12, 0),
-    ("direct_loss (collinear)", 0, 12),
-    ("hybrid_dist_loss", 6, 0),
-    ("hybrid_direct_loss", 12, 0),
-    ("hybrid_direct_loss (near-cancelling)", 12, 0),
-    ("dist_loss through encoder and generator", 56, 0),
     ("hda_objective (2 encoders, 2 domains, batch 2)", 56, 0),
     ("hda_objective (2 encoders, 2 domains, batch 5)", 56, 0),
     ("hda_objective (3 encoders, 2 domains, ranks 1/2/3, batch 4)", 56, 0),
@@ -148,15 +122,17 @@ def test_criterion_2_gradient_checks():
         f"{skipped} degenerate coordinates reported separately, {elapsed:.1f}s",
     )
     assert not failed, failed
-    # every check and operand is present, and the collinear direction
-    # check flags its degenerate denominator coordinates instead of
-    # comparing them
+    # every check and operand is present, and relu flags the coordinates
+    # on its flat side instead of comparing them
     battery = [(r.name, r.n_checked, len(r.skipped)) for r in reports]
     assert battery == CRITERION_2_BATTERY
     assert elapsed < 30.0
 
 
-def test_criterion_3_reduction_and_invariance():
+def test_criterion_3_reduction_and_invariance(point_losses):
+    # the objective training runs, at one source and one target point
+    # (conftest.py's point_losses); translation and scale move the
+    # encoder's output and the subspace together
     rng = stream_rng(0, "acceptance", "identities")
     n = 1000
     exact_reductions = 0
@@ -167,25 +143,14 @@ def test_criterion_3_reduction_and_invariance():
         d = int(rng.integers(4, 9))
         sub = build_subspace(FeatureSet(rng.standard_normal((4, d))))
         p_s, p_t = rng.standard_normal(d), rng.standard_normal(d)
-        tape = Tape()
-        f_s, f_t = tape.variable(p_s), tape.variable(p_t)
-        weights = [DomainWeight("only", 1.0)]
-        if (
-            hybrid_dist_loss(f_t, [sub], weights).item() == dist_loss(f_t, sub).item()
-            and hybrid_direct_loss(f_s, f_t, [sub], weights).item()
-            == direct_loss(f_s, f_t, sub).item()
-        ):
+        base_d, base_r, base_g = point_losses(p_s, p_t, [sub], [1.0])
+        # three copies at dyadic weights sum to the one subspace exactly
+        copies_d, copies_r, copies_g = point_losses(p_s, p_t, [sub] * 3, [0.25, 0.25, 0.5])
+        if copies_d == base_d and copies_r == base_r and np.array_equal(copies_g, base_g):
             exact_reductions += 1
 
         t = 10.0 * rng.standard_normal(d)
-        moved = DomainSubspace(
-            mean=sub.mean + t, basis=sub.basis, singular_values=sub.singular_values
-        )
-        tape = Tape()
-        base_d = dist_loss(tape.variable(p_t), sub).item()
-        base_r = direct_loss(tape.variable(p_s), tape.variable(p_t), sub).item()
-        moved_d = dist_loss(tape.variable(p_t + t), moved).item()
-        moved_r = direct_loss(tape.variable(p_s + t), tape.variable(p_t + t), moved).item()
+        moved_d, moved_r, _ = point_losses(p_s, p_t, [sub], [1.0], shift=t)
         scale_ref = max(abs(base_d), 1.0)
         worst_translation = max(
             worst_translation,
@@ -194,14 +159,7 @@ def test_criterion_3_reduction_and_invariance():
         )
 
         c = float(rng.uniform(0.5, 3.0))
-        scaled = DomainSubspace(
-            mean=c * sub.mean, basis=sub.basis, singular_values=sub.singular_values
-        )
-        tape = Tape()
-        scaled_d = dist_loss(tape.variable(c * p_t), scaled).item()
-        scaled_r = direct_loss(
-            tape.variable(c * p_s), tape.variable(c * p_t), scaled
-        ).item()
+        scaled_d, scaled_r, _ = point_losses(p_s, p_t, [sub], [1.0], scale=c)
         worst_scale_dist = max(
             worst_scale_dist, abs(scaled_d - c * c * base_d) / max(abs(base_d), 1.0)
         )

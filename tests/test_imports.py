@@ -1,8 +1,9 @@
 """No module of the package imports a name at module level that it never uses,
 no module defines a private module-level name that no module reads, no
 function but ``MetricsReport.to_json_dict`` builds a JSON object by hand,
-the tape losses read nothing of the closed-form objective, and the tape
-has no primitive that the tape side never builds.
+the tape side reads nothing of the closed-form objective, the tape has no
+primitive that the tape side never builds, and criterion 2's gradient
+battery checks each primitive.
 
 A scan of the syntax tree, since no linter ships with the package's
 dependencies.  ``hda/__init__.py`` imports in order to re-export, and a
@@ -12,12 +13,12 @@ private name is a ``_name`` (not a ``__dunder__``) bound at module level
 by a function, a class or an assignment; it counts as read when any
 module of the package loads it, takes it as an attribute or imports it.
 Every other dataclass is written by ``files.json_doc``, which gives a
-stored record its keys in field order.  The tape side (the tape losses,
-the tape generator and encoder) shares none of the closed form's
-stacking: neither it nor a function of its own module that it reaches
-loads the stacking helpers, so criterion 3's loss checks test formulas
-of their own.  Every public ``autodiff`` function that appends a tape
-node is called from that tape side, directly or through a helper.
+stored record its keys in field order.  The tape side (the tape generator
+and encoder in ``worlds.py``) shares none of the closed form's stacking:
+neither it nor a function of its own module that it reaches loads the
+stacking helpers.  Every public ``autodiff`` function that appends a tape
+node is called from that tape side, directly or through a helper, and
+has exactly the rows of ``diagnostics._PRIMITIVE_BUILDERS`` that name it.
 """
 
 import ast
@@ -226,11 +227,8 @@ def test_stored_records_keep_their_key_order(tmp_path, world, subspaces):
     assert list(row_doc) == ["variant", "encoder_mode", "encoder_ids", "final_total", "report"]
 
 
-#: The tape side, by module: the tape losses and the tape generator and encoder.
-TAPE_ROOTS = {
-    "losses.py": ("dist_loss", "direct_loss", "hybrid_dist_loss", "hybrid_direct_loss"),
-    "worlds.py": ("encode_var", "generator_forward_var"),
-}
+#: The tape side, by module: the tape generator and encoder.
+TAPE_ROOTS = {"worlds.py": ("encode_var", "generator_forward_var")}
 #: What stacks the domains and encoders for the closed form alone.
 CLOSED_FORM_ONLY = {"_stacked_subspaces", "ObjectivePlan", "stack_encoders"}
 
@@ -290,7 +288,7 @@ def test_closed_form_scan_follows_helpers_and_spares_unreached_functions():
     ]
 
 
-def test_the_tape_losses_read_nothing_of_the_closed_form():
+def test_the_tape_side_reads_nothing_of_the_closed_form():
     sources = {module: _source(module) for module in TAPE_ROOTS}
     assert _closed_form_reads(sources, TAPE_ROOTS) == []
 
@@ -300,10 +298,20 @@ def _appends(tree: ast.FunctionDef) -> bool:
     return any(isinstance(n, ast.Attribute) and n.attr == "_append" for n in ast.walk(tree))
 
 
+def _node_primitives(source: str) -> list[str]:
+    """Public functions of the ``autodiff.py`` text ``source`` that append a
+    tape node, themselves or through the functions of ``source`` they reach."""
+    tape = _functions(source)
+    return sorted(
+        name for name in tape
+        if not name.startswith("_") and any(map(_appends, _reach(tape, [name]).values()))
+    )
+
+
 def _unbuilt_primitives(sources: dict[str, str], roots: dict[str, tuple]) -> list[str]:
-    """Public functions of ``autodiff.py`` that append a tape node and that
-    neither ``roots`` nor the functions they reach call, as ``ad.name`` or
-    through the ``autodiff.py`` functions those calls reach."""
+    """:func:`_node_primitives` of ``autodiff.py`` that neither ``roots`` nor
+    the functions they reach call, as ``ad.name`` or through the
+    ``autodiff.py`` functions those calls reach."""
     tape = _functions(sources["autodiff.py"])
     called = {
         node.attr
@@ -314,11 +322,7 @@ def _unbuilt_primitives(sources: dict[str, str], roots: dict[str, tuple]) -> lis
         and node.value.id == "ad"
     }
     built = _reach(tape, called & tape.keys())
-    return sorted(
-        name for name in tape
-        if not name.startswith("_") and name not in built
-        and any(map(_appends, _reach(tape, [name]).values()))
-    )
+    return [name for name in _node_primitives(sources["autodiff.py"]) if name not in built]
 
 
 def test_primitive_scan_follows_helpers_and_spares_functions_without_nodes():
@@ -356,3 +360,39 @@ def test_primitive_scan_follows_helpers_and_spares_functions_without_nodes():
 def test_every_tape_primitive_is_built_by_the_tape_side():
     sources = {module: _source(module) for module in ["autodiff.py", *TAPE_ROOTS]}
     assert _unbuilt_primitives(sources, TAPE_ROOTS) == []
+
+
+def _battery_rows(source: str) -> dict[str, list[str]]:
+    """Each key of the ``_PRIMITIVE_BUILDERS`` dict in ``source``, with the
+    ``ad.name`` functions its builder names."""
+    (battery,) = [
+        node.value for node in ast.parse(source).body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["_PRIMITIVE_BUILDERS"]
+    ]
+    return {
+        key.value: sorted({
+            node.attr for node in ast.walk(value)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "ad"
+        })
+        for key, value in zip(battery.keys, battery.values)
+    }
+
+
+def test_battery_scan_names_each_rows_primitives():
+    source = (
+        "_B = 3\n"
+        "_PRIMITIVE_BUILDERS = {\n"
+        "    'add': _builder(ad.add, [(5,)]),\n"
+        "    'pair': _builder(lambda a: ad.tanh(ad.relu(a)), [(_B,)]),\n"
+        "    'none': _builder(np.add, [(5,)]),\n"
+        "}\n"
+    )
+    assert _battery_rows(source) == {"add": ["add"], "pair": ["relu", "tanh"], "none": []}
+
+
+def test_the_gradient_battery_checks_each_tape_primitive_and_nothing_else():
+    rows = _battery_rows(_source("diagnostics.py"))
+    assert [row for row, names in rows.items() if len(names) != 1] == []
+    assert sorted({name for (name,) in rows.values()}) == _node_primitives(_source("autodiff.py"))

@@ -1,21 +1,15 @@
-"""Distance and direction losses: hand values, identities, invariances."""
+"""Distance and direction losses: hand values, identities, invariances.
+
+The loss tests run :func:`hda_objective` at one source and one target
+point (``conftest.py``'s ``point_losses``); its reduction from three
+copies of a subspace to one is criterion 3's.
+"""
 
 import numpy as np
 import pytest
 
-from hda.autodiff import Tape
 from hda.errors import ConfigError
-from hda.losses import (
-    NORM_EPS,
-    DomainWeight,
-    ObjectivePlan,
-    direct_loss,
-    dist_loss,
-    hda_objective,
-    hybrid_direct_loss,
-    hybrid_dist_loss,
-    loss_total,
-)
+from hda.losses import DomainWeight, ObjectivePlan, hda_objective, loss_total
 from hda.seeding import stream_rng
 from hda.subspace import DomainSubspace, FeatureSet, build_subspace, subspace_distance_sq
 from hda.worlds import flatten_generator
@@ -35,104 +29,70 @@ def _random_subspace(rng, d: int, r: int) -> DomainSubspace:
     return build_subspace(FeatureSet(rng.standard_normal((r + 1, d))))
 
 
-def test_dist_loss_hand_value_and_gradient():
+def test_dist_loss_hand_value_and_gradient(point_losses):
     sub = _axis_subspace(3, 0)
-    tape = Tape()
-    f_t = tape.variable(np.array([2.0, 3.0, 4.0]))
-    loss = dist_loss(f_t, sub)
-    tape.backward(loss)
-    assert loss.item() == pytest.approx(25.0, rel=1e-12)
+    p = np.array([2.0, 3.0, 4.0])
+    dist, _, grad = point_losses(p, p, [sub], [1.0], dist_only=True)
+    assert dist == pytest.approx(25.0, rel=1e-12)
     # closed form: twice the residual to the subspace
-    np.testing.assert_allclose(f_t.grad, [0.0, 6.0, 8.0], rtol=1e-10)
+    np.testing.assert_allclose(grad, [0.0, 6.0, 8.0], rtol=1e-10)
 
 
-def test_dist_loss_zero_on_subspace_point():
+def test_dist_loss_zero_on_subspace_point(point_losses):
     sub = _axis_subspace(4, 1, mean=[0.0, 2.0, 0.0, 0.0])
-    tape = Tape()
-    f_t = tape.variable(np.array([0.0, 7.0, 0.0, 0.0]))
-    loss = dist_loss(f_t, sub)
-    assert loss.item() == pytest.approx(0.0, abs=1e-18)
-    tape.backward(loss)
-    np.testing.assert_allclose(f_t.grad, np.zeros(4), atol=1e-12)
+    p = np.array([0.0, 7.0, 0.0, 0.0])
+    dist, _, grad = point_losses(p, p, [sub], [1.0], dist_only=True)
+    assert dist == pytest.approx(0.0, abs=1e-18)
+    np.testing.assert_allclose(grad, np.zeros(4), atol=1e-12)
 
 
-def test_dist_loss_matches_projection_module():
+def test_dist_loss_matches_projection_module(point_losses):
     rng = stream_rng(0, "loss-test")
     for _ in range(25):
         sub = _random_subspace(rng, 8, 4)
         p = rng.standard_normal(8)
-        tape = Tape()
-        loss = dist_loss(tape.variable(p), sub)
-        assert loss.item() == pytest.approx(
-            subspace_distance_sq(sub, p), rel=1e-12, abs=1e-14
-        )
+        dist, _, _ = point_losses(p, p, [sub], [1.0], dist_only=True)
+        assert dist == pytest.approx(subspace_distance_sq(sub, p), rel=1e-12, abs=1e-14)
 
 
-def test_direct_loss_collinear_and_opposed():
+def test_direct_loss_collinear_and_opposed(point_losses):
     sub = _axis_subspace(2, 1, mean=[4.0, 0.0])
-    tape = Tape()
+    p_s = np.array([0.0, 3.0])
     # target sits between source and subspace: displacement and
     # perpendicular point the same way
-    f_s = tape.variable(np.array([0.0, 3.0]))
-    f_t = tape.variable(np.array([2.0, 3.0]))
-    assert direct_loss(f_s, f_t, sub).item() == pytest.approx(0.0, abs=1e-7)
+    _, direct, _ = point_losses(p_s, np.array([2.0, 3.0]), [sub], [1.0])
+    assert direct == pytest.approx(0.0, abs=1e-7)
     # walking away from the subspace costs the full 2
-    f_back = tape.variable(np.array([-2.0, 3.0]))
-    assert direct_loss(f_s, f_back, sub).item() == pytest.approx(2.0, abs=1e-7)
+    _, direct, _ = point_losses(p_s, np.array([-2.0, 3.0]), [sub], [1.0])
+    assert direct == pytest.approx(2.0, abs=1e-7)
 
 
-def test_direct_loss_degenerate_displacement_is_guarded():
+def test_direct_loss_degenerate_displacement_is_guarded(point_losses):
     # identical source and target: zero displacement, loss pinned at 1
     sub = _axis_subspace(2, 1, mean=[4.0, 0.0])
-    tape = Tape()
-    f_s = tape.variable(np.array([0.0, 3.0]))
-    f_t = tape.variable(np.array([0.0, 3.0]))
-    loss = direct_loss(f_s, f_t, sub)
-    assert loss.item() == 1.0
-    tape.backward(loss)
-    assert np.all(np.isfinite(f_s.grad))
-    assert np.all(np.isfinite(f_t.grad))
+    p = np.array([0.0, 3.0])
+    _, direct, grad = point_losses(p, p, [sub], [1.0], direct_only=True)
+    assert direct == 1.0
+    assert np.all(np.isfinite(grad))
 
 
-def test_hybrid_reduces_to_single_domain():
-    rng = stream_rng(1, "loss-test")
-    sub = _random_subspace(rng, 6, 3)
-    weights = [DomainWeight("only", 1.0)]
-    p_s, p_t = rng.standard_normal(6), rng.standard_normal(6)
-
-    tape = Tape()
-    f_s, f_t = tape.variable(p_s), tape.variable(p_t)
-    single_d = dist_loss(f_t, sub)
-    single_r = direct_loss(f_s, f_t, sub)
-    hybrid_d = hybrid_dist_loss(f_t, [sub], weights)
-    hybrid_r = hybrid_direct_loss(f_s, f_t, [sub], weights)
-    assert hybrid_d.item() == single_d.item()
-    assert hybrid_r.item() == single_r.item()
-
-
-def test_hybrid_dist_hand_value():
+def test_hybrid_dist_hand_value(point_losses):
     subs = [_axis_subspace(2, 0), _axis_subspace(2, 1)]
-    weights = [DomainWeight("x", 0.5), DomainWeight("y", 0.5)]
-    tape = Tape()
-    f_t = tape.variable(np.array([1.0, 1.0]))
-    assert hybrid_dist_loss(f_t, subs, weights).item() == pytest.approx(1.0, rel=1e-12)
+    p = np.array([1.0, 1.0])
+    dist, _, _ = point_losses(p, p, subs, [0.5, 0.5])
+    assert dist == pytest.approx(1.0, rel=1e-12)
 
 
-def test_hybrid_direct_hand_value():
+def test_hybrid_direct_hand_value(point_losses):
     subs = [_axis_subspace(2, 0), _axis_subspace(2, 1)]
-    weights = [DomainWeight("x", 0.5), DomainWeight("y", 0.5)]
-    tape = Tape()
-    f_s = tape.variable(np.array([2.0, 2.0]))
-    f_t = tape.variable(np.array([1.0, 1.0]))
     # aggregated perpendicular (-0.5,-0.5) is parallel to the displacement
-    assert hybrid_direct_loss(f_s, f_t, subs, weights).item() == pytest.approx(
-        0.0, abs=1e-7
-    )
+    _, direct, _ = point_losses(np.array([2.0, 2.0]), np.array([1.0, 1.0]), subs, [0.5, 0.5])
+    assert direct == pytest.approx(0.0, abs=1e-7)
 
 
-def test_hybrid_direct_exact_cancellation_is_guarded():
+def test_hybrid_direct_exact_cancellation_is_guarded(point_losses):
     # two parallel lines; at the midpoint the weighted perpendiculars
-    # cancel exactly and the loss pins at 1 with finite gradients
+    # cancel exactly and the loss pins at 1 with a finite gradient
     basis = np.zeros((6, 1))
     basis[0, 0] = 1.0
     up = np.zeros(6)
@@ -141,29 +101,22 @@ def test_hybrid_direct_exact_cancellation_is_guarded():
         DomainSubspace(mean=up, basis=basis, singular_values=np.array([1.0])),
         DomainSubspace(mean=-up, basis=basis, singular_values=np.array([1.0])),
     ]
-    weights = [DomainWeight("a", 0.5), DomainWeight("b", 0.5)]
-    tape = Tape()
-    f_s = tape.variable(np.array([1.0, 2.0, 0.0, 0.0, 0.0, 0.0]))
-    f_t = tape.variable(np.zeros(6))
-    loss = hybrid_direct_loss(f_s, f_t, subs, weights)
-    assert loss.item() == 1.0
-    tape.backward(loss)
-    assert np.all(np.isfinite(f_t.grad))
-    assert np.all(np.isfinite(f_s.grad))
+    p_s = np.array([1.0, 2.0, 0.0, 0.0, 0.0, 0.0])
+    _, direct, grad = point_losses(p_s, np.zeros(6), subs, [0.5, 0.5], direct_only=True)
+    assert direct == 1.0
+    assert np.all(np.isfinite(grad))
 
 
-def test_direct_loss_range():
+def test_direct_loss_range(point_losses):
     rng = stream_rng(2, "loss-test")
     for _ in range(100):
         sub = _random_subspace(rng, 5, 2)
-        tape = Tape()
-        f_s = tape.variable(rng.standard_normal(5))
-        f_t = tape.variable(rng.standard_normal(5))
-        value = direct_loss(f_s, f_t, sub).item()
-        assert 0.0 <= value <= 2.0
+        p_s, p_t = rng.standard_normal(5), rng.standard_normal(5)
+        _, direct, _ = point_losses(p_s, p_t, [sub], [1.0])
+        assert 0.0 <= direct <= 2.0
 
 
-def test_losses_invariant_under_translation():
+def test_losses_invariant_under_translation(point_losses):
     rng = stream_rng(3, "loss-test")
     for _ in range(100):
         # rank 2 strictly below d, otherwise the perpendicular is
@@ -171,38 +124,22 @@ def test_losses_invariant_under_translation():
         d = int(rng.integers(4, 9))
         sub = _random_subspace(rng, d, 2)
         t = 10.0 * rng.standard_normal(d)
-        moved = DomainSubspace(
-            mean=sub.mean + t, basis=sub.basis, singular_values=sub.singular_values
-        )
         p_s, p_t = rng.standard_normal(d), rng.standard_normal(d)
-        tape = Tape()
-        base_d = dist_loss(tape.variable(p_t), sub).item()
-        base_r = direct_loss(tape.variable(p_s), tape.variable(p_t), sub).item()
-        moved_d = dist_loss(tape.variable(p_t + t), moved).item()
-        moved_r = direct_loss(
-            tape.variable(p_s + t), tape.variable(p_t + t), moved
-        ).item()
+        base_d, base_r, _ = point_losses(p_s, p_t, [sub], [1.0])
+        moved_d, moved_r, _ = point_losses(p_s, p_t, [sub], [1.0], shift=t)
         assert moved_d == pytest.approx(base_d, rel=1e-10, abs=1e-10)
         assert moved_r == pytest.approx(base_r, rel=1e-10, abs=1e-10)
 
 
-def test_scaling_squares_dist_and_preserves_direction():
+def test_scaling_squares_dist_and_preserves_direction(point_losses):
     rng = stream_rng(4, "loss-test")
     for _ in range(100):
         d = int(rng.integers(4, 9))
         c = float(rng.uniform(0.5, 3.0))
         sub = _random_subspace(rng, d, 2)
-        scaled = DomainSubspace(
-            mean=c * sub.mean, basis=sub.basis, singular_values=sub.singular_values
-        )
         p_s, p_t = rng.standard_normal(d), rng.standard_normal(d)
-        tape = Tape()
-        base_d = dist_loss(tape.variable(p_t), sub).item()
-        base_r = direct_loss(tape.variable(p_s), tape.variable(p_t), sub).item()
-        scaled_d = dist_loss(tape.variable(c * p_t), scaled).item()
-        scaled_r = direct_loss(
-            tape.variable(c * p_s), tape.variable(c * p_t), scaled
-        ).item()
+        base_d, base_r, _ = point_losses(p_s, p_t, [sub], [1.0])
+        scaled_d, scaled_r, _ = point_losses(p_s, p_t, [sub], [1.0], scale=c)
         assert scaled_d == pytest.approx(c * c * base_d, rel=1e-9, abs=1e-12)
         assert scaled_r == pytest.approx(base_r, rel=1e-9, abs=1e-9)
 
