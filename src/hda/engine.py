@@ -173,7 +173,8 @@ def adam_step(
     t = state.step + 1
     if grads.shape != params.shape:
         raise ConfigError(f"gradient has shape {grads.shape}, expected {params.shape}")
-    if not np.isfinite(grads).all():
+    # g @ g is finite only if every entry is; when it overflows, the entries decide
+    if not math.isfinite(grads @ grads) and not np.isfinite(grads).all():
         bad = np.flatnonzero(~np.isfinite(grads))
         name = next(name for name, end in state.layout if bad[0] < end)
         raise NumericalError(f"non-finite gradient for {name!r} at optimizer step {t}")
@@ -188,7 +189,7 @@ def adam_step(
     v_hat += ADAM_EPS
     m_hat *= config.learning_rate
     m_hat /= v_hat
-    if not np.isfinite(m_hat).all():
+    if not math.isfinite(m_hat @ m_hat) and not np.isfinite(m_hat).all():
         raise NumericalError(f"non-finite update at optimizer step {t}")
     params -= m_hat
     state.step = t
@@ -203,7 +204,7 @@ def clip_gradients(grads: Array, max_norm: Optional[float]) -> tuple[Array, floa
     step, and an unclipped spike of that size poisons Adam's second
     moment for hundreds of steps afterwards.
     """
-    norm = float(np.sqrt(grads @ grads))
+    norm = math.sqrt(grads @ grads)
     if max_norm is None or norm <= max_norm or norm == 0.0:
         return grads, norm
     if not math.isfinite(norm):
@@ -400,6 +401,7 @@ def run_adaptation(
     params = flatten_generator(source)
     views = generator_views(params, source)
     state = init_optimizer_state(views)
+    arrays = tuple(views.values())  # the objective takes them in PARAM_FIELDS order
 
     # (step, parameter copy) of the snapshots not yet evaluated, in step order
     pending: list[tuple[int, Array]] = []
@@ -441,9 +443,9 @@ def run_adaptation(
             step += 1
             dist, direct = dist_sums[step - 1], direct_sums[step - 1]  # this step's rows
             try:
-                dist[:], direct[:], grads = objective(z_batch, views, f_s)
+                dist[:], direct[:], grads = objective(z_batch, arrays, f_s)
                 total = loss_total(dist, direct, config.batch_size, objective.lam)
-                if not np.isfinite(total):
+                if not math.isfinite(total):
                     raise NumericalError(f"non-finite loss at step {step}")
                 grads, _ = clip_gradients(grads, config.grad_clip_norm)
                 adam_step(params, grads, state, config)

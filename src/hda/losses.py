@@ -22,6 +22,15 @@ and numpy computes its value and its hand-written gradient.  A single
 domain is the hybrid form at one weight of 1.  Its reference, in
 ``tests/test_batched_objective.py``, writes the same formulas out one
 latent, encoder and domain at a time, with a complex-step gradient.
+
+Each product of a call takes ``B`` times the size of one weight matrix
+or basis in multiply-adds per slice; the largest is 32 x 32 on the stock
+world.  While ``B`` times the largest stays within
+:data:`hda.autodiff.SERIAL_GEMM_SIZE` (``B <= 256`` there), every
+product goes to ``np.matmul`` whole: one BLAS call per slice, the call
+:func:`hda.autodiff.matmul_rows` would make itself, so the cap holds
+without its per-product check.  Larger batches, and the many stacked
+batches of the source side, go through ``matmul_rows``.
 """
 from __future__ import annotations
 
@@ -94,12 +103,13 @@ class ObjectivePlan:
     trained parameters, so :meth:`source_embeddings` computes it for a
     chunk of steps at once.
     A call takes a ``(B, d_z)`` latent batch, the target generator's
-    arrays by name and the batch's ``(E, B, d_e)`` source embeddings
-    (``None`` when only the distance loss is on), computes the objective
-    in numpy and its gradient by the hand-written vector-Jacobian
-    product of the same expression.  It returns the ``(E,)`` per-encoder
-    batch sums of the distance and direction losses, and the gradient
-    as one vector in :func:`hda.worlds.flatten_generator`'s layout.
+    arrays as a tuple in :data:`hda.worlds.PARAM_FIELDS` order and the
+    batch's ``(E, B, d_e)`` source embeddings (``None`` when only the
+    distance loss is on), computes the objective in numpy and its
+    gradient by the hand-written vector-Jacobian product of the same
+    expression.  It returns the ``(E,)`` per-encoder batch sums of the
+    distance and direction losses, and the gradient as one vector in
+    :func:`hda.worlds.flatten_generator`'s layout.
     """
 
     def __init__(
@@ -136,17 +146,19 @@ class ObjectivePlan:
         lead = (len(weights), len(encoders))
         self.means, self.bases = _stacked_subspaces(grid, lead, self.w2.shape[1])
         self.bases_t = np.swapaxes(self.bases, -1, -2)
+        # the largest matrix a call multiplies by, other than the target's weights
+        self._largest_matrix = max(self.w1[0].size, self.w2[0].size, self.bases[0, 0].size)
         self.alpha = np.array([w.alpha for w in weights]).reshape(-1, 1, 1, 1)
         self.source, self.lam = source_gen, float(lam)
         self.encoder_ids = tuple(e.encoder_id for e in encoders)
         self.dist_only, self.direct_only = dist_only, direct_only
 
-    def _encode(self, x: Array) -> tuple[Array, Array]:
+    def _encode(self, x: Array, mm) -> tuple[Array, Array]:
         """``(..., E, B, d_e)`` embeddings of ``(..., B, d_x)`` rows, and where relu passes."""
-        pre = ad.matmul_rows(x[..., None, :, :], self.w1_t)
+        pre = mm(x[..., None, :, :], self.w1_t)
         pre += self.b1
         active = pre > 0.0
-        f = ad.matmul_rows(np.where(active, pre, 0.0), self.w2_t)
+        f = mm(np.where(active, pre, 0.0), self.w2_t)
         f += self.b2
         return f, active
 
@@ -157,32 +169,34 @@ class ObjectivePlan:
         ``s`` equals the embeddings of batch ``s`` alone bit for bit; one
         product over all ``S * B`` rows would round differently.
         """
-        return self._encode(self.source.forward(z_chunk))[0]
+        return self._encode(self.source.forward(z_chunk), ad.matmul_rows)[0]
 
     def __call__(
-        self, z_batch: Array, params: dict[str, Array], f_s: Optional[Array]
+        self, z_batch: Array, params: tuple[Array, Array, Array, Array], f_s: Optional[Array]
     ) -> tuple[Array, Array, Array]:
-        inv_batch = 1.0 / z_batch.shape[0]
+        rows = z_batch.shape[0]
+        inv_batch = 1.0 / rows
         add = np.add.reduce
-        w1, b1, w2, b2 = (params[n] for n in PARAM_FIELDS)
-        hidden = ad.matmul_rows(z_batch, w1.T)
+        w1, b1, w2, b2 = params
+        # the multiply-adds of the largest product (see the module docstring)
+        work = rows * max(self._largest_matrix, w1.size, w2.size)
+        mm = np.matmul if work <= ad.SERIAL_GEMM_SIZE else ad.matmul_rows
+        hidden = mm(z_batch, w1.T)
         hidden += b1
         np.tanh(hidden, out=hidden)
-        x = ad.matmul_rows(hidden, w2.T)
+        x = mm(hidden, w2.T)
         x += b2
-        f_t, active = self._encode(x)
-        perps = ad.matmul_rows(ad.matmul_rows(f_t - self.means, self.bases), self.bases_t)
+        f_t, active = self._encode(x, mm)
+        perps = mm(mm(f_t - self.means, self.bases), self.bases_t)
         perps += self.means
         perps -= f_t  # (D, E, B, d)
         dist_sums = direct_sums = np.zeros(f_t.shape[0])  # (E,): summed over the batch
-        # the gradients accumulate from zero: d total / d perps, and
-        # d total / d f_t other than through perps
-        g_perps = g_f = 0.0
+        # g_perps is d total / d perps, g_f is d total / d f_t other than through perps
         if not self.direct_only:
             dist = add(perps * perps, -1)
             dist *= self.alpha[..., 0]
             dist_sums = add(add(dist, 0), -1)
-            g_perps += (2.0 * inv_batch) * self.alpha * perps
+            g_perps = (2.0 * inv_batch) * self.alpha * perps
         if not self.dist_only:
             u = f_t - f_s
             v = add(perps * self.alpha, 0)
@@ -199,21 +213,22 @@ class ObjectivePlan:
             g_cos = -(self.lam * inv_batch)
             g_dot, g_den = (g_cos / den)[..., None], -g_cos * dot
             g_den /= den * den
-            g_f += g_dot * v + (g_den * nv / nu)[..., None] * u
-            g_perps += (g_dot * u + (g_den * nu / nv)[..., None] * v) * self.alpha
+            g_f = g_dot * v + (g_den * nv / nu)[..., None] * u
+            g_v = (g_dot * u + (g_den * nu / nv)[..., None] * v) * self.alpha
+            g_perps = g_v if self.direct_only else g_perps + g_v
         # perps = P(f_t) - f_t: the direct term, then the one through P
-        g_f -= add(g_perps, 0)
-        g_f += add(ad.matmul_rows(ad.matmul_rows(g_perps, self.bases), self.bases_t), 0)
-        g_pre = np.where(active, ad.matmul_rows(g_f, self.w2), 0.0)
-        g_x = add(ad.matmul_rows(g_pre, self.w1), 0)
-        g_hidden = ad.matmul_rows(g_x, w2)
+        g_f = -add(g_perps, 0) if self.dist_only else g_f - add(g_perps, 0)
+        g_f += add(mm(mm(g_perps, self.bases), self.bases_t), 0)
+        g_pre = np.where(active, mm(g_f, self.w2), 0.0)
+        g_x = add(mm(g_pre, self.w1), 0)
+        g_hidden = mm(g_x, w2)
         tanh_grad = hidden * hidden
         np.subtract(1.0, tanh_grad, out=tanh_grad)
         g_hidden *= tanh_grad
         grads = np.concatenate([
-            ad.matmul_rows(g_hidden.T, z_batch).ravel(),
+            mm(g_hidden.T, z_batch).ravel(),
             add(g_hidden, 0),
-            ad.matmul_rows(g_x.T, hidden).ravel(),
+            mm(g_x.T, hidden).ravel(),
             add(g_x, 0),
         ])
         return dist_sums, direct_sums, grads
@@ -255,5 +270,4 @@ def hda_objective(
         dist_only=dist_only, direct_only=direct_only,
     )
     f_s = None if dist_only else plan.source_embeddings(z_batch[None])[0]
-    params = {name: getattr(target_gen, name) for name in PARAM_FIELDS}
-    return plan(z_batch, params, f_s)
+    return plan(z_batch, tuple(getattr(target_gen, name) for name in PARAM_FIELDS), f_s)

@@ -134,8 +134,11 @@ def test_criterion_3_reduction_and_invariance(point_losses):
     # (conftest.py's point_losses); translation and scale move the
     # encoder's output and the subspace together
     rng = stream_rng(0, "acceptance", "identities")
+    # a second subspace per instance, from its own stream so the instances above keep theirs
+    other_rng = stream_rng(0, "acceptance", "identities", "other")
     n = 1000
     exact_reductions = 0
+    exact_mixed = 0
     worst_translation = 0.0
     worst_scale_dist = 0.0
     worst_scale_direct = 0.0
@@ -148,6 +151,13 @@ def test_criterion_3_reduction_and_invariance(point_losses):
         copies_d, copies_r, copies_g = point_losses(p_s, p_t, [sub] * 3, [0.25, 0.25, 0.5])
         if copies_d == base_d and copies_r == base_r and np.array_equal(copies_g, base_g):
             exact_reductions += 1
+        # unequal weights between distinct subspaces: two copies of one at 1/8 each
+        # are that one at 1/4, bit for bit, and a swap of the weights shows
+        other = build_subspace(FeatureSet(other_rng.standard_normal((4, d))))
+        pair = point_losses(p_s, p_t, [sub, other], [0.25, 0.75])
+        split = point_losses(p_s, p_t, [sub, sub, other], [0.125, 0.125, 0.75])
+        if pair[:2] == split[:2] and np.array_equal(pair[2], split[2]):
+            exact_mixed += 1
 
         t = 10.0 * rng.standard_normal(d)
         moved_d, moved_r, _ = point_losses(p_s, p_t, [sub], [1.0], shift=t)
@@ -166,6 +176,7 @@ def test_criterion_3_reduction_and_invariance(point_losses):
         worst_scale_direct = max(worst_scale_direct, abs(scaled_r - base_r))
     ok = (
         exact_reductions == n
+        and exact_mixed == n
         and worst_translation <= 1e-10
         and worst_scale_dist <= 1e-9
         and worst_scale_direct <= 1e-9
@@ -173,10 +184,12 @@ def test_criterion_3_reduction_and_invariance(point_losses):
     _verdict(
         3,
         ok,
-        f"{exact_reductions}/{n} exact reductions, translation {worst_translation:.2e}, "
+        f"{exact_reductions}/{n} exact reductions, {exact_mixed}/{n} between distinct "
+        f"subspaces, translation {worst_translation:.2e}, "
         f"scale dist {worst_scale_dist:.2e}, scale direction {worst_scale_direct:.2e}",
     )
     assert exact_reductions == n
+    assert exact_mixed == n
     assert worst_translation <= 1e-10
     assert worst_scale_dist <= 1e-9
     assert worst_scale_direct <= 1e-9

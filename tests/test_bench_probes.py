@@ -8,6 +8,8 @@ benchmark runs, so it is checked here.
 import importlib
 from pathlib import Path
 
+from hda import engine
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
@@ -62,3 +64,27 @@ def test_a_world_sweep_world_calls_every_world_side_probe_site(monkeypatch, tmp_
     (result,) = sweep.run_pass(None)
     assert result[2] is not None  # the stock world passes the precheck
     assert not [site for site, n in calls.items() if n == 0], calls
+
+
+def test_a_stock_run_calls_the_optimizer_probe_sites_once_per_step(monkeypatch, tmp_path):
+    """The traced ``engine.clip_gradients`` and ``engine.adam_step`` rows count these calls."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    probes = importlib.import_module("probes")
+    workloads = importlib.import_module("workloads")
+    sites = ("clip_gradients", "adam_step")
+    assert {(engine, attr) for attr in sites} <= {(o, a) for o, a, _, _ in probes.SITES}
+    calls = dict.fromkeys(sites, 0)
+
+    def counted(attr, real):
+        def wrapper(*args, **kwargs):
+            calls[attr] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for attr in sites:
+        monkeypatch.setattr(engine, attr, counted(attr, getattr(engine, attr)))
+    stock = workloads.HybridStock(0, str(tmp_path), str(BENCH.parent))
+    state = stock.setup()
+    stock.run_pass(state)
+    assert calls == dict.fromkeys(sites, state[2].steps)

@@ -154,6 +154,36 @@ def test_adam_non_finite_gradient_leaves_params_and_state_untouched():
     assert state.step == 3
 
 
+def test_adam_steps_past_an_overflowing_square_norm_and_still_names_a_bad_entry():
+    """``adam_step`` tests ``g @ g`` first; an overflow there falls back to each entry."""
+    config = default_config_for_adam(1e-2)
+    params = np.zeros(8)
+    state = init_optimizer_state({"w1": params[:4], "b1": params[4:]})
+    grads = np.full(8, 1e154)  # each square is finite, their sum is not
+    want, m, v = _adam_reference(params, grads, state.m, state.v, 1, config)
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(grads @ grads)
+        adam_step(params, grads, state, config)
+    assert state.step == 1
+    assert params.tobytes() == want.tobytes()
+    assert state.m.tobytes() == m.tobytes()
+    assert state.v.tobytes() == v.tobytes()
+    for index, name in ((1, "w1"), (6, "b1")):
+        for bad in (np.nan, np.inf, -np.inf):
+            grads_bad = grads.copy()
+            grads_bad[index] = bad
+            message = f"non-finite gradient for '{name}' at optimizer step 2"
+            with np.errstate(over="ignore"), pytest.raises(NumericalError, match=message):
+                adam_step(params, grads_bad, state, config)
+    # a finite update whose square norm overflows is applied too
+    huge = default_config_for_adam(1e156)
+    state = init_optimizer_state({"w": params})
+    with np.errstate(over="ignore"):
+        adam_step(params, np.ones(8), state, huge)
+    assert state.step == 1
+    np.testing.assert_allclose(params, -1e156, rtol=1e-7)  # squares near 1e312
+
+
 def test_clip_gradients_behavior():
     grads = np.array([3.0, 4.0])
     clipped, norm = clip_gradients(grads, 10.0)
