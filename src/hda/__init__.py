@@ -11,7 +11,9 @@ Importing the package pins glibc's allocator thresholds for the process
 temporaries of 128 KiB or more that each held-out evaluation allocates
 are reused from the heap instead of being unmapped on ``free`` and
 faulted back in page by page on the next call.  Off glibc it does
-nothing.
+nothing.  It also runs numpy's OpenBLAS on one thread
+(:func:`_pin_blas_threads`), so every product, however large, is one
+serial BLAS call; off OpenBLAS that does nothing either.
 """
 
 # glibc's mallopt parameters (malloc.h) and the values they are pinned to
@@ -58,7 +60,47 @@ def _pin_malloc_thresholds(libc=None) -> bool:
     return all(mallopt(param, value) for param, value in pins)
 
 
+# OpenBLAS's thread-count setters: scipy-openblas's (numpy's wheels), then older builds'
+_BLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                 "openblas_set_num_threads")
+
+
+def _pin_blas_threads(blas=None) -> bool:
+    """Run numpy's OpenBLAS on the calling thread alone; True if applied.
+
+    OpenBLAS may wake its worker threads for a GEMM of over 2^18
+    multiply-adds, which for the package's small matrices is slower and,
+    on a busy box, erratic (the README has the measurements).  Pinned,
+    every product is a plain ``@``: one serial BLAS call per matrix
+    slice, so each slice of a stacked product equals its own 2-D product
+    bit for bit.
+
+    ``blas`` is the library to call, the one numpy's extension module
+    loaded by default.  Off OpenBLAS, or when no setter is exported, this
+    raises nothing, prints nothing and returns False.
+    """
+    import ctypes
+
+    if blas is None:
+        try:
+            from numpy._core import _multiarray_umath
+        except ImportError:  # numpy 1.x
+            from numpy.core import _multiarray_umath
+        try:
+            blas = ctypes.CDLL(_multiarray_umath.__file__)
+        except OSError:
+            return False
+    for name in _BLAS_SETTERS:
+        setter = getattr(blas, name, None)
+        if setter is not None:
+            setter.argtypes, setter.restype = (ctypes.c_int,), None
+            setter(1)
+            return True
+    return False
+
+
 _pin_malloc_thresholds()
+_pin_blas_threads()
 
 from .ablation import AblationRow, ablation_suite
 from .autodiff import GradCheckReport, Tape, Var, grad_check

@@ -4,7 +4,8 @@ Node values are dense arrays: ``(d,)`` vectors and ``(B, d)`` rows.
 :func:`add` takes operands of one shape, or one that lacks the other's
 leading axes, so a ``(d,)`` bias adds to ``(B, d)`` rows; its vjp sums
 each gradient back over the axes its operand lacks.  :func:`linear`
-applies one ``(m, n)`` weight to a vector or to rows.  These and
+applies one ``(m, n)`` weight to a vector or to rows by a plain ``@``,
+one serial BLAS call (the package pins OpenBLAS to one thread).  These and
 :func:`tanh` and :func:`relu` are what the tape generator and encoder
 (:func:`hda.worlds.generator_forward_var`, :func:`hda.worlds.encode_var`)
 build, and :meth:`Tape.backward` takes a cotangent of its output's
@@ -41,40 +42,6 @@ VjpFn = Callable[[Array], tuple[Array, ...]]
 
 def _as_array(value) -> Array:
     return np.array(value, dtype=np.float64)
-
-
-#: Largest rows x inner x columns product (multiply-adds) handed to one
-#: BLAS call by :func:`matmul_rows`, which says why it is 2^18.
-SERIAL_GEMM_SIZE = 1 << 18
-
-
-def matmul_rows(x: Array, m: Array) -> Array:
-    """``x @ m`` in row blocks, each written into one preallocated output.
-
-    ``x`` is a ``(d,)`` vector or ``(..., n, d)`` rows and ``m`` a
-    ``(d, k)`` matrix or a ``(..., d, k)`` stack; leading axes broadcast
-    as in ``np.matmul``, which runs a stacked product as one BLAS call
-    per matrix slice.  Each call's product stays at or below
-    :data:`SERIAL_GEMM_SIZE` = 2^18 multiply-adds, so every BLAS call runs
-    on one thread, and each slice of a stacked product equals the 2-D
-    product of that slice bit for bit.
-
-    OpenBLAS may wake its worker threads for a larger GEMM, which for
-    these small matrices is slower and, on a busy box, erratic from one
-    call to the next.  Over 20,000 warm products on a 2-core Xeon with
-    OpenBLAS 0.3.31, the worker thread ran 0 CPU ticks at 2^18 and 2^19
-    multiply-adds and 73-79 at 2^20.  A 512 x 32 x 32 (2^19) product once
-    woke it on that box, though, so the cap is 2^18, not 2^19: a factor
-    of 2 under the smallest product seen to wake it.
-    """
-    if x.ndim < 2 or x.shape[-2] * m.shape[-2] * m.shape[-1] <= SERIAL_GEMM_SIZE:
-        return x @ m
-    block = max(1, SERIAL_GEMM_SIZE // max(1, m.shape[-2] * m.shape[-1]))
-    lead = np.broadcast_shapes(x.shape[:-2], m.shape[:-2])
-    out = np.empty((*lead, x.shape[-2], m.shape[-1]), dtype=np.result_type(x, m))
-    for i in range(0, x.shape[-2], block):
-        np.matmul(x[..., i:i + block, :], m, out=out[..., i:i + block, :])
-    return out
 
 
 @dataclass
@@ -223,11 +190,11 @@ def linear(x: Var, w: Var) -> Var:
 
     def vjp(g: Array):
         # frozen weights and inputs get no gradient, so skip their products
-        gx = matmul_rows(g, vw) if need_x else None
-        gw = matmul_rows(np.atleast_2d(g).T, np.atleast_2d(vx)) if need_w else None
+        gx = g @ vw if need_x else None
+        gw = np.atleast_2d(g).T @ np.atleast_2d(vx) if need_w else None
         return gx, gw
 
-    out = matmul_rows(vx, vw.T)
+    out = vx @ vw.T
     return tape._append("linear", out, (x.index, w.index), vjp, need_x or need_w)
 
 

@@ -23,14 +23,8 @@ domain is the hybrid form at one weight of 1.  Its reference, in
 ``tests/test_batched_objective.py``, writes the same formulas out one
 latent, encoder and domain at a time, with a complex-step gradient.
 
-Each product of a call takes ``B`` times the size of one weight matrix
-or basis in multiply-adds per slice; the largest is 32 x 32 on the stock
-world.  While ``B`` times the largest stays within
-:data:`hda.autodiff.SERIAL_GEMM_SIZE` (``B <= 256`` there), every
-product goes to ``np.matmul`` whole: one BLAS call per slice, the call
-:func:`hda.autodiff.matmul_rows` would make itself, so the cap holds
-without its per-product check.  Larger batches, and the many stacked
-batches of the source side, go through ``matmul_rows``.
+Every product is a plain ``@``, one serial BLAS call per matrix slice,
+since the package pins OpenBLAS to one thread.
 """
 from __future__ import annotations
 
@@ -40,7 +34,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import autodiff as ad
 from .errors import ConfigError, DimensionError
 from .subspace import DomainSubspace
 from .worlds import PARAM_FIELDS, EncoderSpec, GeneratorParams, stack_encoders
@@ -146,19 +139,17 @@ class ObjectivePlan:
         lead = (len(weights), len(encoders))
         self.means, self.bases = _stacked_subspaces(grid, lead, self.w2.shape[1])
         self.bases_t = np.swapaxes(self.bases, -1, -2)
-        # the largest matrix a call multiplies by, other than the target's weights
-        self._largest_matrix = max(self.w1[0].size, self.w2[0].size, self.bases[0, 0].size)
         self.alpha = np.array([w.alpha for w in weights]).reshape(-1, 1, 1, 1)
         self.source, self.lam = source_gen, float(lam)
         self.encoder_ids = tuple(e.encoder_id for e in encoders)
         self.dist_only, self.direct_only = dist_only, direct_only
 
-    def _encode(self, x: Array, mm) -> tuple[Array, Array]:
+    def _encode(self, x: Array) -> tuple[Array, Array]:
         """``(..., E, B, d_e)`` embeddings of ``(..., B, d_x)`` rows, and where relu passes."""
-        pre = mm(x[..., None, :, :], self.w1_t)
+        pre = x[..., None, :, :] @ self.w1_t
         pre += self.b1
         active = pre > 0.0
-        f = mm(np.where(active, pre, 0.0), self.w2_t)
+        f = np.where(active, pre, 0.0) @ self.w2_t
         f += self.b2
         return f, active
 
@@ -169,7 +160,7 @@ class ObjectivePlan:
         ``s`` equals the embeddings of batch ``s`` alone bit for bit; one
         product over all ``S * B`` rows would round differently.
         """
-        return self._encode(self.source.forward(z_chunk), ad.matmul_rows)[0]
+        return self._encode(self.source.forward(z_chunk))[0]
 
     def __call__(
         self, z_batch: Array, params: tuple[Array, Array, Array, Array], f_s: Optional[Array]
@@ -178,16 +169,13 @@ class ObjectivePlan:
         inv_batch = 1.0 / rows
         add = np.add.reduce
         w1, b1, w2, b2 = params
-        # the multiply-adds of the largest product (see the module docstring)
-        work = rows * max(self._largest_matrix, w1.size, w2.size)
-        mm = np.matmul if work <= ad.SERIAL_GEMM_SIZE else ad.matmul_rows
-        hidden = mm(z_batch, w1.T)
+        hidden = z_batch @ w1.T
         hidden += b1
         np.tanh(hidden, out=hidden)
-        x = mm(hidden, w2.T)
+        x = hidden @ w2.T
         x += b2
-        f_t, active = self._encode(x, mm)
-        perps = mm(mm(f_t - self.means, self.bases), self.bases_t)
+        f_t, active = self._encode(x)
+        perps = (f_t - self.means) @ self.bases @ self.bases_t
         perps += self.means
         perps -= f_t  # (D, E, B, d)
         dist_sums = direct_sums = np.zeros(f_t.shape[0])  # (E,): summed over the batch
@@ -218,17 +206,17 @@ class ObjectivePlan:
             g_perps = g_v if self.direct_only else g_perps + g_v
         # perps = P(f_t) - f_t: the direct term, then the one through P
         g_f = -add(g_perps, 0) if self.dist_only else g_f - add(g_perps, 0)
-        g_f += add(mm(mm(g_perps, self.bases), self.bases_t), 0)
-        g_pre = np.where(active, mm(g_f, self.w2), 0.0)
-        g_x = add(mm(g_pre, self.w1), 0)
-        g_hidden = mm(g_x, w2)
+        g_f += add(g_perps @ self.bases @ self.bases_t, 0)
+        g_pre = np.where(active, g_f @ self.w2, 0.0)
+        g_x = add(g_pre @ self.w1, 0)
+        g_hidden = g_x @ w2
         tanh_grad = hidden * hidden
         np.subtract(1.0, tanh_grad, out=tanh_grad)
         g_hidden *= tanh_grad
         grads = np.concatenate([
-            mm(g_hidden.T, z_batch).ravel(),
+            (g_hidden.T @ z_batch).ravel(),
             add(g_hidden, 0),
-            mm(g_x.T, hidden).ravel(),
+            (g_x.T @ hidden).ravel(),
             add(g_x, 0),
         ])
         return dist_sums, direct_sums, grads

@@ -29,7 +29,6 @@ from math import isqrt
 
 import numpy as np
 
-from .autodiff import matmul_rows
 from .errors import ConfigError, DimensionError
 from .seeding import stream_rng
 from .subspace import DomainSubspace, _mean, project
@@ -152,7 +151,7 @@ def _pair_block(samples: Array, left: Array, right: Array, start: int, stop: int
     ``q >= p``, and 0 otherwise, so each pair of ``start:hi`` with its
     lower member in ``start:stop`` appears once.  ``left`` and ``right``
     are :func:`_augmented` of the samples centred on their cluster's mean,
-    and the block is one :func:`autodiff.matmul_rows` product of them.
+    and the block is one product of them.
     When some squared distance may be at most ``_GRAM_CANCELLATION``
     times ``|ci|² + |cj|²``, each such pair is recomputed from the raw
     samples (:func:`_recompute_cancellations`), so every distance is
@@ -167,7 +166,7 @@ def _pair_block(samples: Array, left: Array, right: Array, start: int, stop: int
     selects entry by entry and so picks no pair that the masked block
     would not have picked.
     """
-    block = matmul_rows(left[start + 1 : hi], right[:, start:stop])  # squared distances
+    block = left[start + 1 : hi] @ right[:, start:stop]  # squared distances
     width, d = stop - start, left.shape[1] - 2
     np.fill_diagonal(block[: width - 1, 1:width], np.inf)
     rows_sq, cols_sq = left[start + 1 : hi, d], right[d + 1, start:stop]
@@ -191,11 +190,11 @@ def _nearest_reference(embeddings: Array, reference_embeddings: Array) -> Array:
     """Each embedding's nearest reference: ``argmin`` of the direct norms, exactly.
 
     Both sets are centred on the references' mean and each squared
-    distance is taken as ``|e|² + |r|² - 2 e·r``, with the products
-    through :func:`autodiff.matmul_rows`, so no ``(n, R, d)`` difference
-    tensor is built.  A row whose two smallest squared distances are not
-    more than ``_NEAREST_MARGIN`` times ``|e|² + max |r|²`` apart (a tie,
-    duplicate references included, a near tie or a non-finite value) is
+    distance is taken as ``|e|² + |r|² - 2 e·r``, with one product per
+    row block, so no ``(n, R, d)`` difference tensor is built.  A row
+    whose two smallest squared distances are not more than
+    ``_NEAREST_MARGIN`` times ``|e|² + max |r|²`` apart (a tie, duplicate
+    references included, a near tie or a non-finite value) is
     recomputed as the ``argmin`` of the norms of its differences, so the
     result equals that expression's element for element, first index on
     exact ties included.  The ``(rows, R)`` squared distances are taken
@@ -214,7 +213,7 @@ def _nearest_reference(embeddings: Array, reference_embeddings: Array) -> Array:
     for start in range(0, embeddings.shape[0], gram_rows):
         centred = embeddings[start : start + gram_rows] - centre
         sq = np.einsum("ij,ij->i", centred, centred)
-        d2 = matmul_rows(centred, refs.T)
+        d2 = centred @ refs.T
         d2 *= -2.0
         d2 += sq[:, None]
         d2 += ref_sq

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import matmul_rows
 from .errors import ConfigError, DegenerateDomain, DimensionError
 
 Array = np.ndarray
@@ -217,7 +216,7 @@ def project(subspace: DomainSubspace, point) -> Array:
         raise DimensionError(
             f"point has shape {p.shape}, subspace lives in {subspace.mean.shape}"
         )
-    out = matmul_rows(matmul_rows(p - subspace.mean, subspace.basis), subspace.basis.T)
+    out = (p - subspace.mean) @ subspace.basis @ subspace.basis.T
     out += subspace.mean
     return out
 

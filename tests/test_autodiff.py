@@ -9,7 +9,7 @@ from hda.errors import DimensionError
 from hda.metrics import _augmented
 from hda.seeding import stream_rng
 from hda.subspace import project
-from hda.worlds import encode
+from hda.worlds import PARAM_FIELDS, encode, stack_encoders
 
 
 def test_matrix_gradient_matches_fd():
@@ -140,62 +140,67 @@ def test_add_broadcasts_bias_and_sums_gradient_over_rows():
         ad.add(x, tape.constant(np.zeros(3)))
 
 
-def test_matmul_rows_blocks_match_one_product():
-    rng = stream_rng(3, "autodiff-test")
-    m = rng.standard_normal((32, 16))
-    block = ad.SERIAL_GEMM_SIZE // m.size
-    for n in (1, block, block + 1, 3 * block + 5):
-        x = rng.standard_normal((n, 32))
-        out = ad.matmul_rows(x, m)
-        assert out.shape == (n, 16)
-        np.testing.assert_allclose(out, x @ m, rtol=1e-13, atol=1e-13)
-        # each block is its own product, written in place: the blocks' products stacked
-        blocks = [x[i:i + block] @ m for i in range(0, n, block)]
-        np.testing.assert_array_equal(out, np.concatenate(blocks))
-    np.testing.assert_array_equal(ad.matmul_rows(x[0], m), x[0] @ m)
-
-
-def test_stacked_matmul_rows_is_each_slice_bit_for_bit():
-    # every slice is the 2-D product of that slice, row-blocked past the bound
+def test_stacked_product_is_each_slice_bit_for_bit():
+    # one BLAS call per slice: source_embeddings, forward_stack and evaluate_stack rely on it
     rng = stream_rng(6, "autodiff-test")
     stack = rng.standard_normal((2, 3, 32, 16))
-    block = ad.SERIAL_GEMM_SIZE // (32 * 16)
     for x in (
         rng.standard_normal((5, 32)),
         rng.standard_normal((3, 5, 32)),
-        rng.standard_normal((2 * block + 3, 32)),
+        rng.standard_normal((1100, 32)),
     ):
-        out = ad.matmul_rows(x, stack)
+        out = x @ stack
         assert out.shape == (2, 3, x.shape[-2], 16)
         for i, j in np.ndindex(2, 3):
             xs = x if x.ndim == 2 else x[j]
-            np.testing.assert_array_equal(out[i, j], ad.matmul_rows(xs, stack[i, j]))
+            np.testing.assert_array_equal(out[i, j], xs @ stack[i, j])
 
 
-def test_stock_products_are_the_same_bits_under_either_cap(monkeypatch, world, subspaces):
-    # every stock product shape, row-blocked at 2^16 and at 2^18 multiply-adds
+def _row_blocked(x, m):
+    """``x @ m`` in row blocks of at most 2^18 multiply-adds each, one BLAS call a block.
+
+    The route every large product took before the package pinned OpenBLAS
+    to one thread, kept as the reference its stock shapes must still match.
+    """
+    block = (1 << 18) // (m.shape[-2] * m.shape[-1])
+    return np.concatenate(
+        [x[..., i:i + block, :] @ m for i in range(0, x.shape[-2], block)], axis=-2
+    )
+
+
+def test_stock_products_are_the_same_bits_under_either_cap(world, subspaces):
+    """Every stock product shape gives the same bits as one ``@`` and as 2^18 row blocks."""
     source, held_out = world.source_generator, world.held_out_encoder
     sub = subspaces[held_out.encoder_id]["attr0"]
     rng = stream_rng(9, "autodiff-test")
+
+    def mlp(x, w1, b1, w2, b2, act):
+        hidden = act(_row_blocked(x, np.swapaxes(w1, -1, -2)) + b1)
+        return _row_blocked(hidden, np.swapaxes(w2, -1, -2)) + b2
+
+    def relu(a):
+        return np.where(a > 0.0, a, 0.0)
+
     centred = rng.standard_normal((1024, world.config.d_e))
     left, right = _augmented(centred)
-    cases = {"diversity block, C-ordered": lambda: ad.matmul_rows(left[1:], right[:, :64])}
-    cases["diversity block, F-ordered"] = (
-        lambda: ad.matmul_rows(left[1:], np.asfortranarray(right)[:, :64])
-    )
+    refs = rng.standard_normal((20, world.config.d_e))
+    block = _row_blocked(left[1:], right[:, :64])
+    cases = {
+        "diversity block, C-ordered": (left[1:] @ right[:, :64], block),
+        "diversity block, F-ordered": (left[1:] @ np.asfortranarray(right)[:, :64], block),
+        "nearest-reference Gram block": (centred @ refs.T, _row_blocked(centred, refs.T)),
+    }
+    gen = tuple(getattr(source, name) for name in PARAM_FIELDS)
+    ensemble = stack_encoders(world.train_encoders)
+    weights = tuple(getattr(held_out, name) for name in PARAM_FIELDS)
     for n in (128, 1024):
         z = rng.standard_normal((n, source.d_z))
         x = source.forward(z)
-        cases[f"forward {n}"] = lambda z=z: source.forward(z)
-        cases[f"encode {n}"] = lambda x=x: encode(held_out, x)
-        cases[f"stacked encode {n}"] = lambda x=x: encode(world.train_encoders, x)
-        cases[f"project {n}"] = lambda x=x: project(sub, encode(held_out, x))
-    for name, product in cases.items():
-        monkeypatch.setattr(ad, "SERIAL_GEMM_SIZE", 1 << 16)
-        small = product()
-        monkeypatch.setattr(ad, "SERIAL_GEMM_SIZE", 1 << 18)
-        np.testing.assert_array_equal(product(), small, err_msg=name)
-    # the two column layouts of a diversity block agree too
-    np.testing.assert_array_equal(
-        cases["diversity block, C-ordered"](), cases["diversity block, F-ordered"]()
-    )
+        f = encode(held_out, x)
+        cases[f"forward {n}"] = (x, mlp(z, *gen, np.tanh))
+        cases[f"encode {n}"] = (f, mlp(x, *weights, relu))
+        cases[f"stacked encode {n}"] = (encode(world.train_encoders, x), mlp(x, *ensemble, relu))
+        projected = _row_blocked(_row_blocked(f - sub.mean, sub.basis), sub.basis.T)
+        cases[f"project {n}"] = (project(sub, f), projected + sub.mean)
+    for name, (got, blocked) in cases.items():
+        np.testing.assert_array_equal(got, blocked, err_msg=name)

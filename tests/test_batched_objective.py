@@ -8,7 +8,6 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from hda import autodiff
 from hda.diagnostics import _toy_objective_setup
 from hda.engine import default_adaptation_config
 from hda.losses import DomainWeight, ObjectivePlan, hda_objective, loss_total
@@ -230,70 +229,9 @@ def test_source_embeddings_equal_each_batch_encoded_alone(world, subspaces, step
             np.testing.assert_array_equal(f_s[s, e], encode(enc, x))
 
 
-def _record_products(monkeypatch):
-    """Patch the two product routes; each product lands in the returned list as it runs.
-
-    An entry is ``(route, multiply-adds of each BLAS call)``: ``np.matmul``
-    called directly runs one call per slice of its stack, and
-    ``matmul_rows`` runs either its row blocks, each an ``np.matmul``,
-    or one ``@`` of the whole product.
-    """
-    matmul, matmul_rows = np.matmul, autodiff.matmul_rows
-    products, blocks = [], []
-
-    def work(x, m):
-        return (x.shape[-2] if x.ndim > 1 else 1) * m.shape[-2] * m.shape[-1]
-
-    def recorded_matmul(x, m, **kwargs):
-        if blocks:
-            blocks[-1].append(work(x, m))
-        else:
-            products.append(("matmul", [work(x, m)]))
-        return matmul(x, m, **kwargs)
-
-    def recorded_rows(x, m):
-        blocks.append([])
-        out = matmul_rows(x, m)
-        products.append(("matmul_rows", blocks.pop() or [work(x, m)]))
-        return out
-
-    monkeypatch.setattr(np, "matmul", recorded_matmul)
-    monkeypatch.setattr(autodiff, "matmul_rows", recorded_rows)
-    return products
-
-
-@pytest.mark.parametrize(
-    "batch, hidden, route", [(4, 32, "matmul"), (300, 32, "matmul_rows"), (200, 64, "matmul_rows")]
-)
-def test_every_product_of_a_step_stays_under_the_serial_gemm_cap(
-    world, subspaces, monkeypatch, batch, hidden, route
-):
-    """Up to the batch the plan allows, a product goes to BLAS whole; above it, in row blocks.
-
-    The stock world's largest matrix is 32 x 32, so batches up to
-    2^18 / 1024 = 256 rows go straight to ``np.matmul``; a target
-    generator 64 units wide lowers that to 128.
-    """
-    config = default_adaptation_config(world)
-    plan = ObjectivePlan(
-        world.source_generator,
-        [world.encoder(e) for e in config.encoder_ids],
-        subspaces,
-        list(config.ordered_weights()),
-        config.lam,
+def test_objective_matches_the_reference_at_a_batch_of_300():
+    """A batch of 300 rows, far past the other checks' batches of at most 16."""
+    source, target, encoders, subspaces, weights, z = _toy_objective_setup(
+        0, batch=300, n_encoders=3, unequal_ranks=True
     )
-    rng = stream_rng(0, "products")
-    z = rng.standard_normal((1, batch, world.config.d_z))
-    f_s = plan.source_embeddings(z)[0]
-    d_x = world.source_generator.d_x
-    shapes = ((hidden, z.shape[-1]), (hidden,), (d_x, hidden), (d_x,))
-    arrays = tuple(0.1 * rng.standard_normal(shape) for shape in shapes)
-    products = _record_products(monkeypatch)
-    plan(z[0], arrays, f_s)
-    monkeypatch.undo()
-    assert len(products) == 13  # 5 forward, 8 backward
-    assert {r for r, _ in products} == {route}
-    calls = [w for _, per_call in products for w in per_call]
-    assert max(calls) <= autodiff.SERIAL_GEMM_SIZE
-    if route == "matmul_rows":  # the cap is reached: some products are cut into row blocks
-        assert any(len(per_call) > 1 for _, per_call in products)
+    _assert_matches_reference(z, source, target, encoders, subspaces, weights, 0.8)

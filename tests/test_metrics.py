@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from hda import engine, metrics
-from hda.autodiff import matmul_rows
 from hda.engine import default_adaptation_config, run_adaptation
 from hda.errors import ConfigError, DimensionError, NumericalError
 from hda.files import read_object, write_json
@@ -266,7 +265,7 @@ def _augmented_by_hstack(centred):
 
 def _pair_block_two_pass(samples, left, right, start, stop, hi):
     """The pair block with every non-pair masked to +inf before the test, then zeroed."""
-    block = matmul_rows(left[start + 1 : hi], right[:, start:stop])
+    block = left[start + 1 : hi] @ right[:, start:stop]
     d = left.shape[1] - 2
     non_pairs = np.triu(np.ones((stop - start,) * 2, dtype=bool), 1)
     corner = block[: stop - start]
@@ -472,16 +471,8 @@ def test_nearest_reference_gram_memory_is_bounded(monkeypatch):
     rng = np.random.default_rng(3)
     refs = rng.standard_normal((4096, 16))
     embeddings = rng.standard_normal((1024, 16))
-    products = []
-
-    def spy(x, m):
-        products.append(x.shape[0] * m.shape[1])
-        return matmul_rows(x, m)
-
-    monkeypatch.setattr(metrics, "matmul_rows", spy)
     _, peak = _fallback_rows_and_peak(embeddings, refs, monkeypatch)
     # the whole (1024, 4096) matrix of squared distances alone is 32 MiB
-    assert len(products) == 64 and max(products) <= metrics._PAIR_BLOCK_SIZE
     assert peak < 4 * 2**20
 
 

@@ -7,7 +7,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hda import autodiff as ad
 from hda import subspace, worlds
 from hda.autodiff import Tape, grad_check
 from hda.engine import (
@@ -234,14 +233,8 @@ def test_stacked_generators_encodings_and_projections_equal_their_slices(world, 
 
 def _mlp_out_of_place(w1, b1, w2, b2, x, act):
     """``act(x @ w1.T + b1) @ w2.T + b2`` with every step on a new array."""
-    hidden = act(ad.matmul_rows(x, np.swapaxes(w1, -1, -2)) + b1)
-    return ad.matmul_rows(hidden, np.swapaxes(w2, -1, -2)) + b2
-
-
-def _split_rows(*weights):
-    """Row counts either side of ``matmul_rows``' row-block split for products with each weight."""
-    splits = {ad.SERIAL_GEMM_SIZE // w.size for w in weights}
-    return sorted(splits | {n + 1 for n in splits})
+    hidden = act(x @ np.swapaxes(w1, -1, -2) + b1)
+    return hidden @ np.swapaxes(w2, -1, -2) + b2
 
 
 def test_in_place_forward_encode_and_project_equal_their_out_of_place_forms(
@@ -266,8 +259,8 @@ def test_in_place_forward_encode_and_project_equal_their_out_of_place_forms(
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     monkeypatch.setattr(worlds, "_relu", spy)
-    rows = _split_rows(source.w1, source.w2, enc.w1, enc.w2, sub.basis)
-    assert rows[0] <= 256 and rows[-1] > 1024
+    # one row, and batches either side of 2^18 multiply-adds with a 32 x 32 weight
+    rows = (1, 256, 257, 1025)
     gen = (source.w1, source.b1[None], source.w2, source.b2[None])
     stacked_gen = (views["w1"], views["b1"][:, None], views["w2"], views["b2"][:, None])
     weights = (enc.w1, enc.b1, enc.w2, enc.b2)
@@ -285,8 +278,7 @@ def test_in_place_forward_encode_and_project_equal_their_out_of_place_forms(
         same(encode(world.train_encoders, x[0]), _mlp_out_of_place(*ensemble, x[0], relu))
         f = encode(enc, x)
         for p in (f[0, 0], f[0], f):
-            out_of_place = ad.matmul_rows(ad.matmul_rows(p - sub.mean, sub.basis), sub.basis.T)
-            same(project(sub, p), out_of_place + sub.mean)
+            same(project(sub, p), (p - sub.mean) @ sub.basis @ sub.basis.T + sub.mean)
     # _relu writes over its argument, so each caller passes one it allocated
     assert len(fresh) == 5 * len(rows) and all(fresh)
 
