@@ -101,54 +101,3 @@ def _pin_blas_threads(blas=None) -> bool:
 
 _pin_malloc_thresholds()
 _pin_blas_threads()
-
-from .ablation import AblationRow, ablation_suite
-from .autodiff import GradCheckReport, Tape, Var, grad_check
-from .engine import (
-    AdaptationConfig,
-    Checkpoint,
-    MetricSnapshot,
-    OptimizerState,
-    RunRecord,
-    adam_step,
-    clip_gradients,
-    default_adaptation_config,
-    init_optimizer_state,
-    run_adaptation,
-)
-from .errors import (
-    AdaptationError,
-    ConfigError,
-    DegenerateDomain,
-    DimensionError,
-    NumericalError,
-)
-from .losses import DomainWeight, hda_objective
-from .metrics import MetricsReport, SnapshotPlan, evaluate
-from .subspace import (
-    DomainSubspace,
-    FeatureSet,
-    build_subspace,
-    pca2d_export,
-    project,
-    separation_ratio,
-    subspace_distance_sq,
-)
-from .worlds import (
-    DEFAULT_WORLD_SEED,
-    ENCODER_BIAS_CENTER,
-    EncoderSpec,
-    GeneratorParams,
-    SyntheticDomainSpec,
-    World,
-    WorldConfig,
-    build_world,
-    build_world_subspaces,
-    default_world_config,
-    encode,
-    make_encoder,
-    make_source_generator,
-    sample_domain_references,
-)
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -10,7 +10,6 @@ import os
 from dataclasses import dataclass, replace
 
 from .engine import AdaptationConfig, run_adaptation
-from .errors import ConfigError
 from .files import json_doc, write_csv, write_json
 from .losses import loss_total
 from .metrics import EVAL_SAMPLES, EVAL_SEED, MetricsReport, SnapshotPlan, round12
@@ -37,12 +36,6 @@ class AblationRow:
     report: MetricsReport
 
 
-def _variant_flags(variant: str) -> dict:
-    if variant not in VARIANTS:
-        raise ConfigError(f"unknown ablation variant {variant!r}")
-    return {"dist_only": variant == "dist_only", "direct_only": variant == "direct_only"}
-
-
 def ablation_suite(base_config: AdaptationConfig, world: World) -> list[AblationRow]:
     """Run {full, dist_only, direct_only} x {single encoder, ensemble}.
 
@@ -65,7 +58,10 @@ def ablation_suite(base_config: AdaptationConfig, world: World) -> list[Ablation
         )
         for variant in VARIANTS:
             config = replace(
-                base_config, encoder_ids=encoder_ids, **_variant_flags(variant)
+                base_config,
+                encoder_ids=encoder_ids,
+                dist_only=variant == "dist_only",
+                direct_only=variant == "direct_only",
             )
             record = run_adaptation(config, world, subspaces)
             rows.append(
@@ -74,7 +70,7 @@ def ablation_suite(base_config: AdaptationConfig, world: World) -> list[Ablation
                     encoder_mode=mode,
                     encoder_ids=tuple(encoder_ids),
                     final_total=round12(
-                        loss_total(record.dist[-1], record.direct[-1], 1, config.lam)
+                        loss_total(record.dist[-1], record.direct[-1], config.lam)
                     ),
                     report=snapshot(record.final_params),
                 )

@@ -152,7 +152,7 @@ def adapt(config_path, world_dir, out_dir, seed):
     record = run_adaptation(config, world, subspaces)
     # absolute, so `hda eval --run` finds the world from any directory
     save_run(record, out_dir, world_dir=os.path.abspath(world_dir))
-    final = loss_total(record.dist[-1], record.direct[-1], 1, config.lam)
+    final = loss_total(record.dist[-1], record.direct[-1], config.lam)
     click.echo(
         f"adapted for {config.steps} steps; final loss {final:.6g}; "
         f"run written to {out_dir}"

@@ -179,7 +179,7 @@ def _check_objective(
         target = unflatten_generator(p, like=source)
         args = (z_batch, source, target, encoders)
         dist, direct, grads = hda_objective(*args, subspaces, weights, lam=lam, **flags)
-        return loss_total(dist, direct, batch, lam), grads
+        return loss_total(dist, direct, lam), grads
 
     name = f"hda_objective ({label}, batch {batch})"
     return grad_check(f, flatten_generator(target0), tol=COMPOSITE_TOL, name=name)

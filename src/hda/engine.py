@@ -250,9 +250,9 @@ class RunRecord:
     """Everything one adaptation run produced, as ``run_record.json`` holds it.
 
     Row ``i`` of ``dist`` and ``direct`` holds step ``i + 1``'s per-encoder
-    batch means of the two losses, one column per ``config.encoder_ids``;
-    both are read-only and finite.  ``world_dir`` names the run's world
-    directory once the record is saved.
+    batch means of the two losses as the objective returned them, one
+    column per ``config.encoder_ids``; both are read-only and finite.
+    ``world_dir`` names the run's world directory once the record is saved.
     """
 
     config: AdaptationConfig
@@ -284,7 +284,7 @@ class RunRecord:
         ids, lam = self.config.encoder_ids, self.config.lam
         return [
             LossBreakdown(
-                total=loss_total(dist, direct, 1, lam),
+                total=loss_total(dist, direct, lam),
                 lam=lam,
                 per_encoder=tuple(map(EncoderTerms, ids, dists, directs)),
             )
@@ -430,9 +430,9 @@ def run_adaptation(
     first = checkpoint(0, params)
     take_snapshot(0)
 
-    # per-encoder batch sums of each step's distance and direction losses
-    dist_sums = np.zeros((config.steps, len(objective.encoder_ids)))
-    direct_sums = np.zeros_like(dist_sums)
+    # per-encoder batch means of each step's distance and direction losses
+    dist = np.zeros((config.steps, len(objective.encoder_ids)))
+    direct = np.zeros_like(dist)
     step = 0
     for z_chunk in training_chunks(config, source.d_z):
         # the source side depends on no trained parameter: one call per chunk
@@ -441,10 +441,10 @@ def run_adaptation(
         )
         for z_batch, f_s in zip(z_chunk, f_chunk):
             step += 1
-            dist, direct = dist_sums[step - 1], direct_sums[step - 1]  # this step's rows
+            dist_row, direct_row = dist[step - 1], direct[step - 1]
             try:
-                dist[:], direct[:], grads = objective(z_batch, arrays, f_s)
-                total = loss_total(dist, direct, config.batch_size, objective.lam)
+                dist_row[:], direct_row[:], grads = objective(z_batch, arrays, f_s)
+                total = loss_total(dist_row, direct_row, objective.lam)
                 if not math.isfinite(total):
                     raise NumericalError(f"non-finite loss at step {step}")
                 grads, _ = clip_gradients(grads, config.grad_clip_norm)
@@ -464,11 +464,10 @@ def run_adaptation(
         "best": last if best is None else checkpoint(*best),
         "last": last,
     }
-    inv_batch = 1.0 / config.batch_size
     return RunRecord(
         config=config,
-        dist=dist_sums * inv_batch,
-        direct=direct_sums * inv_batch,
+        dist=dist,
+        direct=direct,
         snapshots=snapshots,
         checkpoints=checkpoints,
     )

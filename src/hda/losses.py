@@ -74,17 +74,13 @@ def _stacked_subspaces(subspaces, lead: tuple[int, ...], d: int) -> tuple[Array,
     return means, bases.reshape(lead + bases.shape[1:])
 
 
-def loss_total(dist_sums: Array, direct_sums: Array, batch_size: int, lam: float) -> float:
-    """Objective total of one step's ``(E,)`` per-encoder batch sums of the two losses.
+def loss_total(dist: Array, direct: Array, lam: float) -> float:
+    """Objective total of one step's ``(E,)`` per-encoder batch means of the two losses.
 
-    Each encoder's batch means give ``dist + lam * direct``, and these
-    add in encoder order.
+    Each encoder gives ``dist + lam * direct``, and these add in encoder
+    order.
     """
-    inv_batch = 1.0 / batch_size
-    return sum(
-        d * inv_batch + lam * (r * inv_batch)
-        for d, r in zip(dist_sums.tolist(), direct_sums.tolist())
-    )
+    return sum(d + lam * r for d, r in zip(dist.tolist(), direct.tolist()))
 
 
 class ObjectivePlan:
@@ -100,9 +96,9 @@ class ObjectivePlan:
     batch's ``(E, B, d_e)`` source embeddings (``None`` when only the
     distance loss is on), computes the objective in numpy and its
     gradient by the hand-written vector-Jacobian product of the same
-    expression.  It returns the ``(E,)`` per-encoder batch sums of the
-    distance and direction losses, and the gradient as one vector in
-    :func:`hda.worlds.flatten_generator`'s layout.
+    expression.  It returns the ``(E,)`` per-encoder batch means of the
+    distance and direction losses, and the gradient of their total as one
+    vector in :func:`hda.worlds.flatten_generator`'s layout.
     """
 
     def __init__(
@@ -165,8 +161,7 @@ class ObjectivePlan:
     def __call__(
         self, z_batch: Array, params: tuple[Array, Array, Array, Array], f_s: Optional[Array]
     ) -> tuple[Array, Array, Array]:
-        rows = z_batch.shape[0]
-        inv_batch = 1.0 / rows
+        inv_batch = 1.0 / z_batch.shape[0]
         add = np.add.reduce
         w1, b1, w2, b2 = params
         hidden = z_batch @ w1.T
@@ -178,12 +173,12 @@ class ObjectivePlan:
         perps = (f_t - self.means) @ self.bases @ self.bases_t
         perps += self.means
         perps -= f_t  # (D, E, B, d)
-        dist_sums = direct_sums = np.zeros(f_t.shape[0])  # (E,): summed over the batch
+        dist_means = direct_means = np.zeros(f_t.shape[0])  # (E,): averaged over the batch
         # g_perps is d total / d perps, g_f is d total / d f_t other than through perps
         if not self.direct_only:
             dist = add(perps * perps, -1)
             dist *= self.alpha[..., 0]
-            dist_sums = add(add(dist, 0), -1)
+            dist_means = add(add(dist, 0), -1) * inv_batch
             g_perps = (2.0 * inv_batch) * self.alpha * perps
         if not self.dist_only:
             u = f_t - f_s
@@ -196,7 +191,7 @@ class ObjectivePlan:
             dot, den = add(u * v, -1), nu * nv
             direct = dot / den
             np.subtract(1.0, direct, out=direct)
-            direct_sums = add(direct, -1)
+            direct_means = add(direct, -1) * inv_batch
             # the reverse steps of dot / den, with -lambda / B folded in first
             g_cos = -(self.lam * inv_batch)
             g_dot, g_den = (g_cos / den)[..., None], -g_cos * dot
@@ -219,7 +214,7 @@ class ObjectivePlan:
             (g_x.T @ hidden).ravel(),
             add(g_x, 0),
         ])
-        return dist_sums, direct_sums, grads
+        return dist_means, direct_means, grads
 
 
 def hda_objective(
@@ -237,7 +232,7 @@ def hda_objective(
     """Full objective over a latent batch, with target-generator gradients.
 
     Returns what an :class:`ObjectivePlan` call returns: the ``(E,)``
-    per-encoder batch sums of the distance and direction losses (their
+    per-encoder batch means of the distance and direction losses (their
     total is :func:`loss_total`), and the gradient of the total as one
     :func:`hda.worlds.flatten_generator` vector of the target.  Source
     generator and encoders enter as constants: their weights receive no

@@ -265,8 +265,8 @@ def test_criterion_4_single_domain_adaptation(world, subspaces, baselines):
         "final_consistency": consistency,
         "lambda0_final_consistency": consistency_lam0,
         "final_to_step1_loss_ratio": (
-            loss_total(record.dist[-1], record.direct[-1], 1, config.lam)
-            / loss_total(record.dist[0], record.direct[0], 1, config.lam)
+            loss_total(record.dist[-1], record.direct[-1], config.lam)
+            / loss_total(record.dist[0], record.direct[0], config.lam)
         ),
     }
     drifted = sorted(

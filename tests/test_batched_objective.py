@@ -114,9 +114,9 @@ def _assert_matches_reference(z, source, target, encoders, subspaces, weights, l
     want_dist, want_direct, want_grads = _reference_objective(*args, **flags)
     assert dist.shape == direct.shape == want_dist.shape == (len(encoders),)
     want_total = float(np.sum(want_dist + lam * want_direct))
-    assert _close(loss_total(dist, direct, len(z), lam), want_total)
-    assert _close(dist / len(z), want_dist)
-    assert _close(direct / len(z), want_direct)
+    assert _close(loss_total(dist, direct, lam), want_total)
+    assert _close(dist, want_dist)
+    assert _close(direct, want_direct)
     want_views = generator_views(want_grads, target)
     for name, got in generator_views(grads, target).items():
         scale = max(np.max(np.abs(want_views[name])), ORACLE_FLOOR)

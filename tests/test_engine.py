@@ -305,15 +305,10 @@ def test_first_step_loss_is_reproducible_from_checkpoint(world, subspaces):
     _assert_logged_step(record, 1, dist, direct)
 
 
-def _assert_logged_step(record, step, dist_sums, direct_sums):
-    """``record``'s row for ``step`` is these batch sums as batch means, bit for bit."""
-    batch, lam = record.config.batch_size, record.config.lam
-    inv_batch = 1.0 / batch
-    dist, direct = record.dist[step - 1], record.direct[step - 1]
-    assert (dist_sums * inv_batch).tobytes() == dist.tobytes(), f"step {step}"
-    assert (direct_sums * inv_batch).tobytes() == direct.tobytes(), f"step {step}"
-    want = loss_total(dist, direct, 1, lam)
-    assert loss_total(dist_sums, direct_sums, batch, lam) == want, f"step {step}"
+def _assert_logged_step(record, step, dist, direct):
+    """``record``'s rows for ``step`` are these batch means, bit for bit."""
+    assert dist.tobytes() == record.dist[step - 1].tobytes(), f"step {step}"
+    assert direct.tobytes() == record.direct[step - 1].tobytes(), f"step {step}"
 
 
 @pytest.fixture(scope="module")
@@ -322,7 +317,7 @@ def stock_record(world, subspaces):
 
 
 def _recomputed_loss(config, world, subspaces, step, first_params):
-    """``hda_objective``'s batch sums at ``step`` of a run, from the params entering that step."""
+    """``hda_objective``'s batch means at ``step`` of a run, from the params entering that step."""
     if step == 1:
         params = first_params
     else:
@@ -402,7 +397,7 @@ def test_step_losses_view_follows_the_loss_columns(world, subspaces):
     breakdowns = record.step_losses
     assert len(breakdowns) == config.steps
     for i, b in enumerate(breakdowns):
-        want = loss_total(record.dist[i], record.direct[i], 1, config.lam)
+        want = loss_total(record.dist[i], record.direct[i], config.lam)
         assert np.float64(b.total).tobytes() == np.float64(want).tobytes(), f"step {i + 1}"
         assert b.lam == config.lam
         assert tuple(t.encoder_id for t in b.per_encoder) == config.encoder_ids
@@ -640,8 +635,8 @@ def test_save_load_round_trip(tmp_path, world, subspaces):
     for name in ("dist", "direct"):
         assert getattr(back, name).tobytes() == getattr(record, name).tobytes()
     lam = record.config.lam
-    totals = [loss_total(d, r, 1, lam) for d, r in zip(record.dist, record.direct)]
-    back_totals = [loss_total(d, r, 1, lam) for d, r in zip(back.dist, back.direct)]
+    totals = [loss_total(d, r, lam) for d, r in zip(record.dist, record.direct)]
+    back_totals = [loss_total(d, r, lam) for d, r in zip(back.dist, back.direct)]
     assert len(totals) == 5
     assert np.array(totals).tobytes() == np.array(back_totals).tobytes()
     assert [s.step for s in back.snapshots] == [s.step for s in record.snapshots]

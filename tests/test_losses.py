@@ -12,7 +12,7 @@ from hda.errors import ConfigError
 from hda.losses import DomainWeight, ObjectivePlan, hda_objective, loss_total
 from hda.seeding import stream_rng
 from hda.subspace import DomainSubspace, FeatureSet, build_subspace, subspace_distance_sq
-from hda.worlds import flatten_generator
+from hda.worlds import flatten_generator, unflatten_generator
 
 
 def _axis_subspace(d: int, axis: int, mean=None) -> DomainSubspace:
@@ -144,6 +144,34 @@ def test_scaling_squares_dist_and_preserves_direction(point_losses):
         assert scaled_r == pytest.approx(base_r, rel=1e-9, abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "flags", [{}, {"dist_only": True}, {"direct_only": True}],
+    ids=["full", "dist_only", "direct_only"],
+)
+def test_a_repeated_latent_gives_its_own_losses_at_any_batch(world, subspaces, flags):
+    """The loss terms and the gradient are batch means: B copies of a latent give its own.
+
+    Not bit for bit: a 1-row product and a B-row product round apart
+    (about 1e-15 here).  Batch sums would be B times too large.
+    """
+    rng = stream_rng(9, "loss-test")
+    z = rng.standard_normal((1, world.config.d_z))
+    source = world.source_generator
+    flat = flatten_generator(source)
+    target = unflatten_generator(flat + 0.05 * rng.standard_normal(flat.size), source)
+    encoders = [world.encoder(e) for e in world.train_encoder_ids]
+    weights = [DomainWeight("attr0", 0.3), DomainWeight("attr1", 0.7)]
+
+    def objective(z_batch):
+        return hda_objective(z_batch, source, target, encoders, subspaces, weights, 1.0, **flags)
+
+    want = objective(z)
+    for copies in (2, 3, 4):
+        got = objective(np.repeat(z, copies, axis=0))
+        for name, g, w in zip(("dist", "direct", "gradient"), got, want):
+            assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w)), f"{name}, B = {copies}"
+
+
 def test_objective_zero_when_on_subspace_without_direction_term(world, subspaces):
     # lambda 0 and a target generator already producing in-subspace
     # embeddings would give zero; here we check the weaker contract
@@ -162,8 +190,8 @@ def test_objective_zero_when_on_subspace_without_direction_term(world, subspaces
         lam=1.0,
     )
     assert dist.shape == direct.shape == (len(encoders),)
-    want = sum(d / len(z) + 1.0 * r / len(z) for d, r in zip(dist, direct))
-    assert loss_total(dist, direct, len(z), 1.0) == pytest.approx(want, rel=1e-10)
+    want = sum(d + 1.0 * r for d, r in zip(dist, direct))
+    assert loss_total(dist, direct, 1.0) == pytest.approx(want, rel=1e-10)
     assert grads.shape == flatten_generator(world.source_generator).shape
     assert np.all(np.isfinite(grads))
 
@@ -185,7 +213,7 @@ def test_objective_additive_over_encoders(world, subspaces):
             weights,
             lam=1.0,
         )
-        return loss_total(dist, direct, len(z), 1.0)
+        return loss_total(dist, direct, 1.0)
 
     together = total_for(ids)
     separate = sum(total_for([e]) for e in ids)
@@ -203,13 +231,13 @@ def test_objective_variant_flags(world, subspaces):
         dist, direct, _ = hda_objective(
             z, world.source_generator, target, encoders, subspaces, weights, 1.0, **kw
         )
-        return dist, direct, loss_total(dist, direct, len(z), 1.0)
+        return dist, direct, loss_total(dist, direct, 1.0)
 
     full_dist, full_direct, _ = run()
     *_, dist_only = run(dist_only=True)
     *_, direct_only = run(direct_only=True)
-    assert dist_only == pytest.approx(sum(full_dist / len(z)), rel=1e-10)
-    assert direct_only == pytest.approx(sum(full_direct / len(z)), rel=1e-10)
+    assert dist_only == pytest.approx(sum(full_dist), rel=1e-10)
+    assert direct_only == pytest.approx(sum(full_direct), rel=1e-10)
     with pytest.raises(ConfigError):
         run(dist_only=True, direct_only=True)
 
@@ -229,7 +257,7 @@ def test_objective_weight_subset_and_unknown_domain(world, subspaces):
         [DomainWeight("attr0", 1.0)],
         lam=1.0,
     )
-    assert np.isfinite(loss_total(dist, direct, len(z), 1.0))
+    assert np.isfinite(loss_total(dist, direct, 1.0))
     with pytest.raises(ConfigError):
         hda_objective(
             z,

@@ -517,8 +517,8 @@ def stock_snapshot_params(world, subspaces):
 _FAULTS_OF_FIVE_WARM_CALLS = """
 import resource, sys
 import numpy as np
-from hda import build_world, build_world_subspaces, default_world_config, evaluate
-from hda.worlds import unflatten_generator
+from hda.metrics import evaluate
+from hda.worlds import build_world, build_world_subspaces, default_world_config, unflatten_generator
 
 world = build_world(default_world_config())
 enc = world.held_out_encoder

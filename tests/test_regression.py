@@ -26,7 +26,7 @@ def test_short_stock_run_losses_frozen(world, subspaces, baselines):
     record = run_adaptation(config, world, subspaces)
     for step_str, want in ref["step_totals"].items():
         i = int(step_str) - 1
-        got = loss_total(record.dist[i], record.direct[i], 1, config.lam)
+        got = loss_total(record.dist[i], record.direct[i], config.lam)
         assert got == pytest.approx(want, rel=REL), f"step {step_str}"
     final = record.snapshots[-1].report
     assert final.consistency == pytest.approx(ref["final_consistency"], rel=REL)
